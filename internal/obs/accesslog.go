@@ -29,11 +29,14 @@ type AccessCache struct {
 	DiskMisses int64 `json:"disk_misses,omitempty"`
 }
 
-// AccessEntry is one access-log record. Omitempty fields only apply to
-// evaluation endpoints (compile/verify/report) or to specific statuses
-// (QueueDepth on 429s, Phases past the slow threshold).
-type AccessEntry struct {
-	// Time is the request's completion time, RFC 3339 with milliseconds.
+// RequestRecord is everything one request did, written once when it
+// ends: the access-log line, the flight recorder's ring entry, the
+// debug state's slow list and a postmortem bundle's request all carry
+// it. Omitempty fields only apply to evaluation endpoints
+// (compile/verify/report) or to specific statuses (QueueDepth on 429s,
+// Phases past the slow threshold in the access log).
+type RequestRecord struct {
+	// Time is the request's arrival time, RFC 3339 with milliseconds.
 	Time string `json:"ts"`
 	// ID is the request id (accepted X-Request-ID or generated).
 	ID string `json:"id"`
@@ -70,18 +73,35 @@ type AccessEntry struct {
 	// was rejected with 429.
 	QueueDepth int64 `json:"queue_depth,omitempty"`
 
-	// Slow marks requests over the server's slow threshold; Phases then
-	// carries the per-phase span breakdown from the request's Tracer.
+	// Slow marks requests over the server's slow threshold. Phases is
+	// the per-phase span breakdown from the request's Tracer; the access
+	// log carries it only on slow requests.
 	Slow   bool           `json:"slow,omitempty"`
 	Phases []PhaseSummary `json:"phases,omitempty"`
 
 	// Err is the error message of a failed request (4xx/5xx).
 	Err string `json:"error,omitempty"`
+
+	// Spans are the completed spans Phases was folded from, and
+	// Decisions the tail of the evaluation's scheduler decision log.
+	// Both are postmortem payload: never in the access log.
+	Spans     []SpanEvent `json:"spans,omitempty"`
+	Decisions []Decision  `json:"decisions,omitempty"`
 }
 
-// AccessLog serializes AccessEntry records as JSON lines. A nil
-// *AccessLog is the disabled logger: Log no-ops and Enabled is false,
-// so instrumented paths call straight through without guarding.
+// Logged returns the record as the access log writes it: spans and
+// decisions dropped, and phases dropped unless the request was slow.
+func (r RequestRecord) Logged() RequestRecord {
+	r.Spans, r.Decisions = nil, nil
+	if !r.Slow {
+		r.Phases = nil
+	}
+	return r
+}
+
+// AccessLog serializes request records as JSON lines. A nil
+// *AccessLog is the disabled logger: Log no-ops, so instrumented paths
+// call straight through without guarding.
 type AccessLog struct {
 	mu   sync.Mutex
 	w    io.Writer
@@ -140,19 +160,15 @@ func (l *AccessLog) Close() error {
 	return l.f.Close()
 }
 
-// Enabled reports whether records are being written. Call sites that
-// must gather data to build an entry check this first.
-func (l *AccessLog) Enabled() bool { return l != nil }
-
-// Log writes one record as a single JSON line. Marshal happens outside
-// the lock; the write is a single call so concurrent records never
-// interleave (line-buffered sinks like files and pipes keep lines
-// whole).
-func (l *AccessLog) Log(e *AccessEntry) {
+// Log writes one record's Logged form as a single JSON line. Marshal
+// happens outside the lock; the write is a single call so concurrent
+// records never interleave (line-buffered sinks like files and pipes
+// keep lines whole).
+func (l *AccessLog) Log(rec *RequestRecord) {
 	if l == nil {
 		return
 	}
-	buf, err := json.Marshal(e)
+	buf, err := json.Marshal(rec.Logged())
 	if err != nil {
 		return // an entry that cannot marshal is dropped, never panics
 	}

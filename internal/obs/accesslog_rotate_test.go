@@ -34,7 +34,7 @@ func TestAccessLogRotate(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perWriter; i++ {
-				l.Log(&AccessEntry{ID: fmt.Sprintf("w%d-%d", w, i), Endpoint: "compile", Status: 200})
+				l.Log(&RequestRecord{ID: fmt.Sprintf("w%d-%d", w, i), Endpoint: "compile", Status: 200})
 			}
 		}(w)
 	}
@@ -63,7 +63,7 @@ func TestAccessLogRotate(t *testing.T) {
 		}
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
-			var e AccessEntry
+			var e RequestRecord
 			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 				t.Fatalf("%s holds a non-JSON line (split or interleaved): %q", p, sc.Text())
 			}
@@ -83,7 +83,7 @@ func TestAccessLogRotate(t *testing.T) {
 	}
 	// Post-rotation lines must land in the fresh file, not the renamed one.
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		l.Log(&AccessEntry{ID: "post-rotate", Endpoint: "healthz", Status: 200})
+		l.Log(&RequestRecord{ID: "post-rotate", Endpoint: "healthz", Status: 200})
 		if fi2, err2 := os.Stat(path); err2 != nil || fi2.Size() == 0 {
 			t.Fatalf("fresh file empty after rotation (stat: %v %v)", err, err2)
 		}

@@ -11,16 +11,13 @@ import (
 func TestAccessLogWritesJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewAccessLog(&buf)
-	if !l.Enabled() {
-		t.Fatal("logger with writer reports disabled")
-	}
-	l.Log(&AccessEntry{
+	l.Log(&RequestRecord{
 		Time: "2026-01-02T03:04:05.678Z", ID: "demo", Endpoint: "compile",
 		Method: "POST", Path: "/v1/compile", Status: 200, Bytes: 42, DurMS: 1.5,
 		Role: "solo", Fingerprint: "deadbeef",
 		Cache: &AccessCache{CommHits: 1, SchedMisses: 2},
 	})
-	l.Log(&AccessEntry{ID: "second", Endpoint: "healthz", Status: 200})
+	l.Log(&RequestRecord{ID: "second", Endpoint: "healthz", Status: 200})
 
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(lines) != 2 {
@@ -43,12 +40,44 @@ func TestAccessLogWritesJSONLines(t *testing.T) {
 	}
 }
 
+// TestAccessLogDropsPostmortemPayload: a record's spans and decisions
+// never reach the line, and its phases only do on a slow request.
+func TestAccessLogDropsPostmortemPayload(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewAccessLog(&buf)
+	rec := &RequestRecord{
+		ID: "full", Endpoint: "compile", Status: 200,
+		Phases:    []PhaseSummary{{Cat: "engine", Name: "evaluate", Count: 1, MS: 2}},
+		Spans:     []SpanEvent{{Cat: "engine", Name: "evaluate", DurUS: 2000}},
+		Decisions: []Decision{{Module: "main", Step: 1}},
+	}
+	l.Log(rec)
+	rec.Slow = true
+	l.Log(rec)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for i, want := range []bool{false, true} {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(lines[i]), &m); err != nil {
+			t.Fatalf("line %d not JSON: %v", i, err)
+		}
+		if _, ok := m["spans"]; ok {
+			t.Errorf("line %d carries spans: %s", i, lines[i])
+		}
+		if _, ok := m["decisions"]; ok {
+			t.Errorf("line %d carries decisions: %s", i, lines[i])
+		}
+		if _, ok := m["phases"]; ok != want {
+			t.Errorf("line %d phases present=%v, want %v: %s", i, ok, want, lines[i])
+		}
+	}
+	if len(rec.Spans) == 0 || len(rec.Decisions) == 0 {
+		t.Error("Log mutated the caller's record")
+	}
+}
+
 func TestAccessLogNilDisabled(t *testing.T) {
 	var l *AccessLog
-	if l.Enabled() {
-		t.Error("nil logger reports enabled")
-	}
-	l.Log(&AccessEntry{ID: "x"}) // must not panic
+	l.Log(&RequestRecord{ID: "x"}) // must not panic
 	if NewAccessLog(nil) != nil {
 		t.Error("NewAccessLog(nil) returned a live logger")
 	}
@@ -63,7 +92,7 @@ func TestAccessLogConcurrentLinesStayWhole(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				l.Log(&AccessEntry{ID: "concurrent", Endpoint: "compile", Status: 200})
+				l.Log(&RequestRecord{ID: "concurrent", Endpoint: "compile", Status: 200})
 			}
 		}(i)
 	}
@@ -73,7 +102,7 @@ func TestAccessLogConcurrentLinesStayWhole(t *testing.T) {
 		t.Fatalf("got %d lines, want 400", len(lines))
 	}
 	for i, line := range lines {
-		var e AccessEntry
+		var e RequestRecord
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("line %d torn: %v: %s", i, err, line)
 		}

@@ -1,7 +1,8 @@
 package telem
 
-// The flight recorder: a bounded in-memory ring of recent per-request
-// context (phase spans, decision-log tail, cache/queue deltas). When a
+// The flight recorder: a fixed-size in-memory ring of recent request
+// records (obs.RequestRecord: the access-log fields plus, with
+// telemetry on, raw spans and the decision-log tail). When a
 // request ends badly — slow, 5xx, 429 — or an operator asks via
 // POST /v1/debug/snapshot, the ring is frozen into a postmortem bundle:
 // one self-contained, schema-versioned JSON file holding the triggering
@@ -25,38 +26,14 @@ import (
 	"github.com/scaffold-go/multisimd/internal/obs"
 )
 
-// RequestRecord is one flight-recorder entry: what one request did,
-// in the access log's vocabulary, plus the raw spans and decision tail
-// the log line only aggregates.
-type RequestRecord struct {
-	ID       string  `json:"id"`
-	Endpoint string  `json:"endpoint"`
-	Status   int     `json:"status"`
-	Time     string  `json:"ts"`
-	DurMS    float64 `json:"dur_ms"`
-	Role     string  `json:"role,omitempty"`
-
-	QueueWaitMS float64          `json:"queue_wait_ms,omitempty"`
-	EvalMS      float64          `json:"eval_ms,omitempty"`
-	Cache       *obs.AccessCache `json:"cache,omitempty"`
-	Err         string           `json:"error,omitempty"`
-
-	// Phases is the per-phase aggregation the access log carries;
-	// Spans are the completed spans it was folded from. Decisions is
-	// the tail of the evaluation's scheduler decision log.
-	Phases    []obs.PhaseSummary `json:"phases,omitempty"`
-	Spans     []obs.SpanEvent    `json:"spans,omitempty"`
-	Decisions []obs.Decision     `json:"decisions,omitempty"`
-}
-
-// FlightRecorder keeps the most recent request records in a bounded
-// ring. A nil *FlightRecorder is disabled: Record no-ops without
-// allocating, Recent returns nil. Safe for concurrent use.
+// FlightRecorder keeps the most recent request records in a ring
+// allocated once at construction: Record copies into a slot and never
+// allocates, so the recorder stays on for every request. Safe for
+// concurrent use.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	entries []RequestRecord
-	max     int
-	total   int64
+	mu    sync.Mutex
+	ring  []obs.RequestRecord
+	total int64
 }
 
 // DefaultFlightRecords is the default ring capacity.
@@ -68,50 +45,40 @@ func NewFlightRecorder(max int) *FlightRecorder {
 	if max <= 0 {
 		max = DefaultFlightRecords
 	}
-	return &FlightRecorder{max: max}
+	return &FlightRecorder{ring: make([]obs.RequestRecord, max)}
 }
 
-// Record appends one request record, evicting the oldest past the cap.
-func (r *FlightRecorder) Record(rec RequestRecord) {
-	if r == nil {
-		return
-	}
+// Record copies one request record into the ring, overwriting the
+// oldest once it is full.
+func (r *FlightRecorder) Record(rec *obs.RequestRecord) {
 	r.mu.Lock()
-	r.entries = append(r.entries, rec)
-	if len(r.entries) > r.max {
-		r.entries = r.entries[len(r.entries)-r.max:]
-	}
+	r.ring[r.total%int64(len(r.ring))] = *rec
 	r.total++
 	r.mu.Unlock()
 }
 
 // Recent copies the ring, oldest first.
-func (r *FlightRecorder) Recent() []RequestRecord {
-	if r == nil {
-		return nil
-	}
+func (r *FlightRecorder) Recent() []obs.RequestRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]RequestRecord, len(r.entries))
-	copy(out, r.entries)
+	n := int64(len(r.ring))
+	start := max(r.total-n, 0)
+	out := make([]obs.RequestRecord, 0, r.total-start)
+	for i := start; i < r.total; i++ {
+		out = append(out, r.ring[i%n])
+	}
 	return out
 }
 
 // Len reports how many records the ring currently holds.
 func (r *FlightRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
+	return int(min(r.total, int64(len(r.ring))))
 }
 
 // Total reports how many records were ever recorded (evicted included).
 func (r *FlightRecorder) Total() int64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
@@ -153,9 +120,9 @@ type Bundle struct {
 	// own id on manual bundles).
 	RequestID string `json:"request_id,omitempty"`
 	// Request is the triggering request's record (automatic bundles).
-	Request *RequestRecord `json:"request,omitempty"`
+	Request *obs.RequestRecord `json:"request,omitempty"`
 	// Recent is the flight-recorder ring at trigger time, oldest first.
-	Recent []RequestRecord `json:"recent,omitempty"`
+	Recent []obs.RequestRecord `json:"recent,omitempty"`
 	// Metrics is the full registry snapshot at trigger time.
 	Metrics obs.Snapshot `json:"metrics"`
 	// State is the server's debug-state snapshot, embedded verbatim so
@@ -169,7 +136,7 @@ type Bundle struct {
 // request: it renders as pid 1 of the trace fragment, ahead of the ring
 // (which skips its duplicate). requestID overrides req's id when req is
 // nil (manual snapshots).
-func BuildBundle(service, trigger, ts, requestID string, req *RequestRecord, recent []RequestRecord, metrics obs.Snapshot, state json.RawMessage) Bundle {
+func BuildBundle(service, trigger, ts, requestID string, req *obs.RequestRecord, recent []obs.RequestRecord, metrics obs.Snapshot, state json.RawMessage) Bundle {
 	b := Bundle{
 		Schema:    BundleSchemaVersion,
 		Service:   service,
@@ -192,10 +159,10 @@ func BuildBundle(service, trigger, ts, requestID string, req *RequestRecord, rec
 // request: a process_name metadata event carrying the request id, then
 // the spans on their original worker tids. The triggering request is
 // always pid 1.
-func buildTrace(req *RequestRecord, recent []RequestRecord) TraceFragment {
+func buildTrace(req *obs.RequestRecord, recent []obs.RequestRecord) TraceFragment {
 	tf := TraceFragment{DisplayTimeUnit: "ms"}
 	pid := int64(1)
-	add := func(r *RequestRecord) {
+	add := func(r *obs.RequestRecord) {
 		tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
 			Name: "process_name", Ph: "M", PID: pid,
 			Args: map[string]any{"name": r.Endpoint, "request_id": r.ID},

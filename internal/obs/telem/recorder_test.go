@@ -15,7 +15,7 @@ import (
 func TestFlightRecorderRingBound(t *testing.T) {
 	r := NewFlightRecorder(3)
 	for i := 0; i < 10; i++ {
-		r.Record(RequestRecord{ID: fmt.Sprintf("req-%d", i)})
+		r.Record(&obs.RequestRecord{ID: fmt.Sprintf("req-%d", i)})
 	}
 	if r.Len() != 3 || r.Total() != 10 {
 		t.Fatalf("len=%d total=%d, want 3/10", r.Len(), r.Total())
@@ -29,15 +29,15 @@ func TestFlightRecorderRingBound(t *testing.T) {
 func TestFlightRecorderDefaultCap(t *testing.T) {
 	r := NewFlightRecorder(0)
 	for i := 0; i < DefaultFlightRecords+5; i++ {
-		r.Record(RequestRecord{ID: fmt.Sprintf("r%d", i)})
+		r.Record(&obs.RequestRecord{ID: fmt.Sprintf("r%d", i)})
 	}
 	if r.Len() != DefaultFlightRecords {
 		t.Fatalf("len = %d, want %d", r.Len(), DefaultFlightRecords)
 	}
 }
 
-func sampleRecord(id string) RequestRecord {
-	return RequestRecord{
+func sampleRecord(id string) obs.RequestRecord {
+	return obs.RequestRecord{
 		ID: id, Endpoint: "compile", Status: 200, DurMS: 12.5,
 		Spans: []obs.SpanEvent{
 			{Cat: "phase", Name: "parse", TSUS: 0, DurUS: 100, TID: 1},
@@ -51,7 +51,7 @@ func TestBuildBundleTraceLayout(t *testing.T) {
 	trig := sampleRecord("trigger-1")
 	other := sampleRecord("other-2")
 	b := BuildBundle("qschedd", "slow", "2026-01-01T00:00:00Z", "",
-		&trig, []RequestRecord{other, trig}, obs.Snapshot{}, nil)
+		&trig, []obs.RequestRecord{other, trig}, obs.Snapshot{}, nil)
 	if b.Schema != BundleSchemaVersion || b.RequestID != "trigger-1" {
 		t.Fatalf("bundle header = %+v", b)
 	}
@@ -91,7 +91,7 @@ func TestWriteBundleRoundTripAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	rec := sampleRecord("req-1")
 	b := BuildBundle("qschedd", "manual", "2026-01-01T00:00:00Z", "req-1",
-		nil, []RequestRecord{rec}, obs.Snapshot{}, []byte(`{"queued":0}`))
+		nil, []obs.RequestRecord{rec}, obs.Snapshot{}, []byte(`{"queued":0}`))
 	path, err := WriteBundle(dir, b, time.UnixMilli(1000))
 	if err != nil {
 		t.Fatalf("WriteBundle: %v", err)

@@ -51,6 +51,9 @@ type segMeta struct {
 // no-op without allocating), so telemetry-off paths cost one nil check.
 type Store struct {
 	opts Options
+	// memSamples > 0 marks an in-memory store (NewMemory): active holds
+	// the newest memSamples samples and nothing is ever sealed.
+	memSamples int
 
 	mu     sync.Mutex
 	active []Sample
@@ -125,6 +128,17 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// NewMemory returns a store that keeps only the newest samples samples
+// in memory and never touches disk: the same Append/Query/Series
+// surface as a persistent store, for a process running without a
+// telemetry directory. Stats reports no segments; Dir is empty.
+func NewMemory(samples int) *Store {
+	if samples <= 0 {
+		samples = 1
+	}
+	return &Store{memSamples: samples, names: map[string]struct{}{}}
+}
+
 func (s *Store) segmentsDir() string   { return filepath.Join(s.opts.Dir, "segments") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.opts.Dir, "quarantine") }
 
@@ -189,7 +203,8 @@ func (s *Store) quarantine(path string) {
 
 // Append buffers one sample (values must not be mutated by the caller
 // afterwards — Flatten builds a fresh map). Every SealSamples appends,
-// the buffer seals into an immutable segment and retention runs. A nil
+// the buffer seals into an immutable segment and retention runs; an
+// in-memory store drops its oldest sample instead once full. A nil
 // store, or an empty sample, is a no-op.
 func (s *Store) Append(t time.Time, values map[string]float64) {
 	if s == nil || len(values) == 0 {
@@ -202,14 +217,18 @@ func (s *Store) Append(t time.Time, values map[string]float64) {
 			s.names[k] = struct{}{}
 		}
 	}
+	if s.memSamples > 0 && len(s.active) == s.memSamples {
+		s.active = s.active[:copy(s.active, s.active[1:])]
+	}
 	s.active = append(s.active, Sample{TSMS: t.UnixMilli(), Values: values})
-	if len(s.active) >= s.opts.sealSamples() {
+	if s.memSamples == 0 && len(s.active) >= s.opts.sealSamples() {
 		s.sealLocked()
 	}
 }
 
 // Seal forces the buffered tail into a segment (Close calls it; the
-// daemon's SIGTERM path therefore persists everything).
+// daemon's SIGTERM path therefore persists everything). An in-memory
+// store has nothing to seal.
 func (s *Store) Seal() {
 	if s == nil {
 		return
@@ -226,7 +245,7 @@ func (s *Store) Close() {
 }
 
 func (s *Store) sealLocked() {
-	if len(s.active) == 0 {
+	if len(s.active) == 0 || s.memSamples > 0 {
 		return
 	}
 	payload := segmentPayload{Schema: SegmentSchemaVersion, Samples: s.active}

@@ -1,6 +1,7 @@
-// Package telem is the persistent telemetry layer behind qschedd: an
-// embedded, append-only time-series store for periodic obs.Registry
-// snapshots, plus a flight recorder that turns the recent-request ring
+// Package telem is the telemetry layer behind qschedd: an embedded,
+// append-only time-series store for periodic obs.Registry snapshots
+// (persistent via Open, or the newest N samples in memory via
+// NewMemory), plus a flight recorder that turns the recent-request ring
 // into self-contained postmortem bundles.
 //
 // The store follows the internal/cas file discipline: every sealed

@@ -9,6 +9,7 @@ package server
 
 import (
 	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/obs/telem"
 	"github.com/scaffold-go/multisimd/internal/request"
 )
@@ -198,16 +199,6 @@ type RuntimeState struct {
 	GCPauseLastNS  int64 `json:"gc_pause_last_ns"`
 }
 
-// SlowRequest is one entry of the recent-slow ring: a request whose
-// wall time met the server's slow threshold.
-type SlowRequest struct {
-	ID       string  `json:"id"`
-	Endpoint string  `json:"endpoint"`
-	Status   int     `json:"status"`
-	DurMS    float64 `json:"dur_ms"`
-	Time     string  `json:"ts"`
-}
-
 // DebugStateResponse answers GET /v1/debug/state: a point-in-time
 // snapshot of what the server is doing right now — the live flight
 // table, admission state, cache totals, runtime health and recent slow
@@ -223,10 +214,13 @@ type DebugStateResponse struct {
 	QueueDepth  int64 `json:"queue_depth"`
 	QueueCap    int   `json:"queue_cap"`
 
-	Flights      []FlightState   `json:"flights"`
-	Cache        core.CacheStats `json:"cache"`
-	Runtime      RuntimeState    `json:"runtime"`
-	SlowRequests []SlowRequest   `json:"slow_requests"`
+	Flights []FlightState   `json:"flights"`
+	Cache   core.CacheStats `json:"cache"`
+	Runtime RuntimeState    `json:"runtime"`
+	// SlowRequests are the slow requests among the flight recorder's
+	// last telem.DefaultFlightRecords, newest first, at most 20, each in
+	// access-log form.
+	SlowRequests []obs.RequestRecord `json:"slow_requests"`
 
 	// Telemetry is the persistent store's occupancy and maintenance
 	// counters; nil when the server runs without -telemetry-dir.

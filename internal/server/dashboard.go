@@ -5,7 +5,7 @@ package server
 // assets (the same discipline as internal/report's HTML artifacts, and
 // CI asserts it) — showing what the server is doing right now.
 // Refreshing is plain <meta http-equiv="refresh">: the page re-renders
-// server-side from the history ring, so it works with every asset
+// server-side from the history store, so it works with every asset
 // policy a browser can enforce.
 
 import (
@@ -20,100 +20,18 @@ import (
 	"github.com/scaffold-go/multisimd/internal/obs/telem"
 )
 
-const (
-	// historySamples bounds the dashboard history ring; at the default
-	// 2s sample period this is five minutes of trend.
-	historySamples = 150
-	// slowRingSize bounds the recent-slow-requests ring.
-	slowRingSize = 20
-)
+// memHistorySamples bounds the in-memory history store used without a
+// persistent one; at the default 2s sample period this is five minutes
+// of trend.
+const memHistorySamples = 150
 
-// histSample is one dashboard history point: cumulative counters plus
-// instantaneous gauges at sample time. Rates derive from consecutive
-// samples at render time.
-type histSample struct {
-	t          time.Time
-	requests   int64
-	errors     int64
-	inflight   int64
-	queued     int64
-	heapAlloc  int64
-	goroutines int64
-}
-
-// history is a bounded ring of samples, oldest first.
-type history struct {
-	mu      sync.Mutex
-	samples []histSample
-	max     int
-}
-
-func newHistory(max int) *history { return &history{max: max} }
-
-func (h *history) add(s histSample) {
-	h.mu.Lock()
-	h.samples = append(h.samples, s)
-	if len(h.samples) > h.max {
-		h.samples = h.samples[len(h.samples)-h.max:]
-	}
-	h.mu.Unlock()
-}
-
-func (h *history) list() []histSample {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]histSample, len(h.samples))
-	copy(out, h.samples)
-	return out
-}
-
-// slowRing keeps the most recent slow requests, newest first in list().
-type slowRing struct {
-	mu      sync.Mutex
-	entries []SlowRequest
-	max     int
-}
-
-func newSlowRing(max int) *slowRing { return &slowRing{max: max} }
-
-func (r *slowRing) add(e SlowRequest) {
-	r.mu.Lock()
-	r.entries = append(r.entries, e)
-	if len(r.entries) > r.max {
-		r.entries = r.entries[len(r.entries)-r.max:]
-	}
-	r.mu.Unlock()
-}
-
-func (r *slowRing) list() []SlowRequest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SlowRequest, len(r.entries))
-	for i, e := range r.entries {
-		out[len(out)-1-i] = e
-	}
-	return out
-}
-
-// sampleNow reads the instruments the dashboard trends.
-func (s *Server) sampleNow() histSample {
-	return histSample{
-		t:          time.Now(),
-		requests:   s.reqsAll.Value(),
-		errors:     s.errsAll.Value(),
-		inflight:   s.inflightGauge.Value(),
-		queued:     s.queuedGauge.Value(),
-		heapAlloc:  s.reg.Gauge(obs.GaugeHeapAlloc).Value(),
-		goroutines: s.reg.Gauge(obs.GaugeGoroutines).Value(),
-	}
-}
-
-// startSampler runs the runtime sampler, the dashboard history ring
-// and (when telemetry is on) the persistent snapshot appender on one
-// cadence until the returned stop function is called.
+// startSampler runs the runtime sampler and appends a flattened
+// registry snapshot to the history store on one cadence until the
+// returned stop function is called.
 func (s *Server) startSampler(every time.Duration) func() {
 	stopRuntime := obs.StartRuntimeSampler(s.reg, every)
-	s.history.add(s.sampleNow())
+	sample := func() { s.series.Append(time.Now(), telem.Flatten(s.reg.Snapshot())) }
+	sample()
 	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(every)
@@ -121,10 +39,7 @@ func (s *Server) startSampler(every time.Duration) func() {
 		for {
 			select {
 			case <-t.C:
-				s.history.add(s.sampleNow())
-				if s.telem != nil {
-					s.telem.Append(time.Now(), telem.Flatten(s.reg.Snapshot()))
-				}
+				sample()
 			case <-done:
 				return
 			}
@@ -144,24 +59,24 @@ type trendSeries struct {
 	rates, inflight, queued, heap []float64
 }
 
-// dashTrendPoints bounds how many points a telemetry-backed sparkline
-// folds the window onto (an SVG polyline past ~300 points is pixels).
+// dashTrendPoints bounds how many points a sparkline folds the window
+// onto (an SVG polyline past ~300 points is pixels).
 const dashTrendPoints = 300
 
-// dashTrendWindow is how far back the telemetry-backed dashboard looks,
-// clamped to the store's retention.
+// dashTrendWindow is how far back the dashboard looks into a persistent
+// store, clamped to its retention.
 const dashTrendWindow = 6 * time.Hour
 
-// trendFromTelem rebuilds the dashboard trends from the persistent
-// store. The returned window is 0 when there is no store or not enough
-// persisted history yet (callers fall back to the in-memory ring).
+// trendFromTelem rebuilds the dashboard trends from the history store:
+// hours of persisted history that survive restarts, or the in-memory
+// store's last memHistorySamples samples. The returned window is 0
+// while there is not enough history yet.
 func (s *Server) trendFromTelem(now time.Time) (trendSeries, time.Duration) {
 	var t trendSeries
-	if s.telem == nil {
-		return t, 0
-	}
 	window := dashTrendWindow
-	if ret := s.telem.Retention(); ret > 0 && ret < window {
+	if s.telem == nil {
+		window = memHistorySamples * s.opts.SampleEvery
+	} else if ret := s.telem.Retention(); ret > 0 && ret < window {
 		window = ret
 	}
 	from := now.Add(-window)
@@ -169,13 +84,13 @@ func (s *Server) trendFromTelem(now time.Time) (trendSeries, time.Duration) {
 	if step < s.opts.SampleEvery {
 		step = s.opts.SampleEvery
 	}
-	reqs := s.telem.Query("server.requests", from, now, step)
+	reqs := s.series.Query("server.requests", from, now, step)
 	if len(reqs) < 2 {
 		// A short history (just-started daemon) can fold into a single
 		// step bucket; retry at raw resolution before giving up on the
 		// store. Raw is bounded here: little history is the premise.
 		step = 0
-		reqs = s.telem.Query("server.requests", from, now, step)
+		reqs = s.series.Query("server.requests", from, now, step)
 	}
 	if len(reqs) < 2 {
 		return t, 0
@@ -191,34 +106,16 @@ func (s *Server) trendFromTelem(now time.Time) (trendSeries, time.Duration) {
 		}
 		t.rates = append(t.rates, d/dt)
 	}
-	for _, p := range s.telem.Query("server.inflight", from, now, step) {
+	for _, p := range s.series.Query("server.inflight", from, now, step) {
 		t.inflight = append(t.inflight, p.V)
 	}
-	for _, p := range s.telem.Query("server.queued", from, now, step) {
+	for _, p := range s.series.Query("server.queued", from, now, step) {
 		t.queued = append(t.queued, p.V)
 	}
-	for _, p := range s.telem.Query(obs.GaugeHeapAlloc, from, now, step) {
+	for _, p := range s.series.Query(obs.GaugeHeapAlloc, from, now, step) {
 		t.heap = append(t.heap, p.V/(1<<20))
 	}
 	return t, window
-}
-
-// trendFromRing is the in-memory fallback: the pre-telemetry dashboard
-// behavior, five minutes of ring.
-func trendFromRing(samples []histSample) trendSeries {
-	var t trendSeries
-	for i, sm := range samples {
-		if i > 0 {
-			dt := sm.t.Sub(samples[i-1].t).Seconds()
-			if dt > 0 {
-				t.rates = append(t.rates, float64(sm.requests-samples[i-1].requests)/dt)
-			}
-		}
-		t.inflight = append(t.inflight, float64(sm.inflight))
-		t.queued = append(t.queued, float64(sm.queued))
-		t.heap = append(t.heap, float64(sm.heapAlloc)/(1<<20))
-	}
-	return t
 }
 
 // sparkView is one precomputed SVG sparkline: geometry is done in Go so
@@ -272,21 +169,14 @@ type dashView struct {
 	Latency   []dashRow
 	Sparks    []sparkView
 	Flights   []FlightState
-	Slow      []SlowRequest
+	Slow      []obs.RequestRecord
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	state := s.debugState()
 	snap := s.reg.Snapshot()
 
-	// With a telemetry store the trends rebuild from persisted history —
-	// hours of sparkline that survive restarts. Without one (or before
-	// the first seal lands), the in-memory ring's five minutes stand in.
 	trends, window := s.trendFromTelem(time.Now())
-	if window == 0 {
-		trends = trendFromRing(s.history.list())
-		window = time.Duration(historySamples) * s.opts.SampleEvery
-	}
 	latestRate := 0.0
 	if n := len(trends.rates); n > 0 {
 		latestRate = trends.rates[n-1]

@@ -64,17 +64,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeError writes the structured error envelope, stamping the request
-// id and recording the failure on the request's info record for the
-// access log. r may be nil in direct handler tests.
+// id and recording the failure on the request's record. r may be nil in
+// direct handler tests.
 func writeError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
 	body := ErrorBody{Code: code, Message: msg}
 	var id string
 	if r != nil {
 		id = requestID(r)
-		if info := reqInfoFrom(r.Context()); info != nil {
-			info.errMsg = msg
+		if rec := recordFrom(r.Context()); rec != nil {
+			rec.Err = msg
 			if status == http.StatusTooManyRequests {
-				body.QueueDepth = info.queueDepth
+				body.QueueDepth = rec.QueueDepth
 			}
 		}
 	}
@@ -102,29 +102,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// flightStats is the observability payload one evaluation flight
-// produces alongside its result. Followers inherit the leader's stats
-// (the evaluation happened once); the access log distinguishes them by
-// role and leader id.
-type flightStats struct {
-	queueWaitMS float64
-	evalMS      float64
-	cache       obs.AccessCache
-	phases      []obs.PhaseSummary
-
-	// spans/decisions feed the flight recorder; empty when telemetry is
-	// off (nobody pays for copies the recorder would drop).
-	spans     []obs.SpanEvent
-	decisions []obs.Decision
-}
-
 // evalResult is what one evaluation flight produces: the metrics,
-// the per-flight observability stats and, when profiling was
-// requested, the assembled schedule report.
+// the evaluation's share of the request record and, when profiling was
+// requested, the assembled schedule report. Followers inherit the
+// leader's stats (the evaluation happened once); their records tell
+// them apart by role and leader id.
 type evalResult struct {
-	m     *core.Metrics
-	rep   *report.Report
-	stats flightStats
+	m   *core.Metrics
+	rep *report.Report
+	// stats carries the evaluation's fields of the request record:
+	// queue wait, eval wall, cache traffic, phases and, with telemetry
+	// on, spans and the decision-log tail.
+	stats obs.RequestRecord
 }
 
 // evaluate runs req through the shared flight group: identical
@@ -161,11 +150,11 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		// aggregate into the shared registry.
 		tr := obs.NewTracer()
 		eopts.Obs = &obs.Observer{Trace: tr, Metrics: s.reg}
-		// With the flight recorder on, also capture the scheduler's
-		// decision log so a postmortem can say not just how long the
-		// schedule phase took but what it chose.
+		// With telemetry on, also capture the scheduler's decision log
+		// so a postmortem can say not just how long the schedule phase
+		// took but what it chose.
 		var dlog *obs.DecisionLog
-		if s.recorder != nil {
+		if s.telem != nil {
 			dlog = obs.NewDecisionLogLimit(obs.LevelStep, recorderDecisionCap)
 			eopts.Scheduler = core.WithDecisionLog(eopts.Scheduler, dlog)
 		}
@@ -178,27 +167,27 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		// Stats() delta around the evaluation would bleed other flights'
 		// hits and misses into this request's log. A per-evaluation
 		// recorder attributes exactly this run's traffic.
-		rec := &core.CacheRecorder{}
-		eopts.CacheStats = rec
+		cacheRec := &core.CacheRecorder{}
+		eopts.CacheStats = cacheRec
 		evalStart := time.Now()
 		m, err := core.EvaluateContext(evalCtx, p, eopts)
 		if err != nil {
 			return nil, err
 		}
-		delta := rec.Stats()
-		res := evalResult{m: m, stats: flightStats{
-			queueWaitMS: float64(queueWait.Microseconds()) / 1000,
-			evalMS:      float64(time.Since(evalStart).Microseconds()) / 1000,
-			cache: obs.AccessCache{
+		delta := cacheRec.Stats()
+		res := evalResult{m: m, stats: obs.RequestRecord{
+			QueueWaitMS: float64(queueWait.Microseconds()) / 1000,
+			EvalMS:      float64(time.Since(evalStart).Microseconds()) / 1000,
+			Cache: &obs.AccessCache{
 				CommHits: delta.CommHits, CommMisses: delta.CommMisses,
 				SchedHits: delta.SchedHits, SchedMisses: delta.SchedMisses,
 				DiskHits: delta.DiskHits, DiskMisses: delta.DiskMisses,
 			},
-			phases: tr.Phases(maxLogPhases),
+			Phases: tr.Phases(maxLogPhases),
 		}}
-		if s.recorder != nil {
-			res.stats.spans = tr.Events()
-			res.stats.decisions = decisionTail(dlog, recorderDecisionTail)
+		if s.telem != nil {
+			res.stats.Spans = tr.Events()
+			res.stats.Decisions = decisionTail(dlog, recorderDecisionTail)
 		}
 		if collector != nil {
 			res.rep = core.BuildReport(collector, req.Label(), m, eopts)
@@ -209,31 +198,28 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 	if deduped {
 		s.dedupCounter.Inc()
 	}
-	if info := reqInfoFrom(ctx); info != nil {
-		info.key = key
-		info.fingerprint = p.Fingerprint().String()
+	rec := recordFrom(ctx)
+	if rec != nil {
+		rec.Key = key
+		rec.Fingerprint = p.Fingerprint().String()
 		switch {
 		case deduped:
-			info.role = "follower"
-			info.leaderID = leaderID
+			rec.Role = "follower"
+			rec.LeaderID = leaderID
 		case shared:
-			info.role = "leader"
+			rec.Role = "leader"
 		default:
-			info.role = "solo"
+			rec.Role = "solo"
 		}
 	}
 	if err != nil {
 		return evalResult{}, deduped, err
 	}
 	res := val.(evalResult)
-	if info := reqInfoFrom(ctx); info != nil {
-		info.queueWaitMS = res.stats.queueWaitMS
-		info.evalMS = res.stats.evalMS
-		c := res.stats.cache
-		info.cache = &c
-		info.phases = res.stats.phases
-		info.spans = res.stats.spans
-		info.decisions = res.stats.decisions
+	if rec != nil {
+		st := &res.stats
+		rec.QueueWaitMS, rec.EvalMS, rec.Cache = st.QueueWaitMS, st.EvalMS, st.Cache
+		rec.Phases, rec.Spans, rec.Decisions = st.Phases, st.Spans, st.Decisions
 	}
 	return res, deduped, nil
 }
@@ -248,8 +234,8 @@ func (s *Server) writeEvalError(w http.ResponseWriter, r *http.Request, err erro
 	case errors.Is(err, errBusy):
 		w.Header().Set("Retry-After", strconv.FormatInt(s.retryAfterSecs(), 10))
 		if r != nil {
-			if info := reqInfoFrom(r.Context()); info != nil {
-				info.queueDepth = s.queued.Load()
+			if rec := recordFrom(r.Context()); rec != nil {
+				rec.QueueDepth = s.queued.Load()
 			}
 		}
 		writeError(w, r, http.StatusTooManyRequests, CodeOverloaded,
@@ -541,9 +527,25 @@ func (s *Server) debugState() DebugStateResponse {
 			GCPauseTotalNS: s.reg.Gauge(obs.GaugeGCPauseTotal).Value(),
 			GCPauseLastNS:  s.reg.Gauge(obs.GaugeGCPauseLast).Value(),
 		},
-		SlowRequests: s.slow.list(),
+		SlowRequests: s.slowRequests(),
 		Telemetry:    telemStats,
 	}
+}
+
+// maxSlowRequests bounds the slow list of the debug state and dashboard.
+const maxSlowRequests = 20
+
+// slowRequests filters the flight recorder's ring down to its slow
+// requests, newest first, in access-log form (never null: [] when none).
+func (s *Server) slowRequests() []obs.RequestRecord {
+	recent := s.recorder.Recent()
+	out := []obs.RequestRecord{}
+	for i := len(recent) - 1; i >= 0 && len(out) < maxSlowRequests; i-- {
+		if recent[i].Slow {
+			out = append(out, recent[i].Logged())
+		}
+	}
+	return out
 }
 
 func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {

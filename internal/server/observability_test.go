@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -28,16 +29,16 @@ func (b *syncBuffer) Write(p []byte) (int, error) {
 	return b.buf.Write(p)
 }
 
-func (b *syncBuffer) entries(t *testing.T) []obs.AccessEntry {
+func (b *syncBuffer) entries(t *testing.T) []obs.RequestRecord {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var out []obs.AccessEntry
+	var out []obs.RequestRecord
 	for _, line := range strings.Split(b.buf.String(), "\n") {
 		if line == "" {
 			continue
 		}
-		var e obs.AccessEntry
+		var e obs.RequestRecord
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("access log line not JSON: %v: %s", err, line)
 		}
@@ -48,7 +49,7 @@ func (b *syncBuffer) entries(t *testing.T) []obs.AccessEntry {
 
 // waitForEntry polls until the access log holds an entry with the given
 // request id (the middleware logs after the client sees the response).
-func waitForEntry(t *testing.T, b *syncBuffer, id string) obs.AccessEntry {
+func waitForEntry(t *testing.T, b *syncBuffer, id string) obs.RequestRecord {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -311,14 +312,40 @@ func TestOverloadCarriesIDAndQueueDepth(t *testing.T) {
 
 // TestAccessLogSchema pins the access-log field set: required keys are
 // always present, and nothing outside the documented schema appears.
-// New fields must be added to the allowed set deliberately.
+// New fields must be added to the allowed set deliberately. It runs
+// with and without a telemetry store: with one, the request's record
+// carries spans and a decision tail, which must never reach the line.
 func TestAccessLogSchema(t *testing.T) {
+	for _, withTelemetry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("telemetry=%v", withTelemetry), func(t *testing.T) {
+			testAccessLogSchema(t, withTelemetry)
+		})
+	}
+}
+
+func testAccessLogSchema(t *testing.T, withTelemetry bool) {
 	var buf syncBuffer
-	_, ts := newTestServer(t, Options{AccessLog: obs.NewAccessLog(&buf)})
-	if resp, data := postWithID(t, ts.URL+"/v1/compile", "schema-check", compileBody(tinySource, "lpfs", 2)); resp.StatusCode != http.StatusOK {
+	opts := Options{AccessLog: obs.NewAccessLog(&buf)}
+	if withTelemetry {
+		opts.Telemetry = openTelem(t, t.TempDir())
+	}
+	s, ts := newTestServer(t, opts)
+	// RCP logs a decision per scheduled step, so the tail is populated.
+	if resp, data := postWithID(t, ts.URL+"/v1/compile", "schema-check", compileBody(tinySource, "rcp", 2)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %d %s", resp.StatusCode, data)
 	}
 	waitForEntry(t, &buf, "schema-check")
+	if withTelemetry {
+		var rec obs.RequestRecord
+		for _, r := range s.recorder.Recent() {
+			if r.ID == "schema-check" {
+				rec = r
+			}
+		}
+		if len(rec.Spans) == 0 || len(rec.Decisions) == 0 {
+			t.Fatalf("recorded request lacks spans or decisions: %+v", rec)
+		}
+	}
 
 	buf.mu.Lock()
 	raw := buf.buf.String()

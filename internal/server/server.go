@@ -44,22 +44,21 @@ type Options struct {
 	AccessLog *obs.AccessLog
 	// SlowThreshold marks requests whose wall time meets or exceeds it
 	// as slow: their access-log entries carry the per-phase span
-	// breakdown and they enter the dashboard's recent-slow ring.
-	// Default: 1 second. Set negative to disable slow tracking.
+	// breakdown and they show in the debug state's and dashboard's slow
+	// list. Default: 1 second. Set negative to disable slow tracking.
 	SlowThreshold time.Duration
-	// SampleEvery is the period of the runtime sampler and the
-	// dashboard history ring. Default: 2 seconds. Set negative to
-	// disable sampling (no runtime gauges, empty dashboard sparklines).
+	// SampleEvery is the period of the runtime sampler and of the
+	// registry snapshots appended to the history store the dashboard
+	// trends. Default: 2 seconds. Set negative to disable sampling (no
+	// runtime gauges, empty dashboard sparklines).
 	SampleEvery time.Duration
 
-	// Telemetry is the persistent telemetry store (nil = telemetry off:
-	// no sampler persistence, no flight recorder, the telemetry
-	// endpoints answer telemetry_disabled, and the request hot path pays
-	// nothing). The caller opens and closes it; the server only appends.
+	// Telemetry is the persistent telemetry store (nil = history lives
+	// in an in-memory store, the flight recorder captures no spans or
+	// decision tails, no postmortem bundles are written, and the
+	// telemetry endpoints answer telemetry_disabled). The caller opens
+	// and closes it; the server only appends.
 	Telemetry *telem.Store
-	// FlightRecords bounds the flight recorder's recent-request ring
-	// (0 = telem.DefaultFlightRecords). Only meaningful with Telemetry.
-	FlightRecords int
 	// NoAutoSnapshot disables the automatic postmortem bundles written
 	// when a request ends slow, overloaded (429) or errored (5xx);
 	// POST /v1/debug/snapshot keeps working. The zero value — automatic
@@ -96,11 +95,13 @@ type Server struct {
 
 	accessLog   *obs.AccessLog
 	stopSampler func()
-	history     *history
-	slow        *slowRing
 	drains      drainTracker
 
+	// telem is the persistent store (nil without one); series is the
+	// store the sampler appends to and the dashboard trends from: telem
+	// when set, otherwise an in-memory store.
 	telem      *telem.Store
+	series     *telem.Store
 	recorder   *telem.FlightRecorder
 	lastBundle atomic.Int64 // unix nanos of the last automatic bundle
 
@@ -155,8 +156,9 @@ func New(opts Options) *Server {
 		stop:    stop,
 
 		accessLog: opts.AccessLog,
-		history:   newHistory(historySamples),
-		slow:      newSlowRing(slowRingSize),
+		telem:     opts.Telemetry,
+		series:    opts.Telemetry,
+		recorder:  telem.NewFlightRecorder(telem.DefaultFlightRecords),
 
 		inflightGauge: opts.Registry.Gauge("server.inflight"),
 		queuedGauge:   opts.Registry.Gauge("server.queued"),
@@ -166,9 +168,8 @@ func New(opts Options) *Server {
 		errsAll:       opts.Registry.Counter("server.errors"),
 		latAll:        opts.Registry.Histogram("server.latency_ms"),
 	}
-	if opts.Telemetry != nil {
-		s.telem = opts.Telemetry
-		s.recorder = telem.NewFlightRecorder(opts.FlightRecords)
+	if s.series == nil {
+		s.series = telem.NewMemory(memHistorySamples)
 	}
 	s.routes()
 	if opts.SampleEvery > 0 {
@@ -371,7 +372,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // instrument wraps a handler with the request-observability middleware:
 // request-id accept/generate, per-endpoint and aggregate instruments,
-// the access-log entry, and slow-request tracking.
+// and the request record the handlers fill, written once at the end to
+// the access log and the flight recorder.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := s.reg.Counter("server." + name + ".requests")
 	errs := s.reg.Counter("server." + name + ".errors")
@@ -386,9 +388,9 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			id = obs.NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		info := &reqInfo{id: id, endpoint: name}
+		rec := &obs.RequestRecord{ID: id, Endpoint: name, Method: r.Method, Path: r.URL.Path}
 		ctx := obs.WithRequestID(r.Context(), id)
-		r = r.WithContext(withReqInfo(ctx, info))
+		r = r.WithContext(withRecord(ctx, rec))
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
@@ -401,87 +403,38 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		lat.Observe(dur.Milliseconds())
 		s.latAll.Observe(dur.Milliseconds())
 
-		slow := s.opts.SlowThreshold > 0 && dur >= s.opts.SlowThreshold
-		if slow {
-			s.slow.add(SlowRequest{
-				ID: id, Endpoint: name, Status: sw.code,
-				DurMS: float64(dur.Microseconds()) / 1000,
-				Time:  start.UTC().Format(accessTimeFormat),
-			})
-		}
-		if s.accessLog.Enabled() {
-			e := &obs.AccessEntry{
-				Time:     start.UTC().Format(accessTimeFormat),
-				ID:       id,
-				Endpoint: name,
-				Method:   r.Method,
-				Path:     r.URL.Path,
-				Status:   sw.code,
-				Bytes:    sw.bytes,
-				DurMS:    float64(dur.Microseconds()) / 1000,
-
-				Role:        info.role,
-				LeaderID:    info.leaderID,
-				Fingerprint: info.fingerprint,
-				Key:         info.key,
-				QueueWaitMS: info.queueWaitMS,
-				EvalMS:      info.evalMS,
-				Cache:       info.cache,
-				QueueDepth:  info.queueDepth,
-				Slow:        slow,
-				Err:         info.errMsg,
-			}
-			if slow {
-				e.Phases = info.phases
-			}
-			s.accessLog.Log(e)
-		}
-		// Flight recorder + automatic postmortems (telemetry enabled
-		// only; a nil recorder costs this one branch).
-		if s.recorder != nil {
-			s.recordRequest(info, r, sw.code, start, dur, slow)
-		}
+		rec.Time = start.UTC().Format(accessTimeFormat)
+		rec.Status, rec.Bytes = sw.code, sw.bytes
+		rec.DurMS = float64(dur.Microseconds()) / 1000
+		rec.Slow = s.opts.SlowThreshold > 0 && dur >= s.opts.SlowThreshold
+		s.accessLog.Log(rec)
+		s.recordRequest(rec)
 	}
 }
 
-// recordRequest feeds the flight recorder and, when the request ended
-// badly, freezes the ring into an automatic postmortem bundle. Runs
-// after the response is written, so bundle I/O never delays a client.
-func (s *Server) recordRequest(info *reqInfo, r *http.Request, status int, start time.Time, dur time.Duration, slow bool) {
-	rec := telem.RequestRecord{
-		ID:       info.id,
-		Endpoint: info.endpoint,
-		Status:   status,
-		Time:     start.UTC().Format(accessTimeFormat),
-		DurMS:    float64(dur.Microseconds()) / 1000,
-		Role:     info.role,
-
-		QueueWaitMS: info.queueWaitMS,
-		EvalMS:      info.evalMS,
-		Cache:       info.cache,
-		Err:         info.errMsg,
-
-		Phases:    info.phases,
-		Spans:     info.spans,
-		Decisions: info.decisions,
-	}
+// recordRequest copies the finished record into the flight recorder
+// and, with a telemetry store, freezes the ring into an automatic
+// postmortem bundle when the request ended badly. Runs after the
+// response is written, so bundle I/O never delays a client.
+func (s *Server) recordRequest(rec *obs.RequestRecord) {
 	s.recorder.Record(rec)
-
+	if s.telem == nil || s.opts.NoAutoSnapshot {
+		return
+	}
 	var trigger string
 	switch {
-	case status == http.StatusTooManyRequests:
+	case rec.Status == http.StatusTooManyRequests:
 		trigger = "overloaded"
-	case status >= 500:
+	case rec.Status >= 500:
 		trigger = "error"
-	case slow:
+	case rec.Slow:
 		trigger = "slow"
 	default:
 		return
 	}
-	if s.opts.NoAutoSnapshot || !s.bundleGapElapsed(time.Now()) {
-		return
+	if s.bundleGapElapsed(time.Now()) {
+		_, _ = s.writeBundle(trigger, rec.ID, rec)
 	}
-	_, _ = s.writeBundle(trigger, rec.ID, &rec)
 }
 
 // bundleGapElapsed claims the automatic-bundle rate-limit slot: true
@@ -498,7 +451,7 @@ func (s *Server) bundleGapElapsed(now time.Time) bool {
 
 // writeBundle freezes the flight recorder, metrics and debug state into
 // one postmortem bundle under <telemetry-dir>/postmortem.
-func (s *Server) writeBundle(trigger, requestID string, req *telem.RequestRecord) (string, error) {
+func (s *Server) writeBundle(trigger, requestID string, req *obs.RequestRecord) (string, error) {
 	now := time.Now()
 	state, _ := json.Marshal(s.debugState())
 	b := telem.BuildBundle("qschedd", trigger, now.UTC().Format(accessTimeFormat),
@@ -509,3 +462,26 @@ func (s *Server) writeBundle(trigger, requestID string, req *telem.RequestRecord
 // accessTimeFormat is RFC 3339 with millisecond precision, the access
 // log's and dashboard's timestamp format.
 const accessTimeFormat = "2006-01-02T15:04:05.000Z07:00"
+
+// recordKey is the context key for the per-request record.
+type recordKey struct{}
+
+// withRecord stores the request's record in its context. All writes to
+// the record happen on the request's handler goroutine (flight results
+// are copied in after the flight completes), so it needs no lock.
+func withRecord(ctx context.Context, rec *obs.RequestRecord) context.Context {
+	return context.WithValue(ctx, recordKey{}, rec)
+}
+
+// recordFrom returns the request's record, or nil outside the
+// instrumented handler chain (direct handler tests). Callers must
+// nil-check.
+func recordFrom(ctx context.Context) *obs.RequestRecord {
+	rec, _ := ctx.Value(recordKey{}).(*obs.RequestRecord)
+	return rec
+}
+
+// requestID is a convenience for handlers stamping response envelopes.
+func requestID(r *http.Request) string {
+	return obs.RequestID(r.Context())
+}

@@ -349,22 +349,129 @@ func TestTelemetryRestartPersistence(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabledHotPathZeroAlloc guards the disabled path's
-// cost: the exact branch the instrument middleware runs per request
-// when telemetry is off must not allocate.
+// TestTelemetryDisabledHotPathZeroAlloc guards the per-request cost of
+// the always-on flight recorder: with telemetry off, recording a
+// finished request into a full ring must not allocate — not even for a
+// slow 5xx, which would trigger a postmortem bundle with telemetry on.
 func TestTelemetryDisabledHotPathZeroAlloc(t *testing.T) {
 	s := New(Options{SampleEvery: -1, SlowThreshold: -1})
 	defer s.Close()
-	if s.recorder != nil || s.telem != nil {
+	if s.telem != nil {
 		t.Fatal("telemetry unexpectedly enabled")
 	}
-	info := &reqInfo{id: "x", endpoint: "healthz"}
-	start := time.Now()
+	rec := &obs.RequestRecord{ID: "x", Endpoint: "compile", Status: 500, Slow: true}
+	for i := 0; i < telem.DefaultFlightRecords; i++ {
+		s.recordRequest(rec)
+	}
 	if n := testing.AllocsPerRun(200, func() {
-		if s.recorder != nil {
-			s.recordRequest(info, nil, 200, start, time.Millisecond, false)
-		}
+		s.recordRequest(rec)
 	}); n != 0 {
-		t.Fatalf("disabled telemetry branch allocated %.1f per run, want 0", n)
+		t.Fatalf("recording into the full ring allocated %.1f per run, want 0", n)
+	}
+	if got := s.recorder.Len(); got != telem.DefaultFlightRecords {
+		t.Fatalf("recorder holds %d records, want %d", got, telem.DefaultFlightRecords)
+	}
+}
+
+// slowListEntries polls /v1/debug/state until want(entries) holds,
+// returning the raw slow_requests entries.
+func slowListEntries(t *testing.T, url string, want func([]map[string]any) bool) []map[string]any {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, data := get(t, url+"/v1/debug/state")
+		var st struct {
+			SlowRequests []map[string]any `json:"slow_requests"`
+		}
+		decodeInto(t, data, &st)
+		if want(st.SlowRequests) {
+			return st.SlowRequests
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slow_requests never matched: %s", data)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestSlowRequestsList: the debug state's and dashboard's slow list is
+// a filter over the flight recorder — present with every request slow,
+// empty with slow tracking off.
+func TestSlowRequestsList(t *testing.T) {
+	s, ts := newTestServer(t, Options{SampleEvery: -1, SlowThreshold: time.Nanosecond})
+	if resp, data := postWithID(t, ts.URL+"/v1/compile", "slow-list-1", compileBody(tinySource, "lpfs", 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, data)
+	}
+	var entry map[string]any
+	slowListEntries(t, ts.URL, func(es []map[string]any) bool {
+		for _, e := range es {
+			if e["id"] == "slow-list-1" {
+				entry = e
+				return true
+			}
+		}
+		return false
+	})
+	if entry["endpoint"] != "compile" || entry["status"] != float64(200) {
+		t.Errorf("slow entry = %v", entry)
+	}
+	if dur, _ := entry["dur_ms"].(float64); dur <= 0 {
+		t.Errorf("slow entry dur_ms = %v", entry["dur_ms"])
+	}
+	if stamp, _ := entry["ts"].(string); stamp == "" {
+		t.Errorf("slow entry ts missing: %v", entry)
+	} else if _, err := time.Parse(accessTimeFormat, stamp); err != nil {
+		t.Errorf("slow entry ts %q: %v", stamp, err)
+	}
+	_, data := get(t, ts.URL+"/v1/dashboard")
+	html := string(data)
+	i := strings.Index(html, "recent slow requests")
+	if i < 0 || !strings.Contains(html[i:], "<td>slow-list-1</td>") {
+		t.Errorf("dashboard slow table misses slow-list-1:\n%s", html[max(i, 0):])
+	}
+	if s.recorder.Len() == 0 {
+		t.Error("flight recorder empty without telemetry")
+	}
+
+	s, ts = newTestServer(t, Options{SampleEvery: -1, SlowThreshold: -1})
+	if resp, data := postWithID(t, ts.URL+"/v1/compile", "fast-1", compileBody(tinySource, "lpfs", 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, data)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.recorder.Total() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("compile never reached the flight recorder")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if es := slowListEntries(t, ts.URL, func([]map[string]any) bool { return true }); len(es) != 0 {
+		t.Fatalf("slow_requests with slow tracking off = %v", es)
+	}
+	_, data = get(t, ts.URL+"/v1/dashboard")
+	html = string(data)
+	if i := strings.Index(html, "recent slow requests"); i < 0 || !strings.Contains(html[i:], "none") {
+		t.Errorf("dashboard slow table not empty with slow tracking off")
+	}
+}
+
+// TestDashboardTrendWithoutTelemetry: without a persistent store the
+// sampler appends to the in-memory one, and the dashboard trends from
+// it like from a persistent store.
+func TestDashboardTrendWithoutTelemetry(t *testing.T) {
+	_, ts := newTestServer(t, Options{SampleEvery: 10 * time.Millisecond})
+	if resp, data := post(t, ts.URL+"/v1/compile", compileBody(tinySource, "lpfs", 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, data)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, data := get(t, ts.URL+"/v1/dashboard")
+		html := string(data)
+		if strings.Contains(html, "<polyline") && strings.Contains(html, "requests/s (last") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("dashboard never rendered an in-memory trend:\n%.600s", html)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

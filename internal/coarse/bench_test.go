@@ -47,3 +47,18 @@ func BenchmarkCoarseCompose(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCoarseLengths measures what the engine's composition of one
+// non-leaf costs per cost model: the same module characterized at
+// every blackbox width of a k=8 machine through one shared plan.
+func BenchmarkCoarseLengths(b *testing.B) {
+	m, dims := benchModule(400)
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := coarse.Lengths(m, coarse.WithComm, dims, widths, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

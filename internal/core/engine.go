@@ -3,13 +3,13 @@ package core
 // This file is the hierarchical evaluation engine. Leaf
 // characterization — scheduling each leaf module at every blackbox width
 // and analyzing its movement — is embarrassingly parallel: no
-// (module, width) point depends on any other. The engine fans those
-// points out over a bounded worker pool and memoizes them in a
-// content-addressed EvalCache, then composes non-leaf modules serially
-// in topological order (the only place child results are actually
-// consumed). Determinism: schedulers are deterministic and every result
-// lands in a pre-assigned slot, so Metrics are identical at any worker
-// count and on any cache temperature.
+// (module, width) point depends on any other. The engine hashes the
+// leaves, fans those points out over a bounded worker pool and memoizes
+// them in a content-addressed EvalCache, then composes non-leaf modules
+// serially in topological order (the only place child results are
+// actually consumed). Determinism: schedulers are deterministic and
+// every result lands in a pre-assigned slot, so Metrics are identical at
+// any worker count and on any cache temperature.
 //
 // Observability (EvalOptions.Obs) threads through here: every pool task
 // traces a span on its worker slot's track, fresh schedules and comm
@@ -154,7 +154,6 @@ func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error)
 			leaves = append(leaves, &leafState{
 				name:  name,
 				mod:   mod,
-				fp:    mod.Fingerprint(),
 				slots: make([]commEntry, len(e.widths)),
 			})
 		}
@@ -163,7 +162,17 @@ func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error)
 	lsp := e.eo.tr.Span("engine", "characterize-leaves")
 	lsp.SetInt("leaves", int64(len(leaves)))
 	lsp.SetInt("widths", int64(len(e.widths)))
-	err := e.evalLeaves(leaves)
+	// Every characterization task keys the cache by its leaf's content
+	// hash, so the hashes come first, in parallel on the same pool. They
+	// are recomputed per Evaluate, never memoized on the module: passes
+	// mutate bodies in place.
+	err := runTasks(e.ctx, len(leaves), e.opts.workers(), func(_, i int) error {
+		leaves[i].fp = leaves[i].mod.Fingerprint()
+		return nil
+	})
+	if err == nil {
+		err = e.evalLeaves(leaves)
+	}
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -172,9 +181,10 @@ func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error)
 		evals[ls.name] = ls.assemble(e.widths)
 	}
 
-	// Non-leaf composition consumes child dims, so it follows the
-	// topological order; the coarse scheduler is cheap relative to leaf
-	// characterization, so it stays serial.
+	// Non-leaf composition consumes child dims, so it runs serially in
+	// topological order. It is not free — its cost grows with module
+	// count times widths — so evalNonLeaf builds one coarse plan per
+	// (module, cost model) and re-runs only the placer per width.
 	csp := e.eo.tr.Span("engine", "compose")
 	for _, name := range order {
 		if err := e.ctx.Err(); err != nil {
@@ -189,7 +199,7 @@ func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error)
 		if e.eo.tr.Enabled() {
 			msp = e.eo.tr.Span("compose", name)
 		}
-		ev, err := evalNonLeaf(e.p, mod, e.widths, evals, e.eo.tr)
+		ev, err := evalNonLeaf(mod, e.widths, evals, e.eo.tr)
 		msp.End()
 		if err != nil {
 			csp.End()

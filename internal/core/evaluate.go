@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/scaffold-go/multisimd/internal/coarse"
@@ -345,36 +346,29 @@ func widthSet(k int) []int {
 }
 
 // evalNonLeaf characterizes a non-leaf via coarse scheduling over its
-// callees' cached dims.
-func evalNonLeaf(p *ir.Program, mod *ir.Module, widths []int, evals map[string]*moduleEval, tr *obs.Tracer) (*moduleEval, error) {
-	ev := &moduleEval{}
-	dimsZero := func(callee string) (coarse.Dims, error) {
-		c := evals[callee]
-		if c == nil {
-			return coarse.Dims{}, fmt.Errorf("core: callee %s not yet evaluated", callee)
+// callees' cached dims: one coarse plan per cost model, placed at every
+// width. The dims own their width lists; nothing aliases widths.
+func evalNonLeaf(mod *ir.Module, widths []int, evals map[string]*moduleEval, tr *obs.Tracer) (*moduleEval, error) {
+	dimsOf := func(pick func(*moduleEval) coarse.Dims) func(string) (coarse.Dims, error) {
+		return func(callee string) (coarse.Dims, error) {
+			c := evals[callee]
+			if c == nil {
+				return coarse.Dims{}, fmt.Errorf("core: callee %s not yet evaluated", callee)
+			}
+			return pick(c), nil
 		}
-		return c.zero, nil
 	}
-	dimsComm := func(callee string) (coarse.Dims, error) {
-		c := evals[callee]
-		if c == nil {
-			return coarse.Dims{}, fmt.Errorf("core: callee %s not yet evaluated", callee)
-		}
-		return c.withComm, nil
+	zero, err := coarse.Lengths(mod, coarse.ZeroComm, dimsOf(func(c *moduleEval) coarse.Dims { return c.zero }), widths, tr)
+	if err != nil {
+		return nil, err
 	}
-	for _, w := range widths {
-		rz, err := coarse.Schedule(mod, coarse.Options{K: w, Cost: coarse.ZeroComm, Dims: dimsZero, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		rc, err := coarse.Schedule(mod, coarse.Options{K: w, Cost: coarse.WithComm, Dims: dimsComm, Trace: tr})
-		if err != nil {
-			return nil, err
-		}
-		ev.zero.Widths = append(ev.zero.Widths, w)
-		ev.zero.Lengths = append(ev.zero.Lengths, rz.Length)
-		ev.withComm.Widths = append(ev.withComm.Widths, w)
-		ev.withComm.Lengths = append(ev.withComm.Lengths, rc.Length)
+	withComm, err := coarse.Lengths(mod, coarse.WithComm, dimsOf(func(c *moduleEval) coarse.Dims { return c.withComm }), widths, tr)
+	if err != nil {
+		return nil, err
+	}
+	ev := &moduleEval{
+		zero:     coarse.Dims{Widths: slices.Clone(widths), Lengths: zero},
+		withComm: coarse.Dims{Widths: slices.Clone(widths), Lengths: withComm},
 	}
 	// Critical path: longest dependency chain with callee CPs as weights.
 	ev.cp = coarseCriticalPath(mod, func(callee string) int64 {
@@ -404,13 +398,16 @@ func evalNonLeaf(p *ir.Program, mod *ir.Module, widths []int, evals map[string]*
 // where gates weigh their count and calls weigh count x callee CP.
 func coarseCriticalPath(mod *ir.Module, cpOf func(string) int64) int64 {
 	finish := make([]int64, len(mod.Ops))
-	last := make(map[int]int) // slot -> op index
+	last := make([]int32, mod.TotalSlots()) // slot -> op index, -1 = untouched
+	for s := range last {
+		last[s] = -1
+	}
 	var total int64
 	for i := range mod.Ops {
 		op := &mod.Ops[i]
 		var start int64
 		touch := func(slot int) {
-			if p, ok := last[slot]; ok && finish[p] > start {
+			if p := last[slot]; p >= 0 && finish[p] > start {
 				start = finish[p]
 			}
 		}
@@ -434,11 +431,11 @@ func coarseCriticalPath(mod *ir.Module, cpOf func(string) int64) int64 {
 			total = finish[i]
 		}
 		for _, s := range op.Args {
-			last[s] = i
+			last[s] = int32(i)
 		}
 		for _, r := range op.CallArgs {
 			for s := r.Start; s < r.Start+r.Len; s++ {
-				last[s] = i
+				last[s] = int32(i)
 			}
 		}
 	}

@@ -24,16 +24,38 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Fingerprint computes the module's content hash. It walks the ops once;
 // callers that need it repeatedly should memoize (the module itself does
 // not, because passes mutate bodies in place).
+//
+// Fields are little-endian encoded into a stack buffer that is flushed
+// into the digest a block at a time, so the digest sees a few large
+// writes instead of one per 8-byte field. The byte stream is exactly
+// that of per-field writes, so digests, cache keys and persisted records
+// keyed by them are unchanged (TestFingerprintGolden). The buffer and
+// its helpers stay local to this function: the digest is only known to
+// be concrete here, and passing the buffer to it through a struct
+// method would move both to the heap.
 func (m *Module) Fingerprint() Fingerprint {
 	h := sha256.New()
-	var buf [8]byte
+	var buf [512]byte
+	n := 0
 	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		if n+8 > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], v)
+		n += 8
 	}
 	str := func(s string) {
 		u64(uint64(len(s)))
-		h.Write([]byte(s))
+		for len(s) > 0 {
+			if n == len(buf) {
+				h.Write(buf[:n])
+				n = 0
+			}
+			c := copy(buf[n:], s)
+			n += c
+			s = s[c:]
+		}
 	}
 
 	// Slot layout: parameter and local register sizes, in order. Register
@@ -69,6 +91,7 @@ func (m *Module) Fingerprint() Fingerprint {
 			}
 		}
 	}
+	h.Write(buf[:n])
 
 	var f Fingerprint
 	h.Sum(f[:0])

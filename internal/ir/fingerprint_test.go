@@ -108,3 +108,89 @@ func TestFingerprintCallArgs(t *testing.T) {
 		t.Error("call argument ranges should affect the fingerprint")
 	}
 }
+
+// fpBigModule is a call-bearing module whose encoding spans many hash
+// blocks: one- and two-qubit gates, rotations, repeated ops, and calls —
+// one with a callee name longer than any fixed encoding buffer — so a
+// rewrite of the encoder is pinned across every flush boundary.
+func fpBigModule() *Module {
+	long := make([]byte, 1500)
+	for i := range long {
+		long[i] = 'a' + byte(i%26)
+	}
+	m := NewModule("big", []Reg{{Name: "q", Size: 16}, {Name: "r", Size: 3}}, []Reg{{Name: "a", Size: 5}})
+	for i := 0; i < 120; i++ {
+		s := i % 24
+		switch i % 5 {
+		case 0:
+			m.Gate(qasm.H, s)
+		case 1:
+			m.Rot(qasm.Rz, float64(i)/7, s)
+		case 2:
+			m.Gate(qasm.CNOT, s, (s+1)%24)
+		case 3:
+			m.CallN("leaf", int64(i), Range{Start: s % 20, Len: 4}, Range{Start: 20, Len: 2})
+		case 4:
+			m.Call(string(long[:i*11]), Range{Start: 0, Len: 24})
+		}
+	}
+	return m
+}
+
+// TestFingerprintGolden pins the exact byte stream of the hash: cache
+// keys, persisted schedule records and committed content-addressed
+// stores are all keyed by these digests, so an encoder change that
+// alters them would silently invalidate every store on disk.
+func TestFingerprintGolden(t *testing.T) {
+	p := fpProgram()
+	for _, c := range []struct {
+		name string
+		got  Fingerprint
+		want string
+	}{
+		{"fpModule", fpModule().Fingerprint(), "18df00850be3974ce2ee04ba0b4b991b52eedeb0eb39327f61f37ec4bf14d1fa"},
+		{"fpProgram main", p.Modules["main"].Fingerprint(), "9bc68f030388f1f21ba65f4c116606303876a32f02b990e47a220e6dd1273e90"},
+		{"fpProgram", p.Fingerprint(), "7117642288adb2714dc335e9ec45cd5891208b47e30b2b2ce734ba23b198ac3e"},
+		{"fpBigModule", fpBigModule().Fingerprint(), "d620a7a8752dd02d5560bf181f8d6d482f16db9de8a3563927f85f9f7aaac4e1"},
+	} {
+		if c.got.String() != c.want {
+			t.Errorf("%s fingerprint = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestFingerprintAllocs guards the one-pass encoder: hashing a module
+// allocates nothing, including callee names longer than its buffer.
+func TestFingerprintAllocs(t *testing.T) {
+	for name, m := range map[string]*Module{"fpModule": fpModule(), "fpBigModule": fpBigModule()} {
+		if allocs := testing.AllocsPerRun(100, func() { m.Fingerprint() }); allocs != 0 {
+			t.Errorf("%s: Module.Fingerprint allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkModuleFingerprint hashes a leaf-sized body: 4096 one- and
+// two-qubit gates and rotations over 64 slots, the shape the evaluation
+// engine hashes once per leaf per Evaluate.
+func BenchmarkModuleFingerprint(b *testing.B) {
+	m := NewModule("leaf", []Reg{{Name: "q", Size: 64}}, nil)
+	for i := 0; i < 4096; i++ {
+		s := (i * 7) % 64
+		switch i % 3 {
+		case 0:
+			m.Gate(qasm.H, s)
+		case 1:
+			m.Rot(qasm.Rz, float64(i)/64, s)
+		case 2:
+			m.Gate(qasm.CNOT, s, (s+1)%64)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fpSink = m.Fingerprint()
+	}
+}
+
+// fpSink keeps the benchmarked hash from being optimized away.
+var fpSink Fingerprint

@@ -191,8 +191,12 @@ func (c Config) EvalOptions() (core.EvalOptions, error) {
 // collapses them onto one in-flight evaluation. Source text is
 // deliberately absent: a bench submission and the equivalent inline
 // source dedupe against each other through the program fingerprint.
-func (c Config) Key(p *ir.Program) string {
+func (c Config) Key(p *ir.Program) string { return c.KeyOf(p.Fingerprint()) }
+
+// KeyOf is Key for a program whose fingerprint the caller already
+// holds, so a request hashes its program once for the key and its log.
+func (c Config) KeyOf(fp ir.Fingerprint) string {
 	return fmt.Sprintf("%s|sched=%s|k=%d|d=%d|local=%d|noover=%t|epr=%d|verify=%t|profile=%t",
-		p.Fingerprint(), c.Scheduler, c.K, c.D,
+		fp, c.Scheduler, c.K, c.D,
 		c.Local, c.NoOverlap, c.EPRBandwidth, c.Verify, c.Profile)
 }

@@ -151,6 +151,9 @@ func TestKeyDedupesAcrossSpelling(t *testing.T) {
 	if c.Key(p1) != c2.Key(p2) {
 		t.Error("register renaming changed the dedup key")
 	}
+	if c.KeyOf(p1.Fingerprint()) != c.Key(p1) {
+		t.Error("KeyOf(fingerprint) differs from Key(program)")
+	}
 
 	for name, mut := range map[string]func(*request.Config){
 		"k":       func(c *request.Config) { c.K = 8 },

@@ -125,7 +125,8 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 	if err != nil {
 		return evalResult{}, false, err
 	}
-	key := req.Key(p)
+	fp := p.Fingerprint()
+	key := req.KeyOf(fp)
 	fn := func(workCtx context.Context) (any, error) {
 		s.wg.Add(1)
 		defer s.wg.Done()
@@ -201,7 +202,7 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 	rec := recordFrom(ctx)
 	if rec != nil {
 		rec.Key = key
-		rec.Fingerprint = p.Fingerprint().String()
+		rec.Fingerprint = fp.String()
 		switch {
 		case deduped:
 			rec.Role = "follower"

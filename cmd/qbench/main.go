@@ -498,51 +498,6 @@ type perfRecord struct {
 	SpeedupVsNaive float64         `json:"speedup_vs_naive"`
 	GoMaxProcs     int             `json:"gomaxprocs"`
 	Workers        int             `json:"workers"`
-	Scaling        []scalingPoint  `json:"scaling,omitempty"`
-}
-
-// scalingPoint is one cell of the worker-count scaling matrix: a cold
-// evaluation of the same benchmark with the engine pool pinned to
-// Workers goroutines. The matrix contextualizes the timed record — on a
-// single-core CI host the w=4 point shows the pool saturating at
-// GOMAXPROCS, on multi-core hosts it shows the parallel speedup — but
-// it is never gated, so host-dependent scaling can't fail a build.
-type scalingPoint struct {
-	Workers        int     `json:"workers"`
-	ColdWallMS     float64 `json:"cold_wall_ms"`
-	PeakGoroutines int64   `json:"peak_goroutines"`
-}
-
-// scalingWorkers is the worker-count matrix measured per record.
-var scalingWorkers = []int{1, 4}
-
-// measureScaling runs one cold evaluation per worker count, each with a
-// fresh cache and registry so the points are independent of the timed
-// cold/warm pair and of each other.
-func measureScaling(b bench.Benchmark, sched core.Scheduler, fth int64) ([]scalingPoint, error) {
-	var points []scalingPoint
-	for _, nw := range scalingWorkers {
-		w, err := buildWorkload(b, fth, true, nw)
-		if err != nil {
-			return nil, err
-		}
-		reg := obs.NewRegistry()
-		opts := core.EvalOptions{
-			Scheduler: sched, K: 4,
-			Cache: w.Cache, Workers: nw,
-			Obs: &obs.Observer{Metrics: reg},
-		}
-		start := time.Now()
-		if _, err := core.Evaluate(w.Prog, opts); err != nil {
-			return nil, fmt.Errorf("%s workers=%d: %w", b.Name, nw, err)
-		}
-		points = append(points, scalingPoint{
-			Workers:        nw,
-			ColdWallMS:     float64(time.Since(start).Microseconds()) / 1000,
-			PeakGoroutines: reg.Gauge("engine.workers.peak").Value(),
-		})
-	}
-	return points, nil
 }
 
 // measureDiskWarm prices the warm-restart path: populate a persistent
@@ -695,8 +650,7 @@ func checkReportAgainst(dir string, rec *report.Report) error {
 // run that fills the EvalCache and a warm run that should hit it — and
 // writes the wall times, cache behavior, worker-pool peak and host
 // parallelism (GOMAXPROCS and the effective worker count) per
-// benchmark, plus an ungated worker-scaling matrix (one extra cold run
-// per scalingWorkers entry) and a REPORT_<name>.json schedule report
+// benchmark, plus a REPORT_<name>.json schedule report
 // from a final, untimed profiled run (profiling bypasses the warm
 // comm-cache fast path, so it stays out of the timed pair to keep wall
 // times comparable with committed baselines). Each benchmark gets a fresh cache and
@@ -744,10 +698,6 @@ func writePerfRecords(dir, against, reportAgainst, schedName string, fth int64, 
 		if effWorkers == 0 {
 			effWorkers = runtime.GOMAXPROCS(0)
 		}
-		scaling, err := measureScaling(b, sched, fth)
-		if err != nil {
-			return err
-		}
 		diskWarm, diskHits, err := measureDiskWarm(b, sched, fth, workers)
 		if err != nil {
 			return err
@@ -765,7 +715,6 @@ func writePerfRecords(dir, against, reportAgainst, schedName string, fth int64, 
 			SpeedupVsNaive: m.SpeedupVsNaive(),
 			GoMaxProcs:     runtime.GOMAXPROCS(0),
 			Workers:        effWorkers,
-			Scaling:        scaling,
 		}
 		data, err := json.MarshalIndent(rec, "", " ")
 		if err != nil {
@@ -775,12 +724,8 @@ func writePerfRecords(dir, against, reportAgainst, schedName string, fth int64, 
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		var scale strings.Builder
-		for _, p := range rec.Scaling {
-			fmt.Fprintf(&scale, "  w=%d %.1fms", p.Workers, p.ColdWallMS)
-		}
-		fmt.Printf("%-10s cold %8.1fms  warm %8.1fms  disk-warm %8.1fms  hit rate %5.1f%%%s  -> %s\n",
-			b.Name, rec.ColdWallMS, rec.WarmWallMS, rec.DiskWarmWallMS, 100*rec.CacheHitRate, scale.String(), path)
+		fmt.Printf("%-10s cold %8.1fms  warm %8.1fms  disk-warm %8.1fms  hit rate %5.1f%%  -> %s\n",
+			b.Name, rec.ColdWallMS, rec.WarmWallMS, rec.DiskWarmWallMS, 100*rec.CacheHitRate, path)
 		if against != "" {
 			if err := checkAgainst(against, rec); err != nil {
 				regressions = append(regressions, err)

@@ -51,20 +51,47 @@ const (
 	casDomainCP    = "evalcache/cp/v1"
 )
 
-func (k schedKey) widthDepth() [16]byte {
+// cacheLayer names one of EvalCache's three layers. The order is
+// load-bearing: hit and miss index the counters laid out pairwise in
+// the same order.
+type cacheLayer uint8
+
+const (
+	layerComm cacheLayer = iota
+	layerSched
+	layerCP
+	numLayers
+)
+
+func (l cacheLayer) hit() cacheCounter  { return cacheCounter(2 * l) }
+func (l cacheLayer) miss() cacheCounter { return cacheCounter(2*l + 1) }
+
+// memKey is the one memory key of all three layers: the comm layer
+// fills every field, the schedule layer leaves comm zero, and the
+// critical-path layer keys on the fingerprint alone.
+type memKey struct {
+	layer cacheLayer
+	sk    schedKey
+	comm  comm.Options
+}
+
+func (k commKey) memKey() memKey { return memKey{layer: layerComm, sk: k.sk, comm: k.comm} }
+
+func cpKey(fp ir.Fingerprint) memKey { return memKey{layer: layerCP, sk: schedKey{fp: fp}} }
+
+// casKey derives a layer's persistent key. These bytes are the on-disk
+// contract: committed corpora (bench/baselines/cas) only hit while they
+// stay exactly as they are.
+func (k memKey) casKey() cas.Key {
+	if k.layer == layerCP {
+		return cas.NewKey(casDomainCP, k.sk.fp[:])
+	}
 	var wd [16]byte
-	binary.LittleEndian.PutUint64(wd[0:8], uint64(k.w))
-	binary.LittleEndian.PutUint64(wd[8:16], uint64(k.d))
-	return wd
-}
-
-func (k schedKey) casKey() cas.Key {
-	wd := k.widthDepth()
-	return cas.NewKey(casDomainSched, k.fp[:], []byte(k.config), wd[:])
-}
-
-func (k commKey) casKey() cas.Key {
-	wd := k.sk.widthDepth()
+	binary.LittleEndian.PutUint64(wd[0:8], uint64(k.sk.w))
+	binary.LittleEndian.PutUint64(wd[8:16], uint64(k.sk.d))
+	if k.layer == layerSched {
+		return cas.NewKey(casDomainSched, k.sk.fp[:], []byte(k.sk.config), wd[:])
+	}
 	// %+v renders every comm.Options field by name, so a future option
 	// automatically changes the key instead of silently aliasing records
 	// characterized under a different movement model.
@@ -72,29 +99,60 @@ func (k commKey) casKey() cas.Key {
 		[]byte(fmt.Sprintf("%+v", k.comm)))
 }
 
-func cpCasKey(fp ir.Fingerprint) cas.Key {
-	return cas.NewKey(casDomainCP, fp[:])
-}
-
-func encodeCommEntry(e commEntry) []byte {
-	b := make([]byte, 32)
-	binary.LittleEndian.PutUint64(b[0:8], uint64(e.zeroLen))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(e.cycles))
-	binary.LittleEndian.PutUint64(b[16:24], uint64(e.globals))
-	binary.LittleEndian.PutUint64(b[24:32], uint64(e.locals))
-	return b
-}
-
-func decodeCommEntry(b []byte) (commEntry, bool) {
-	if len(b) != 32 {
-		return commEntry{}, false
+// encodePayload is the write half of the layers' payload codec: a
+// commEntry is four little-endian words, a critical path one, and a
+// schedule its JSON. nil means the value has no record.
+func encodePayload(v any) []byte {
+	switch v := v.(type) {
+	case commEntry:
+		b := make([]byte, 0, 32)
+		for _, x := range [4]int64{v.zeroLen, v.cycles, v.globals, v.locals} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+		return b
+	case int64:
+		return binary.LittleEndian.AppendUint64(nil, uint64(v))
+	case *schedule.Schedule:
+		var buf bytes.Buffer
+		if err := schedule.WriteJSON(&buf, v); err != nil {
+			return nil
+		}
+		return buf.Bytes()
 	}
-	return commEntry{
-		zeroLen: int64(binary.LittleEndian.Uint64(b[0:8])),
-		cycles:  int64(binary.LittleEndian.Uint64(b[8:16])),
-		globals: int64(binary.LittleEndian.Uint64(b[16:24])),
-		locals:  int64(binary.LittleEndian.Uint64(b[24:32])),
-	}, true
+	return nil
+}
+
+// decodePayload is the read half. A schedule record is JSON that only
+// binds to its materialized module, so the schedule layer passes bind —
+// the leaf's once-guarded materializer; without one the record cannot
+// be read. false marks a record this build cannot use: a stale shape,
+// or a schedule that no longer binds (a changed fingerprint).
+func decodePayload(layer cacheLayer, b []byte, bind func() (*ir.Module, error)) (any, bool) {
+	word := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i:])) }
+	switch layer {
+	case layerComm:
+		if len(b) != 32 {
+			return nil, false
+		}
+		return commEntry{zeroLen: word(0), cycles: word(1), globals: word(2), locals: word(3)}, true
+	case layerCP:
+		if len(b) != 8 {
+			return nil, false
+		}
+		return word(0), true
+	}
+	if bind == nil {
+		return nil, false
+	}
+	m, err := bind()
+	if err != nil {
+		return nil, false
+	}
+	s, err := schedule.ReadJSON(bytes.NewReader(b), m)
+	if err != nil {
+		return nil, false
+	}
+	return s, true
 }
 
 // CacheStats counts EvalCache traffic, split by layer. A "schedule" hit
@@ -158,6 +216,54 @@ func (s CacheStats) Sub(earlier CacheStats) CacheStats {
 	}
 }
 
+// cacheCounter indexes the one counter vector that stripes keep as
+// plain int64s and recorders as atomics. Hits and misses come in
+// cacheLayer order; the traffic counters precede ctrEvictions, which
+// only stripes count.
+type cacheCounter int
+
+const (
+	ctrCommHit cacheCounter = iota
+	ctrCommMiss
+	ctrSchedHit
+	ctrSchedMiss
+	ctrCPHit
+	ctrCPMiss
+	ctrDiskHit
+	ctrDiskMiss
+	ctrEvictions
+	numCounters
+)
+
+// counterMetric names each traffic counter's eval_cache.* metric.
+var counterMetric = [ctrEvictions]string{
+	ctrCommHit:   "eval_cache.comm.hits",
+	ctrCommMiss:  "eval_cache.comm.misses",
+	ctrSchedHit:  "eval_cache.sched.hits",
+	ctrSchedMiss: "eval_cache.sched.misses",
+	ctrCPHit:     "eval_cache.cp.hits",
+	ctrCPMiss:    "eval_cache.cp.misses",
+	ctrDiskHit:   "eval_cache.disk.hits",
+	ctrDiskMiss:  "eval_cache.disk.misses",
+}
+
+type counters [numCounters]int64
+
+// stats folds a counter vector into the traffic fields of CacheStats.
+func (v *counters) stats() CacheStats {
+	return CacheStats{
+		CommHits:     v[ctrCommHit],
+		CommMisses:   v[ctrCommMiss],
+		SchedHits:    v[ctrSchedHit],
+		SchedMisses:  v[ctrSchedMiss],
+		CPHits:       v[ctrCPHit],
+		CPMisses:     v[ctrCPMiss],
+		DiskHits:     v[ctrDiskHit],
+		DiskMisses:   v[ctrDiskMiss],
+		MemEvictions: v[ctrEvictions],
+	}
+}
+
 // CacheRecorder is a per-evaluation view of cache traffic. The shared
 // EvalCache serves many concurrent evaluations; its global counters
 // cannot attribute a hit to a request. Every cache lookup therefore
@@ -166,66 +272,30 @@ func (s CacheStats) Sub(earlier CacheStats) CacheStats {
 // delta — this is what the service's access-log `cache` blocks report.
 // All methods are nil-safe; the zero value is ready to use.
 type CacheRecorder struct {
-	commHits, commMisses   atomic.Int64
-	schedHits, schedMisses atomic.Int64
-	cpHits, cpMisses       atomic.Int64
-	diskHits, diskMisses   atomic.Int64
+	n [numCounters]atomic.Int64
 }
 
-// recCount resolves one of r's counters by a stable index; nil
-// receivers drop the count. Field addresses are only taken on non-nil
-// receivers.
-func (r *CacheRecorder) recCount(which int) {
-	if r == nil {
-		return
-	}
-	switch which {
-	case recCommHit:
-		r.commHits.Add(1)
-	case recCommMiss:
-		r.commMisses.Add(1)
-	case recSchedHit:
-		r.schedHits.Add(1)
-	case recSchedMiss:
-		r.schedMisses.Add(1)
-	case recCPHit:
-		r.cpHits.Add(1)
-	case recCPMiss:
-		r.cpMisses.Add(1)
-	case recDiskHit:
-		r.diskHits.Add(1)
-	case recDiskMiss:
-		r.diskMisses.Add(1)
+func (r *CacheRecorder) add(c cacheCounter) {
+	if r != nil {
+		r.n[c].Add(1)
 	}
 }
 
-const (
-	recCommHit = iota
-	recCommMiss
-	recSchedHit
-	recSchedMiss
-	recCPHit
-	recCPMiss
-	recDiskHit
-	recDiskMiss
-)
+func (r *CacheRecorder) counts() counters {
+	var v counters
+	if r != nil {
+		for i := range r.n {
+			v[i] = r.n[i].Load()
+		}
+	}
+	return v
+}
 
 // Stats snapshots the recorder as a CacheStats (traffic fields only;
 // occupancy belongs to the shared cache). Nil receivers return zero.
 func (r *CacheRecorder) Stats() CacheStats {
-	if r == nil {
-		return CacheStats{}
-	}
-	return CacheStats{
-		CommHits:    r.commHits.Load(),
-		CommMisses:  r.commMisses.Load(),
-		SchedHits:   r.schedHits.Load(),
-		SchedMisses: r.schedMisses.Load(),
-		CPHits:      r.cpHits.Load(),
-		CPMisses:    r.cpMisses.Load(),
-		DiskHits:    r.diskHits.Load(),
-		DiskMisses:  r.diskMisses.Load(),
-	}
+	v := r.counts()
+	return v.stats()
 }
 
 // cacheStripes is the lock-striping fan-out. Stripes are selected by
@@ -233,42 +303,32 @@ func (r *CacheRecorder) Stats() CacheStats {
 // lookups of different leaves almost never share a lock.
 const cacheStripes = 64
 
-// lruNode is one memory-resident entry, threaded on its stripe's
-// recency list. A node belongs to exactly one layer: isSched picks
-// which key/value pair is live.
+// lruNode is one memory-resident entry of any layer, threaded on its
+// stripe's recency list. val is a commEntry, a *schedule.Schedule or an
+// int64 critical path, per key.layer.
 type lruNode struct {
 	prev, next *lruNode
+	key        memKey
+	val        any
 	size       int64
-	isSched    bool
-	sk         schedKey
-	ck         commKey
-	sched      *schedule.Schedule
-	comm       commEntry
 }
 
-// cacheStripe is 1/64th of the memory front: its own maps, its own
-// recency list, its own counters — all guarded by one mutex, so a
-// stripe's entry counts and hit/miss counters are always mutually
-// consistent (a Stats fold never observes misses < entries).
+// cacheStripe is 1/64th of the memory front: one map, one recency list
+// and one counter vector, all guarded by one mutex, so a stripe's entry
+// counts and counters are always mutually consistent (a Stats fold
+// never observes misses < entries).
 type cacheStripe struct {
-	mu     sync.Mutex
-	scheds map[schedKey]*lruNode
-	comms  map[commKey]*lruNode
-	cps    map[ir.Fingerprint]int64
-	lru    lruNode // sentinel: lru.next is most recent
-	bytes  int64
-
-	commHits, commMisses   int64
-	schedHits, schedMisses int64
-	cpHits, cpMisses       int64
-	diskHits, diskMisses   int64
-	evictions              int64
+	mu      sync.Mutex
+	entries map[memKey]*lruNode
+	lru     lruNode        // sentinel: lru.next is most recent
+	live    [numLayers]int // resident entries per layer
+	bytes   int64
+	n       counters
 }
 
-func (st *cacheStripe) moveFront(n *lruNode) {
+func (n *lruNode) unlink() {
 	n.prev.next = n.next
 	n.next.prev = n.prev
-	st.pushFront(n)
 }
 
 func (st *cacheStripe) pushFront(n *lruNode) {
@@ -289,17 +349,15 @@ type CacheConfig struct {
 	// bench/baselines/cas corpus) consulted after Dir on memory misses;
 	// never written.
 	Preload string
-	// MemEntries bounds memory-resident sched+comm entries (0 =
+	// MemEntries bounds memory-resident entries of all three layers (0 =
 	// unbounded). The bound is enforced per stripe at MemEntries/64.
 	MemEntries int
 	// MemBytes bounds estimated memory-resident bytes the same way.
 	MemBytes int64
 	// DiskBytes bounds the read-write store; background compaction
-	// evicts least-recently-used records past it (0 = unbounded).
+	// evicts least-recently-used records past it once a minute (0 =
+	// unbounded).
 	DiskBytes int64
-	// CompactEvery is the background compaction period (default 1m,
-	// meaningful only with DiskBytes > 0).
-	CompactEvery time.Duration
 }
 
 // EvalCache memoizes leaf characterizations across Evaluate calls. It
@@ -320,13 +378,15 @@ type CacheConfig struct {
 //     the cheap comm.Analyze re-runs;
 //   - the critical-path layer caches per-fingerprint DAG depths.
 //
-// The memory front is sharded into 64 lock stripes keyed by fingerprint
-// prefix with an optional LRU budget; behind it sit up to two
-// content-addressed disk stores (internal/cas): a read-write store that
-// persists every result write-through (so restarts start warm and
-// memory eviction never loses work) and an optional read-only seed
-// store preloaded from a committed corpus. Disk records are versioned
-// and checksummed; a torn or corrupt record is a miss, never a crash.
+// All three share one lookup path (get) and one insert path (put). The
+// memory front is sharded into 64 lock stripes keyed by fingerprint
+// prefix, each one map and one LRU list under an optional budget;
+// behind it sit up to two content-addressed disk stores
+// (internal/cas): a read-write store that persists every result
+// write-through (so restarts start warm and memory eviction never loses
+// work) and an optional read-only seed store preloaded from a committed
+// corpus. Disk records are versioned and checksummed; a torn or corrupt
+// record is a miss, never a crash.
 type EvalCache struct {
 	stripes    [cacheStripes]*cacheStripe
 	maxEntries int   // per stripe; 0 = unbounded
@@ -348,11 +408,7 @@ func NewEvalCache() *EvalCache {
 func OpenEvalCache(cfg CacheConfig) (*EvalCache, error) {
 	c := &EvalCache{}
 	for i := range c.stripes {
-		st := &cacheStripe{
-			scheds: map[schedKey]*lruNode{},
-			comms:  map[commKey]*lruNode{},
-			cps:    map[ir.Fingerprint]int64{},
-		}
+		st := &cacheStripe{entries: map[memKey]*lruNode{}}
 		st.lru.next, st.lru.prev = &st.lru, &st.lru
 		c.stripes[i] = st
 	}
@@ -363,14 +419,10 @@ func OpenEvalCache(cfg CacheConfig) (*EvalCache, error) {
 		c.maxBytes = (cfg.MemBytes + cacheStripes - 1) / cacheStripes
 	}
 	if cfg.Dir != "" {
-		every := cfg.CompactEvery
-		if every == 0 {
-			every = time.Minute
-		}
 		disk, err := cas.Open(cas.Options{
 			Dir:          cfg.Dir,
 			MaxBytes:     cfg.DiskBytes,
-			CompactEvery: every,
+			CompactEvery: time.Minute,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: cache dir: %w", err)
@@ -422,35 +474,28 @@ func (c *EvalCache) diskGet(k cas.Key) ([]byte, bool) {
 	return nil, false
 }
 
-func (c *EvalCache) diskPut(k cas.Key, payload []byte) {
-	if c.disk != nil {
-		c.disk.Put(k, payload)
-	}
-}
-
 // Stats snapshots traffic and occupancy. Each stripe is folded under
 // its own lock, so the per-stripe invariant (entries never exceed
-// misses plus disk hits) holds in every snapshot — the torn reads the
-// old atomic-counters-outside-the-mutex implementation allowed cannot
-// happen.
+// misses plus disk hits) holds in every snapshot: it is never torn.
 func (c *EvalCache) Stats() CacheStats {
-	var out CacheStats
+	var n counters
+	var live [numLayers]int
+	var memBytes int64
 	for _, st := range c.stripes {
 		st.mu.Lock()
-		out.CommHits += st.commHits
-		out.CommMisses += st.commMisses
-		out.SchedHits += st.schedHits
-		out.SchedMisses += st.schedMisses
-		out.CPHits += st.cpHits
-		out.CPMisses += st.cpMisses
-		out.DiskHits += st.diskHits
-		out.DiskMisses += st.diskMisses
-		out.MemEvictions += st.evictions
-		out.SchedEntries += len(st.scheds)
-		out.CommEntries += len(st.comms)
-		out.MemBytes += st.bytes
+		for i, x := range st.n {
+			n[i] += x
+		}
+		for l, x := range st.live {
+			live[l] += x
+		}
+		memBytes += st.bytes
 		st.mu.Unlock()
 	}
+	out := n.stats()
+	out.SchedEntries = live[layerSched]
+	out.CommEntries = live[layerComm]
+	out.MemBytes = memBytes
 	if c.disk != nil {
 		ds := c.disk.Stats()
 		out.DiskWrites += ds.Writes
@@ -467,13 +512,18 @@ func (c *EvalCache) Stats() CacheStats {
 	return out
 }
 
-// commEntrySize and scheduleSize estimate memory footprints for the
-// byte budget. Schedule estimates deliberately overcount (the pinned
-// materialized module is attributed to every schedule that references
-// it) — for a budget, too big is the safe direction.
+// entrySize estimates a value's memory footprint for the byte budget.
+// Schedule estimates deliberately overcount (the pinned materialized
+// module is attributed to every schedule that references it) — for a
+// budget, too big is the safe direction. Comm entries and critical
+// paths are a fixed node.
 const commEntrySize = 192
 
-func scheduleSize(s *schedule.Schedule) int64 {
+func entrySize(v any) int64 {
+	s, ok := v.(*schedule.Schedule)
+	if !ok {
+		return commEntrySize
+	}
 	sz := int64(256)
 	for i := range s.Steps {
 		sz += 48
@@ -487,237 +537,128 @@ func scheduleSize(s *schedule.Schedule) int64 {
 	return sz
 }
 
-// insert adds a node to its stripe's maps and recency list, then evicts
-// from the cold end until the stripe is back under budget. The fresh
-// node is never evicted. Write-through persistence means eviction just
-// drops memory — the disk layer still has the record. Caller holds
-// st.mu.
-func (c *EvalCache) insert(st *cacheStripe, n *lruNode) {
-	if n.isSched {
-		st.scheds[n.sk] = n
-	} else {
-		st.comms[n.ck] = n
+// insert makes v the memory entry for k and returns it — or, when k is
+// already resident, refreshes that entry's recency and returns its
+// value, so racing fills converge on one. A new entry then evicts from
+// the cold end until the stripe is back under budget; the fresh node is
+// never evicted. Write-through persistence means eviction just drops
+// memory — the disk layer still has the record. Caller holds st.mu.
+func (c *EvalCache) insert(st *cacheStripe, k memKey, v any) any {
+	if n, ok := st.entries[k]; ok {
+		n.unlink()
+		st.pushFront(n)
+		return n.val
 	}
+	n := &lruNode{key: k, val: v, size: entrySize(v)}
+	st.entries[k] = n
+	st.live[k.layer]++
 	st.pushFront(n)
 	st.bytes += n.size
-	over := func() bool {
-		if c.maxEntries > 0 && len(st.scheds)+len(st.comms) > c.maxEntries {
-			return true
-		}
-		return c.maxBytes > 0 && st.bytes > c.maxBytes
-	}
-	for over() {
+	for (c.maxEntries > 0 && len(st.entries) > c.maxEntries) || (c.maxBytes > 0 && st.bytes > c.maxBytes) {
 		victim := st.lru.prev
-		if victim == &st.lru || victim == n {
-			return
+		if victim == n {
+			break
 		}
-		victim.prev.next = victim.next
-		victim.next.prev = victim.prev
-		if victim.isSched {
-			delete(st.scheds, victim.sk)
-		} else {
-			delete(st.comms, victim.ck)
-		}
+		victim.unlink()
+		delete(st.entries, victim.key)
+		st.live[victim.key.layer]--
 		st.bytes -= victim.size
-		st.evictions++
+		st.n[ctrEvictions]++
 	}
+	return v
 }
 
-// commResult looks up a finished characterization: memory stripe first,
-// then the persistent stores (promoting a disk record into memory).
-func (c *EvalCache) commResult(k commKey, rec *CacheRecorder) (commEntry, bool) {
+// get is every layer's lookup: the memory stripe, then the read-write
+// store, then the read-only seed. A disk record is decoded outside the
+// stripe lock (binding a schedule may materialize its module) and
+// promoted into memory; one that does not decode is stale and deleted.
+// Each lookup counts one layer hit or miss, plus a disk hit or miss
+// when it reached the stores, on the stripe and on rec.
+func (c *EvalCache) get(k memKey, rec *CacheRecorder, bind func() (*ir.Module, error)) (any, bool) {
 	st := c.stripe(k.sk.fp)
 	st.mu.Lock()
-	if n, ok := st.comms[k]; ok {
-		st.moveFront(n)
-		st.commHits++
+	if n, ok := st.entries[k]; ok {
+		n.unlink()
+		st.pushFront(n)
+		st.n[k.layer.hit()]++
 		st.mu.Unlock()
-		rec.recCount(recCommHit)
-		return n.comm, true
+		rec.add(k.layer.hit())
+		return n.val, true
 	}
 	if !c.hasDisk() {
-		st.commMisses++
+		st.n[k.layer.miss()]++
 		st.mu.Unlock()
-		rec.recCount(recCommMiss)
-		return commEntry{}, false
-	}
-	st.mu.Unlock()
-
-	ck := k.casKey()
-	if payload, ok := c.diskGet(ck); ok {
-		if e, ok := decodeCommEntry(payload); ok {
-			st.mu.Lock()
-			if n, dup := st.comms[k]; dup {
-				e = n.comm
-				st.moveFront(n)
-			} else {
-				c.insert(st, &lruNode{size: commEntrySize, ck: k, comm: e})
-			}
-			st.commHits++
-			st.diskHits++
-			st.mu.Unlock()
-			rec.recCount(recCommHit)
-			rec.recCount(recDiskHit)
-			return e, true
-		}
-		// Framing was valid but the payload shape is wrong: a stale
-		// record from an incompatible build. Drop it and recompute.
-		if c.disk != nil {
-			c.disk.Delete(ck)
-		}
-	}
-	st.mu.Lock()
-	st.commMisses++
-	st.diskMisses++
-	st.mu.Unlock()
-	rec.recCount(recCommMiss)
-	rec.recCount(recDiskMiss)
-	return commEntry{}, false
-}
-
-func (c *EvalCache) putCommResult(k commKey, e commEntry) {
-	st := c.stripe(k.sk.fp)
-	st.mu.Lock()
-	if n, ok := st.comms[k]; ok {
-		st.moveFront(n)
-		st.mu.Unlock()
-	} else {
-		c.insert(st, &lruNode{size: commEntrySize, ck: k, comm: e})
-		st.mu.Unlock()
-	}
-	c.diskPut(k.casKey(), encodeCommEntry(e))
-}
-
-// schedule looks up a zero-communication schedule. A disk record is
-// JSON that only binds to its materialized module, so the caller passes
-// bind — the leaf's once-guarded materializer — invoked only on the
-// memory-miss/disk-hit path. A record that no longer binds (stale
-// fingerprint) is deleted and treated as a miss.
-func (c *EvalCache) schedule(k schedKey, rec *CacheRecorder, bind func() (*ir.Module, error)) (*schedule.Schedule, bool) {
-	st := c.stripe(k.fp)
-	st.mu.Lock()
-	if n, ok := st.scheds[k]; ok {
-		st.moveFront(n)
-		st.schedHits++
-		st.mu.Unlock()
-		rec.recCount(recSchedHit)
-		return n.sched, true
-	}
-	if !c.hasDisk() {
-		st.schedMisses++
-		st.mu.Unlock()
-		rec.recCount(recSchedMiss)
+		rec.add(k.layer.miss())
 		return nil, false
 	}
 	st.mu.Unlock()
 
 	ck := k.casKey()
-	if payload, ok := c.diskGet(ck); ok && bind != nil {
-		// Materialization and decode run outside the stripe lock: both
-		// can be expensive and neither touches stripe state.
-		if s := decodeSchedule(payload, bind); s != nil {
+	if payload, ok := c.diskGet(ck); ok {
+		if v, ok := decodePayload(k.layer, payload, bind); ok {
 			st.mu.Lock()
-			if n, dup := st.scheds[k]; dup {
-				s = n.sched
-				st.moveFront(n)
-			} else {
-				c.insert(st, &lruNode{size: scheduleSize(s), isSched: true, sk: k, sched: s})
-			}
-			st.schedHits++
-			st.diskHits++
+			v = c.insert(st, k, v)
+			st.n[k.layer.hit()]++
+			st.n[ctrDiskHit]++
 			st.mu.Unlock()
-			rec.recCount(recSchedHit)
-			rec.recCount(recDiskHit)
-			return s, true
+			rec.add(k.layer.hit())
+			rec.add(ctrDiskHit)
+			return v, true
 		}
 		if c.disk != nil {
 			c.disk.Delete(ck)
 		}
 	}
 	st.mu.Lock()
-	st.schedMisses++
-	st.diskMisses++
+	st.n[k.layer.miss()]++
+	st.n[ctrDiskMiss]++
 	st.mu.Unlock()
-	rec.recCount(recSchedMiss)
-	rec.recCount(recDiskMiss)
+	rec.add(k.layer.miss())
+	rec.add(ctrDiskMiss)
 	return nil, false
 }
 
-func decodeSchedule(payload []byte, bind func() (*ir.Module, error)) *schedule.Schedule {
-	m, err := bind()
-	if err != nil {
-		return nil
-	}
-	s, err := schedule.ReadJSON(bytes.NewReader(payload), m)
-	if err != nil {
-		return nil
-	}
-	return s
-}
-
-func (c *EvalCache) putSchedule(k schedKey, s *schedule.Schedule) {
-	st := c.stripe(k.fp)
+// put is every layer's insert: into memory (an already-resident entry
+// keeps its value), then write-through to the read-write store.
+func (c *EvalCache) put(k memKey, v any) {
+	st := c.stripe(k.sk.fp)
 	st.mu.Lock()
-	if n, ok := st.scheds[k]; ok {
-		st.moveFront(n)
-		st.mu.Unlock()
-	} else {
-		c.insert(st, &lruNode{size: scheduleSize(s), isSched: true, sk: k, sched: s})
-		st.mu.Unlock()
-	}
+	c.insert(st, k, v)
+	st.mu.Unlock()
 	if c.disk != nil {
-		var buf bytes.Buffer
-		if err := schedule.WriteJSON(&buf, s); err == nil {
-			c.disk.Put(k.casKey(), buf.Bytes())
+		if b := encodePayload(v); b != nil {
+			c.disk.Put(k.casKey(), b)
 		}
 	}
 }
 
+// commResult looks up a finished characterization.
+func (c *EvalCache) commResult(k commKey, rec *CacheRecorder) (commEntry, bool) {
+	v, _ := c.get(k.memKey(), rec, nil)
+	e, ok := v.(commEntry)
+	return e, ok
+}
+
+func (c *EvalCache) putCommResult(k commKey, e commEntry) { c.put(k.memKey(), e) }
+
+// schedule looks up a zero-communication schedule. bind — the leaf's
+// once-guarded materializer — is invoked only when a disk record must
+// be decoded.
+func (c *EvalCache) schedule(k schedKey, rec *CacheRecorder, bind func() (*ir.Module, error)) (*schedule.Schedule, bool) {
+	v, _ := c.get(memKey{layer: layerSched, sk: k}, rec, bind)
+	s, ok := v.(*schedule.Schedule)
+	return s, ok
+}
+
+func (c *EvalCache) putSchedule(k schedKey, s *schedule.Schedule) {
+	c.put(memKey{layer: layerSched, sk: k}, s)
+}
+
+// criticalPath looks up a leaf's DAG depth.
 func (c *EvalCache) criticalPath(fp ir.Fingerprint, rec *CacheRecorder) (int64, bool) {
-	st := c.stripe(fp)
-	st.mu.Lock()
-	if cp, ok := st.cps[fp]; ok {
-		st.cpHits++
-		st.mu.Unlock()
-		rec.recCount(recCPHit)
-		return cp, true
-	}
-	if !c.hasDisk() {
-		st.cpMisses++
-		st.mu.Unlock()
-		rec.recCount(recCPMiss)
-		return 0, false
-	}
-	st.mu.Unlock()
-
-	if payload, ok := c.diskGet(cpCasKey(fp)); ok && len(payload) == 8 {
-		cp := int64(binary.LittleEndian.Uint64(payload))
-		st.mu.Lock()
-		st.cps[fp] = cp
-		st.cpHits++
-		st.diskHits++
-		st.mu.Unlock()
-		rec.recCount(recCPHit)
-		rec.recCount(recDiskHit)
-		return cp, true
-	}
-	st.mu.Lock()
-	st.cpMisses++
-	st.diskMisses++
-	st.mu.Unlock()
-	rec.recCount(recCPMiss)
-	rec.recCount(recDiskMiss)
-	return 0, false
+	v, _ := c.get(cpKey(fp), rec, nil)
+	cp, ok := v.(int64)
+	return cp, ok
 }
 
-func (c *EvalCache) putCriticalPath(fp ir.Fingerprint, cp int64) {
-	st := c.stripe(fp)
-	st.mu.Lock()
-	st.cps[fp] = cp
-	st.mu.Unlock()
-	if c.disk != nil {
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, uint64(cp))
-		c.disk.Put(cpCasKey(fp), b)
-	}
-}
+func (c *EvalCache) putCriticalPath(fp ir.Fingerprint, cp int64) { c.put(cpKey(fp), cp) }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/scaffold-go/multisimd/internal/cas"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/schedule"
@@ -109,56 +110,123 @@ func TestCacheStatsHelpers(t *testing.T) {
 	}
 }
 
-// TestCacheCountersConcurrent hammers both layers from many goroutines
-// so -race exercises the striped counters, then checks the global
-// totals and that per-goroutine recorders sum exactly to them — the
-// attribution contract the service's access logs depend on.
+// TestCacheCountersConcurrent hammers all three layers from many
+// goroutines so -race exercises the striped counters, then checks the
+// global totals and that per-goroutine recorders sum exactly to them —
+// the attribution contract the service's access logs depend on — for
+// every traffic counter. The disk-backed input sends each miss through
+// the store as well.
 func TestCacheCountersConcurrent(t *testing.T) {
-	c := NewEvalCache()
-	sk := schedKey{config: "x", w: 1}
-	c.putSchedule(sk, &schedule.Schedule{K: 1})
-	c.putCommResult(commKey{sk: sk}, commEntry{})
-	c.putCriticalPath(ir.Fingerprint{1}, 1)
-	before := c.Stats()
-	const goroutines, iters = 8, 100
-	recs := make([]*CacheRecorder, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		recs[i] = &CacheRecorder{}
-		wg.Add(1)
-		go func(rec *CacheRecorder) {
-			defer wg.Done()
-			for j := 0; j < iters; j++ {
-				c.schedule(sk, rec, nil)                    // hit
-				c.schedule(schedKey{config: "y"}, rec, nil) // miss
-				c.commResult(commKey{sk: sk}, rec)          // hit
-				c.commResult(commKey{}, rec)                // miss
-				c.criticalPath(ir.Fingerprint{1}, rec)      // hit
-				c.criticalPath(ir.Fingerprint{2}, rec)      // miss
+	for _, dir := range []string{"", t.TempDir()} {
+		c, err := OpenEvalCache(CacheConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sk := schedKey{config: "x", w: 1}
+		c.putSchedule(sk, &schedule.Schedule{K: 1})
+		c.putCommResult(commKey{sk: sk}, commEntry{})
+		c.putCriticalPath(ir.Fingerprint{1}, 1)
+		before := c.Stats()
+		const goroutines, iters = 8, 100
+		recs := make([]*CacheRecorder, goroutines)
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			recs[i] = &CacheRecorder{}
+			wg.Add(1)
+			go func(rec *CacheRecorder) {
+				defer wg.Done()
+				for j := 0; j < iters; j++ {
+					c.schedule(sk, rec, nil)                    // hit
+					c.schedule(schedKey{config: "y"}, rec, nil) // miss
+					c.commResult(commKey{sk: sk}, rec)          // hit
+					c.commResult(commKey{}, rec)                // miss
+					c.criticalPath(ir.Fingerprint{1}, rec)      // hit
+					c.criticalPath(ir.Fingerprint{2}, rec)      // miss
+				}
+			}(recs[i])
+		}
+		wg.Wait()
+		st := c.Stats().Sub(before)
+		n := int64(goroutines * iters)
+		if st.SchedHits != n || st.SchedMisses != n || st.CommHits != n || st.CommMisses != n ||
+			st.CPHits != n || st.CPMisses != n {
+			t.Errorf("lost counts under concurrency: %+v (want %d per column)", st, n)
+		}
+		wantDiskMisses := int64(0)
+		if dir != "" {
+			wantDiskMisses = 3 * n
+		}
+		if st.DiskHits != 0 || st.DiskMisses != wantDiskMisses {
+			t.Errorf("disk traffic = %d hits, %d misses; want 0, %d", st.DiskHits, st.DiskMisses, wantDiskMisses)
+		}
+		var sum counters
+		for _, rec := range recs {
+			rs := rec.counts()
+			for i := range sum {
+				sum[i] += rs[i]
 			}
-		}(recs[i])
+		}
+		traffic := CacheStats{
+			CommHits: st.CommHits, CommMisses: st.CommMisses,
+			SchedHits: st.SchedHits, SchedMisses: st.SchedMisses,
+			CPHits: st.CPHits, CPMisses: st.CPMisses,
+			DiskHits: st.DiskHits, DiskMisses: st.DiskMisses,
+		}
+		if got := sum.stats(); got != traffic {
+			t.Errorf("recorder sum %+v != global delta %+v", got, traffic)
+		}
 	}
-	wg.Wait()
-	st := c.Stats().Sub(before)
-	n := int64(goroutines * iters)
-	if st.SchedHits != n || st.SchedMisses != n || st.CommHits != n || st.CommMisses != n ||
-		st.CPHits != n || st.CPMisses != n {
-		t.Errorf("lost counts under concurrency: %+v (want %d per column)", st, n)
+}
+
+// cacheHit is a memory hit of one layer on the i-th stripe (mod 64).
+type cacheHit struct {
+	layer string
+	hit   func(i int)
+}
+
+// cacheHitFixture fills one memory-only cache with an entry per layer
+// on each of the 64 stripes and returns a memory hit of each layer.
+func cacheHitFixture() []cacheHit {
+	c := NewEvalCache()
+	keys := make([]schedKey, cacheStripes)
+	for i := range keys {
+		keys[i] = schedKey{fp: ir.Fingerprint{byte(i)}, config: "rcp", w: 4}
+		c.putSchedule(keys[i], &schedule.Schedule{K: 4})
+		c.putCommResult(commKey{sk: keys[i]}, commEntry{cycles: 1})
+		c.putCriticalPath(keys[i].fp, 1000) // > 255: boxing it would allocate
 	}
-	var sum CacheStats
-	for _, rec := range recs {
-		rs := rec.Stats()
-		sum.SchedHits += rs.SchedHits
-		sum.SchedMisses += rs.SchedMisses
-		sum.CommHits += rs.CommHits
-		sum.CommMisses += rs.CommMisses
-		sum.CPHits += rs.CPHits
-		sum.CPMisses += rs.CPMisses
+	rec := &CacheRecorder{}
+	bind := func() (*ir.Module, error) { return nil, nil }
+	return []cacheHit{
+		{"comm", func(i int) { c.commResult(commKey{sk: keys[i%cacheStripes]}, rec) }},
+		{"sched", func(i int) { c.schedule(keys[i%cacheStripes], rec, bind) }},
+		{"cp", func(i int) { c.criticalPath(keys[i%cacheStripes].fp, rec) }},
 	}
-	if sum.SchedHits != st.SchedHits || sum.SchedMisses != st.SchedMisses ||
-		sum.CommHits != st.CommHits || sum.CommMisses != st.CommMisses ||
-		sum.CPHits != st.CPHits || sum.CPMisses != st.CPMisses {
-		t.Errorf("recorder sum %+v != global delta %+v", sum, st)
+}
+
+// TestCacheHitAllocs: a memory hit allocates nothing in any layer, so
+// no layer's value is boxed on the hit path.
+func TestCacheHitAllocs(t *testing.T) {
+	for _, h := range cacheHitFixture() {
+		if a := testing.AllocsPerRun(100, func() { h.hit(7) }); a != 0 {
+			t.Errorf("%s memory hit: %v allocs, want 0", h.layer, a)
+		}
+	}
+}
+
+// BenchmarkCacheHit measures parallel memory hits spread over every
+// stripe, one sub-benchmark per layer.
+func BenchmarkCacheHit(b *testing.B) {
+	for _, h := range cacheHitFixture() {
+		b.Run(h.layer, func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for i := 0; pb.Next(); i++ {
+					h.hit(i)
+				}
+			})
+		})
 	}
 }
 
@@ -215,6 +283,35 @@ func TestCacheMemByteBudget(t *testing.T) {
 	}
 	if st.MemBytes > commEntrySize {
 		t.Errorf("MemBytes = %d over per-stripe budget %d", st.MemBytes, commEntrySize)
+	}
+}
+
+// TestCacheCPBudget: critical-path entries live under both memory
+// budgets like the other layers — on a stripe with room for one entry,
+// every further fingerprint evicts the coldest.
+func TestCacheCPBudget(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{MemEntries: cacheStripes},
+		{MemBytes: commEntrySize * cacheStripes},
+	} {
+		c, err := OpenEvalCache(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 20
+		for i := 1; i <= n; i++ {
+			c.putCriticalPath(sameStripeKey(i).sk.fp, int64(i))
+		}
+		st := c.Stats()
+		if st.MemEvictions != n-1 || st.MemBytes > commEntrySize {
+			t.Errorf("%+v: stats = %+v; want %d evictions, MemBytes <= %d", cfg, st, n-1, commEntrySize)
+		}
+		if _, ok := c.criticalPath(sameStripeKey(1).sk.fp, nil); ok {
+			t.Errorf("%+v: coldest critical path survived eviction", cfg)
+		}
+		if cp, ok := c.criticalPath(sameStripeKey(n).sk.fp, nil); !ok || cp != n {
+			t.Errorf("%+v: newest critical path = %d, %v; want %d", cfg, cp, ok, n)
+		}
 	}
 }
 
@@ -351,25 +448,74 @@ func TestCacheStaleScheduleRecordIsMiss(t *testing.T) {
 	}
 }
 
-// TestCacheEvictedEntryServedFromDisk: write-through persistence means
-// memory eviction costs a disk read, not a recompute.
-func TestCacheEvictedEntryServedFromDisk(t *testing.T) {
+// TestCacheStaleCPRecordIsMiss: a critical-path record of the wrong
+// shape (a stale corpus from an incompatible build) is a miss, and the
+// lookup deletes it so later lookups do not re-read it.
+func TestCacheStaleCPRecordIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenEvalCache(CacheConfig{Dir: dir, MemEntries: cacheStripes}) // 1 per stripe
+	fp := ir.Fingerprint{9}
+	store, err := cas.Open(cas.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(cas.NewKey("evalcache/cp/v1", fp[:]), make([]byte, 9))
+	store.Close()
+
+	c, err := OpenEvalCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	a, b := sameStripeKey(1), sameStripeKey(2)
-	c.putCommResult(a, commEntry{cycles: 11})
-	c.putCommResult(b, commEntry{cycles: 22}) // evicts a from memory
-	e, ok := c.commResult(a, nil)
-	if !ok || e.cycles != 11 {
-		t.Fatalf("evicted entry not restored from disk: %+v, %v", e, ok)
+	if _, ok := c.criticalPath(fp, nil); ok {
+		t.Fatal("9-byte critical-path record served as a hit")
 	}
-	st := c.Stats()
-	if st.MemEvictions < 1 || st.DiskHits != 1 {
-		t.Errorf("stats = %+v; want eviction + disk hit", st)
+	if st := c.Stats(); st.DiskEntries != 0 {
+		t.Errorf("stale record kept: %d disk entries", st.DiskEntries)
+	}
+	before := c.Stats()
+	if _, ok := c.criticalPath(fp, nil); ok {
+		t.Fatal("second lookup of a stale record hit")
+	}
+	if d := c.Stats().Sub(before); d.DiskHits != 0 || d.DiskMisses != 1 || d.CPMisses != 1 {
+		t.Errorf("second lookup delta = %+v; want one cp and disk miss", d)
+	}
+}
+
+// TestCacheEvictedEntryServedFromDisk: write-through persistence means
+// memory eviction costs a disk read, not a recompute, in the comm and
+// critical-path layers alike.
+func TestCacheEvictedEntryServedFromDisk(t *testing.T) {
+	for _, layer := range []struct {
+		name string
+		put  func(c *EvalCache, i int, v int64)
+		get  func(c *EvalCache, i int) (int64, bool)
+	}{
+		{"comm",
+			func(c *EvalCache, i int, v int64) { c.putCommResult(sameStripeKey(i), commEntry{cycles: v}) },
+			func(c *EvalCache, i int) (int64, bool) {
+				e, ok := c.commResult(sameStripeKey(i), nil)
+				return e.cycles, ok
+			}},
+		{"cp",
+			func(c *EvalCache, i int, v int64) { c.putCriticalPath(sameStripeKey(i).sk.fp, v) },
+			func(c *EvalCache, i int) (int64, bool) { return c.criticalPath(sameStripeKey(i).sk.fp, nil) }},
+	} {
+		dir := t.TempDir()
+		c, err := OpenEvalCache(CacheConfig{Dir: dir, MemEntries: cacheStripes}) // 1 per stripe
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		layer.put(c, 1, 11)
+		layer.put(c, 2, 22) // evicts 1 from memory
+		v, ok := layer.get(c, 1)
+		if !ok || v != 11 {
+			t.Fatalf("%s: evicted entry not restored from disk: %d, %v", layer.name, v, ok)
+		}
+		st := c.Stats()
+		if st.MemEvictions < 1 || st.DiskHits != 1 {
+			t.Errorf("%s: stats = %+v; want eviction + disk hit", layer.name, st)
+		}
 	}
 }
 

@@ -301,15 +301,10 @@ func (e *engine) publish(m *Metrics) {
 	if r == nil {
 		return
 	}
-	d := e.rec.Stats()
-	r.Counter("eval_cache.comm.hits").Add(d.CommHits)
-	r.Counter("eval_cache.comm.misses").Add(d.CommMisses)
-	r.Counter("eval_cache.sched.hits").Add(d.SchedHits)
-	r.Counter("eval_cache.sched.misses").Add(d.SchedMisses)
-	r.Counter("eval_cache.cp.hits").Add(d.CPHits)
-	r.Counter("eval_cache.cp.misses").Add(d.CPMisses)
-	r.Counter("eval_cache.disk.hits").Add(d.DiskHits)
-	r.Counter("eval_cache.disk.misses").Add(d.DiskMisses)
+	d := e.rec.counts()
+	for i, name := range counterMetric {
+		r.Counter(name).Add(d[i])
+	}
 	occ := e.cache.Stats()
 	r.Gauge("eval_cache.sched.entries").Set(int64(occ.SchedEntries))
 	r.Gauge("eval_cache.comm.entries").Set(int64(occ.CommEntries))

@@ -40,12 +40,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/dag"
-	"github.com/scaffold-go/multisimd/internal/epr"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obscli"
 	"github.com/scaffold-go/multisimd/internal/report"
@@ -125,7 +121,7 @@ func run(cfg config) error {
 	eopts.Scheduler = sched
 	eopts.Obs = obsv
 	if cfg.dump != "" {
-		return dumpLeaf(prog, cfg.dump, sched, req.K, req.D, req.Local)
+		return dumpLeaf(prog, cfg.dump, req, sched)
 	}
 	if cfg.report != "" || cfg.reportJS != "" {
 		eopts.Profile = report.NewCollector()
@@ -192,44 +188,21 @@ func capStr(c int) string {
 }
 
 // dumpLeaf prints the fine-grained schedule of one leaf module in the
-// paper's timestep/region/move-list format.
-func dumpLeaf(prog *ir.Program, name string, sched core.Scheduler, k, d, local int) error {
-	mod := prog.Module(name)
-	if mod == nil {
-		var leaves []string
-		for _, n := range prog.Order {
-			if prog.Modules[n].IsLeaf() {
-				leaves = append(leaves, n)
-			}
-		}
-		return fmt.Errorf("no module %q; leaf modules: %s", name, strings.Join(leaves, ", "))
-	}
-	if !mod.IsLeaf() {
-		return fmt.Errorf("module %q is not a leaf; only fine-grained schedules can be dumped", name)
-	}
-	mat, err := mod.Materialize(1 << 22)
+// paper's timestep/region/move-list format — the same schedule
+// qschedd's /v1/schedule serves for this request.
+func dumpLeaf(prog *ir.Program, name string, req request.Config, sched core.Scheduler) error {
+	mod, err := request.LeafModule(prog, name)
 	if err != nil {
 		return err
 	}
-	g, err := dag.Build(mat)
-	if err != nil {
-		return err
-	}
-	s, err := sched.Schedule(mat, g, k, d)
-	if err != nil {
-		return err
-	}
-	res, err := comm.Analyze(s, comm.Options{LocalCapacity: local})
+	ls, err := req.ScheduleLeaf(mod, sched)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("# %s: %d ops, cp %d, %d steps, %d cycles with movement (%d teleports, %d local moves)\n",
-		name, g.Len(), g.CriticalPath(), s.Length(), res.Cycles, res.GlobalMoves, res.LocalMoves)
-	plan, err := epr.Build(s, res, epr.Config{Bandwidth: 2, Latency: 1})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# EPR pre-distribution (bandwidth 2/cycle, latency 1): %d pairs, %d issued before t0, peak buffer %d\n",
-		plan.Pairs, plan.PreIssued, plan.MaxBuffered)
-	return comm.WriteSchedule(os.Stdout, s, res)
+		name, ls.Ops, ls.CriticalPath, ls.Steps, ls.Comm.Cycles, ls.Comm.GlobalMoves, ls.Comm.LocalMoves)
+	fmt.Printf("# EPR pre-distribution (bandwidth %d/cycle, latency %d): %d pairs, %d issued before t0, peak buffer %d\n",
+		ls.EPR.Bandwidth, ls.EPR.Latency, ls.Plan.Pairs, ls.Plan.PreIssued, ls.Plan.MaxBuffered)
+	_, err = os.Stdout.WriteString(ls.Text)
+	return err
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -10,6 +14,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/request"
 	"github.com/scaffold-go/multisimd/internal/schedule"
+	"github.com/scaffold-go/multisimd/internal/server"
 )
 
 // testConfig fills the defaults the flag declarations would.
@@ -36,6 +41,67 @@ func TestRunDump(t *testing.T) {
 	cfg.req.K = 2
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDumpMatchesScheduleEndpoint: qsched -dump and qschedd's
+// /v1/schedule print the same schedule for the same request, including
+// non-default communication options (-no-overlap, -epr).
+func TestDumpMatchesScheduleEndpoint(t *testing.T) {
+	cfg := testConfig("lpfs", "Grovers", "diffusion", false)
+	cfg.req.Local = 0
+	cfg.req.NoOverlap = true
+	cfg.req.EPRBandwidth = 1
+
+	out, err := os.CreateTemp(t.TempDir(), "dump")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(cfg)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(server.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer ts.Close()
+	body, err := json.Marshal(server.ScheduleRequest{Config: cfg.req, Module: cfg.dump})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr server.ScheduleResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/schedule: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if sr.EPR.Bandwidth != 1 {
+		t.Errorf("server EPR bandwidth %d, want 1", sr.EPR.Bandwidth)
+	}
+	text := string(dump)
+	for _, want := range []string{
+		fmt.Sprintf("# diffusion: %d ops, cp %d, %d steps, %d cycles with movement (%d teleports, %d local moves)\n",
+			sr.Ops, sr.CriticalPath, sr.Steps, sr.Cycles, sr.GlobalMoves, sr.LocalMoves),
+		fmt.Sprintf("# EPR pre-distribution (bandwidth %d/cycle, latency %d): %d pairs, %d issued before t0, peak buffer %d\n",
+			sr.EPR.Bandwidth, sr.EPR.Latency, sr.EPR.Pairs, sr.EPR.PreIssued, sr.EPR.MaxBuffered),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("dump lacks the server's %q; dump header:\n%s", want, text[:strings.Index(text, "\n# EPR")])
+		}
+	}
+	if !strings.HasSuffix(text, sr.Text) {
+		t.Error("dump's schedule text differs from the server's")
 	}
 }
 
@@ -67,6 +133,10 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Error("-trace output has no events")
+	}
+	data, _ = os.ReadFile(cfg.obs.MetricsOut)
+	if !json.Valid(data) {
+		t.Error("-metrics-out output is not valid JSON")
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,6 +51,11 @@ func TestRunReportAllBenchmarks(t *testing.T) {
 			}
 			if r.Benchmark != b.Name || len(r.Modules) == 0 {
 				t.Errorf("JSON report: benchmark %q with %d modules", r.Benchmark, len(r.Modules))
+			}
+			// Only modules up to the report's step cap carry a Gantt; the
+			// SHA-1 report (CI's uploaded artifact) must have one.
+			if b.Name == "SHA-1" && !slices.ContainsFunc(r.Modules, func(m report.ModuleReport) bool { return m.Gantt != nil }) {
+				t.Error("JSON report: no module carries a Gantt timeline")
 			}
 		})
 	}

@@ -1,11 +1,13 @@
 // Package cas is a persistent, sharded, content-addressed record store:
 // the disk layer behind core.EvalCache. Records are keyed by a 32-byte
 // content hash and stored one file per record under a two-hex-digit
-// shard directory; every record carries a versioned header (magic,
+// shard directory; every record is a "QCAS" frame (see file.go: magic,
 // version, length, checksum) following the report schema-versioning
 // discipline, so a torn or corrupted file — a crash mid-write, a bad
 // disk, a truncation — is detected, quarantined and reported as a miss,
-// never a wrong answer and never a crash.
+// never a wrong answer and never a crash. The frame codec, atomic
+// writer, quarantine and temp sweep are exported for the other on-disk
+// stores (internal/obs/telem).
 //
 // Concurrency is lock-striped per shard: readers and writers of
 // different shards never contend, and within a shard the per-record
@@ -21,10 +23,8 @@
 package cas
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,34 +40,18 @@ type Key [32]byte
 // String renders the key as the 64-hex-digit record file stem.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Record format constants. The header is fixed-size, little-endian:
-//
-//	offset 0  magic   "QCAS" (4 bytes)
-//	offset 4  version uint32 (currently 1)
-//	offset 8  length  uint64 (payload bytes)
-//	offset 16 crc     uint32 (Castagnoli CRC-32 of the payload)
-//	offset 20 payload
-//
-// Version increments on any incompatible layout change; readers treat
-// unknown versions as misses (quarantined), so old and new binaries can
-// share a directory without crashing each other.
-const (
-	recordVersion = 1
-	headerSize    = 20
-)
+// recordMagic names a cas record frame.
+var recordMagic = [4]byte{'Q', 'C', 'A', 'S'}
 
-var (
-	recordMagic = [4]byte{'Q', 'C', 'A', 'S'}
-	crcTable    = crc32.MakeTable(crc32.Castagnoli)
-)
+// shards is the lock-stripe and directory fan-out: a record lives in
+// shard key[0] & (shards-1). It is part of the on-disk layout, so it is
+// fixed rather than configurable.
+const shards = 64
 
 // Options configures a Store. Only Dir is required.
 type Options struct {
 	// Dir is the store root; created if missing (unless ReadOnly).
 	Dir string
-	// Shards is the lock-stripe and directory fan-out (power of two,
-	// max 256). Default 64.
-	Shards int
 	// ReadOnly opens the store as an immutable seed layer: Puts and
 	// compaction are disabled and corrupt records are skipped without
 	// quarantining.
@@ -96,8 +80,7 @@ type Stats struct {
 // Store is the persistent record store. Safe for concurrent use.
 type Store struct {
 	opts    Options
-	mask    byte
-	stripes []*stripe
+	stripes [shards]*stripe
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -129,18 +112,10 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("cas: Dir is required")
 	}
-	if opts.Shards == 0 {
-		opts.Shards = 64
-	}
-	if opts.Shards < 1 || opts.Shards > 256 || opts.Shards&(opts.Shards-1) != 0 {
-		return nil, fmt.Errorf("cas: Shards must be a power of two in [1,256], got %d", opts.Shards)
-	}
 	s := &Store{
-		opts:    opts,
-		mask:    byte(opts.Shards - 1),
-		stripes: make([]*stripe, opts.Shards),
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
+		opts:   opts,
+		stopCh: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	for i := range s.stripes {
 		st := &stripe{
@@ -176,7 +151,7 @@ func (s *Store) quarantineDir() string { return filepath.Join(s.opts.Dir, "quara
 // indexed by their hex-key names, leftover temp files are removed, and
 // anything unrecognized is ignored (validation stays lazy, at Get).
 func (st *stripe) load() error {
-	ents, err := os.ReadDir(st.dir)
+	ents, err := SweepTemp(st.dir)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -184,12 +159,7 @@ func (st *stripe) load() error {
 		return fmt.Errorf("cas: %w", err)
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(st.dir, name))
-			continue
-		}
-		k, ok := keyFromName(name)
+		k, ok := keyFromName(e.Name())
 		if !ok {
 			continue
 		}
@@ -216,7 +186,7 @@ func keyFromName(name string) (Key, bool) {
 	return k, true
 }
 
-func (s *Store) stripe(k Key) *stripe { return s.stripes[k[0]&s.mask] }
+func (s *Store) stripe(k Key) *stripe { return s.stripes[k[0]&(shards-1)] }
 
 func (s *Store) path(st *stripe, k Key) string {
 	return filepath.Join(st.dir, k.String()+".rec")
@@ -251,7 +221,7 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		st.misses++
 		return nil, false
 	}
-	payload, err := decodeRecord(data)
+	payload, err := DecodeFrame(recordMagic, data)
 	if err != nil {
 		st.corrupt++
 		s.quarantineLocked(st, k, path)
@@ -282,21 +252,8 @@ func (s *Store) Put(k Key, payload []byte) {
 	if _, ok := st.index[k]; ok {
 		return
 	}
-	data := encodeRecord(payload)
-	tmp, err := os.CreateTemp(st.dir, "put-*.tmp")
-	if err != nil {
-		st.writeErrs++
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		st.writeErrs++
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(st, k)); err != nil {
-		os.Remove(tmp.Name())
+	data := EncodeFrame(recordMagic, payload)
+	if err := WriteFileAtomic(s.path(st, k), data); err != nil {
 		st.writeErrs++
 		return
 	}
@@ -331,10 +288,7 @@ func (st *stripe) dropLocked(k Key) {
 // the move) and drops it from the index. Caller holds st.mu.
 func (s *Store) quarantineLocked(st *stripe, k Key, path string) {
 	if !s.opts.ReadOnly {
-		dst := filepath.Join(s.quarantineDir(), k.String()+".bad")
-		if err := os.Rename(path, dst); err != nil {
-			os.Remove(path)
-		}
+		Quarantine(path, filepath.Join(s.quarantineDir(), k.String()+".bad"))
 	}
 	st.dropLocked(k)
 }
@@ -426,38 +380,4 @@ func (s *Store) compactLoop() {
 func (s *Store) Close() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	<-s.done
-}
-
-// encodeRecord frames a payload: header (magic, version, length, crc)
-// then the payload bytes.
-func encodeRecord(payload []byte) []byte {
-	data := make([]byte, headerSize+len(payload))
-	copy(data[0:4], recordMagic[:])
-	binary.LittleEndian.PutUint32(data[4:8], recordVersion)
-	binary.LittleEndian.PutUint64(data[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(data[16:20], crc32.Checksum(payload, crcTable))
-	copy(data[headerSize:], payload)
-	return data
-}
-
-// decodeRecord validates framing and returns the payload.
-func decodeRecord(data []byte) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("cas: record truncated at %d bytes", len(data))
-	}
-	if [4]byte(data[0:4]) != recordMagic {
-		return nil, fmt.Errorf("cas: bad magic %q", data[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != recordVersion {
-		return nil, fmt.Errorf("cas: record version %d, this build reads %d", v, recordVersion)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	if uint64(len(data)-headerSize) != n {
-		return nil, fmt.Errorf("cas: payload length %d, header says %d", len(data)-headerSize, n)
-	}
-	payload := data[headerSize:]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(data[16:20]); got != want {
-		return nil, fmt.Errorf("cas: checksum %08x, header says %08x", got, want)
-	}
-	return payload, nil
 }

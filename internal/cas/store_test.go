@@ -46,8 +46,8 @@ func TestRoundTrip(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 1 write, 1 entry", st)
 	}
-	if st.Bytes != int64(headerSize+len(payload)) {
-		t.Fatalf("Bytes = %d; want %d", st.Bytes, headerSize+len(payload))
+	if st.Bytes != int64(HeaderSize+len(payload)) {
+		t.Fatalf("Bytes = %d; want %d", st.Bytes, HeaderSize+len(payload))
 	}
 }
 
@@ -131,7 +131,7 @@ func corruptRecord(t *testing.T, s *Store, k Key, mutate func([]byte) []byte) st
 }
 
 func TestTruncatedRecordIsMissAndQuarantined(t *testing.T) {
-	for _, cut := range []int{0, 3, headerSize - 1, headerSize + 2} {
+	for _, cut := range []int{0, 3, HeaderSize - 1, HeaderSize + 2} {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			s := mustOpen(t, Options{Dir: dir})
@@ -184,7 +184,7 @@ func TestBadMagicAndVersionAreMisses(t *testing.T) {
 			return b
 		},
 		"version": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[4:8], recordVersion+1)
+			binary.LittleEndian.PutUint32(b[4:8], FrameVersion+1)
 			return b
 		},
 		"length": func(b []byte) []byte {
@@ -301,7 +301,7 @@ func TestReadOnlyCorruptSkippedInPlace(t *testing.T) {
 	k := testKey(10, "ro-corrupt")
 	w.Put(k, []byte("seed"))
 	path := corruptRecord(t, w, k, func(b []byte) []byte {
-		b[headerSize] ^= 0xff
+		b[HeaderSize] ^= 0xff
 		return b
 	})
 	w.Close()
@@ -321,7 +321,7 @@ func TestReadOnlyCorruptSkippedInPlace(t *testing.T) {
 func TestCompactBoundsBytes(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir()})
 	payload := bytes.Repeat([]byte("x"), 100)
-	recSize := int64(headerSize + len(payload))
+	recSize := int64(HeaderSize + len(payload))
 	var keys []Key
 	for i := 0; i < 10; i++ {
 		k := testKey(byte(i), fmt.Sprintf("compact-%d", i))
@@ -366,7 +366,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{
 		Dir:          dir,
-		MaxBytes:     int64(headerSize + 10),
+		MaxBytes:     int64(HeaderSize + 10),
 		CompactEvery: 5 * time.Millisecond,
 	})
 	for i := 0; i < 8; i++ {
@@ -374,7 +374,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := s.Stats(); st.Bytes <= int64(headerSize+10) {
+		if st := s.Stats(); st.Bytes <= int64(HeaderSize+10) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -398,15 +398,14 @@ func TestNewKeyDomainsAndParts(t *testing.T) {
 }
 
 func TestOpenValidatesShards(t *testing.T) {
-	for _, n := range []int{-1, 3, 257, 512} {
-		if _, err := Open(Options{Dir: t.TempDir(), Shards: n}); err == nil {
-			t.Fatalf("Open with Shards=%d succeeded", n)
-		}
-	}
-	s := mustOpen(t, Options{Dir: t.TempDir(), Shards: 8})
-	k := testKey(0xff, "mask") // 0xff & 7 = stripe 7
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	k := testKey(0xff, "mask") // 0xff & 63 = stripe 0x3f
 	s.Put(k, []byte("v"))
 	if v, ok := s.Get(k); !ok || !bytes.Equal(v, []byte("v")) {
-		t.Fatalf("Get with 8 shards = %q, %v", v, ok)
+		t.Fatalf("Get with 64 shards = %q, %v", v, ok)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shards", "3f", k.String()+".rec")); err != nil {
+		t.Fatalf("record not in shard 3f: %v", err)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/scaffold-go/multisimd/internal/cas"
 )
 
 // fillStore seals n samples of series "c" (v = i at t = i*2s) into dir
@@ -145,12 +147,12 @@ func TestCorruptHeaderVariantsQuarantine(t *testing.T) {
 	}
 	corrupt("bad-magic", func(d []byte) { d[0] = 'X' })
 	corrupt("future-version", func(d []byte) {
-		binary.LittleEndian.PutUint32(d[4:8], segmentVersion+1)
+		binary.LittleEndian.PutUint32(d[4:8], cas.FrameVersion+1)
 	})
 	corrupt("bad-length", func(d []byte) {
 		binary.LittleEndian.PutUint64(d[8:16], uint64(len(d))) // claims more than present
 	})
-	corrupt("bad-checksum", func(d []byte) { d[headerSize] ^= 0x01 })
+	corrupt("bad-checksum", func(d []byte) { d[cas.HeaderSize] ^= 0x01 })
 	corrupt("payload-bit-flip", func(d []byte) { d[len(d)-2] ^= 0x40 })
 }
 
@@ -167,6 +169,30 @@ func TestTempFileSweptAtOpen(t *testing.T) {
 	}
 	if pts := s.Query("c", ms(0), ms(10000), 0); len(pts) != 4 {
 		t.Fatalf("query after sweep = %+v", pts)
+	}
+}
+
+// TestPostmortemTempSweptAtOpen: a WriteBundle that died mid-write
+// leaves a pm-*.tmp that bundle pruning never matches; reopening the
+// store removes it and keeps the finished bundles.
+func TestPostmortemTempSweptAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	fillStore(t, dir, 4)
+	pm := filepath.Join(dir, "postmortem")
+	bundle, err := WriteBundle(pm, Bundle{Schema: BundleSchemaVersion, Trigger: "manual"}, ms(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(pm, "pm-x.tmp")
+	if err := os.WriteFile(tmp, []byte("half a bundle"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openTest(t, Options{Dir: dir, Retention: -1})
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("postmortem temp file survived Open: %v", err)
+	}
+	if _, err := ReadBundle(bundle); err != nil {
+		t.Fatalf("finished bundle lost: %v", err)
 	}
 }
 

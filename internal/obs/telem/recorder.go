@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/scaffold-go/multisimd/internal/cas"
 	"github.com/scaffold-go/multisimd/internal/obs"
 )
 
@@ -236,21 +237,8 @@ func WriteBundle(dir string, b Bundle, now time.Time) (string, error) {
 	data = append(data, '\n')
 	name := fmt.Sprintf("pm-%016x-%04x-%s.json", uint64(now.UnixMilli()), uint64(bundleSeq.Add(1))&0xffff, b.Trigger)
 	path := filepath.Join(dir, name)
-	tmp, err := os.CreateTemp(dir, "pm-*.tmp")
-	if err != nil {
+	if err := cas.WriteFileAtomic(path, data); err != nil {
 		return "", fmt.Errorf("telem: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("telem: %w", werr)
 	}
 	pruneBundles(dir)
 	return path, nil

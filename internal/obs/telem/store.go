@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/scaffold-go/multisimd/internal/cas"
 )
 
 // maxDownsampleLevel bounds how coarse a budget-squeezed segment can
@@ -67,8 +69,9 @@ type Store struct {
 // Open opens (and creates) a store rooted at opts.Dir, indexing the
 // sealed segments already there: every segment is read and validated up
 // front, corrupt ones are quarantined, leftover temp files from a
-// crashed writer are removed, and retention is enforced immediately so
-// a long-stopped daemon does not come back serving expired history.
+// crashed segment or postmortem writer are removed, and retention is
+// enforced immediately so a long-stopped daemon does not come back
+// serving expired history.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("telem: Dir is required")
@@ -79,26 +82,24 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("telem: %w", err)
 		}
 	}
-	ents, err := os.ReadDir(s.segmentsDir())
+	// Bundles are swept here, not per write: a manual snapshot and an
+	// automatic bundle may be mid-write at the same time. Best-effort:
+	// the directory exists only once a bundle has been written.
+	_, _ = cas.SweepTemp(filepath.Join(opts.Dir, "postmortem"))
+	ents, err := cas.SweepTemp(s.segmentsDir())
 	if err != nil {
 		return nil, fmt.Errorf("telem: %w", err)
 	}
 	for _, e := range ents {
-		name := e.Name()
-		path := filepath.Join(s.segmentsDir(), name)
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(path)
-			continue
-		}
-		m, ok := parseSegmentName(name)
+		m, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue
 		}
-		m.path = path
-		p, size, err := readSegmentFile(path)
+		m.path = filepath.Join(s.segmentsDir(), e.Name())
+		p, size, err := readSegmentFile(m.path)
 		if err != nil {
 			s.corrupt++
-			s.quarantine(path)
+			s.quarantine(m.path)
 			continue
 		}
 		m.size = size
@@ -192,13 +193,9 @@ func readSegmentFile(path string) (segmentPayload, int64, error) {
 	return p, int64(len(data)), err
 }
 
-// quarantine moves a failed segment aside for postmortem; if the move
-// fails the file is removed so it cannot fail validation again.
+// quarantine moves a failed segment aside for postmortem.
 func (s *Store) quarantine(path string) {
-	dst := filepath.Join(s.quarantineDir(), filepath.Base(path)+".bad")
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
-	}
+	cas.Quarantine(path, filepath.Join(s.quarantineDir(), filepath.Base(path)+".bad"))
 }
 
 // Append buffers one sample (values must not be mutated by the caller
@@ -255,7 +252,7 @@ func (s *Store) sealLocked() {
 		seq:    s.seq,
 	}
 	m.path = filepath.Join(s.segmentsDir(), segmentName(m.fromMS, m.seq, 0))
-	size, err := s.writeSegment(m.path, payload)
+	size, err := writeSegment(m.path, payload)
 	if err != nil {
 		// A failed seal only costs history; drop the buffer so memory
 		// stays bounded even on a dead disk.
@@ -270,30 +267,13 @@ func (s *Store) sealLocked() {
 	s.maintainLocked()
 }
 
-// writeSegment writes one framed segment atomically (temp + rename).
-func (s *Store) writeSegment(path string, p segmentPayload) (int64, error) {
+// writeSegment writes one framed segment atomically.
+func writeSegment(path string, p segmentPayload) (int64, error) {
 	data, err := encodeSegment(p)
 	if err != nil {
 		return 0, err
 	}
-	tmp, err := os.CreateTemp(s.segmentsDir(), "seal-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return 0, werr
-		}
-		return 0, cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	return int64(len(data)), nil
+	return int64(len(data)), cas.WriteFileAtomic(path, data)
 }
 
 // maintainLocked enforces retention then the byte budget: expired
@@ -365,7 +345,7 @@ func (s *Store) downsampleLocked(m *segMeta) int64 {
 		kept = append(kept, sm)
 	}
 	newPath := filepath.Join(s.segmentsDir(), segmentName(m.fromMS, m.seq, newDS))
-	size, err := s.writeSegment(newPath, segmentPayload{Schema: SegmentSchemaVersion, DS: newDS, Samples: kept})
+	size, err := writeSegment(newPath, segmentPayload{Schema: SegmentSchemaVersion, DS: newDS, Samples: kept})
 	if err != nil {
 		return 0
 	}

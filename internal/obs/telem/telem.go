@@ -4,11 +4,12 @@
 // NewMemory), plus a flight recorder that turns the recent-request ring
 // into self-contained postmortem bundles.
 //
-// The store follows the internal/cas file discipline: every sealed
-// segment is a versioned, CRC-checksummed record written with a temp
-// file + atomic rename, and a segment failing validation — a crash
-// mid-write, a bad disk, a truncation — is quarantined and skipped,
-// never a wrong answer and never a crash. Samples buffer in memory and
+// Segments and bundles go to disk through internal/cas's record code:
+// every sealed segment is a cas frame (versioned, CRC-checksummed)
+// written with cas.WriteFileAtomic, leftover temp files are swept at
+// Open, and a segment failing validation — a crash mid-write, a bad
+// disk, a truncation — is quarantined and skipped, never a wrong answer
+// and never a crash. Samples buffer in memory and
 // seal every Options.SealSamples appends (Close seals the tail), so a
 // kill -9 loses at most one unsealed buffer, and everything sealed
 // before it reads back bit-identically after reopen.

@@ -4,19 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/scaffold-go/multisimd/internal/bench"
-	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/dag"
-	"github.com/scaffold-go/multisimd/internal/epr"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/obs/telem"
@@ -390,71 +385,36 @@ func (s *Server) scheduleModule(sreq ScheduleRequest) (*ScheduleResponse, int, e
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	mod := prog.Module(sreq.Module)
-	if mod == nil {
-		var leaves []string
-		for _, n := range prog.Order {
-			if prog.Modules[n].IsLeaf() {
-				leaves = append(leaves, n)
-			}
-		}
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("no module %q; leaf modules: %s", sreq.Module, strings.Join(leaves, ", "))
-	}
-	if !mod.IsLeaf() {
-		return nil, http.StatusBadRequest,
-			fmt.Errorf("module %q is not a leaf; only fine-grained schedules can be served", sreq.Module)
+	mod, err := request.LeafModule(prog, sreq.Module)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	eopts, err := sreq.Config.EvalOptions()
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	mat, err := mod.Materialize(1 << 22)
+	ls, err := sreq.Config.ScheduleLeaf(mod, eopts.Scheduler)
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-	g, err := dag.Build(mat)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-	sched, err := eopts.Scheduler.Schedule(mat, g, sreq.K, sreq.D)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-	res, err := comm.Analyze(sched, sreq.Comm())
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-	eprCfg := epr.Config{Bandwidth: 2, Latency: 1}
-	if sreq.EPRBandwidth > 0 {
-		eprCfg.Bandwidth = int(sreq.EPRBandwidth)
-	}
-	plan, err := epr.Build(sched, res, eprCfg)
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
-	}
-	var text strings.Builder
-	if err := comm.WriteSchedule(&text, sched, res); err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	return &ScheduleResponse{
 		Schema:       SchemaVersion,
 		Module:       sreq.Module,
-		Ops:          g.Len(),
-		CriticalPath: g.CriticalPath(),
-		Steps:        sched.Length(),
-		Cycles:       res.Cycles,
-		GlobalMoves:  res.GlobalMoves,
-		LocalMoves:   res.LocalMoves,
+		Ops:          ls.Ops,
+		CriticalPath: ls.CriticalPath,
+		Steps:        ls.Steps,
+		Cycles:       ls.Comm.Cycles,
+		GlobalMoves:  ls.Comm.GlobalMoves,
+		LocalMoves:   ls.Comm.LocalMoves,
 		EPR: EPRBody{
-			Bandwidth:   eprCfg.Bandwidth,
-			Latency:     eprCfg.Latency,
-			Pairs:       plan.Pairs,
-			PreIssued:   plan.PreIssued,
-			MaxBuffered: plan.MaxBuffered,
-			MakespanOK:  plan.MakespanOK,
+			Bandwidth:   ls.EPR.Bandwidth,
+			Latency:     ls.EPR.Latency,
+			Pairs:       ls.Plan.Pairs,
+			PreIssued:   ls.Plan.PreIssued,
+			MaxBuffered: ls.Plan.MaxBuffered,
+			MakespanOK:  ls.Plan.MakespanOK,
 		},
-		Text: text.String(),
+		Text: ls.Text,
 	}, http.StatusOK, nil
 }
 

@@ -162,39 +162,3 @@ func QASM(m *ir.Module) (string, error) {
 	}
 	return sb.String(), nil
 }
-
-// Scaffold renders a leaf module as Scaffold-lite source with the module
-// as the program entry — generator output fed to the front end, and the
-// seed shape for the parser fuzz corpus.
-func Scaffold(m *ir.Module) (string, error) {
-	var sb strings.Builder
-	sb.WriteString("module main() {\n")
-	for _, r := range append(append([]ir.Reg{}, m.Params...), m.Locals...) {
-		if r.Size == 1 {
-			fmt.Fprintf(&sb, "  qbit %s;\n", r.Name)
-		} else {
-			fmt.Fprintf(&sb, "  qbit %s[%d];\n", r.Name, r.Size)
-		}
-	}
-	for i := range m.Ops {
-		op := &m.Ops[i]
-		if op.Kind != ir.GateOp {
-			return "", fmt.Errorf("verify: module %s op %d is a call, not a leaf gate", m.Name, i)
-		}
-		sb.WriteString("  ")
-		sb.WriteString(op.Gate.String())
-		sb.WriteByte('(')
-		for j, s := range op.Args {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(m.SlotName(s))
-		}
-		if op.Gate.IsRotation() {
-			fmt.Fprintf(&sb, ", %g", op.Angle)
-		}
-		sb.WriteString(");\n")
-	}
-	sb.WriteString("}\n")
-	return sb.String(), nil
-}

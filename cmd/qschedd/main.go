@@ -23,6 +23,9 @@
 //
 //	qschedd -addr :8080 -max-inflight 4 -queue 16 -access-log -
 //
+// The "serving on" line on stderr names the bound address, so -addr
+// 127.0.0.1:0 serves on a free port and reports which.
+//
 // Every request carries an X-Request-ID (accepted from the caller or
 // generated), echoed in the response header and envelope and stamped on
 // the access-log line, so one id correlates the client's view with
@@ -38,14 +41,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"syscall"
-	"time"
-
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/obs"
@@ -215,14 +218,20 @@ func run(addr string, opts server.Options, shutdownTimeout time.Duration) error 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
+	// Listen before serving so -addr :0 works: the log line carries the
+	// port the kernel picked.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	srv := server.New(opts)
 	defer srv.Close()
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(os.Stderr, "qschedd: serving on %s\n", addr)
-		err := httpSrv.ListenAndServe()
+		fmt.Fprintf(os.Stderr, "qschedd: serving on %s\n", ln.Addr())
+		err := httpSrv.Serve(ln)
 		if !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -344,7 +345,13 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := core.SchedulerByName("no-such-algorithm"); err == nil {
 		t.Error("unknown scheduler name accepted")
 	}
-	if _, err := core.Evaluate(p, core.EvalOptions{K: 2, MaterializeLimit: 3}); err == nil {
-		t.Error("tiny materialize limit accepted")
+	// One op past the 4M materialization cap: the collapsed loop is
+	// rejected from its symbolic count, before anything is allocated.
+	big, err := core.Build("module main() { qbit q[1]; for (i = 0; i < 4194305; i++) { H(q[0]); } }", core.PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Evaluate(big, core.EvalOptions{K: 2}); !errors.Is(err, ir.ErrTooLarge) {
+		t.Errorf("leaf over the materialize limit: err %v, want ir.ErrTooLarge", err)
 	}
 }

@@ -228,12 +228,16 @@ type leafState struct {
 	slots []commEntry
 }
 
+// materializeLimit bounds a materialized leaf body (4M ops); a larger
+// leaf fails with ir.ErrTooLarge before anything is allocated.
+const materializeLimit = 4 << 20
+
 // graph materializes the leaf and builds its dependency DAG exactly
 // once, however many width tasks need it. Cache hits never call it —
 // a fully warm leaf skips materialization entirely.
-func (ls *leafState) graph(limit int64) (*ir.Module, *dag.Graph, error) {
+func (ls *leafState) graph() (*ir.Module, *dag.Graph, error) {
 	ls.once.Do(func() {
-		mat, err := ls.mod.Materialize(limit)
+		mat, err := ls.mod.Materialize(materializeLimit)
 		if err != nil {
 			ls.matErr = err
 			return
@@ -324,7 +328,7 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	if wi == 0 {
 		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
 		if !ok {
-			_, g, err := ls.graph(e.opts.materializeLimit())
+			_, g, err := ls.graph()
 			if err != nil {
 				return err
 			}
@@ -349,13 +353,13 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	// decodes against its materialized module; bind hands the cache this
 	// leaf's once-guarded materializer for exactly that path.
 	bind := func() (*ir.Module, error) {
-		mat, _, err := ls.graph(e.opts.materializeLimit())
+		mat, _, err := ls.graph()
 		return mat, err
 	}
 	s, ok := e.cache.schedule(sk, e.rec, bind)
 	if !ok {
 		sp.SetStr("cache", "miss")
-		mat, g, err := ls.graph(e.opts.materializeLimit())
+		mat, g, err := ls.graph()
 		if err != nil {
 			return err
 		}
@@ -396,7 +400,7 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 		// The cached schedule may hang off a structurally identical
 		// module from another leaf (content-addressed keys); the DAG
 		// shape is the same, so this leaf's graph checks it.
-		_, g, err := ls.graph(e.opts.materializeLimit())
+		_, g, err := ls.graph()
 		if err != nil {
 			return err
 		}
@@ -409,7 +413,7 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	if e.profiled(wi) {
 		// Analyze copies everything it keeps, so the slot's reusable
 		// analyzer arena is free to serve the next task.
-		_, g, err := ls.graph(e.opts.materializeLimit())
+		_, g, err := ls.graph()
 		if err != nil {
 			return err
 		}

@@ -74,9 +74,6 @@ type EvalOptions struct {
 	// comm.Analyze and the characterization cache key.
 	Comm comm.Options
 
-	// MaterializeLimit bounds leaf materialization (0 = 4M ops).
-	MaterializeLimit int64
-
 	// Verify runs the independent legality oracle (internal/verify) over
 	// every leaf characterization: the Multi-SIMD schedule contract plus
 	// move-list consistency of the communication analysis. Verification
@@ -121,13 +118,6 @@ type EvalOptions struct {
 	// reading the shared cache's global Stats() around a run would bleed
 	// concurrent flights' traffic into each other.
 	CacheStats *CacheRecorder
-}
-
-func (o EvalOptions) materializeLimit() int64 {
-	if o.MaterializeLimit == 0 {
-		return 4 << 20
-	}
-	return o.MaterializeLimit
 }
 
 // scheduler resolves the effective scheduler, defaulting to RCP. Tuned

@@ -25,20 +25,11 @@ import (
 type PipelineOptions struct {
 	// Entry is the entry module name; empty means "main".
 	Entry string
-	// UnrollLimit forwards to lower.Options.
-	UnrollLimit int64
-	// MaxUnroll forwards to lower.Options.
-	MaxUnroll int64
 
 	// SkipDecompose leaves wide gates (Toffoli, rotations) in place.
 	SkipDecompose bool
 	// Epsilon is the rotation decomposition accuracy (0 = 1e-10).
 	Epsilon float64
-	// InlineRotations expands rotations inline instead of as per-angle
-	// blackbox modules.
-	InlineRotations bool
-	// KeepToffoli skips Toffoli/Fredkin expansion during decomposition.
-	KeepToffoli bool
 
 	// SkipFlatten disables the FTh inlining pass.
 	SkipFlatten bool
@@ -88,10 +79,7 @@ func frontendAST(prog *ast.Program, opts PipelineOptions) (*ir.Program, error) {
 		return nil, err
 	}
 	lsp := tr.Span("pipeline", "lower")
-	p, err := lower.Lower(prog, opts.entry(), lower.Options{
-		UnrollLimit: opts.UnrollLimit,
-		MaxUnroll:   opts.MaxUnroll,
-	})
+	p, err := lower.Lower(prog, opts.entry(), lower.Options{})
 	lsp.End()
 	return p, err
 }
@@ -111,11 +99,7 @@ func midend(p *ir.Program, opts PipelineOptions) (*ir.Program, error) {
 	tr := opts.Obs.T()
 	if !opts.SkipDecompose {
 		sp := tr.Span("pipeline", "decompose")
-		_, err := decompose.Program(p, decompose.Options{
-			Epsilon:         opts.Epsilon,
-			InlineRotations: opts.InlineRotations,
-			KeepToffoli:     opts.KeepToffoli,
-		})
+		_, err := decompose.Program(p, decompose.Options{Epsilon: opts.Epsilon})
 		sp.End()
 		if err != nil {
 			return nil, err

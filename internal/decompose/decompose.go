@@ -25,12 +25,6 @@ type Options struct {
 	// Epsilon is the target approximation accuracy of rotation
 	// decomposition. Zero defaults to 1e-10.
 	Epsilon float64
-	// InlineRotations expands rotation sequences inline instead of
-	// outlining them into per-angle modules.
-	InlineRotations bool
-	// KeepToffoli leaves Toffoli/Fredkin gates untouched (used by
-	// analyses that want the pre-decomposition circuit).
-	KeepToffoli bool
 }
 
 func (o Options) epsilon() float64 {
@@ -77,16 +71,8 @@ func decomposeModule(p *ir.Program, m *ir.Module, opts Options, rotMods map[stri
 		mark := len(out)
 		switch op.Gate {
 		case qasm.Toffoli:
-			if opts.KeepToffoli {
-				out = append(out, op)
-				continue
-			}
 			emitToffoli(emit, op.Args[0], op.Args[1], op.Args[2])
 		case qasm.Fredkin:
-			if opts.KeepToffoli {
-				out = append(out, op)
-				continue
-			}
 			// Fredkin(c, a, b) = CNOT(b,a) · Toffoli(c,a,b) · CNOT(b,a).
 			emit(qasm.CNOT, op.Args[2], op.Args[1])
 			emitToffoli(emit, op.Args[0], op.Args[1], op.Args[2])
@@ -162,8 +148,9 @@ func emitToffoli(emit func(op qasm.Opcode, args ...int), a, b, c int) {
 }
 
 // emitRz lowers one Rz application: exact Clifford+T gates when the angle
-// is a multiple of π/4, otherwise the SQCT-substitute sequence, either
-// inline or as a call to a shared per-angle module.
+// is a multiple of π/4, otherwise the SQCT-substitute sequence: inline
+// when it is at most four gates, else as a call to a shared per-angle
+// module.
 func emitRz(p *ir.Program, out *[]ir.Op, m *ir.Module, target int, angle float64, opts Options, rotMods map[string]bool) error {
 	seq := exactSequence(angle)
 	if seq == nil {
@@ -172,7 +159,7 @@ func emitRz(p *ir.Program, out *[]ir.Op, m *ir.Module, target int, angle float64
 	if len(seq) == 0 {
 		return nil // identity rotation
 	}
-	if opts.InlineRotations || len(seq) <= 4 {
+	if len(seq) <= 4 {
 		for _, g := range seq {
 			*out = append(*out, ir.Op{Kind: ir.GateOp, Gate: g, Args: []int{target}, Count: 1})
 		}

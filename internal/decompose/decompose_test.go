@@ -152,39 +152,6 @@ func TestRotationsBecomeBlackboxes(t *testing.T) {
 	}
 }
 
-func TestInlineRotationsOption(t *testing.T) {
-	p := ir.NewProgram("main")
-	m := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 1}})
-	m.Rot(qasm.Rz, 0.3, 0)
-	p.Add(m)
-	created, err := decompose.Program(p, decompose.Options{InlineRotations: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created != 0 {
-		t.Errorf("created %d modules despite inlining", created)
-	}
-	if !p.Modules["main"].IsLeaf() {
-		t.Error("main should stay a leaf with inline rotations")
-	}
-	if len(p.Modules["main"].Ops) < 50 {
-		t.Errorf("inline sequence suspiciously short: %d", len(p.Modules["main"].Ops))
-	}
-}
-
-func TestKeepToffoli(t *testing.T) {
-	p := ir.NewProgram("main")
-	m := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 3}})
-	m.Gate(qasm.Toffoli, 0, 1, 2)
-	p.Add(m)
-	if _, err := decompose.Program(p, decompose.Options{KeepToffoli: true}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Modules["main"].Ops[0].Gate != qasm.Toffoli {
-		t.Error("Toffoli expanded despite KeepToffoli")
-	}
-}
-
 func TestCountedWideGateReplication(t *testing.T) {
 	p := ir.NewProgram("main")
 	m := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 3}})

@@ -407,8 +407,15 @@ func TestDebugStateAndDashboard(t *testing.T) {
 	if len(st.Flights) != 0 {
 		t.Errorf("idle server shows flights: %+v", st.Flights)
 	}
-	if st.Cache.SchedMisses == 0 {
+	if st.Cache.SchedMisses == 0 || st.Cache.CommMisses == 0 {
 		t.Errorf("cache stats empty after compile: %+v", st.Cache)
+	}
+	var raw map[string]any
+	decodeInto(t, data, &raw)
+	for _, key := range []string{"status", "uptime_ms", "max_inflight", "inflight", "queue_depth", "cache", "runtime"} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("debug state missing %q", key)
+		}
 	}
 	if st.Runtime.Goroutines < 1 || st.Runtime.HeapAllocBytes <= 0 {
 		t.Errorf("runtime sampler never ran: %+v", st.Runtime)
@@ -422,7 +429,7 @@ func TestDebugStateAndDashboard(t *testing.T) {
 		t.Errorf("dashboard content type %q", ct)
 	}
 	html := string(data)
-	if !strings.Contains(html, "qschedd") || !strings.Contains(html, "requests/s") {
+	if !strings.Contains(html, "qschedd") || !strings.Contains(html, "requests/s") || !strings.Contains(html, "<svg") {
 		t.Errorf("dashboard missing expected content")
 	}
 	// Self-contained: the same banned-token list CI enforces on report

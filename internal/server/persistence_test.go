@@ -166,7 +166,7 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	}
 	var first CompileResponse
 	decodeInto(t, data, &first)
-	if st := s1.Cache().Stats(); st.DiskWrites == 0 {
+	if st := s1.Cache().Stats(); st.DiskWrites == 0 || st.DiskEntries == 0 {
 		t.Fatalf("no write-through persistence happened: %+v", st)
 	}
 	ts1.Close()

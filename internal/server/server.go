@@ -64,11 +64,11 @@ type Options struct {
 	// POST /v1/debug/snapshot keeps working. The zero value — automatic
 	// bundles on — is the useful default.
 	NoAutoSnapshot bool
-	// BundleMinGap rate-limits automatic bundles: at most one per gap
-	// (an overload storm must not turn into a disk-write storm).
-	// Default 10s; negative = no limit.
-	BundleMinGap time.Duration
 }
+
+// bundleMinGap rate-limits automatic postmortem bundles to one per gap:
+// an overload storm must not turn into a disk-write storm.
+const bundleMinGap = 10 * time.Second
 
 // errBusy marks an admission rejection (queue full).
 var errBusy = errors.New("server: admission queue full")
@@ -139,9 +139,6 @@ func New(opts Options) *Server {
 	}
 	if opts.SampleEvery == 0 {
 		opts.SampleEvery = 2 * time.Second
-	}
-	if opts.BundleMinGap == 0 {
-		opts.BundleMinGap = 10 * time.Second
 	}
 	base, stop := context.WithCancel(context.Background())
 	s := &Server{
@@ -440,12 +437,8 @@ func (s *Server) recordRequest(rec *obs.RequestRecord) {
 // bundleGapElapsed claims the automatic-bundle rate-limit slot: true
 // means the caller may write (and the timestamp has been advanced).
 func (s *Server) bundleGapElapsed(now time.Time) bool {
-	gap := s.opts.BundleMinGap
-	if gap < 0 {
-		return true
-	}
 	last := s.lastBundle.Load()
-	return now.UnixNano()-last >= gap.Nanoseconds() &&
+	return now.UnixNano()-last >= bundleMinGap.Nanoseconds() &&
 		s.lastBundle.CompareAndSwap(last, now.UnixNano())
 }
 

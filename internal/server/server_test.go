@@ -555,7 +555,7 @@ func TestObservabilitySameMux(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
 	}
-	for _, want := range []string{"server_compile_requests", "server_compile_latency_ms"} {
+	for _, want := range []string{"server_compile_requests", "server_compile_latency_ms", "server_latency_ms_p95"} {
 		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("scrape missing %s:\n%s", want, prom)
 		}

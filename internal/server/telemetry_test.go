@@ -132,14 +132,14 @@ func TestSnapshotEndpointWritesBundle(t *testing.T) {
 	}
 	var sr SnapshotResponse
 	decodeInto(t, data, &sr)
-	if sr.Trigger != "manual" || sr.RequestID != "snap-1" || sr.Path == "" {
+	if sr.Schema != TelemetrySchemaVersion || sr.Trigger != "manual" || sr.RequestID != "snap-1" || sr.Path == "" {
 		t.Fatalf("snapshot response = %+v", sr)
 	}
 	b, err := telem.ReadBundle(sr.Path)
 	if err != nil {
 		t.Fatalf("ReadBundle(%s): %v", sr.Path, err)
 	}
-	if b.Trigger != "manual" || b.RequestID != "snap-1" || b.Service != "qschedd" {
+	if b.Schema != telem.BundleSchemaVersion || b.Trigger != "manual" || b.RequestID != "snap-1" || b.Service != "qschedd" {
 		t.Fatalf("bundle header = %+v", b)
 	}
 	if filepath.Dir(sr.Path) != filepath.Join(dir, "postmortem") {
@@ -164,6 +164,20 @@ func TestSnapshotEndpointWritesBundle(t *testing.T) {
 	}
 	if len(b.State) == 0 || len(b.Metrics.Counters) == 0 {
 		t.Fatal("bundle misses debug state or metrics snapshot")
+	}
+	// The trace fragment is Perfetto-loadable: complete spans with a
+	// duration, and one process_name lane per recorded request.
+	lanes := 0
+	for _, ev := range b.Trace.TraceEvents {
+		switch {
+		case ev.PID < 1 || ev.Ph != "M" && (ev.Ph != "X" || ev.Dur <= 0 || ev.Name == ""):
+			t.Errorf("trace event is neither metadata nor a complete span: %+v", ev)
+		case ev.Ph == "M" && ev.Name == "process_name":
+			lanes++
+		}
+	}
+	if b.Trace.DisplayTimeUnit != "ms" || lanes == 0 {
+		t.Errorf("trace fragment: unit %q, %d process_name lanes", b.Trace.DisplayTimeUnit, lanes)
 	}
 }
 
@@ -229,8 +243,8 @@ func TestSlowRequestBundleReplaysAccessLogPhases(t *testing.T) {
 	}
 }
 
-// TestAutoBundleRateLimit: back-to-back slow requests inside the gap
-// produce exactly one automatic bundle.
+// TestAutoBundleRateLimit: back-to-back slow requests inside the 10s
+// gap produce exactly one automatic bundle.
 func TestAutoBundleRateLimit(t *testing.T) {
 	dir := t.TempDir()
 	st := openTelem(t, dir)
@@ -238,7 +252,6 @@ func TestAutoBundleRateLimit(t *testing.T) {
 		SampleEvery:   -1,
 		Telemetry:     st,
 		SlowThreshold: time.Nanosecond,
-		BundleMinGap:  time.Hour,
 	})
 	for i := 0; i < 4; i++ {
 		resp, data := postWithID(t, ts.URL+"/v1/compile", fmt.Sprintf("burst-%d", i), compileBody(tinySource, "lpfs", 2))

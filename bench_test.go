@@ -165,15 +165,15 @@ func BenchmarkFig9ShorsK(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rows []core.Fig9Row
+	var cells []core.Cell
 	for i := 0; i < b.N; i++ {
-		rows, err = core.Fig9(w)
+		cells, err = core.Fig9(w)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Scheduler.Name(), fmt.Sprintf("k%d", r.K), "x"))
+	for _, c := range cells {
+		b.ReportMetric(c.SpeedupVsNaive(), metricName(c.Opts.Scheduler.Name(), fmt.Sprintf("k%d", c.Opts.K), "x"))
 	}
 }
 
@@ -207,16 +207,16 @@ func BenchmarkTable1MinQubits(b *testing.B) {
 // BenchmarkTable2Rotations regenerates Table 2: n data-parallel
 // rotations serialize after decomposition unless k grows.
 func BenchmarkTable2Rotations(b *testing.B) {
-	var res *core.Table2Result
+	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.Table2(8, []int{1, 2, 4, 8})
+		cells, err = core.Table2(8, []int{1, 2, 4, 8})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, k := range res.SortedKs() {
-		b.ReportMetric(float64(res.StepsAtK[k]), fmt.Sprintf("steps_k%d", k))
+	for _, c := range cells {
+		b.ReportMetric(float64(c.ZeroCommSteps), fmt.Sprintf("steps_k%d", c.Opts.K))
 	}
 }
 
@@ -381,72 +381,72 @@ func BenchmarkSimulator(b *testing.B) {
 // marginal changes.
 func BenchmarkSensD(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.SensDRow
+	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.SensD(flat, core.LPFS, 4, []int{2, 8, 32, 0})
+		cells, err = core.SensD(flat, core.LPFS, 4, []int{2, 8, 32, 0})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		d := fmt.Sprintf("d%d", r.D)
-		if r.D == 0 {
+	for _, c := range cells {
+		d := fmt.Sprintf("d%d", c.Opts.D)
+		if c.Opts.D == 0 {
 			d = "dinf"
 		}
-		b.ReportMetric(r.Speedup, metricName(r.Name, d, "x"))
+		b.ReportMetric(c.SpeedupVsNaive(), metricName(c.Name, d, "x"))
 	}
 }
 
 // BenchmarkSensEPR sweeps the EPR distribution bandwidth (§2.3).
 func BenchmarkSensEPR(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.SensEPRRow
+	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.SensEPR(flat, core.LPFS, 4, []int{1, 4, 0})
+		cells, err = core.SensEPR(flat, core.LPFS, 4, []int{1, 4, 0})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		bw := fmt.Sprintf("bw%d", r.Bandwidth)
-		if r.Bandwidth == 0 {
+	for _, c := range cells {
+		bw := fmt.Sprintf("bw%d", c.Opts.Comm.EPRBandwidth)
+		if c.Opts.Comm.EPRBandwidth == 0 {
 			bw = "bwinf"
 		}
-		b.ReportMetric(r.Speedup, metricName(r.Name, bw, "x"))
+		b.ReportMetric(c.SpeedupVsNaive(), metricName(c.Name, bw, "x"))
 	}
 }
 
 // BenchmarkAblationLPFS compares LPFS option settings (§4.2).
 func BenchmarkAblationLPFS(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.AblationRow
+	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.AblationLPFS(flat, 4)
+		cells, err = core.AblationLPFS(flat, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Name, sanitize(r.Variant), "x"))
+	for _, c := range cells {
+		b.ReportMetric(c.SpeedupVsNaive(), metricName(c.Name, sanitize(c.Variant), "x"))
 	}
 }
 
 // BenchmarkAblationRCP compares RCP weight settings (§4.1).
 func BenchmarkAblationRCP(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.AblationRow
+	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.AblationRCP(flat, 4)
+		cells, err = core.AblationRCP(flat, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Name, sanitize(r.Variant), "x"))
+	for _, c := range cells {
+		b.ReportMetric(c.SpeedupVsNaive(), metricName(c.Name, sanitize(c.Variant), "x"))
 	}
 }
 
@@ -454,16 +454,16 @@ func BenchmarkAblationRCP(b *testing.B) {
 // movement accountings.
 func BenchmarkAblationComm(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.AblationRow
+	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.AblationComm(flat, core.LPFS, 4)
+		cells, err = core.AblationComm(flat, core.LPFS, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Name, sanitize(r.Variant), "x"))
+	for _, c := range cells {
+		b.ReportMetric(c.SpeedupVsNaive(), metricName(c.Name, sanitize(c.Variant), "x"))
 	}
 }
 

@@ -4,11 +4,14 @@
 // (communication-aware speedups over naive movement), Fig. 8 (local
 // scratchpad capacity sweep), Fig. 9 (Shor's k-sensitivity), Table 1
 // (minimum qubit counts Q) and Table 2 (parallel-rotation
-// serialization).
+// serialization), plus the extended studies (d and EPR-bandwidth
+// sensitivity, scheduler ablations, the FTh sweep and distributed
+// global memory).
 //
 // Usage:
 //
-//	qbench -experiment all            # everything, small-scale workloads
+//	qbench -experiment all            # the paper's figures and tables, small-scale workloads
+//	qbench -experiment extended       # the extended studies
 //	qbench -experiment fig7           # one experiment
 //	qbench -experiment fig5 -scale paper
 //	qbench -experiment table1 -scale paper
@@ -24,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,13 +54,14 @@ import (
 var observer *obs.Observer
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment to run: fig5, fig6, fig7, fig8, fig9, table1, table2, all")
+	exp := flag.String("experiment", "all", fmt.Sprintf("experiment to run: all (%s), extended (%s), or any one of these",
+		strings.Join(experiments[:paperExperiments], ", "), strings.Join(experiments[paperExperiments:], ", ")))
 	scale := flag.String("scale", "small", "workload scale for fig5/table1: small or paper")
 	fth := flag.Int64("fth", 0, "flattening threshold override (0 = scale default)")
 	schedName := flag.String("sched", "lpfs", "scheduler for the extended experiments (registered: rcp, lpfs)")
 	workers := flag.Int("workers", 0, "evaluation concurrency (0 = GOMAXPROCS, 1 = serial)")
 	perfOut := flag.String("perf-out", "", "write per-benchmark BENCH_<name>.json perf records and REPORT_<name>.json schedule reports into this `dir` instead of running an experiment")
-	perfAgainst := flag.String("perf-against", "", "baseline `dir` of committed BENCH_<name>.json records; with -perf-out, fail if any cold or warm wall time regresses more than 25% past the baseline")
+	perfAgainst := flag.String("perf-against", "", "baseline `dir` of committed BENCH_<name>.json records; with -perf-out, fail if any cold or warm wall time exceeds its baseline by more than 25% + 50ms, or any disk-warm wall time exceeds 2x its warm time + 50ms")
 	reportAgainst := flag.String("report-against", "", "baseline `dir` of committed REPORT_<name>.json schedule reports; with -perf-out, attribute any schedule-level delta to modules/regions/steps and fail on a schedule regression")
 	seedCache := flag.String("seed-cache", "", "write a persistent result-store corpus for the gated benchmarks (request defaults: lpfs, k=4, fth=2000) into this `dir` instead of running an experiment; serve it with qschedd -cache-preload")
 	var obsFlags obscli.Flags
@@ -81,7 +86,7 @@ func main() {
 		if *reportAgainst != "" {
 			return fmt.Errorf("-report-against requires -perf-out")
 		}
-		if err := run(*exp, *scale, *fth, *schedName, *workers); err != nil {
+		if err := run(os.Stdout, *exp, *scale, *fth, *schedName, *workers); err != nil {
 			return err
 		}
 		return obsFlags.Finish(observer)
@@ -92,7 +97,14 @@ func main() {
 	}
 }
 
-func run(exp, scale string, fth int64, schedName string, workers int) error {
+// experiments lists every single -experiment value in run order. "all"
+// runs the first paperExperiments (the paper's figures and tables),
+// "extended" the rest.
+var experiments = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2", "sensd", "sensepr", "ablation", "fth", "numa"}
+
+const paperExperiments = 7
+
+func run(w io.Writer, exp, scale string, fth int64, schedName string, workers int) error {
 	sched, err := core.SchedulerByName(schedName)
 	if err != nil {
 		return err
@@ -103,20 +115,16 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		smallFTh = fth
 	}
 	switch exp {
-	case "all":
-		for _, e := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2"} {
-			if err := run(e, scale, fth, schedName, workers); err != nil {
-				return err
-			}
-			fmt.Println()
+	case "all", "extended":
+		group := experiments[:paperExperiments]
+		if exp == "extended" {
+			group = experiments[paperExperiments:]
 		}
-		return nil
-	case "extended":
-		for _, e := range []string{"sensd", "sensepr", "ablation", "fth", "numa"} {
-			if err := run(e, scale, fth, schedName, workers); err != nil {
+		for _, e := range group {
+			if err := run(w, e, scale, fth, schedName, workers); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	case "sensd":
@@ -124,89 +132,66 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		if err != nil {
 			return err
 		}
-		rows, err := core.SensD(ws, sched, 4, []int{2, 4, 8, 16, 32, 0})
+		cells, err := core.SensD(ws, sched, 4, []int{2, 4, 8, 16, 32, 0})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Sensitivity to d (§5.4): %s, k=4, unlimited local memory, speedup vs naive\n", sched.Name())
-		fmt.Printf("%-10s", "benchmark")
-		for _, d := range []string{"d=2", "d=4", "d=8", "d=16", "d=32", "d=inf"} {
-			fmt.Printf(" %8s", d)
-		}
-		fmt.Println()
-		for i := 0; i < len(rows); i += 6 {
-			fmt.Printf("%-10s", rows[i].Name)
-			for j := 0; j < 6; j++ {
-				fmt.Printf(" %8.2f", rows[i+j].Speedup)
-			}
-			fmt.Println()
-		}
+		printGrid(w, fmt.Sprintf("Sensitivity to d (§5.4): %s, k=4, unlimited local memory, speedup vs naive", sched.Name()), 8, cells)
 		return nil
 	case "sensepr":
 		ws, err := workloads(smallFTh, true, workers)
 		if err != nil {
 			return err
 		}
-		bws := []int{1, 2, 4, 8, 0}
-		rows, err := core.SensEPR(ws, sched, 4, bws)
+		cells, err := core.SensEPR(ws, sched, 4, []int{1, 2, 4, 8, 0})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Sensitivity to EPR distribution bandwidth (§2.3): %s, k=4, speedup vs naive\n", sched.Name())
-		fmt.Printf("%-10s", "benchmark")
-		for _, bw := range []string{"bw=1", "bw=2", "bw=4", "bw=8", "bw=inf"} {
-			fmt.Printf(" %8s", bw)
-		}
-		fmt.Println()
-		for i := 0; i < len(rows); i += len(bws) {
-			fmt.Printf("%-10s", rows[i].Name)
-			for j := 0; j < len(bws); j++ {
-				fmt.Printf(" %8.2f", rows[i+j].Speedup)
-			}
-			fmt.Println()
-		}
+		printGrid(w, fmt.Sprintf("Sensitivity to EPR distribution bandwidth (§2.3): %s, k=4, speedup vs naive", sched.Name()), 8, cells)
 		return nil
 	case "ablation":
 		ws, err := workloads(smallFTh, true, workers)
 		if err != nil {
 			return err
 		}
-		lp, err := core.AblationLPFS(ws, 4)
-		if err != nil {
-			return err
+		for _, a := range []struct {
+			title string
+			sweep func([]core.Workload, int) ([]core.Cell, error)
+		}{
+			{"LPFS option ablation (k=4, unlimited local memory, speedup vs naive)", core.AblationLPFS},
+			{"RCP weight ablation (k=4, unlimited local memory, speedup vs naive)", core.AblationRCP},
+			{"Movement accounting ablation (LPFS, k=4, no local memory)", func(ws []core.Workload, k int) ([]core.Cell, error) {
+				return core.AblationComm(ws, sched, k)
+			}},
+		} {
+			cells, err := a.sweep(ws, 4)
+			if err != nil {
+				return err
+			}
+			printGrid(w, a.title, 20, cells)
 		}
-		printAblation("LPFS option ablation (k=4, unlimited local memory, speedup vs naive)", lp, 5)
-		rc, err := core.AblationRCP(ws, 4)
-		if err != nil {
-			return err
-		}
-		printAblation("RCP weight ablation (k=4, unlimited local memory, speedup vs naive)", rc, 4)
-		cm, err := core.AblationComm(ws, sched, 4)
-		if err != nil {
-			return err
-		}
-		printAblation("Movement accounting ablation (LPFS, k=4, no local memory)", cm, 2)
 		return nil
 	case "fth":
 		var srcs []core.SourceWorkload
 		for _, b := range bench.AllSmall() {
-			srcs = append(srcs, core.SourceWorkload{Name: b.Name, Source: b.Source, Pipeline: b.Pipeline})
+			p := b.Pipeline
+			p.Obs = observer
+			srcs = append(srcs, core.SourceWorkload{Name: b.Name, Source: b.Source, Pipeline: p})
 		}
-		fths := []int64{100, 500, 2000, 50000}
-		rows, err := core.SweepFTh(srcs, sched, 4, fths)
+		rows, err := core.SweepFTh(srcs, sched, 4, []int64{100, 500, 2000, 50000})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Flattening threshold sweep (§3.1.1): %s, k=4, speedup vs naive\n", sched.Name())
-		fmt.Printf("%-10s %-9s %8s %8s %8s %10s\n", "benchmark", "FTh", "modules", "leaves", "speedup", "analysis")
+		fmt.Fprintf(w, "Flattening threshold sweep (§3.1.1): %s, k=4, speedup vs naive\n", sched.Name())
+		fmt.Fprintf(w, "%-10s %-9s %8s %8s %8s %10s\n", "benchmark", "FTh", "modules", "leaves", "speedup", "analysis")
 		for _, r := range rows {
-			fmt.Printf("%-10s %-9d %8d %8d %8.2f %8dms\n", r.Name, r.FTh, r.Modules, r.Leaves, r.Speedup, r.AnalysisMS)
+			fmt.Fprintf(w, "%-10s %-9d %8d %8d %8.2f %8dms\n", r.Name, r.FTh, r.Modules, r.Leaves, r.Speedup, r.AnalysisMS)
 		}
 		return nil
 	case "numa":
-		return numaExperiment(smallFTh, sched, workers)
+		return numaExperiment(w, smallFTh, sched, workers)
 	case "fig5":
-		return fig5(scale, fth)
+		return fig5(w, scale, fth)
 	case "fig6":
 		ws, err := workloads(smallFTh, true, workers)
 		if err != nil {
@@ -216,10 +201,10 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 6: speedup over sequential execution (zero-cost communication)")
-		fmt.Printf("%-10s %-16s %8s %8s %8s %8s %8s\n", "benchmark", "params", "rcp k=2", "rcp k=4", "lpfs k=2", "lpfs k=4", "cp")
+		fmt.Fprintln(w, "Figure 6: speedup over sequential execution (zero-cost communication)")
+		fmt.Fprintf(w, "%-10s %-16s %8s %8s %8s %8s %8s\n", "benchmark", "params", "rcp k=2", "rcp k=4", "lpfs k=2", "lpfs k=4", "cp")
 		for _, r := range rows {
-			fmt.Printf("%-10s %-16s %8.2f %8.2f %8.2f %8.2f %8.2f\n",
+			fmt.Fprintf(w, "%-10s %-16s %8.2f %8.2f %8.2f %8.2f %8.2f\n",
 				r.Name, r.Params, r.RCP2, r.RCP4, r.LPFS2, r.LPFS4, r.CP)
 		}
 		return nil
@@ -232,10 +217,10 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 7: speedup over sequential naive-movement execution (communication-aware)")
-		fmt.Printf("%-10s %-16s %8s %8s %8s %8s\n", "benchmark", "params", "rcp k=2", "rcp k=4", "lpfs k=2", "lpfs k=4")
+		fmt.Fprintln(w, "Figure 7: speedup over sequential naive-movement execution (communication-aware)")
+		fmt.Fprintf(w, "%-10s %-16s %8s %8s %8s %8s\n", "benchmark", "params", "rcp k=2", "rcp k=4", "lpfs k=2", "lpfs k=4")
 		for _, r := range rows {
-			fmt.Printf("%-10s %-16s %8.2f %8.2f %8.2f %8.2f\n",
+			fmt.Fprintf(w, "%-10s %-16s %8.2f %8.2f %8.2f %8.2f\n",
 				r.Name, r.Params, r.RCP2, r.RCP4, r.LPFS2, r.LPFS4)
 		}
 		return nil
@@ -248,12 +233,12 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 8: speedup over naive movement with local memory, Multi-SIMD(4,inf)")
-		fmt.Printf("%-10s %-6s %-5s %8s %8s %8s %8s\n", "benchmark", "Q", "sched", "none", "Q/4", "Q/2", "inf")
+		fmt.Fprintln(w, "Figure 8: speedup over naive movement with local memory, Multi-SIMD(4,inf)")
+		fmt.Fprintf(w, "%-10s %-6s %-5s %8s %8s %8s %8s\n", "benchmark", "Q", "sched", "none", "Q/4", "Q/2", "inf")
 		for _, r := range rows {
-			fmt.Printf("%-10s %-6d %-5s %8.2f %8.2f %8.2f %8.2f\n",
+			fmt.Fprintf(w, "%-10s %-6d %-5s %8.2f %8.2f %8.2f %8.2f\n",
 				r.Name, r.Q, "rcp", r.RCP[0], r.RCP[1], r.RCP[2], r.RCP[3])
-			fmt.Printf("%-10s %-6s %-5s %8.2f %8.2f %8.2f %8.2f\n",
+			fmt.Fprintf(w, "%-10s %-6s %-5s %8.2f %8.2f %8.2f %8.2f\n",
 				"", "", "lpfs", r.LPFS[0], r.LPFS[1], r.LPFS[2], r.LPFS[3])
 		}
 		return nil
@@ -261,19 +246,18 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		// A dedicated Shor's instance with a wider exponent register:
 		// the k-sensitivity of §5.4 comes from the inverse QFT's many
 		// distinct-angle rotation blackboxes.
-		b := bench.ShorsSized(4, 16)
-		w, err := buildWorkload(b, smallFTh, true, workers)
+		shors, err := buildWorkload(bench.ShorsSized(4, 16), smallFTh, true, workers)
 		if err != nil {
 			return err
 		}
-		rows, err := core.Fig9(w)
+		cells, err := core.Fig9(shors)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 9: Shor's speedup over naive movement vs k (with local memory)")
-		fmt.Printf("%-6s %-6s %8s\n", "sched", "k", "speedup")
-		for _, r := range rows {
-			fmt.Printf("%-6s %-6d %8.2f\n", r.Scheduler, r.K, r.Speedup)
+		fmt.Fprintln(w, "Figure 9: Shor's speedup over naive movement vs k (with local memory)")
+		fmt.Fprintf(w, "%-6s %-6s %8s\n", "sched", "k", "speedup")
+		for _, c := range cells {
+			fmt.Fprintf(w, "%-6s %-6d %8.2f\n", c.Opts.Scheduler.Name(), c.Opts.K, c.SpeedupVsNaive())
 		}
 		return nil
 	case "table1":
@@ -285,48 +269,70 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Table 1: minimum qubits Q (sequential execution, maximal ancilla reuse)")
-		fmt.Printf("%-10s %-16s %10s\n", "benchmark", "params", "Q")
+		fmt.Fprintln(w, "Table 1: minimum qubits Q (sequential execution, maximal ancilla reuse)")
+		fmt.Fprintf(w, "%-10s %-16s %10s\n", "benchmark", "params", "Q")
 		for _, r := range rows {
-			fmt.Printf("%-10s %-16s %10d\n", r.Name, r.Params, r.Q)
+			fmt.Fprintf(w, "%-10s %-16s %10d\n", r.Name, r.Params, r.Q)
 		}
 		return nil
 	case "table2":
-		res, err := core.Table2(8, []int{1, 2, 4, 8})
+		const rotations = 8
+		cells, err := core.Table2(rotations, []int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
-		fmt.Println("Table 2: parallel rotations serialize after decomposition unless k grows")
-		fmt.Printf("%d data-parallel Rz gates on distinct qubits:\n", res.Rotations)
-		fmt.Printf("%-6s %12s\n", "k", "steps")
-		for _, k := range res.SortedKs() {
-			fmt.Printf("%-6d %12d\n", k, res.StepsAtK[k])
+		fmt.Fprintln(w, "Table 2: parallel rotations serialize after decomposition unless k grows")
+		fmt.Fprintf(w, "%d data-parallel Rz gates on distinct qubits:\n", rotations)
+		fmt.Fprintf(w, "%-6s %12s\n", "k", "steps")
+		for _, c := range cells {
+			fmt.Fprintf(w, "%-6d %12d\n", c.Opts.K, c.ZeroCommSteps)
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown experiment %q", exp)
+	return fmt.Errorf("unknown experiment %q (want all, extended, %s)", exp, strings.Join(experiments, ", "))
+}
+
+// printGrid renders sweep cells as one row per benchmark and one
+// speedup-vs-naive column per variant, headed by the variant's name.
+func printGrid(w io.Writer, title string, width int, cells []core.Cell) {
+	fmt.Fprintln(w, title)
+	n := 0 // variants per benchmark
+	for n < len(cells) && cells[n].Name == cells[0].Name {
+		n++
+	}
+	fmt.Fprintf(w, "%-10s", "benchmark")
+	for _, c := range cells[:n] {
+		fmt.Fprintf(w, " %*s", width, c.Variant)
+	}
+	for i := range cells {
+		if i%n == 0 {
+			fmt.Fprintf(w, "\n%-10s", cells[i].Name)
+		}
+		fmt.Fprintf(w, " %*.2f", width, cells[i].SpeedupVsNaive())
+	}
+	fmt.Fprintln(w)
 }
 
 // numaExperiment compares qubit-to-bank mapping policies on each
 // benchmark's largest leaf (the paper's §2.3 future-work direction:
 // distributed global memory needs a mapping algorithm).
-func numaExperiment(fth int64, sched core.Scheduler, workers int) error {
+func numaExperiment(w io.Writer, fth int64, sched core.Scheduler, workers int) error {
 	ws, err := workloads(fth, true, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Distributed global memory (§2.3 future work): largest leaf, %s k=4, 2 banks\n", sched.Name())
-	fmt.Printf("%-10s %10s %12s %12s %12s %12s\n",
+	fmt.Fprintf(w, "Distributed global memory (§2.3 future work): largest leaf, %s k=4, 2 banks\n", sched.Name())
+	fmt.Fprintf(w, "%-10s %10s %12s %12s %12s %12s\n",
 		"benchmark", "teleports", "rr far%", "affinity far%", "rr cycles", "aff cycles")
-	for _, w := range ws {
-		est, err := resource.New(w.Prog)
+	for _, wl := range ws {
+		est, err := resource.New(wl.Prog)
 		if err != nil {
 			return err
 		}
 		var biggest *ir.Module
 		var size int64
 		for _, name := range est.Reachable() {
-			m := w.Prog.Modules[name]
+			m := wl.Prog.Modules[name]
 			if m.IsLeaf() {
 				if sz := m.MaterializedSize(); sz > size {
 					size, biggest = sz, m
@@ -361,33 +367,13 @@ func numaExperiment(fth int64, sched core.Scheduler, workers int) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %10d %11.1f%% %12.1f%% %12d %12d\n",
-			w.Name, res.GlobalMoves, 100*rr.FarFraction(), 100*aff.FarFraction(), rr.Cycles, aff.Cycles)
+		fmt.Fprintf(w, "%-10s %10d %11.1f%% %12.1f%% %12d %12d\n",
+			wl.Name, res.GlobalMoves, 100*rr.FarFraction(), 100*aff.FarFraction(), rr.Cycles, aff.Cycles)
 	}
 	return nil
 }
 
-// printAblation renders variant rows grouped per benchmark.
-func printAblation(title string, rows []core.AblationRow, variants int) {
-	fmt.Println(title)
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Printf("%-10s", "benchmark")
-	for i := 0; i < variants; i++ {
-		fmt.Printf(" %20s", rows[i].Variant)
-	}
-	fmt.Println()
-	for i := 0; i < len(rows); i += variants {
-		fmt.Printf("%-10s", rows[i].Name)
-		for j := 0; j < variants; j++ {
-			fmt.Printf(" %20.2f", rows[i+j].Speedup)
-		}
-		fmt.Println()
-	}
-}
-
-func fig5(scale string, fth int64) error {
+func fig5(w io.Writer, scale string, fth int64) error {
 	// Fig. 5 characterizes initial modularity, so skip flattening.
 	ws, err := scaleWorkloads(scale, 0, false)
 	if err != nil {
@@ -405,22 +391,22 @@ func fig5(scale string, fth int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Figure 5: %% of modules per gate-count range (FTh = %d)\n", useFTh)
+	fmt.Fprintf(w, "Figure 5: %% of modules per gate-count range (FTh = %d)\n", useFTh)
 	header := []string{"range"}
 	for _, r := range rows {
 		header = append(header, r.Name)
 	}
-	fmt.Println(strings.Join(header, "\t"))
+	fmt.Fprintln(w, strings.Join(header, "\t"))
 	for bi, b := range resource.Fig5Buckets {
 		cells := []string{b.Label}
 		for _, r := range rows {
 			cells = append(cells, strconv.FormatFloat(r.Percent[bi], 'f', 1, 64))
 		}
-		fmt.Println(strings.Join(cells, "\t"))
+		fmt.Fprintln(w, strings.Join(cells, "\t"))
 	}
-	fmt.Println("flattenable% (modules at or under FTh):")
+	fmt.Fprintln(w, "flattenable% (modules at or under FTh):")
 	for _, r := range rows {
-		fmt.Printf("  %-10s %6.1f%%\n", r.Name, r.FlattenedPct)
+		fmt.Fprintf(w, "  %-10s %6.1f%%\n", r.Name, r.FlattenedPct)
 	}
 	return nil
 }

@@ -107,25 +107,26 @@ func TestEvaluateLocalMemoryNeverHurts(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	res, err := core.Table2(6, []int{1, 2, 3, 6})
+	cells, err := core.Table2(6, []int{1, 2, 3, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := res.SortedKs()
-	if len(ks) != 4 {
-		t.Fatalf("ks: %v", ks)
+	if len(cells) != 4 {
+		t.Fatalf("cells: %d", len(cells))
 	}
 	// Steps must shrink monotonically with k and k=6 must beat k=1 by
 	// roughly the rotation count.
+	steps := map[int]int64{}
 	prev := int64(1 << 62)
-	for _, k := range ks {
-		if res.StepsAtK[k] > prev {
-			t.Errorf("k=%d regressed: %d > %d", k, res.StepsAtK[k], prev)
+	for _, c := range cells {
+		if c.ZeroCommSteps > prev {
+			t.Errorf("k=%d regressed: %d > %d", c.Opts.K, c.ZeroCommSteps, prev)
 		}
-		prev = res.StepsAtK[k]
+		prev = c.ZeroCommSteps
+		steps[c.Opts.K] = c.ZeroCommSteps
 	}
-	if res.StepsAtK[1] < 3*res.StepsAtK[6] {
-		t.Errorf("serialization too weak: k=1 %d vs k=6 %d", res.StepsAtK[1], res.StepsAtK[6])
+	if steps[1] < 3*steps[6] {
+		t.Errorf("serialization too weak: k=1 %d vs k=6 %d", steps[1], steps[6])
 	}
 }
 

@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
+	"time"
 
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/flatten"
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/lpfs"
 	"github.com/scaffold-go/multisimd/internal/obs"
+	"github.com/scaffold-go/multisimd/internal/rcp"
 	"github.com/scaffold-go/multisimd/internal/resource"
 )
 
@@ -34,14 +35,44 @@ type Workload struct {
 	Obs *obs.Observer
 }
 
-// evalOptions stamps the workload's cache, concurrency and
-// observability settings onto a driver's base evaluation options.
-func (w Workload) evalOptions(o EvalOptions) EvalOptions {
-	o.Cache = w.Cache
-	o.Workers = w.Workers
-	o.Obs = w.Obs
-	return o
+// Cell is one evaluation of an experiment sweep: a workload run under
+// one named variant (scheduler, k, d, movement options).
+type Cell struct {
+	Name    string // workload
+	Variant string
+	// Opts are the variant's own options, without the workload's
+	// Cache, Workers and Obs.
+	Opts EvalOptions
+	Metrics
 }
+
+// variant is one named configuration of a sweep.
+type variant struct {
+	name string
+	opts EvalOptions
+}
+
+// sweep is the evaluation loop behind every experiment driver: each
+// workload in turn, under each variant in order, with the workload's
+// cache, concurrency and observability stamped onto the variant.
+func sweep(tag string, ws []Workload, variants []variant) ([]Cell, error) {
+	cells := make([]Cell, 0, len(ws)*len(variants))
+	for _, w := range ws {
+		for _, v := range variants {
+			o := v.opts
+			o.Cache, o.Workers, o.Obs = w.Cache, w.Workers, w.Obs
+			m, err := Evaluate(w.Prog, o)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s %s: %w", tag, w.Name, v.name, err)
+			}
+			cells = append(cells, Cell{Name: w.Name, Variant: v.name, Opts: v.opts, Metrics: *m})
+		}
+	}
+	return cells, nil
+}
+
+// unlimitedLocal is the Fig. 8 "Inf" scratchpad setting.
+var unlimitedLocal = comm.Options{LocalCapacity: -1}
 
 // Fig5Row is one benchmark's module gate-count histogram (paper Fig. 5).
 type Fig5Row struct {
@@ -79,6 +110,12 @@ func Fig5(ws []Workload, fth int64) ([]Fig5Row, error) {
 	return rows, nil
 }
 
+// fig67Variants is the scheduler × k grid Figs. 6 and 7 share.
+var fig67Variants = []variant{
+	{"rcp k=2", EvalOptions{Scheduler: RCP, K: 2}}, {"rcp k=4", EvalOptions{Scheduler: RCP, K: 4}},
+	{"lpfs k=2", EvalOptions{Scheduler: LPFS, K: 2}}, {"lpfs k=4", EvalOptions{Scheduler: LPFS, K: 4}},
+}
+
 // Fig6Row is one benchmark's parallelism-only speedups (paper Fig. 6):
 // RCP and LPFS at k = 2 and 4 against the critical-path bound.
 type Fig6Row struct {
@@ -90,27 +127,19 @@ type Fig6Row struct {
 
 // Fig6 runs both schedulers at k = 2 and 4 with zero-cost communication.
 func Fig6(ws []Workload) ([]Fig6Row, error) {
+	cells, err := sweep("fig6", ws, fig67Variants)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig6Row, 0, len(ws))
-	for _, w := range ws {
-		row := Fig6Row{Name: w.Name, Params: w.Params}
-		for _, cfg := range []struct {
-			s Scheduler
-			k int
-			f *float64
-		}{
-			{RCP, 2, &row.RCP2}, {RCP, 4, &row.RCP4},
-			{LPFS, 2, &row.LPFS2}, {LPFS, 4, &row.LPFS4},
-		} {
-			m, err := Evaluate(w.Prog, w.evalOptions(EvalOptions{Scheduler: cfg.s, K: cfg.k}))
-			if err != nil {
-				return nil, fmt.Errorf("fig6 %s %v k=%d: %w", w.Name, cfg.s, cfg.k, err)
-			}
-			*cfg.f = m.SpeedupVsSeq()
-			if cfg.k == 4 && cfg.s == LPFS {
-				row.CP = m.CPSpeedup()
-			}
-		}
-		rows = append(rows, row)
+	for i, w := range ws {
+		c := cells[i*len(fig67Variants):]
+		rows = append(rows, Fig6Row{
+			Name: w.Name, Params: w.Params,
+			RCP2: c[0].SpeedupVsSeq(), RCP4: c[1].SpeedupVsSeq(),
+			LPFS2: c[2].SpeedupVsSeq(), LPFS4: c[3].SpeedupVsSeq(),
+			CP: c[3].CPSpeedup(),
+		})
 	}
 	return rows, nil
 }
@@ -126,24 +155,18 @@ type Fig7Row struct {
 // Fig7 runs both schedulers at k = 2 and 4 with movement accounted and
 // no local memories.
 func Fig7(ws []Workload) ([]Fig7Row, error) {
+	cells, err := sweep("fig7", ws, fig67Variants)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Fig7Row, 0, len(ws))
-	for _, w := range ws {
-		row := Fig7Row{Name: w.Name, Params: w.Params}
-		for _, cfg := range []struct {
-			s Scheduler
-			k int
-			f *float64
-		}{
-			{RCP, 2, &row.RCP2}, {RCP, 4, &row.RCP4},
-			{LPFS, 2, &row.LPFS2}, {LPFS, 4, &row.LPFS4},
-		} {
-			m, err := Evaluate(w.Prog, w.evalOptions(EvalOptions{Scheduler: cfg.s, K: cfg.k}))
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s %v k=%d: %w", w.Name, cfg.s, cfg.k, err)
-			}
-			*cfg.f = m.SpeedupVsNaive()
-		}
-		rows = append(rows, row)
+	for i, w := range ws {
+		c := cells[i*len(fig67Variants):]
+		rows = append(rows, Fig7Row{
+			Name: w.Name, Params: w.Params,
+			RCP2: c[0].SpeedupVsNaive(), RCP4: c[1].SpeedupVsNaive(),
+			LPFS2: c[2].SpeedupVsNaive(), LPFS4: c[3].SpeedupVsNaive(),
+		})
 	}
 	return rows, nil
 }
@@ -160,10 +183,8 @@ type Fig8Row struct {
 	LPFS [4]float64
 }
 
-// Fig8CapacityLabels names the capacity classes in order.
-var Fig8CapacityLabels = [4]string{"No Local Memory", "Q/4 Local Memory", "Q/2 Local Memory", "Inf Local Memory"}
-
-// Fig8 runs the local-memory sweep at k = 4.
+// Fig8 runs the local-memory sweep at k = 4. The capacities scale with
+// each workload's Q, so every workload gets its own variant list.
 func Fig8(ws []Workload) ([]Fig8Row, error) {
 	rows := make([]Fig8Row, 0, len(ws))
 	for _, w := range ws {
@@ -175,32 +196,24 @@ func Fig8(ws []Workload) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig8Row{Name: w.Name, Params: w.Params, Q: q}
-		caps := [4]int{0, int(q / 4), int(q / 2), -1}
-		for si, s := range []Scheduler{RCP, LPFS} {
-			for ci, c := range caps {
-				m, err := Evaluate(w.Prog, w.evalOptions(EvalOptions{Scheduler: s, K: 4, Comm: comm.Options{LocalCapacity: c}}))
-				if err != nil {
-					return nil, fmt.Errorf("fig8 %s %v cap=%d: %w", w.Name, s, c, err)
-				}
-				if si == 0 {
-					row.RCP[ci] = m.SpeedupVsNaive()
-				} else {
-					row.LPFS[ci] = m.SpeedupVsNaive()
-				}
+		var vs []variant
+		for _, s := range []Scheduler{RCP, LPFS} {
+			for _, c := range [4]int{0, int(q / 4), int(q / 2), -1} {
+				vs = append(vs, variant{fmt.Sprintf("%s cap=%d", s.Name(), c),
+					EvalOptions{Scheduler: s, K: 4, Comm: comm.Options{LocalCapacity: c}}})
 			}
+		}
+		cells, err := sweep("fig8", []Workload{w}, vs)
+		if err != nil {
+			return nil, err
+		}
+		row := Fig8Row{Name: w.Name, Params: w.Params, Q: q}
+		for i := range row.RCP {
+			row.RCP[i], row.LPFS[i] = cells[i].SpeedupVsNaive(), cells[4+i].SpeedupVsNaive()
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// Fig9Row is Shor's k-sensitivity (paper Fig. 9): speedup over the naive
-// model with local memory, for k in {8, 16, 32, 128}.
-type Fig9Row struct {
-	Scheduler Scheduler
-	K         int
-	Speedup   float64
 }
 
 // Fig9Ks are the swept region counts. The paper sweeps {8, 16, 32, 128}
@@ -210,19 +223,16 @@ type Fig9Row struct {
 // lower to expose the same rising-then-saturating shape.
 var Fig9Ks = []int{2, 4, 8, 16, 32}
 
-// Fig9 sweeps k for one workload (Shor's) with unlimited local memory.
-func Fig9(w Workload) ([]Fig9Row, error) {
-	var rows []Fig9Row
+// Fig9 sweeps k for one workload (Shor's) with unlimited local memory:
+// paper Fig. 9, speedup over the naive model per scheduler and k.
+func Fig9(w Workload) ([]Cell, error) {
+	var vs []variant
 	for _, s := range []Scheduler{RCP, LPFS} {
 		for _, k := range Fig9Ks {
-			m, err := Evaluate(w.Prog, w.evalOptions(EvalOptions{Scheduler: s, K: k, Comm: comm.Options{LocalCapacity: -1}}))
-			if err != nil {
-				return nil, fmt.Errorf("fig9 %v k=%d: %w", s, k, err)
-			}
-			rows = append(rows, Fig9Row{Scheduler: s, K: k, Speedup: m.SpeedupVsNaive()})
+			vs = append(vs, variant{fmt.Sprintf("%s k=%d", s.Name(), k), EvalOptions{Scheduler: s, K: k, Comm: unlimitedLocal}})
 		}
 	}
-	return rows, nil
+	return sweep("fig9", []Workload{w}, vs)
 }
 
 // Table1Row is one benchmark's minimum qubit count Q (paper Table 1).
@@ -248,18 +258,11 @@ func Table1(ws []Workload) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// Table2Result demonstrates the paper's Table 2: n parallel rotations on
-// distinct qubits cannot share a SIMD region once decomposed, so their
-// schedule serializes unless k grows to accommodate them.
-type Table2Result struct {
-	Rotations int
-	// StepsAtK[k] is the zero-comm schedule length with k regions.
-	StepsAtK map[int]int64
-}
-
-// Table2 builds a program of n data-parallel Rz gates with distinct
-// angles, decomposes them, and schedules at increasing k.
-func Table2(n int, ks []int) (*Table2Result, error) {
+// Table2 demonstrates the paper's Table 2: n data-parallel Rz gates with
+// distinct angles cannot share a SIMD region once decomposed, so their
+// zero-comm schedule (Metrics.ZeroCommSteps) serializes unless k grows.
+// It returns one LPFS cell per k, in the order given.
+func Table2(n int, ks []int) ([]Cell, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module main() {\n  qbit q[%d];\n", n)
 	for i := 0; i < n; i++ {
@@ -270,38 +273,139 @@ func Table2(n int, ks []int) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Table2Result{Rotations: n, StepsAtK: map[int]int64{}}
-	cache := NewEvalCache() // the k sweep shares every width below max(ks)
-	for _, k := range ks {
-		m, err := Evaluate(prog, EvalOptions{Scheduler: LPFS, K: k, Cache: cache})
-		if err != nil {
-			return nil, err
-		}
-		res.StepsAtK[k] = m.ZeroCommSteps
+	vs := make([]variant, len(ks))
+	for i, k := range ks {
+		vs[i] = variant{fmt.Sprintf("k=%d", k), EvalOptions{Scheduler: LPFS, K: k}}
 	}
-	return res, nil
+	// The k sweep shares every width below max(ks).
+	w := Workload{Name: fmt.Sprintf("%d rotations", n), Prog: prog, Cache: NewEvalCache()}
+	return sweep("table2", []Workload{w}, vs)
 }
 
-// SortedKs returns the swept ks of a Table2Result in ascending order.
-func (t *Table2Result) SortedKs() []int {
-	ks := make([]int, 0, len(t.StepsAtK))
-	for k := range t.StepsAtK {
-		ks = append(ks, k)
+// unlimitedLabel names a swept value where 0 means unlimited.
+func unlimitedLabel(key string, v int) string {
+	if v == 0 {
+		return key + "=inf"
 	}
-	sort.Ints(ks)
-	return ks
+	return fmt.Sprintf("%s=%d", key, v)
 }
 
-// WriteTSV writes rows of tab-separated values with a header, a shared
-// helper for the qbench tool and EXPERIMENTS.md generation.
-func WriteTSV(w io.Writer, header []string, rows [][]string) error {
-	if _, err := fmt.Fprintln(w, strings.Join(header, "\t")); err != nil {
-		return err
+// SensD sweeps the per-region data parallelism d (0 = unlimited) at
+// fixed k with unlimited local memory, one variant "d=<d>" per value
+// (§5.4: "decreasing [d] to below 32 qubits only causes marginal
+// changes").
+func SensD(ws []Workload, sched Scheduler, k int, ds []int) ([]Cell, error) {
+	vs := make([]variant, len(ds))
+	for i, d := range ds {
+		vs[i] = variant{unlimitedLabel("d", d), EvalOptions{Scheduler: sched, K: k, D: d, Comm: unlimitedLocal}}
 	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, "\t")); err != nil {
-			return err
+	return sweep("sensd", ws, vs)
+}
+
+// SensEPR sweeps the EPR distribution bandwidth (teleports per
+// boundary, 0 = unlimited) at fixed k, one variant "bw=<bw>" per value
+// (§2.3: finite distribution channels serialize teleport bursts).
+func SensEPR(ws []Workload, sched Scheduler, k int, bws []int) ([]Cell, error) {
+	vs := make([]variant, len(bws))
+	for i, bw := range bws {
+		vs[i] = variant{unlimitedLabel("bw", bw), EvalOptions{Scheduler: sched, K: k, Comm: comm.Options{EPRBandwidth: bw}}}
+	}
+	return sweep("sensepr", ws, vs)
+}
+
+// ablation is an ablation variant: scheduler s at k with unlimited
+// local memory.
+func ablation(name string, s Scheduler, k int) variant {
+	return variant{name, EvalOptions{Scheduler: s, K: k, Comm: unlimitedLocal}}
+}
+
+// AblationLPFS compares LPFS option settings (§4.2: the paper runs
+// l = 1 with SIMD and Refill enabled).
+func AblationLPFS(ws []Workload, k int) ([]Cell, error) {
+	return sweep("ablation lpfs", ws, []variant{
+		ablation("simd+refill", LPFS, k),
+		ablation("simd only", lpfs.New(lpfs.Options{SIMD: true}), k),
+		ablation("refill only", lpfs.New(lpfs.Options{Refill: true}), k),
+		ablation("neither", lpfs.New(lpfs.Options{NoOptions: true}), k),
+		ablation("l=2", lpfs.New(lpfs.Options{L: 2, SIMD: true, Refill: true}), k),
+	})
+}
+
+// AblationRCP compares RCP weight settings (§4.1: w_op groups for data
+// parallelism, w_dist captures locality, w_slack defers slack ops).
+func AblationRCP(ws []Workload, k int) ([]Cell, error) {
+	weights := func(wop, wdist, wslack float64) Scheduler {
+		return rcp.New(rcp.Options{WOp: wop, WDist: wdist, WSlack: wslack, ExplicitWeights: true})
+	}
+	return sweep("ablation rcp", ws, []variant{
+		ablation("all weights", weights(1, 1, 1), k),
+		ablation("no locality", weights(1, 0, 1), k),
+		ablation("no slack", weights(1, 1, 0), k),
+		ablation("prevalence only", weights(1, 0, 0), k),
+	})
+}
+
+// AblationComm compares the teleport-masking movement model (§2.3)
+// against the strict per-boundary accounting (§4.4).
+func AblationComm(ws []Workload, sched Scheduler, k int) ([]Cell, error) {
+	return sweep("ablation comm", ws, []variant{
+		{"masked (pipelined QT)", EvalOptions{Scheduler: sched, K: k}},
+		{"strict (no overlap)", EvalOptions{Scheduler: sched, K: k, Comm: comm.Options{NoOverlap: true}}},
+	})
+}
+
+// FThRow is one point of the flattening-threshold study (§3.1.1).
+type FThRow struct {
+	Name    string
+	FTh     int64
+	Leaves  int
+	Modules int
+	Speedup float64
+	// AnalysisMS is the wall-clock cost of compiling and scheduling at
+	// this threshold — the other side of the paper's FTh trade-off
+	// ("when leaf modules are too large the scheduling time becomes
+	// unacceptably long").
+	AnalysisMS int64
+}
+
+// SweepFTh rebuilds each workload's source at several thresholds and
+// measures the resulting schedule quality — the paper's motivation for
+// picking FTh = 2M: too little flattening loses parallelism at module
+// boundaries (Fig. 4), too much blows up scheduling time. Pipeline.Obs,
+// when set, instruments both the builds and the evaluations.
+func SweepFTh(sources []SourceWorkload, sched Scheduler, k int, fths []int64) ([]FThRow, error) {
+	var rows []FThRow
+	for _, sw := range sources {
+		for _, fth := range fths {
+			opts := sw.Pipeline
+			opts.FTh = fth
+			start := time.Now()
+			prog, err := Build(sw.Source, opts)
+			if err != nil {
+				return nil, fmt.Errorf("fth %s %d: %w", sw.Name, fth, err)
+			}
+			w := Workload{Name: sw.Name, Prog: prog, Obs: opts.Obs}
+			cells, err := sweep("fth", []Workload{w}, []variant{
+				{fmt.Sprintf("fth=%d", fth), EvalOptions{Scheduler: sched, K: k, Comm: unlimitedLocal}},
+			})
+			if err != nil {
+				return nil, err
+			}
+			c := cells[0]
+			rows = append(rows, FThRow{
+				Name: sw.Name, FTh: fth,
+				Leaves: c.Leaves, Modules: c.Modules,
+				Speedup:    c.SpeedupVsNaive(),
+				AnalysisMS: time.Since(start).Milliseconds(),
+			})
 		}
 	}
-	return nil
+	return rows, nil
+}
+
+// SourceWorkload carries un-compiled source for rebuild sweeps.
+type SourceWorkload struct {
+	Name     string
+	Source   string
+	Pipeline PipelineOptions
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/obs"
 )
 
 func toyWorkloads(t *testing.T) []core.Workload {
@@ -29,9 +30,9 @@ func TestSensDMonotone(t *testing.T) {
 	}
 	// Larger d never hurts (0 = unlimited comes last).
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Speedup < rows[i-1].Speedup*0.99 {
+		if rows[i].SpeedupVsNaive() < rows[i-1].SpeedupVsNaive()*0.99 {
 			t.Errorf("d=%d speedup %.3f regressed from d=%d %.3f",
-				rows[i].D, rows[i].Speedup, rows[i-1].D, rows[i-1].Speedup)
+				rows[i].Opts.D, rows[i].SpeedupVsNaive(), rows[i-1].Opts.D, rows[i-1].SpeedupVsNaive())
 		}
 	}
 }
@@ -43,14 +44,15 @@ func TestSensEPRMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Speedup < rows[i-1].Speedup*0.99 {
+		if rows[i].SpeedupVsNaive() < rows[i-1].SpeedupVsNaive()*0.99 {
 			t.Errorf("bw=%d speedup %.3f regressed from bw=%d %.3f",
-				rows[i].Bandwidth, rows[i].Speedup, rows[i-1].Bandwidth, rows[i-1].Speedup)
+				rows[i].Opts.Comm.EPRBandwidth, rows[i].SpeedupVsNaive(),
+				rows[i-1].Opts.Comm.EPRBandwidth, rows[i-1].SpeedupVsNaive())
 		}
 	}
 	// A bandwidth of 1 must not beat unlimited.
-	if rows[0].Speedup > rows[len(rows)-1].Speedup+1e-9 {
-		t.Errorf("throttled beats unlimited: %.3f vs %.3f", rows[0].Speedup, rows[len(rows)-1].Speedup)
+	if rows[0].SpeedupVsNaive() > rows[len(rows)-1].SpeedupVsNaive()+1e-9 {
+		t.Errorf("throttled beats unlimited: %.3f vs %.3f", rows[0].SpeedupVsNaive(), rows[len(rows)-1].SpeedupVsNaive())
 	}
 }
 
@@ -78,18 +80,19 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatalf("comm variants: %d", len(cm))
 	}
 	// Masked accounting is never slower than strict.
-	if cm[0].Speedup < cm[1].Speedup-1e-9 {
-		t.Errorf("masked %.3f below strict %.3f", cm[0].Speedup, cm[1].Speedup)
+	if cm[0].SpeedupVsNaive() < cm[1].SpeedupVsNaive()-1e-9 {
+		t.Errorf("masked %.3f below strict %.3f", cm[0].SpeedupVsNaive(), cm[1].SpeedupVsNaive())
 	}
 	for _, r := range append(append(lp, rc...), cm...) {
-		if r.Speedup <= 0 {
+		if r.SpeedupVsNaive() <= 0 {
 			t.Errorf("%s/%s: non-positive speedup", r.Name, r.Variant)
 		}
 	}
 }
 
 func TestSweepFTh(t *testing.T) {
-	srcs := []core.SourceWorkload{{Name: "toy", Source: toySource}}
+	o := &obs.Observer{Trace: obs.NewTracer()}
+	srcs := []core.SourceWorkload{{Name: "toy", Source: toySource, Pipeline: core.PipelineOptions{Obs: o}}}
 	rows, err := core.SweepFTh(srcs, core.LPFS, 2, []int64{10, 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -102,5 +105,15 @@ func TestSweepFTh(t *testing.T) {
 	if rows[0].Modules <= rows[1].Modules {
 		t.Errorf("fth=10 modules %d should exceed fth=1000 modules %d",
 			rows[0].Modules, rows[1].Modules)
+	}
+	// Pipeline.Obs instruments both the rebuilds and the evaluations.
+	cats := map[string]int{}
+	for _, ev := range o.Trace.Events() {
+		cats[ev.Cat]++
+	}
+	for _, cat := range []string{"pipeline", "engine"} {
+		if cats[cat] == 0 {
+			t.Errorf("no %s spans traced through Pipeline.Obs (spans by category: %v)", cat, cats)
+		}
 	}
 }

@@ -273,6 +273,37 @@ func BenchmarkEngineFig8(b *testing.B) {
 	b.Run("workers8_warm", func(b *testing.B) { engineSweep(b, 8, true, sweep) })
 }
 
+// BenchmarkPaperSweepOp measures one op of perfbench's paper-sweep
+// workload: build one gated benchmark (SHA-1 at FTh 2000), then run
+// Figs. 6, 7 and 8 on a fresh cache with one engine worker per CPU.
+func BenchmarkPaperSweepOp(b *testing.B) {
+	bm, ok := bench.ByName("SHA-1")
+	if !ok {
+		b.Fatal("no SHA-1 benchmark")
+	}
+	opts := bm.Pipeline
+	opts.FTh = benchFTh
+	b.ReportAllocs()
+	var f8 []core.Fig8Row
+	for i := 0; i < b.N; i++ {
+		p, err := core.Build(bm.Source, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws := []core.Workload{{Name: bm.Name, Params: bm.Params, Prog: p, Cache: core.NewEvalCache()}}
+		if _, err := core.Fig6(ws); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Fig7(ws); err != nil {
+			b.Fatal(err)
+		}
+		if f8, err = core.Fig8(ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(f8[0].LPFS[3], "lpfs_inf_x")
+}
+
 // --- Toolflow micro-benchmarks: the compiler itself under load. ---
 
 // BenchmarkCompileSHA1 measures the full pipeline on the scaled SHA-1.
@@ -477,7 +508,7 @@ func BenchmarkSweepFTh(b *testing.B) {
 	var rows []core.FThRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.SweepFTh(srcs, core.LPFS, 4, []int64{100, 2000, 50000})
+		rows, err = core.SweepFTh(srcs, core.LPFS, 4, []int64{100, 2000, 50000}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

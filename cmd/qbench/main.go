@@ -178,7 +178,7 @@ func run(w io.Writer, exp, scale string, fth int64, schedName string, workers in
 			p.Obs = observer
 			srcs = append(srcs, core.SourceWorkload{Name: b.Name, Source: b.Source, Pipeline: p})
 		}
-		rows, err := core.SweepFTh(srcs, sched, 4, []int64{100, 500, 2000, 50000})
+		rows, err := core.SweepFTh(srcs, sched, 4, []int64{100, 500, 2000, 50000}, workers)
 		if err != nil {
 			return err
 		}

@@ -375,7 +375,9 @@ type CacheConfig struct {
 //     evaluations; fig9's k sweep shares all smaller widths);
 //   - the schedule layer caches zero-communication schedules, hit when
 //     only comm options changed (fig8's local-capacity sweep), so only
-//     the cheap comm.Analyze re-runs;
+//     the cheap comm.Analyze re-runs — and within one sweep not even
+//     that for a capacity an earlier unbound analysis shows cannot bind
+//     (the engine's capacity-dominance memo, prepared.unlimitedFor);
 //   - the critical-path layer caches per-fingerprint DAG depths.
 //
 // All three share one lookup path (get) and one insert path (put). The

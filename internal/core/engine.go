@@ -1,22 +1,28 @@
 package core
 
-// This file is the hierarchical evaluation engine. Leaf
-// characterization — scheduling each leaf module at every blackbox width
-// and analyzing its movement — is embarrassingly parallel: no
-// (module, width) point depends on any other. The engine hashes the
-// leaves, fans those points out over a bounded worker pool and memoizes
-// them in a content-addressed EvalCache, then composes non-leaf modules
-// serially in topological order (the only place child results are
-// actually consumed). Determinism: schedulers are deterministic and
+// This file is the hierarchical evaluation engine. It runs in two
+// steps. prepare does the per-program work, which no evaluation option
+// changes: resource totals, the reachable module order, leaf
+// fingerprints (hashed on the worker pool) and a once-guarded
+// materialization plus DAG per distinct leaf body. The evaluation step
+// then characterizes leaves under one set of EvalOptions — scheduling
+// each leaf module at every blackbox width and analyzing its movement —
+// which is embarrassingly parallel: no (module, width) point depends on
+// any other. It fans those points out over a bounded worker pool,
+// memoizes them in a content-addressed EvalCache, then composes
+// non-leaf modules serially in topological order (the only place child
+// results are actually consumed). Evaluate runs both steps; an
+// experiment sweep prepares each workload once and evaluates every
+// variant against it. Determinism: schedulers are deterministic and
 // every result lands in a pre-assigned slot, so Metrics are identical at
 // any worker count and on any cache temperature.
 //
 // Observability (EvalOptions.Obs) threads through here: every pool task
-// traces a span on its worker slot's track, fresh schedules and comm
-// analyses feed the metrics registry, and verifier rejections count and
-// mark the trace. All of it is nil-guarded — a run without an Observer
-// takes only nil checks (see TestDisabled*AllocatesNothing in
-// internal/obs).
+// traces a span on its worker slot's track, fresh materializations,
+// schedules and comm analyses feed the metrics registry, and verifier
+// rejections count and mark the trace. All of it is nil-guarded — a run
+// without an Observer takes only nil checks (see
+// TestDisabled*AllocatesNothing in internal/obs).
 
 import (
 	"context"
@@ -29,6 +35,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obs"
+	"github.com/scaffold-go/multisimd/internal/resource"
 	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
@@ -42,9 +49,190 @@ func (o EvalOptions) workers() int {
 	return o.Workers
 }
 
+// prepared is one program's evaluation-independent state, shared by
+// every evaluation of one sweep (or the single evaluation of an
+// Evaluate call) and dropped with it: passes mutate module bodies in
+// place, so nothing here may outlive the call that built it.
+// Evaluations against one prepared program run one at a time; the
+// characterization tasks inside an evaluation share it concurrently.
+type prepared struct {
+	order      []string        // reachable modules, callees first
+	leaves     []*preparedLeaf // the reachable leaves, in order
+	totalGates int64
+	minQubits  int64
+
+	materialized *obs.Counter // leaf.materialized; nil when uninstrumented
+
+	// an holds one reusable comm analyzer per worker slot, so every
+	// characterization on a slot reuses the same dense scratch state
+	// instead of allocating per (leaf, width) point. Slots are stable per
+	// pool goroutine (see runTasks), and evaluations run one at a time,
+	// so no locking is needed.
+	an []*comm.Analyzer
+
+	// unlimited is the capacity-dominance memo (see unlimitedFor).
+	mu        sync.Mutex
+	unlimited map[commKey]unlimitedEntry
+}
+
+// preparedLeaf is one reachable leaf module: its content hash and the
+// materialized body it shares with every leaf of equal hash.
+type preparedLeaf struct {
+	name string
+	mod  *ir.Module
+	fp   ir.Fingerprint
+	body *leafBody
+}
+
+// leafBody is a lazily built (once-guarded) materialization + DAG,
+// shared by the per-width tasks of every evaluation in the sweep.
+type leafBody struct {
+	mod  *ir.Module
+	once sync.Once
+	mat  *ir.Module
+	g    *dag.Graph
+	err  error
+}
+
+// unlimitedEntry is a characterization with an unlimited scratchpad and
+// that analysis' peak scratchpad occupancy.
+type unlimitedEntry struct {
+	ce   commEntry
+	peak int
+}
+
+// prepare does p's per-program work: resource totals and the reachable
+// order (the estimator's callees-first topological order), then every
+// reachable leaf's fingerprint, hashed on the worker pool. Leaves with
+// equal fingerprints share one leafBody. Nothing is materialized yet:
+// cache hits never need a body.
+func prepare(ctx context.Context, p *ir.Program, workers int, o *obs.Observer) (*prepared, error) {
+	tr := o.T()
+	psp := tr.Span("engine", "prepare")
+	defer psp.End()
+	rsp := tr.Span("engine", "resource")
+	pp, err := estimate(p)
+	rsp.End()
+	if err != nil {
+		return nil, err
+	}
+	if r := o.M(); r != nil {
+		pp.materialized = r.Counter("leaf.materialized")
+	}
+	for _, name := range pp.order {
+		if mod := p.Modules[name]; mod.IsLeaf() {
+			pp.leaves = append(pp.leaves, &preparedLeaf{name: name, mod: mod})
+		}
+	}
+	psp.SetInt("leaves", int64(len(pp.leaves)))
+	// Every characterization task keys the cache by its leaf's content
+	// hash. Hashes are computed once per preparation, never memoized on
+	// the module: passes mutate bodies in place.
+	err = runTasks(ctx, len(pp.leaves), workers, func(_, i int) error {
+		pp.leaves[i].fp = pp.leaves[i].mod.Fingerprint()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	bodies := make(map[ir.Fingerprint]*leafBody, len(pp.leaves))
+	for _, pl := range pp.leaves {
+		if pl.body = bodies[pl.fp]; pl.body == nil {
+			pl.body = &leafBody{mod: pl.mod}
+			bodies[pl.fp] = pl.body
+		}
+	}
+	return pp, nil
+}
+
+// estimate runs the resource estimator: the program-wide gate and qubit
+// totals and the reachable order.
+func estimate(p *ir.Program) (*prepared, error) {
+	est, err := resource.New(p)
+	if err != nil {
+		return nil, err
+	}
+	pp := &prepared{order: est.Reachable()}
+	if pp.totalGates, err = est.TotalGates(); err != nil {
+		return nil, err
+	}
+	if pp.minQubits, err = est.MinQubits(); err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
+
+// materializeLimit bounds a materialized leaf body (4M ops); a larger
+// leaf fails with ir.ErrTooLarge before anything is allocated.
+const materializeLimit = 4 << 20
+
+// graph materializes a leaf body and builds its dependency DAG exactly
+// once per preparation, however many widths and variants need it.
+// Cache hits never call it — a fully warm leaf skips materialization
+// entirely.
+func (pp *prepared) graph(b *leafBody) (*ir.Module, *dag.Graph, error) {
+	b.once.Do(func() {
+		pp.materialized.Inc()
+		mat, err := b.mod.Materialize(materializeLimit)
+		if err != nil {
+			b.err = err
+			return
+		}
+		g, err := dag.Build(mat)
+		if err != nil {
+			b.err = err
+			return
+		}
+		b.mat, b.g = mat, g
+	})
+	return b.mat, b.g, b.err
+}
+
+// unlimitedFor is the capacity-dominance memo's lookup. The scratchpad
+// capacity C is read in exactly one place, the analyzer's
+// `localOcc[r] < C` admission check, so an analysis whose peak
+// occupancy P stayed below C never saw that check fail: it is the
+// unlimited-capacity result. The same check passes on every admission
+// under any capacity >= P, so that one result serves every such point
+// of the same schedule and movement options. The memo is keyed by ck
+// with the capacity normalized to unlimited.
+func (pp *prepared) unlimitedFor(ck commKey) (commEntry, bool) {
+	c := ck.comm.LocalCapacity
+	ck.comm.LocalCapacity = -1
+	pp.mu.Lock()
+	u, ok := pp.unlimited[ck]
+	pp.mu.Unlock()
+	if !ok || (c >= 0 && c < u.peak) {
+		return commEntry{}, false
+	}
+	return u.ce, true
+}
+
+// unbound reports whether an analysis under scratchpad capacity c that
+// peaked at occupancy peak is the unlimited-capacity result: c is
+// unlimited, or the admission check never met a full scratchpad.
+func unbound(c, peak int) bool { return c < 0 || peak < c }
+
+// noteUnlimited records ck's fresh analysis in the memo when its
+// capacity never bound.
+func (pp *prepared) noteUnlimited(ck commKey, ce commEntry, peak int) {
+	if !unbound(ck.comm.LocalCapacity, peak) {
+		return
+	}
+	ck.comm.LocalCapacity = -1
+	pp.mu.Lock()
+	if pp.unlimited == nil {
+		pp.unlimited = map[commKey]unlimitedEntry{}
+	}
+	pp.unlimited[ck] = unlimitedEntry{ce: ce, peak: peak}
+	pp.mu.Unlock()
+}
+
+// engine is one evaluation of a prepared program under one set of
+// EvalOptions.
 type engine struct {
 	ctx    context.Context
-	p      *ir.Program
+	pp     *prepared
 	opts   EvalOptions
 	sched  Scheduler
 	cfg    string
@@ -57,11 +245,6 @@ type engine struct {
 	// other runs share the cache.
 	rec *CacheRecorder
 	eo  engObs
-	// an holds one reusable comm analyzer per worker slot, so every
-	// characterization on a slot reuses the same dense scratch state
-	// instead of allocating per (leaf, width) point. Slots are stable per
-	// pool goroutine (see runTasks), so no locking is needed.
-	an []*comm.Analyzer
 }
 
 // engObs is the engine's pre-resolved observability handles: the tracer
@@ -74,6 +257,7 @@ type engObs struct {
 	tasks      *obs.Counter // pool tasks executed
 	schedFresh *obs.Counter // schedules computed (cache misses)
 	schedSteps *obs.Counter // timesteps across fresh schedules
+	commFresh  *obs.Counter // comm analyses computed
 	commGlobal *obs.Counter // teleports across fresh comm analyses
 	commLocal  *obs.Counter // local moves across fresh comm analyses
 	commStall  *obs.Counter // EPR-stall overhead cycles across fresh analyses
@@ -94,6 +278,7 @@ func newEngObs(o *obs.Observer) engObs {
 	eo.tasks = r.Counter("engine.tasks")
 	eo.schedFresh = r.Counter("sched.fresh")
 	eo.schedSteps = r.Counter("sched.steps")
+	eo.commFresh = r.Counter("comm.fresh")
 	eo.commGlobal = r.Counter("comm.global_moves")
 	eo.commLocal = r.Counter("comm.local_moves")
 	eo.commStall = r.Counter("comm.stall_cycles")
@@ -104,7 +289,7 @@ func newEngObs(o *obs.Observer) engObs {
 	return eo
 }
 
-func newEngine(ctx context.Context, p *ir.Program, opts EvalOptions) *engine {
+func newEngine(ctx context.Context, opts EvalOptions) *engine {
 	cache := opts.Cache
 	if cache == nil {
 		// An ephemeral per-run cache still dedupes structurally identical
@@ -118,7 +303,6 @@ func newEngine(ctx context.Context, p *ir.Program, opts EvalOptions) *engine {
 	}
 	return &engine{
 		ctx:    ctx,
-		p:      p,
 		opts:   opts,
 		sched:  sched,
 		cfg:    schedulerConfig(sched),
@@ -141,38 +325,18 @@ func schedulerConfig(s Scheduler) string {
 }
 
 // run evaluates every reachable module, bottom-up, and returns the
-// per-module characterizations. order is the topological order from the
-// resource estimator (callees before callers).
-func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error) {
-	evals := make(map[string]*moduleEval, len(order))
-	var leaves []*leafState
-	for _, name := range order {
-		mod := e.p.Modules[name]
-		m.Modules++
-		if mod.IsLeaf() {
-			m.Leaves++
-			leaves = append(leaves, &leafState{
-				name:  name,
-				mod:   mod,
-				slots: make([]commEntry, len(e.widths)),
-			})
-		}
+// per-module characterizations.
+func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
+	evals := make(map[string]*moduleEval, len(e.pp.order))
+	leaves := make([]*leafState, len(e.pp.leaves))
+	for i, pl := range e.pp.leaves {
+		leaves[i] = &leafState{preparedLeaf: pl, slots: make([]commEntry, len(e.widths))}
 	}
 
 	lsp := e.eo.tr.Span("engine", "characterize-leaves")
 	lsp.SetInt("leaves", int64(len(leaves)))
 	lsp.SetInt("widths", int64(len(e.widths)))
-	// Every characterization task keys the cache by its leaf's content
-	// hash, so the hashes come first, in parallel on the same pool. They
-	// are recomputed per Evaluate, never memoized on the module: passes
-	// mutate bodies in place.
-	err := runTasks(e.ctx, len(leaves), e.opts.workers(), func(_, i int) error {
-		leaves[i].fp = leaves[i].mod.Fingerprint()
-		return nil
-	})
-	if err == nil {
-		err = e.evalLeaves(leaves)
-	}
+	err := e.evalLeaves(leaves)
 	lsp.End()
 	if err != nil {
 		return nil, err
@@ -186,12 +350,12 @@ func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error)
 	// count times widths — so evalNonLeaf builds one coarse plan per
 	// (module, cost model) and re-runs only the placer per width.
 	csp := e.eo.tr.Span("engine", "compose")
-	for _, name := range order {
+	for _, name := range e.pp.order {
 		if err := e.ctx.Err(); err != nil {
 			csp.End()
 			return nil, err
 		}
-		mod := e.p.Modules[name]
+		mod := p.Modules[name]
 		if mod.IsLeaf() {
 			continue
 		}
@@ -211,45 +375,12 @@ func (e *engine) run(order []string, m *Metrics) (map[string]*moduleEval, error)
 	return evals, nil
 }
 
-// leafState carries one leaf through the pool: its fingerprint, a
-// lazily built (once-guarded) materialization + DAG shared by the
-// per-width tasks, and a pre-assigned result slot per width.
+// leafState carries one prepared leaf through one evaluation's pool:
+// its critical path and a pre-assigned result slot per width.
 type leafState struct {
-	name string
-	mod  *ir.Module
-	fp   ir.Fingerprint
-
-	once   sync.Once
-	mat    *ir.Module
-	g      *dag.Graph
-	matErr error
-
+	*preparedLeaf
 	cp    int64
 	slots []commEntry
-}
-
-// materializeLimit bounds a materialized leaf body (4M ops); a larger
-// leaf fails with ir.ErrTooLarge before anything is allocated.
-const materializeLimit = 4 << 20
-
-// graph materializes the leaf and builds its dependency DAG exactly
-// once, however many width tasks need it. Cache hits never call it —
-// a fully warm leaf skips materialization entirely.
-func (ls *leafState) graph() (*ir.Module, *dag.Graph, error) {
-	ls.once.Do(func() {
-		mat, err := ls.mod.Materialize(materializeLimit)
-		if err != nil {
-			ls.matErr = err
-			return
-		}
-		g, err := dag.Build(mat)
-		if err != nil {
-			ls.matErr = err
-			return
-		}
-		ls.mat, ls.g = mat, g
-	})
-	return ls.mat, ls.g, ls.matErr
 }
 
 // assemble folds the per-width slots into a moduleEval, widths ascending
@@ -289,7 +420,9 @@ func (e *engine) evalLeaves(leaves []*leafState) error {
 			e.eo.tr.SetThreadName(int64(s+1), fmt.Sprintf("worker-%02d", s))
 		}
 	}
-	e.an = make([]*comm.Analyzer, workers)
+	if len(e.pp.an) < workers {
+		e.pp.an = append(e.pp.an, make([]*comm.Analyzer, workers-len(e.pp.an))...)
+	}
 	var running atomic.Int64
 	task := func(slot, i int) error {
 		ls := leaves[i/nW]
@@ -320,15 +453,17 @@ func (e *engine) profiled(wi int) bool {
 }
 
 // characterize fills one leaf's width slot, consulting the cache layers
-// outermost-first: a comm hit is free; a schedule hit re-runs only
+// outermost-first: a comm hit is free; a capacity-dominated point reuses
+// this sweep's unlimited-scratchpad result; a schedule hit re-runs only
 // comm.Analyze; a miss schedules and analyzes, then populates both.
 // sp is the task's trace span, annotated with which layer served the
 // point (inert when tracing is off).
 func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
+	graph := func() (*ir.Module, *dag.Graph, error) { return e.pp.graph(ls.body) }
 	if wi == 0 {
 		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
 		if !ok {
-			_, g, err := ls.graph()
+			_, g, err := graph()
 			if err != nil {
 				return err
 			}
@@ -342,10 +477,17 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	sk := schedKey{fp: ls.fp, config: e.cfg, w: w, d: e.opts.D}
 	ck := commKey{sk: sk, comm: e.comm}
 	// Verification re-derives the move list, so it bypasses the warm
-	// fast path: a cached result may predate the oracle. Profiling needs
+	// fast paths: a cached result may predate the oracle. Profiling needs
 	// the schedule and move lists too, but only at the profiled width.
-	if ce, ok := e.cache.commResult(ck, e.rec); ok && !e.opts.Verify && !e.profiled(wi) {
+	fast := !e.opts.Verify && !e.profiled(wi)
+	if ce, ok := e.cache.commResult(ck, e.rec); ok && fast {
 		sp.SetStr("cache", "comm-hit")
+		ls.slots[wi] = ce
+		return nil
+	}
+	if ce, ok := e.pp.unlimitedFor(ck); ok && fast {
+		sp.SetStr("cache", "capacity-dominated")
+		e.cache.putCommResult(ck, ce)
 		ls.slots[wi] = ce
 		return nil
 	}
@@ -353,13 +495,13 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	// decodes against its materialized module; bind hands the cache this
 	// leaf's once-guarded materializer for exactly that path.
 	bind := func() (*ir.Module, error) {
-		mat, _, err := ls.graph()
+		mat, _, err := graph()
 		return mat, err
 	}
 	s, ok := e.cache.schedule(sk, e.rec, bind)
 	if !ok {
 		sp.SetStr("cache", "miss")
-		mat, g, err := ls.graph()
+		mat, g, err := graph()
 		if err != nil {
 			return err
 		}
@@ -381,13 +523,14 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	} else {
 		sp.SetStr("cache", "sched-hit")
 	}
-	if e.an[slot] == nil {
-		e.an[slot] = comm.NewAnalyzer()
+	if e.pp.an[slot] == nil {
+		e.pp.an[slot] = comm.NewAnalyzer()
 	}
-	res, err := e.an[slot].Analyze(s, e.comm)
+	res, err := e.pp.an[slot].Analyze(s, e.comm)
 	if err != nil {
 		return err
 	}
+	e.eo.commFresh.Inc()
 	e.eo.commGlobal.Add(res.GlobalMoves)
 	e.eo.commLocal.Add(res.LocalMoves)
 	e.eo.commStall.Add(res.StallCycles())
@@ -400,7 +543,7 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 		// The cached schedule may hang off a structurally identical
 		// module from another leaf (content-addressed keys); the DAG
 		// shape is the same, so this leaf's graph checks it.
-		_, g, err := ls.graph()
+		_, g, err := graph()
 		if err != nil {
 			return err
 		}
@@ -413,7 +556,7 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	if e.profiled(wi) {
 		// Analyze copies everything it keeps, so the slot's reusable
 		// analyzer arena is free to serve the next task.
-		_, g, err := ls.graph()
+		_, g, err := graph()
 		if err != nil {
 			return err
 		}
@@ -426,6 +569,7 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 		locals:  res.LocalMoves,
 	}
 	e.cache.putCommResult(ck, ce)
+	e.pp.noteUnlimited(ck, ce, res.MaxLocalOccupancy)
 	ls.slots[wi] = ce
 	return nil
 }

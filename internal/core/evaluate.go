@@ -14,7 +14,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/rcp"
 	"github.com/scaffold-go/multisimd/internal/report"
-	"github.com/scaffold-go/multisimd/internal/resource"
 	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
@@ -207,10 +206,17 @@ func Evaluate(p *ir.Program, opts EvalOptions) (*Metrics, error) {
 // daemon threads each request's context through here; batch callers use
 // Evaluate.
 func EvaluateContext(ctx context.Context, p *ir.Program, opts EvalOptions) (*Metrics, error) {
+	return evaluate(ctx, p, nil, opts)
+}
+
+// evaluate is the one evaluation path. pp, when non-nil, is p already
+// prepared by the caller (a sweep shares one preparation across its
+// variants); otherwise p is prepared inside the run span.
+func evaluate(ctx context.Context, p *ir.Program, pp *prepared, opts EvalOptions) (*Metrics, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1")
 	}
-	e := newEngine(ctx, p, opts)
+	e := newEngine(ctx, opts)
 	esp := e.eo.tr.Span("engine", "evaluate")
 	esp.SetInt("k", int64(opts.K))
 	esp.SetStr("scheduler", e.sched.Name())
@@ -223,7 +229,15 @@ func EvaluateContext(ctx context.Context, p *ir.Program, opts EvalOptions) (*Met
 			dl.DecisionLog().SetRequest(id)
 		}
 	}
-	m, err := e.evaluate(p, opts)
+	var m *Metrics
+	var err error
+	if pp == nil {
+		pp, err = prepare(ctx, p, opts.workers(), opts.Obs)
+	}
+	if err == nil {
+		e.pp = pp
+		m, err = e.evaluate(p)
+	}
 	if m != nil {
 		esp.SetInt("comm_cycles", m.CommCycles)
 	}
@@ -235,28 +249,19 @@ func EvaluateContext(ctx context.Context, p *ir.Program, opts EvalOptions) (*Met
 	return m, nil
 }
 
-// evaluate is Evaluate's body, separated so the run span brackets it.
-func (e *engine) evaluate(p *ir.Program, opts EvalOptions) (*Metrics, error) {
-	rsp := e.eo.tr.Span("engine", "resource")
-	est, err := resource.New(p)
-	if err != nil {
-		rsp.End()
-		return nil, err
+// evaluate is the evaluation step's body: characterize and compose the
+// prepared program, then read the entry module's best dims at k.
+func (e *engine) evaluate(p *ir.Program) (*Metrics, error) {
+	m := &Metrics{
+		TotalGates: e.pp.totalGates,
+		MinQubits:  e.pp.minQubits,
+		Modules:    len(e.pp.order),
+		Leaves:     len(e.pp.leaves),
+		SeqCycles:  e.pp.totalGates,
 	}
-	m := &Metrics{}
-	if m.TotalGates, err = est.TotalGates(); err != nil {
-		rsp.End()
-		return nil, err
-	}
-	if m.MinQubits, err = est.MinQubits(); err != nil {
-		rsp.End()
-		return nil, err
-	}
-	rsp.End()
-	m.SeqCycles = m.TotalGates
 	m.NaiveCycles = comm.NaiveCycles(m.TotalGates)
 
-	evals, err := e.run(est.Reachable(), m)
+	evals, err := e.run(p)
 	if err != nil {
 		return nil, err
 	}
@@ -264,13 +269,14 @@ func (e *engine) evaluate(p *ir.Program, opts EvalOptions) (*Metrics, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("core: entry module %q not evaluated", p.Entry)
 	}
-	_, zeroLen, ok := entry.zero.Best(opts.K)
+	k := e.opts.K
+	_, zeroLen, ok := entry.zero.Best(k)
 	if !ok {
-		return nil, fmt.Errorf("core: entry has no schedule within k=%d", opts.K)
+		return nil, fmt.Errorf("core: entry has no schedule within k=%d", k)
 	}
-	_, commLen, ok := entry.withComm.Best(opts.K)
+	_, commLen, ok := entry.withComm.Best(k)
 	if !ok {
-		return nil, fmt.Errorf("core: entry has no comm schedule within k=%d", opts.K)
+		return nil, fmt.Errorf("core: entry has no comm schedule within k=%d", k)
 	}
 	m.ZeroCommSteps = zeroLen
 	m.CommCycles = commLen

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -25,7 +26,9 @@ type Workload struct {
 	// Evaluate the drivers run for this workload, so sweeps that revisit
 	// a (scheduler, k, d) configuration reuse its schedules and only
 	// re-run comm.Analyze when movement options change (fig7 after fig6
-	// is fully warm; fig8's capacity sweep re-analyzes one schedule).
+	// is fully warm; fig8's capacity sweep reuses one schedule per point
+	// and re-analyzes it only until a capacity leaves the scratchpad
+	// unbound, whose result every larger capacity of the sweep reuses).
 	Cache *EvalCache
 	// Workers overrides the engine's leaf-characterization concurrency
 	// (0 = GOMAXPROCS, 1 = serial). Results are identical either way.
@@ -53,20 +56,45 @@ type variant struct {
 }
 
 // sweep is the evaluation loop behind every experiment driver: each
-// workload in turn, under each variant in order, with the workload's
-// cache, concurrency and observability stamped onto the variant.
+// workload in turn, prepared once, under each variant in order.
 func sweep(tag string, ws []Workload, variants []variant) ([]Cell, error) {
 	cells := make([]Cell, 0, len(ws)*len(variants))
 	for _, w := range ws {
-		for _, v := range variants {
-			o := v.opts
-			o.Cache, o.Workers, o.Obs = w.Cache, w.Workers, w.Obs
-			m, err := Evaluate(w.Prog, o)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s %s: %w", tag, w.Name, v.name, err)
-			}
-			cells = append(cells, Cell{Name: w.Name, Variant: v.name, Opts: v.opts, Metrics: *m})
+		pp, err := w.prepare(tag)
+		if err != nil {
+			return nil, err
 		}
+		c, err := w.evaluate(tag, pp, variants)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, c...)
+	}
+	return cells, nil
+}
+
+// prepare does the workload's per-program work once for a sweep.
+func (w Workload) prepare(tag string) (*prepared, error) {
+	pp, err := prepare(context.TODO(), w.Prog, EvalOptions{Workers: w.Workers}.workers(), w.Obs)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", tag, w.Name, err)
+	}
+	return pp, nil
+}
+
+// evaluate runs each variant in order against the prepared workload,
+// with the workload's cache, concurrency and observability stamped onto
+// the variant.
+func (w Workload) evaluate(tag string, pp *prepared, variants []variant) ([]Cell, error) {
+	cells := make([]Cell, 0, len(variants))
+	for _, v := range variants {
+		o := v.opts
+		o.Cache, o.Workers, o.Obs = w.Cache, w.Workers, w.Obs
+		m, err := evaluate(context.TODO(), w.Prog, pp, o)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s %s: %w", tag, w.Name, v.name, err)
+		}
+		cells = append(cells, Cell{Name: w.Name, Variant: v.name, Opts: v.opts, Metrics: *m})
 	}
 	return cells, nil
 }
@@ -188,14 +216,11 @@ type Fig8Row struct {
 func Fig8(ws []Workload) ([]Fig8Row, error) {
 	rows := make([]Fig8Row, 0, len(ws))
 	for _, w := range ws {
-		est, err := resource.New(w.Prog)
+		pp, err := w.prepare("fig8")
 		if err != nil {
 			return nil, err
 		}
-		q, err := est.MinQubits()
-		if err != nil {
-			return nil, err
-		}
+		q := pp.minQubits
 		var vs []variant
 		for _, s := range []Scheduler{RCP, LPFS} {
 			for _, c := range [4]int{0, int(q / 4), int(q / 2), -1} {
@@ -203,7 +228,7 @@ func Fig8(ws []Workload) ([]Fig8Row, error) {
 					EvalOptions{Scheduler: s, K: 4, Comm: comm.Options{LocalCapacity: c}}})
 			}
 		}
-		cells, err := sweep("fig8", []Workload{w}, vs)
+		cells, err := w.evaluate("fig8", pp, vs)
 		if err != nil {
 			return nil, err
 		}
@@ -372,8 +397,10 @@ type FThRow struct {
 // measures the resulting schedule quality — the paper's motivation for
 // picking FTh = 2M: too little flattening loses parallelism at module
 // boundaries (Fig. 4), too much blows up scheduling time. Pipeline.Obs,
-// when set, instruments both the builds and the evaluations.
-func SweepFTh(sources []SourceWorkload, sched Scheduler, k int, fths []int64) ([]FThRow, error) {
+// when set, instruments both the builds and the evaluations; workers is
+// the evaluations' leaf-characterization concurrency (see
+// Workload.Workers).
+func SweepFTh(sources []SourceWorkload, sched Scheduler, k int, fths []int64, workers int) ([]FThRow, error) {
 	var rows []FThRow
 	for _, sw := range sources {
 		for _, fth := range fths {
@@ -384,7 +411,7 @@ func SweepFTh(sources []SourceWorkload, sched Scheduler, k int, fths []int64) ([
 			if err != nil {
 				return nil, fmt.Errorf("fth %s %d: %w", sw.Name, fth, err)
 			}
-			w := Workload{Name: sw.Name, Prog: prog, Obs: opts.Obs}
+			w := Workload{Name: sw.Name, Prog: prog, Workers: workers, Obs: opts.Obs}
 			cells, err := sweep("fth", []Workload{w}, []variant{
 				{fmt.Sprintf("fth=%d", fth), EvalOptions{Scheduler: sched, K: k, Comm: unlimitedLocal}},
 			})

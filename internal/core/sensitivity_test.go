@@ -93,7 +93,7 @@ func TestAblationsRun(t *testing.T) {
 func TestSweepFTh(t *testing.T) {
 	o := &obs.Observer{Trace: obs.NewTracer()}
 	srcs := []core.SourceWorkload{{Name: "toy", Source: toySource, Pipeline: core.PipelineOptions{Obs: o}}}
-	rows, err := core.SweepFTh(srcs, core.LPFS, 2, []int64{10, 1000})
+	rows, err := core.SweepFTh(srcs, core.LPFS, 2, []int64{10, 1000}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -338,11 +338,7 @@ func schedulerLeaf(b *testing.B) (*dag.Graph, func()) {
 			}
 		}
 	}
-	mat, err := prog.Modules[biggest].Materialize(1 << 22)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := dag.Build(mat)
+	_, g, err := core.MaterializeLeaf(prog.Modules[biggest])
 	if err != nil {
 		b.Fatal(err)
 	}

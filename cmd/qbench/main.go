@@ -38,7 +38,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/numa"
 	"github.com/scaffold-go/multisimd/internal/obs"
@@ -342,11 +341,7 @@ func numaExperiment(w io.Writer, fth int64, sched core.Scheduler, workers int) e
 		if biggest == nil {
 			continue
 		}
-		mat, err := biggest.Materialize(1 << 22)
-		if err != nil {
-			return err
-		}
-		g, err := dag.Build(mat)
+		mat, g, err := core.MaterializeLeaf(biggest)
 		if err != nil {
 			return err
 		}

@@ -15,9 +15,7 @@ import (
 
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/lpfs"
-	"github.com/scaffold-go/multisimd/internal/machine"
 	"github.com/scaffold-go/multisimd/internal/qasm"
 	"github.com/scaffold-go/multisimd/internal/sim"
 )
@@ -29,7 +27,7 @@ func main() {
 
 // physical teleports an arbitrary state through Fig. 2's circuit.
 func physical() {
-	prog, err := machine.TeleportProgram(
+	prog, err := teleportProgram(
 		[]qasm.Opcode{qasm.Ry, qasm.Rz},
 		[]float64{1.234, 0.567},
 	)
@@ -72,8 +70,7 @@ module main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mod := prog.EntryModule()
-	g, err := dag.Build(mod)
+	mod, g, err := core.MaterializeLeaf(prog.EntryModule())
 	if err != nil {
 		log.Fatal(err)
 	}

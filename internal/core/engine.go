@@ -166,6 +166,22 @@ func estimate(p *ir.Program) (*prepared, error) {
 // leaf fails with ir.ErrTooLarge before anything is allocated.
 const materializeLimit = 4 << 20
 
+// MaterializeLeaf expands a leaf module's repeat counts under the
+// engine's op limit and builds the dependency DAG the fine-grained
+// schedulers take. Every caller that schedules a leaf directly goes
+// through it, so all of them share one limit.
+func MaterializeLeaf(mod *ir.Module) (*ir.Module, *dag.Graph, error) {
+	mat, err := mod.Materialize(materializeLimit)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := dag.Build(mat)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mat, g, nil
+}
+
 // graph materializes a leaf body and builds its dependency DAG exactly
 // once per preparation, however many widths and variants need it.
 // Cache hits never call it — a fully warm leaf skips materialization
@@ -173,17 +189,7 @@ const materializeLimit = 4 << 20
 func (pp *prepared) graph(b *leafBody) (*ir.Module, *dag.Graph, error) {
 	b.once.Do(func() {
 		pp.materialized.Inc()
-		mat, err := b.mod.Materialize(materializeLimit)
-		if err != nil {
-			b.err = err
-			return
-		}
-		g, err := dag.Build(mat)
-		if err != nil {
-			b.err = err
-			return
-		}
-		b.mat, b.g = mat, g
+		b.mat, b.g, b.err = MaterializeLeaf(b.mod)
 	})
 	return b.mat, b.g, b.err
 }

@@ -6,19 +6,20 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/lpfs"
-	"github.com/scaffold-go/multisimd/internal/machine"
 	"github.com/scaffold-go/multisimd/internal/rcp"
 	"github.com/scaffold-go/multisimd/internal/resource"
 	"github.com/scaffold-go/multisimd/internal/schedule"
+	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
 // TestBenchmarkLeavesExecuteOnMachine is the deep end-to-end check: for
 // every leaf module of every (scaled) paper benchmark, both schedulers'
 // outputs are validated against the dependency DAG and then replayed on
-// the Multi-SIMD machine executor, which independently re-derives every
-// move, stall and cycle from the communication annotations. Any
+// the Multi-SIMD machine model by verify.Full, which independently
+// re-derives every move, stall, EPR wave and cycle from the
+// communication annotations. The configurations cover scratchpad
+// capacities, strict §4.4 accounting and finite EPR channels. Any
 // disagreement anywhere in the toolflow fails here.
 func TestBenchmarkLeavesExecuteOnMachine(t *testing.T) {
 	if testing.Short() {
@@ -37,6 +38,18 @@ func TestBenchmarkLeavesExecuteOnMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			configs := []struct {
+				sched string
+				k     int
+				comm  comm.Options
+			}{
+				{"rcp", 2, comm.Options{}}, {"rcp", 4, comm.Options{LocalCapacity: -1}},
+				{"lpfs", 2, comm.Options{}}, {"lpfs", 4, comm.Options{LocalCapacity: -1}},
+				{"lpfs", 4, comm.Options{LocalCapacity: 2}},
+				{"rcp", 4, comm.Options{LocalCapacity: -1, NoOverlap: true}},
+				{"lpfs", 4, comm.Options{EPRBandwidth: 1}},
+				{"rcp", 2, comm.Options{LocalCapacity: 2, EPRBandwidth: 2}},
+			}
 			leaves := 0
 			for _, name := range est.Reachable() {
 				mod := prog.Modules[name]
@@ -44,22 +57,11 @@ func TestBenchmarkLeavesExecuteOnMachine(t *testing.T) {
 					continue
 				}
 				leaves++
-				mat, err := mod.Materialize(1 << 22)
+				mat, g, err := core.MaterializeLeaf(mod)
 				if err != nil {
-					t.Fatalf("%s: materialize: %v", name, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				g, err := dag.Build(mat)
-				if err != nil {
-					t.Fatalf("%s: dag: %v", name, err)
-				}
-				for _, cfg := range []struct {
-					sched string
-					k     int
-					cap   int
-				}{
-					{"rcp", 2, 0}, {"rcp", 4, -1},
-					{"lpfs", 2, 0}, {"lpfs", 4, -1}, {"lpfs", 4, 2},
-				} {
+				for _, cfg := range configs {
 					var s *schedule.Schedule
 					if cfg.sched == "rcp" {
 						s, err = rcp.Schedule(mat, g, rcp.Options{K: cfg.k})
@@ -72,23 +74,28 @@ func TestBenchmarkLeavesExecuteOnMachine(t *testing.T) {
 					if err := s.Validate(g); err != nil {
 						t.Fatalf("%s %s k=%d: invalid schedule: %v", name, cfg.sched, cfg.k, err)
 					}
-					res, err := comm.Analyze(s, comm.Options{LocalCapacity: cfg.cap})
+					res, err := comm.Analyze(s, cfg.comm)
 					if err != nil {
 						t.Fatalf("%s %s k=%d: comm: %v", name, cfg.sched, cfg.k, err)
 					}
-					stats, err := machine.Execute(machine.Config{K: cfg.k, LocalCapacity: cfg.cap}, s, res)
-					if err != nil {
-						t.Fatalf("%s %s k=%d cap=%d: machine: %v", name, cfg.sched, cfg.k, cfg.cap, err)
+					if err := verify.Full(s, g, res, cfg.comm); err != nil {
+						t.Fatalf("%s %s k=%d %+v: %v", name, cfg.sched, cfg.k, cfg.comm, err)
 					}
-					if stats.GateOps != int64(len(mat.Ops)) {
-						t.Fatalf("%s: executed %d ops of %d", name, stats.GateOps, len(mat.Ops))
+					executed := 0
+					for _, st := range s.Steps {
+						for _, ops := range st.Regions {
+							executed += len(ops)
+						}
+					}
+					if executed != len(mat.Ops) {
+						t.Fatalf("%s: executed %d ops of %d", name, executed, len(mat.Ops))
 					}
 				}
 			}
 			if leaves == 0 {
 				t.Error("benchmark has no leaves")
 			}
-			t.Logf("%s: %d leaves machine-verified under 5 configurations", b.Name, leaves)
+			t.Logf("%s: %d leaves machine-verified under %d configurations", b.Name, leaves, len(configs))
 		})
 	}
 }

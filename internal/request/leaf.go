@@ -6,7 +6,6 @@ import (
 
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/epr"
 	"github.com/scaffold-go/multisimd/internal/ir"
 )
@@ -47,11 +46,7 @@ type LeafSchedule struct {
 // EPR pre-distribution at EPRBandwidth pairs per cycle (unset: 2),
 // latency 1.
 func (c Config) ScheduleLeaf(mod *ir.Module, sched core.Scheduler) (*LeafSchedule, error) {
-	mat, err := mod.Materialize(1 << 22)
-	if err != nil {
-		return nil, err
-	}
-	g, err := dag.Build(mat)
+	mat, g, err := core.MaterializeLeaf(mod)
 	if err != nil {
 		return nil, err
 	}

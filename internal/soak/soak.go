@@ -367,24 +367,24 @@ func checkRoundTrips(p *ir.Program, fail func(stage, detail string)) bool {
 	return ok
 }
 
-// materializedLeaves expands every reachable leaf for direct
-// fine-grained scheduling.
-func materializedLeaves(p *ir.Program) ([]*ir.Module, error) {
+// materializedLeaves expands every reachable leaf and builds its
+// dependency DAG once for direct fine-grained scheduling.
+func materializedLeaves(p *ir.Program) ([]*dag.Graph, error) {
 	order, err := p.Topo()
 	if err != nil {
 		return nil, err
 	}
-	var leaves []*ir.Module
+	var leaves []*dag.Graph
 	for _, name := range order {
 		m := p.Modules[name]
 		if !m.IsLeaf() {
 			continue
 		}
-		mat, err := m.Materialize(4 << 20)
+		_, g, err := core.MaterializeLeaf(m)
 		if err != nil {
 			return nil, fmt.Errorf("leaf %s: %w", name, err)
 		}
-		leaves = append(leaves, mat)
+		leaves = append(leaves, g)
 	}
 	return leaves, nil
 }
@@ -393,13 +393,10 @@ func materializedLeaves(p *ir.Program) ([]*ir.Module, error) {
 // asserting digest-identical repeats, oracle legality with move-list
 // consistency, and a lossless schedule JSON round trip. Each verified
 // digest folds into the sweep digest.
-func checkSchedules(leaves []*ir.Module, sched schedule.Scheduler, k, d int, copts comm.Options, sweep io.Writer) (int64, error) {
+func checkSchedules(leaves []*dag.Graph, sched schedule.Scheduler, k, d int, copts comm.Options, sweep io.Writer) (int64, error) {
 	var n int64
-	for _, m := range leaves {
-		g, err := dag.Build(m)
-		if err != nil {
-			return n, fmt.Errorf("leaf %s: dag: %w", m.Name, err)
-		}
+	for _, g := range leaves {
+		m := g.M
 		s, err := sched.Schedule(m, g, k, d)
 		if err != nil {
 			return n, fmt.Errorf("leaf %s k=%d d=%d: %w", m.Name, k, d, err)

@@ -23,6 +23,10 @@ func FuzzVerifySchedule(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(2), uint8(1), uint8(0), uint8(2))
 	f.Add(int64(99), uint8(0), uint8(7), uint8(8), uint8(2), uint8(7))
 	f.Add(int64(-7), uint8(200), uint8(3), uint8(3), uint8(4), uint8(5))
+	// optRaw bit 16 is NoOverlap, bit 32 a finite EPR channel.
+	f.Add(int64(5), uint8(60), uint8(5), uint8(3), uint8(0), uint8(16))
+	f.Add(int64(6), uint8(90), uint8(6), uint8(2), uint8(0), uint8(36))
+	f.Add(int64(8), uint8(120), uint8(6), uint8(4), uint8(1), uint8(57))
 	f.Fuzz(func(t *testing.T, seed int64, nOps, nQubits, kRaw, dRaw, optRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		opts := verify.GenOptions{

@@ -10,12 +10,14 @@
 //  6. the move list produced by comm.Analyze is consistent — every
 //     operand is resident in its region when its operation fires, moves
 //     depart from where the qubit actually is, scratchpad capacity is
-//     respected and the summary counters match the boundary lists.
+//     respected, each step's overhead is recounted from the moves (§4.4
+//     masking or strict accounting, plus EPR waves) and the summary
+//     counters match the boundary lists.
 //
 // The checks are deliberately written against the execution model
 // rather than against any scheduler's implementation, so they serve as
-// a differential oracle: schedule.Validate, the machine executor and
-// this package all fail independently if the toolflow drifts.
+// a differential oracle: schedule.Validate and this package fail
+// independently if the toolflow drifts.
 package verify
 
 import (
@@ -156,8 +158,10 @@ func Schedule(s *schedule.Schedule, g *dag.Graph) error {
 // depart from the qubit's current location, local moves must connect a
 // region to its own scratchpad, scratchpad occupancy must respect the
 // configured capacity, every operand must be resident in its region when
-// its operation fires, and the Result's summary counters must match the
-// boundary lists. opts must be the options the analysis ran under.
+// its operation fires, each step's overhead must equal the stall,
+// strict boundary cost and EPR waves replayed from the moves, and the
+// Result's summary counters must match the boundary lists. opts must be
+// the options the analysis ran under.
 func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 	if len(res.Boundaries) != len(s.Steps) || len(res.Overhead) != len(s.Steps) {
 		return fail(s, "move-shape", -1, -1, -1,
@@ -166,12 +170,14 @@ func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 	}
 
 	loc := map[int]comm.Loc{} // zero value = global memory
+	pending := map[int]int{}  // movement cycles since the qubit's last use
+	lastUse := map[int]int{}  // step of the qubit's last use
 	localOcc := make([]int, s.K)
 	var globals, locals int64
 	var peakLocal, peakEPR int
 
 	for t := range s.Steps {
-		boundaryEPR := 0
+		boundaryEPR, firstLoads, overhead := 0, 0, 0
 		for mi, mv := range res.Boundaries[t] {
 			if mv.Slot < 0 || mv.Slot >= s.M.TotalSlots() {
 				return fail(s, "move-slot", t, -1, -1,
@@ -192,6 +198,7 @@ func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 				return fail(s, "move-noop", t, int(regionOf(mv.To)), -1,
 					"qubit %s moves from %v to itself", s.M.SlotName(mv.Slot), mv.From)
 			}
+			cost := comm.LocalCycles
 			switch mv.Kind {
 			case comm.LocalMove:
 				// Ballistic moves connect a region to its own scratchpad.
@@ -209,8 +216,18 @@ func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 				}
 				globals++
 				boundaryEPR++
+				if _, used := lastUse[mv.Slot]; !used {
+					firstLoads++
+				}
+				cost = comm.TeleportCycles
 			default:
 				return fail(s, "move-kind", t, -1, -1, "unknown move kind %d", mv.Kind)
+			}
+			// Strict §4.4 accounting charges the boundary its costliest
+			// move; masking charges only what outlasts the idle window.
+			pending[mv.Slot] += cost
+			if opts.NoOverlap {
+				overhead = max(overhead, cost)
 			}
 			if mv.From.Kind == comm.InLocal {
 				localOcc[mv.From.Region]--
@@ -237,7 +254,9 @@ func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 			peakEPR = boundaryEPR
 		}
 		// Residency: after the boundary's moves, every operand of step t
-		// must sit in the region operating on it.
+		// must sit in the region operating on it. Under teleportation
+		// masking its journey since the previous use stalls the step
+		// only beyond that idle window; first uses ride pre-distribution.
 		for r, ops := range s.Steps[t].Regions {
 			for _, op := range ops {
 				for _, slot := range s.M.Ops[op].Args {
@@ -247,11 +266,27 @@ func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 							"operand %s resides at %v, not in its region",
 							s.M.SlotName(slot), got)
 					}
+					if prev, used := lastUse[slot]; used && !opts.NoOverlap {
+						overhead = max(overhead, pending[slot]-(t-prev-1))
+					}
+					pending[slot] = 0
+					lastUse[slot] = t
 				}
 			}
 		}
-		if res.Overhead[t] < 0 {
-			return fail(s, "overhead", t, -1, -1, "negative overhead %d", res.Overhead[t])
+		// A finite EPR channel serializes the boundary's runtime
+		// teleports into waves; under masking, first-use loads are
+		// pre-distributed and do not compete for it.
+		runtime := boundaryEPR
+		if !opts.NoOverlap {
+			runtime -= firstLoads
+		}
+		if bw := opts.EPRBandwidth; bw > 0 && runtime > bw {
+			overhead += ((runtime+bw-1)/bw - 1) * comm.TeleportCycles
+		}
+		if res.Overhead[t] != overhead {
+			return fail(s, "overhead", t, -1, -1,
+				"result charges %d cycles, replay charges %d", res.Overhead[t], overhead)
 		}
 	}
 

@@ -4,10 +4,11 @@ package comm
 // Qubit slots and timesteps are small dense integers, so all per-qubit
 // and per-step bookkeeping lives in slot- and step-indexed slices backed
 // by a reusable arena (Analyzer) instead of hash maps: the inner loop
-// does O(1) array indexing, and a warmed Analyzer allocates only the
-// returned Result. The map-based original is preserved as the
-// differential oracle in reference_test.go; TestDenseAnalyzeMatches
-// Reference pins the two field-for-field across the random corpus.
+// does O(1) array indexing. A warmed Analyzer's Summarize allocates
+// nothing and its Analyze only the returned Result. The map-based
+// original is preserved as the differential oracle in reference_test.go;
+// TestDenseAnalyzeMatchesReference pins Analyze to it field-for-field
+// across the random corpus.
 
 import (
 	"fmt"
@@ -39,10 +40,10 @@ type leaveNode struct {
 
 // Analyzer carries the reusable dense state of the movement analysis.
 // The zero value is ready to use; buffers grow to the largest schedule
-// analyzed and are reused afterwards, so steady-state calls allocate
-// only the Result. An Analyzer must not be used concurrently; the
-// package-level Analyze draws from a sync.Pool, and the evaluation
-// engine keeps one per worker slot.
+// analyzed and are reused afterwards, so steady-state Summarize calls
+// allocate nothing and Analyze calls only the Result. An Analyzer must
+// not be used concurrently; the package-level Analyze and Summarize
+// draw from a sync.Pool.
 type Analyzer struct {
 	// Slot-indexed state.
 	loc     []Loc   // current residence; zero value = global memory
@@ -56,12 +57,11 @@ type Analyzer struct {
 	uses   []use
 
 	// Step-indexed state.
-	firstLoads []int32 // first-use global loads charged at the boundary
-	bStart     []int32 // move-arena offset where each boundary begins
-	evictHead  []int32 // per-boundary eviction list heads/tails
-	evictTail  []int32
-	leaveHead  []int32 // per-step scratchpad-departure list heads/tails
-	leaveTail  []int32
+	bStart    []int32 // move-arena offset where each boundary begins
+	evictHead []int32 // per-boundary eviction list heads/tails
+	evictTail []int32
+	leaveHead []int32 // per-step scratchpad-departure list heads/tails
+	leaveTail []int32
 
 	// Region-indexed state.
 	localOcc   []int32 // current scratchpad occupancy
@@ -70,7 +70,7 @@ type Analyzer struct {
 	// Arenas.
 	evictions []evictNode
 	leaves    []leaveNode
-	moves     []Move // all moves, in boundary order
+	moves     []Move // all moves, in boundary order (Analyze only)
 }
 
 // NewAnalyzer returns an empty Analyzer. Equivalent to &Analyzer{};
@@ -86,6 +86,15 @@ func Analyze(s *schedule.Schedule, opts Options) (*Result, error) {
 	res, err := a.Analyze(s, opts)
 	analyzerPool.Put(a)
 	return res, err
+}
+
+// Summarize derives a fine-grained schedule's communication scalars
+// using a pooled Analyzer.
+func Summarize(s *schedule.Schedule, opts Options) (Summary, error) {
+	a := analyzerPool.Get().(*Analyzer)
+	sum, err := a.Summarize(s, opts)
+	analyzerPool.Put(a)
+	return sum, err
 }
 
 // grown returns a length-n slice reusing buf's storage when it fits.
@@ -116,13 +125,11 @@ func (a *Analyzer) reset(slots, nSteps, k int) {
 	clear(a.useOff)
 	clear(a.useFil)
 
-	a.firstLoads = grown(a.firstLoads, nSteps)
 	a.bStart = grown(a.bStart, nSteps+1)
 	a.evictHead = grown(a.evictHead, nSteps+1)
 	a.evictTail = grown(a.evictTail, nSteps+1)
 	a.leaveHead = grown(a.leaveHead, nSteps+1)
 	a.leaveTail = grown(a.leaveTail, nSteps+1)
-	clear(a.firstLoads)
 	for i := range a.evictHead {
 		a.evictHead[i] = -1
 		a.leaveHead[i] = -1
@@ -220,45 +227,64 @@ func (a *Analyzer) planLeave(v int, r int32) {
 // schedule. The returned Result is independent of the Analyzer and
 // remains valid across further calls.
 func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) {
-	nSteps := len(s.Steps)
-	res := &Result{
-		Boundaries: make([][]Move, nSteps),
-		Overhead:   make([]int, nSteps),
+	res := &Result{Boundaries: make([][]Move, len(s.Steps)), Overhead: make([]int, len(s.Steps))}
+	sum, err := a.analyze(s, opts, res)
+	if err != nil {
+		return nil, err
 	}
+	res.Cycles, res.GlobalMoves, res.LocalMoves, res.EPRPairs = sum.Cycles, sum.GlobalMoves, sum.LocalMoves, sum.EPRPairs
+	res.MaxLocalOccupancy, res.PeakEPRBandwidth = sum.MaxLocalOccupancy, sum.PeakEPRBandwidth
+	return res, nil
+}
+
+// Summarize returns Analyze's scalars without recording the move list
+// or overhead vector; a warm Analyzer allocates nothing.
+func (a *Analyzer) Summarize(s *schedule.Schedule, opts Options) (Summary, error) {
+	return a.analyze(s, opts, nil)
+}
+
+// analyze is the one analysis body. A non-nil rec, its vectors sized to
+// the step count, also receives every boundary's overhead and moves.
+func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Summary, error) {
+	var sum Summary
+	nSteps := len(s.Steps)
 	if nSteps == 0 {
-		return res, nil
+		return sum, nil
 	}
 	slots := s.M.TotalSlots()
 	a.reset(slots, nSteps, s.K)
 	if err := a.buildUses(s); err != nil {
-		return nil, err
+		return sum, err
 	}
 	a.buildActivity(s)
 	stride := nSteps + 1
 
-	// addMove charges one movement at the boundary entering step t.
-	// Every call while step t is processed targets boundary t, so the
-	// arena stays in boundary order and bStart delimits the slices.
-	addMove := func(t int, m Move) {
-		a.moves = append(a.moves, m)
-		cost := int32(0)
-		switch m.Kind {
-		case GlobalMove:
-			res.GlobalMoves++
-			res.EPRPairs++
+	// Every move charged while step t is processed targets boundary t,
+	// so that boundary's overhead, teleport and first-use load tallies
+	// are final once step t's in-moves are done, and recorded moves stay
+	// in boundary order, delimited by bStart.
+	var over, teleports, firstLoads int
+	addMove := func(m Move) {
+		if rec != nil {
+			a.moves = append(a.moves, m)
+		}
+		cost := int32(LocalCycles)
+		if m.Kind == GlobalMove {
+			sum.GlobalMoves++
+			teleports++
 			cost = TeleportCycles
-		case LocalMove:
-			res.LocalMoves++
-			cost = LocalCycles
+		} else {
+			sum.LocalMoves++
 		}
 		a.pending[m.Slot] += cost
-		if opts.NoOverlap && res.Overhead[t] < int(cost) {
-			res.Overhead[t] = int(cost)
+		if opts.NoOverlap && over < int(cost) {
+			over = int(cost)
 		}
 	}
 
 	for t := 0; t < nSteps; t++ {
 		a.bStart[t] = int32(len(a.moves))
+		over, teleports, firstLoads = 0, 0, 0
 		// Scratchpad departures free capacity first.
 		for i := a.leaveHead[t]; i >= 0; i = a.leaves[i].next {
 			a.localOcc[a.leaves[i].region]--
@@ -266,7 +292,7 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 		// Planned evictions at this boundary.
 		for i := a.evictHead[t]; i >= 0; i = a.evictions[i].next {
 			ev := &a.evictions[i]
-			addMove(t, Move{Slot: int(ev.slot), Kind: ev.kind, From: a.loc[ev.slot], To: ev.dest})
+			addMove(Move{Slot: int(ev.slot), Kind: ev.kind, From: a.loc[ev.slot], To: ev.dest})
 			a.loc[ev.slot] = ev.dest
 		}
 		// In-moves: operands of step t reach their regions.
@@ -279,11 +305,11 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 					case l.Kind == InRegion && l.Region == int32(r):
 						// Already in place.
 					case l.Kind == InLocal && l.Region == int32(r):
-						addMove(t, Move{Slot: slot, Kind: LocalMove, From: l, To: dst})
+						addMove(Move{Slot: slot, Kind: LocalMove, From: l, To: dst})
 					default:
-						addMove(t, Move{Slot: slot, Kind: GlobalMove, From: l, To: dst})
+						addMove(Move{Slot: slot, Kind: GlobalMove, From: l, To: dst})
 						if a.lastUse[slot] < 0 {
-							a.firstLoads[t]++
+							firstLoads++
 						}
 					}
 					a.loc[slot] = dst
@@ -293,8 +319,8 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 					if !opts.NoOverlap {
 						if prev := a.lastUse[slot]; prev >= 0 {
 							window := int32(t) - prev - 1
-							if stall := int(a.pending[slot] - window); stall > res.Overhead[t] {
-								res.Overhead[t] = stall
+							if stall := int(a.pending[slot] - window); stall > over {
+								over = stall
 							}
 						}
 					}
@@ -302,6 +328,26 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 					a.lastUse[slot] = int32(t)
 				}
 			}
+		}
+		// EPR bandwidth: record the peak teleport burst, and under a
+		// finite channel capacity serialize an overflowing boundary into
+		// waves. Pre-distributed first-use loads never stall the runtime
+		// under the masked model; only genuine mid-circuit teleports
+		// compete for the channel. NoOverlap charges everything, per §4.4.
+		if teleports > sum.PeakEPRBandwidth {
+			sum.PeakEPRBandwidth = teleports
+		}
+		runtime := teleports
+		if !opts.NoOverlap {
+			runtime -= firstLoads
+		}
+		if opts.EPRBandwidth > 0 && runtime > opts.EPRBandwidth {
+			waves := (runtime + opts.EPRBandwidth - 1) / opts.EPRBandwidth
+			over += (waves - 1) * TeleportCycles
+		}
+		sum.StallCycles += int64(over)
+		if rec != nil {
+			rec.Overhead[t] = over
 		}
 		// Out-decisions for step t's operands.
 		for r := range s.Steps[t].Regions {
@@ -332,8 +378,8 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 							(opts.LocalCapacity < 0 || int(a.localOcc[r]) < opts.LocalCapacity) {
 							a.planEvict(av, int32(slot), Loc{Kind: InLocal, Region: int32(r)}, LocalMove)
 							a.localOcc[r]++
-							if int(a.localOcc[r]) > res.MaxLocalOccupancy {
-								res.MaxLocalOccupancy = int(a.localOcc[r])
+							if int(a.localOcc[r]) > sum.MaxLocalOccupancy {
+								sum.MaxLocalOccupancy = int(a.localOcc[r])
 							}
 							a.planLeave(v, int32(r))
 							continue
@@ -353,48 +399,20 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 			}
 		}
 	}
-	a.bStart[nSteps] = int32(len(a.moves))
-
-	// Detach the move list from the arena: one flat allocation, sliced
-	// per boundary (nil where a boundary charged nothing, matching the
-	// map-based original).
-	flat := make([]Move, len(a.moves))
-	copy(flat, a.moves)
-	for t := 0; t < nSteps; t++ {
-		lo, hi := a.bStart[t], a.bStart[t+1]
-		if lo < hi {
-			res.Boundaries[t] = flat[lo:hi:hi]
-		}
-	}
-
-	// EPR bandwidth: record the peak teleport burst, and under a finite
-	// channel capacity serialize overflowing boundaries into waves.
-	for b := range res.Boundaries {
-		g := 0
-		for _, mv := range res.Boundaries[b] {
-			if mv.Kind == GlobalMove {
-				g++
+	sum.Cycles = int64(nSteps) + sum.StallCycles
+	sum.EPRPairs = sum.GlobalMoves
+	if rec != nil {
+		// Detach the move list from the arena: one flat allocation,
+		// sliced per boundary (nil where a boundary charged nothing,
+		// matching the map-based original).
+		a.bStart[nSteps] = int32(len(a.moves))
+		flat := make([]Move, len(a.moves))
+		copy(flat, a.moves)
+		for t := 0; t < nSteps; t++ {
+			if lo, hi := a.bStart[t], a.bStart[t+1]; lo < hi {
+				rec.Boundaries[t] = flat[lo:hi:hi]
 			}
 		}
-		if g > res.PeakEPRBandwidth {
-			res.PeakEPRBandwidth = g
-		}
-		// Pre-distributed first-use loads never stall the runtime under
-		// the masked model; only genuine mid-circuit teleports compete
-		// for the channel. NoOverlap charges everything, per §4.4.
-		runtime := g
-		if !opts.NoOverlap {
-			runtime -= int(a.firstLoads[b])
-		}
-		if opts.EPRBandwidth > 0 && runtime > opts.EPRBandwidth {
-			waves := (runtime + opts.EPRBandwidth - 1) / opts.EPRBandwidth
-			res.Overhead[b] += (waves - 1) * TeleportCycles
-		}
 	}
-
-	res.Cycles = int64(nSteps)
-	for _, o := range res.Overhead {
-		res.Cycles += int64(o)
-	}
-	return res, nil
+	return sum, nil
 }

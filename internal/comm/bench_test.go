@@ -39,9 +39,8 @@ func BenchmarkAnalyzePooled(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeReused measures the steady state the evaluation
-// engine sees: one Analyzer per worker slot, reused across every
-// (leaf, width) characterization.
+// BenchmarkAnalyzeReused measures a reused Analyzer that records the
+// full Result, as verification and profiling do.
 func BenchmarkAnalyzeReused(b *testing.B) {
 	s := benchSchedule(b, 2000)
 	opts := comm.Options{LocalCapacity: -1, EPRBandwidth: 2}
@@ -50,6 +49,21 @@ func BenchmarkAnalyzeReused(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := a.Analyze(s, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeSummary measures the evaluation engine's hot path: a
+// reused Analyzer returning only the scalars, which allocates nothing.
+func BenchmarkAnalyzeSummary(b *testing.B) {
+	s := benchSchedule(b, 2000)
+	opts := comm.Options{LocalCapacity: -1, EPRBandwidth: 2}
+	a := comm.NewAnalyzer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Summarize(s, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

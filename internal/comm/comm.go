@@ -117,7 +117,15 @@ type Options struct {
 	EPRBandwidth int
 }
 
-// Result summarizes the communication analysis of one schedule.
+// Summary is the scalar outcome of one analysis. Its fields mean what
+// Result's fields and StallCycles mean.
+type Summary struct {
+	Cycles, GlobalMoves, LocalMoves, EPRPairs, StallCycles int64
+	MaxLocalOccupancy, PeakEPRBandwidth                    int
+}
+
+// Result is the full communication analysis of one schedule: the
+// Summary's scalars plus the move list and per-boundary overhead.
 type Result struct {
 	// Boundaries[b] holds the moves charged at the boundary entering
 	// step b.
@@ -145,13 +153,13 @@ type Result struct {
 // StallCycles is the total communication overhead charged on top of the
 // bare timestep count: the EPR-stall cycles the movement model could not
 // hide behind idle windows (plus wave-serialization overflow under a
-// finite EPR bandwidth). Equals Cycles - len(Boundaries).
-func (r *Result) StallCycles() int64 {
-	var total int64
-	for _, o := range r.Overhead {
-		total += int64(o)
-	}
-	return total
+// finite EPR bandwidth): the sum of Overhead, which is Cycles minus the
+// boundary count.
+func (r *Result) StallCycles() int64 { return r.Cycles - int64(len(r.Overhead)) }
+
+// Summary returns the result's scalars.
+func (r *Result) Summary() Summary {
+	return Summary{r.Cycles, r.GlobalMoves, r.LocalMoves, r.EPRPairs, r.StallCycles(), r.MaxLocalOccupancy, r.PeakEPRBandwidth}
 }
 
 // NaiveCycles is the runtime of the paper's baseline: sequential

@@ -91,6 +91,47 @@ func TestDenseAnalyzeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSummarizeMatchesAnalyze pins the summary mode to the recording
+// mode across the seeded corpus (rcp and lpfs schedules) and the full
+// option grid: Summarize returns exactly Analyze's scalars, its stall
+// total is both the sum of Analyze's overhead vector and the cycles
+// beyond the bare timestep count, and the pooled
+// entry point agrees. One Analyzer alternates between the two modes, so
+// arena reuse across them is covered too.
+func TestSummarizeMatchesAnalyze(t *testing.T) {
+	a := comm.NewAnalyzer()
+	for si, s := range corpusSchedules(t) {
+		for _, opts := range commOptionCombos() {
+			sum, err := a.Summarize(s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := a.Analyze(s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := res.Summary(); sum != want {
+				t.Fatalf("schedule %d opts %+v: summary diverges\n got: %+v\nwant: %+v", si, opts, sum, want)
+			}
+			var overhead int64
+			for _, o := range res.Overhead {
+				overhead += int64(o)
+			}
+			if sum.StallCycles != overhead || sum.StallCycles != sum.Cycles-int64(len(s.Steps)) {
+				t.Fatalf("schedule %d opts %+v: stall %d, overhead sum %d, cycles %d over %d steps",
+					si, opts, sum.StallCycles, overhead, sum.Cycles, len(s.Steps))
+			}
+			pooled, err := comm.Summarize(s, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pooled != sum {
+				t.Fatalf("schedule %d opts %+v: pooled summary diverges", si, opts)
+			}
+		}
+	}
+}
+
 // TestDenseAnalyzeDuplicateUseError pins the error path: the dense use
 // list builder must report the same duplicate-use diagnostic as the
 // reference.
@@ -111,11 +152,11 @@ func TestDenseAnalyzeDuplicateUseError(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSteadyStateAllocs guards the tentpole: a warmed Analyzer
-// allocates only the returned Result — the struct, its two vectors, the
-// flat move array and the boundary slice headers — regardless of
-// schedule size. The map-based original allocated thousands of times on
-// the same input.
+// TestAnalyzerSteadyStateAllocs guards the arena: a warmed Analyzer's
+// Analyze allocates only the returned Result — the struct, its two
+// vectors, the flat move array and the boundary slice headers —
+// regardless of schedule size, and its Summarize allocates nothing. The
+// map-based original allocated thousands of times on the same input.
 func TestAnalyzerSteadyStateAllocs(t *testing.T) {
 	scheds := corpusSchedules(t)
 	s := scheds[len(scheds)-1]
@@ -132,5 +173,13 @@ func TestAnalyzerSteadyStateAllocs(t *testing.T) {
 	// Result struct + Boundaries header + flat move array + Overhead.
 	if allocs > 6 {
 		t.Errorf("steady-state Analyze allocates %.0f times per run, want <= 6", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := a.Summarize(s, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Summarize allocates %.0f times per run, want 0", allocs)
 	}
 }

@@ -63,13 +63,6 @@ type prepared struct {
 
 	materialized *obs.Counter // leaf.materialized; nil when uninstrumented
 
-	// an holds one reusable comm analyzer per worker slot, so every
-	// characterization on a slot reuses the same dense scratch state
-	// instead of allocating per (leaf, width) point. Slots are stable per
-	// pool goroutine (see runTasks), and evaluations run one at a time,
-	// so no locking is needed.
-	an []*comm.Analyzer
-
 	// unlimited is the capacity-dominance memo (see unlimitedFor).
 	mu        sync.Mutex
 	unlimited map[commKey]unlimitedEntry
@@ -426,9 +419,6 @@ func (e *engine) evalLeaves(leaves []*leafState) error {
 			e.eo.tr.SetThreadName(int64(s+1), fmt.Sprintf("worker-%02d", s))
 		}
 	}
-	if len(e.pp.an) < workers {
-		e.pp.an = append(e.pp.an, make([]*comm.Analyzer, workers-len(e.pp.an))...)
-	}
 	var running atomic.Int64
 	task := func(slot, i int) error {
 		ls := leaves[i/nW]
@@ -441,7 +431,7 @@ func (e *engine) evalLeaves(leaves []*leafState) error {
 		if e.eo.tr.Enabled() {
 			sp = e.eo.tr.SpanTID("leaf", fmt.Sprintf("%s w=%d", ls.name, e.widths[wi]), int64(slot+1))
 		}
-		err := e.characterize(ls, wi, slot, &sp)
+		err := e.characterize(ls, wi, &sp)
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("core: module %s: %w", ls.name, err)
@@ -461,10 +451,10 @@ func (e *engine) profiled(wi int) bool {
 // characterize fills one leaf's width slot, consulting the cache layers
 // outermost-first: a comm hit is free; a capacity-dominated point reuses
 // this sweep's unlimited-scratchpad result; a schedule hit re-runs only
-// comm.Analyze; a miss schedules and analyzes, then populates both.
+// the comm analysis; a miss schedules and analyzes, then populates both.
 // sp is the task's trace span, annotated with which layer served the
 // point (inert when tracing is off).
-func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
+func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	graph := func() (*ir.Module, *dag.Graph, error) { return e.pp.graph(ls.body) }
 	if wi == 0 {
 		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
@@ -518,33 +508,34 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 		e.eo.schedFresh.Inc()
 		e.eo.schedSteps.Add(int64(len(s.Steps)))
 		if e.eo.opsPerStep != nil {
-			for _, st := range s.Steps {
-				var ops int64
-				for _, reg := range st.Regions {
-					ops += int64(len(reg))
-				}
-				e.eo.opsPerStep.Observe(ops)
+			for i := range s.Steps {
+				e.eo.opsPerStep.Observe(int64(s.Steps[i].Ops()))
 			}
 		}
 	} else {
 		sp.SetStr("cache", "sched-hit")
 	}
-	if e.pp.an[slot] == nil {
-		e.pp.an[slot] = comm.NewAnalyzer()
+	// Only verification and profiling read the move lists.
+	var res *comm.Result
+	var sum comm.Summary
+	var err error
+	if fast {
+		sum, err = comm.Summarize(s, e.comm)
+	} else if res, err = comm.Analyze(s, e.comm); err == nil {
+		sum = res.Summary()
 	}
-	res, err := e.pp.an[slot].Analyze(s, e.comm)
 	if err != nil {
 		return err
 	}
 	e.eo.commFresh.Inc()
-	e.eo.commGlobal.Add(res.GlobalMoves)
-	e.eo.commLocal.Add(res.LocalMoves)
-	e.eo.commStall.Add(res.StallCycles())
+	e.eo.commGlobal.Add(sum.GlobalMoves)
+	e.eo.commLocal.Add(sum.LocalMoves)
+	e.eo.commStall.Add(sum.StallCycles)
 	sp.SetInt("steps", int64(s.Length()))
-	sp.SetInt("cycles", res.Cycles)
-	sp.SetInt("global_moves", res.GlobalMoves)
-	sp.SetInt("local_moves", res.LocalMoves)
-	sp.SetInt("stall_cycles", res.StallCycles())
+	sp.SetInt("cycles", sum.Cycles)
+	sp.SetInt("global_moves", sum.GlobalMoves)
+	sp.SetInt("local_moves", sum.LocalMoves)
+	sp.SetInt("stall_cycles", sum.StallCycles)
 	if e.opts.Verify {
 		// The cached schedule may hang off a structurally identical
 		// module from another leaf (content-addressed keys); the DAG
@@ -560,8 +551,6 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 		}
 	}
 	if e.profiled(wi) {
-		// Analyze copies everything it keeps, so the slot's reusable
-		// analyzer arena is free to serve the next task.
 		_, g, err := graph()
 		if err != nil {
 			return err
@@ -570,12 +559,12 @@ func (e *engine) characterize(ls *leafState, wi, slot int, sp *obs.Span) error {
 	}
 	ce := commEntry{
 		zeroLen: int64(s.Length()),
-		cycles:  res.Cycles,
-		globals: res.GlobalMoves,
-		locals:  res.LocalMoves,
+		cycles:  sum.Cycles,
+		globals: sum.GlobalMoves,
+		locals:  sum.LocalMoves,
 	}
 	e.cache.putCommResult(ck, ce)
-	e.pp.noteUnlimited(ck, ce, res.MaxLocalOccupancy)
+	e.pp.noteUnlimited(ck, ce, sum.MaxLocalOccupancy)
 	ls.slots[wi] = ce
 	return nil
 }

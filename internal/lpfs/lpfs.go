@@ -66,10 +66,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		return nil, fmt.Errorf("lpfs: graph module %s does not match %s", g.M.Name, m.Name)
 	}
 	n := g.Len()
-	s := &schedule.Schedule{M: m, K: opts.K, D: opts.D}
-	if n == 0 {
-		return s, nil
-	}
+	b := schedule.NewBuilder(m, opts.K, opts.D)
 	l := opts.l()
 	useSIMD, useRefill := opts.simd(), opts.refill()
 	log := opts.Log
@@ -105,10 +102,8 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	}
 
 	// The step-scoped helpers are hoisted out of the loop and capture
-	// the rolling step state (stamp, current step) instead of being
-	// re-created — and re-allocated — every timestep.
-	var step schedule.Step
-	var placed []int32
+	// the rolling step state (stamp, the builder's open step) instead of
+	// being re-created — and re-allocated — every timestep.
 	isReady := func(op int32) bool {
 		return pending[op] == 0 && !done[op] && inStepAt[op] != stamp
 	}
@@ -119,10 +114,13 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	fits := func(op int32) bool {
 		return opts.D <= 0 || len(m.Ops[op].Args) <= opts.D
 	}
-	// takeFree extracts ready, unclaimed free-list ops matching key,
-	// up to the remaining d budget, preserving free-list order.
-	takeFree := func(key schedule.GroupKey, qubits int) ([]int32, int) {
-		var taken []int32
+	add := func(op int32) {
+		b.Add(op)
+		inStepAt[op] = stamp
+	}
+	// takeFree adds ready, unclaimed free-list ops matching key to the
+	// open region, up to the remaining d budget, in free-list order.
+	takeFree := func(key schedule.GroupKey, qubits int) {
 		for _, op := range ready {
 			if claimed[op] || !isReady(op) || schedule.KeyOf(m, op) != key {
 				continue
@@ -132,33 +130,20 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				if log.Enabled(obs.LevelOp) {
 					log.Record(obs.LevelOp, obs.Decision{
 						Scheduler: "lpfs", Module: m.Name,
-						Step: len(s.Steps), Region: -1, Op: op,
+						Step: b.Len(), Region: -1, Op: op,
 						Reason: obs.ReasonDBudget,
 						Detail: fmt.Sprintf("needs %d qubits, %d/%d used", need, qubits, opts.D),
 					})
 				}
 				break
 			}
-			taken = append(taken, op)
+			add(op)
 			qubits += need
 		}
-		return taken, qubits
-	}
-	place := func(r int, ops []int32) {
-		if len(ops) == 0 {
-			return
-		}
-		step.Regions[r] = append(step.Regions[r], ops...)
-		for _, op := range ops {
-			inStepAt[op] = stamp
-		}
-		placed = append(placed, ops...)
 	}
 
 	scheduled := 0
 	for scheduled < n {
-		step = schedule.Step{Regions: make([][]int32, opts.K)}
-		placed = placed[:0]
 		stamp++
 
 		// Pinned path regions.
@@ -169,7 +154,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				if len(paths[i]) > 0 && log.Enabled(obs.LevelStep) {
 					log.Record(obs.LevelStep, obs.Decision{
 						Scheduler: "lpfs", Module: m.Name,
-						Step: len(s.Steps), Region: i, Op: paths[i][0],
+						Step: b.Len(), Region: i, Op: paths[i][0],
 						Reason: obs.ReasonRefill,
 						Detail: fmt.Sprintf("new pinned path of %d ops", len(paths[i])),
 					})
@@ -178,13 +163,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			if len(paths[i]) > 0 && isReady(paths[i][0]) && fits(paths[i][0]) {
 				head := paths[i][0]
 				paths[i] = paths[i][1:]
-				ops := []int32{head}
-				qubits := len(m.Ops[head].Args)
+				add(head)
 				if useSIMD {
-					fill, _ := takeFree(schedule.KeyOf(m, head), qubits)
-					ops = append(ops, fill...)
+					takeFree(schedule.KeyOf(m, head), len(m.Ops[head].Args))
 				}
-				place(i, ops)
+				b.Close(i)
 				continue
 			}
 			// Path empty or head stalled: with the SIMD option the region
@@ -199,14 +182,14 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				}
 				log.Record(obs.LevelOp, obs.Decision{
 					Scheduler: "lpfs", Module: m.Name,
-					Step: len(s.Steps), Region: i, Op: head,
+					Step: b.Len(), Region: i, Op: head,
 					Reason: obs.ReasonHeadStalled, Detail: why,
 				})
 			}
 			if useSIMD {
 				if key, ok := firstFreeKey(m, ready, claimed, isReady); ok {
-					ops, _ := takeFree(key, 0)
-					place(i, ops)
+					takeFree(key, 0)
+					b.Close(i)
 				}
 			}
 		}
@@ -217,8 +200,8 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			if !ok {
 				break
 			}
-			ops, _ := takeFree(key, 0)
-			place(r, ops)
+			takeFree(key, 0)
+			b.Close(r)
 		}
 
 		// Ready ops held back only because a pinned path claims them: the
@@ -228,7 +211,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				if claimed[op] && isReady(op) {
 					log.Record(obs.LevelOp, obs.Decision{
 						Scheduler: "lpfs", Module: m.Name,
-						Step: len(s.Steps), Region: -1, Op: op,
+						Step: b.Len(), Region: -1, Op: op,
 						Reason: obs.ReasonRegionPinned,
 						Detail: "claimed by a pinned path, waiting for its turn",
 					})
@@ -240,7 +223,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		// but-unready dependency and no free ops exist (possible when
 		// SIMD is disabled and k == l), run the first ready op anyway in
 		// region 0 to guarantee progress.
-		if len(placed) == 0 {
+		if len(b.Placed()) == 0 {
 			forced := int32(-1)
 			for _, op := range ready {
 				if isReady(op) && fits(op) {
@@ -269,15 +252,17 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			if log.Enabled(obs.LevelStep) {
 				log.Record(obs.LevelStep, obs.Decision{
 					Scheduler: "lpfs", Module: m.Name,
-					Step: len(s.Steps), Region: 0, Op: forced,
+					Step: b.Len(), Region: 0, Op: forced,
 					Reason: obs.ReasonForced,
 					Detail: "deadlock avoidance: every pinned head stalled",
 				})
 			}
-			place(0, []int32{forced})
+			add(forced)
+			b.Close(0)
 		}
 
-		s.Steps = append(s.Steps, step)
+		placed := b.Placed()
+		b.EndStep()
 		scheduled += len(placed)
 		for _, op := range placed {
 			done[op] = true
@@ -290,7 +275,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		}
 		ready = compactReady(ready, done)
 	}
-	return s, nil
+	return b.Schedule(), nil
 }
 
 // firstFreeKey returns the group key of the first ready, unclaimed op in

@@ -33,7 +33,8 @@ type Options struct {
 	WOp    float64
 	WDist  float64
 	WSlack float64
-	// weightsSet marks that zero weights were given explicitly.
+	// ExplicitWeights takes WOp, WDist and WSlack as given, zeros
+	// included, instead of defaulting zero weights to 1.
 	ExplicitWeights bool
 
 	// Log, when non-nil, records placement decisions: each winning
@@ -73,10 +74,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	}
 	wop, wdist, wslack := opts.weights()
 	n := g.Len()
-	s := &schedule.Schedule{M: m, K: opts.K, D: opts.D}
-	if n == 0 {
-		return s, nil
-	}
+	b := schedule.NewBuilder(m, opts.K, opts.D)
 	log := opts.Log
 
 	pending := make([]int32, n) // unsatisfied dependency counts
@@ -109,8 +107,6 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("rcp: deadlock with %d/%d ops scheduled", scheduled, n)
 		}
-		step := schedule.Step{Regions: make([][]int32, opts.K)}
-		var placed []int32
 		for r := range regionFree {
 			regionFree[r] = true
 		}
@@ -177,21 +173,20 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			// Extract all ready ops of the winning type into the region,
 			// respecting the d limit.
 			key := schedule.KeyOf(m, bestOp)
-			var taken []int32
 			qubits := 0
 			rest := ready[:0]
 			for _, op := range ready {
 				if schedule.KeyOf(m, op) == key {
 					need := len(m.Ops[op].Args)
 					if opts.D == 0 || qubits+need <= opts.D {
-						taken = append(taken, op)
+						b.Add(op)
 						qubits += need
 						continue
 					}
 					if logOps {
 						log.Record(obs.LevelOp, obs.Decision{
 							Scheduler: "rcp", Module: m.Name,
-							Step: len(s.Steps), Region: bestRegion, Op: op,
+							Step: b.Len(), Region: bestRegion, Op: op,
 							Reason: obs.ReasonDBudget,
 							Detail: fmt.Sprintf("needs %d qubits, %d/%d used", need, qubits, opts.D),
 						})
@@ -200,10 +195,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				rest = append(rest, op)
 			}
 			ready = rest
+			taken := b.Close(bestRegion)
 			if log.Enabled(obs.LevelStep) {
 				log.Record(obs.LevelStep, obs.Decision{
 					Scheduler: "rcp", Module: m.Name,
-					Step: len(s.Steps), Region: bestRegion, Op: bestOp,
+					Step: b.Len(), Region: bestRegion, Op: bestOp,
 					Reason: obs.ReasonChosen,
 					Detail: fmt.Sprintf("weight %.3g, group of %d", bestW, len(taken)),
 				})
@@ -213,15 +209,13 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 					if c.op != bestOp && c.w < bestW && c.wNoSlack > bestW {
 						log.Record(obs.LevelOp, obs.Decision{
 							Scheduler: "rcp", Module: m.Name,
-							Step: len(s.Steps), Region: bestRegion, Op: c.op,
+							Step: b.Len(), Region: bestRegion, Op: c.op,
 							Reason: obs.ReasonSlackLost,
 							Detail: fmt.Sprintf("weight %.3g beat winner before slack (%.3g after)", c.wNoSlack, c.w),
 						})
 					}
 				}
 			}
-			step.Regions[bestRegion] = taken
-			placed = append(placed, taken...)
 			regionFree[bestRegion] = false
 			freeRegions--
 			for _, op := range taken {
@@ -231,10 +225,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			}
 		}
 
+		placed := b.Placed()
 		if len(placed) == 0 {
-			return nil, fmt.Errorf("rcp: made no progress at step %d", len(s.Steps))
+			return nil, fmt.Errorf("rcp: made no progress at step %d", b.Len())
 		}
-		s.Steps = append(s.Steps, step)
+		b.EndStep()
 		scheduled += len(placed)
 		// Release children whose dependencies completed this step.
 		for _, op := range placed {
@@ -246,5 +241,5 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			}
 		}
 	}
-	return s, nil
+	return b.Schedule(), nil
 }

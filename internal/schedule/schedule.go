@@ -7,6 +7,8 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
@@ -194,4 +196,67 @@ func Sequential(m *ir.Module, k int) *Schedule {
 		s.Steps[i] = Step{Regions: regions}
 	}
 	return s
+}
+
+// Builder assembles a schedule one step at a time. Every op is placed
+// exactly once, so all region lists are windows of one len(M.Ops)-sized
+// []int32; headers gather in pooled scratch until Schedule copies them
+// into one exactly sized [][]int32. Windows are cap-clipped, so an append
+// never reaches a neighbour. A region that receives no ops stays nil.
+type Builder struct {
+	s         *Schedule
+	ops       []int32    // op slab; ops[step:] are the open step's
+	hdrs      *[][]int32 // pooled scratch: K headers per step, the open step's last
+	step, reg int        // slab offsets where the open step and region begin
+}
+
+var hdrPool = sync.Pool{New: func() any { return new([][]int32) }}
+
+// NewBuilder starts a schedule of m on a Multi-SIMD(k,d) machine.
+func NewBuilder(m *ir.Module, k, d int) *Builder {
+	b := &Builder{s: &Schedule{M: m, K: k, D: d}, ops: make([]int32, 0, len(m.Ops)), hdrs: hdrPool.Get().(*[][]int32)}
+	*b.hdrs = (*b.hdrs)[:0]
+	b.EndStep()
+	return b
+}
+
+// Len returns the open step's index.
+func (b *Builder) Len() int { return len(*b.hdrs)/b.s.K - 1 }
+
+// Add appends op to the open region.
+func (b *Builder) Add(op int32) { b.ops = append(b.ops, op) }
+
+// Close makes the ops added since the previous Close region r of the
+// open step, at most once per step, and returns them.
+func (b *Builder) Close(r int) []int32 {
+	ops := b.ops[b.reg:len(b.ops):len(b.ops)]
+	if b.reg = len(b.ops); len(ops) > 0 {
+		(*b.hdrs)[len(*b.hdrs)-b.s.K+r] = ops
+	}
+	return ops
+}
+
+// Placed returns the ops placed in the open step so far.
+func (b *Builder) Placed() []int32 { return b.ops[b.step:] }
+
+// EndStep finishes the open step and opens the next.
+func (b *Builder) EndStep() {
+	n := len(*b.hdrs)
+	*b.hdrs = slices.Grow(*b.hdrs, b.s.K)[:n+b.s.K]
+	clear((*b.hdrs)[n:])
+	b.step = len(b.ops)
+}
+
+// Schedule returns the finished steps; the open step must be empty.
+func (b *Builder) Schedule() *Schedule {
+	k, n := b.s.K, b.Len()
+	hdrs := make([][]int32, n*k)
+	copy(hdrs, *b.hdrs)
+	clear(*b.hdrs)
+	hdrPool.Put(b.hdrs)
+	b.s.Steps = make([]Step, n)
+	for t := range b.s.Steps {
+		b.s.Steps[t].Regions = hdrs[t*k : (t+1)*k : (t+1)*k]
+	}
+	return b.s
 }

@@ -1,6 +1,8 @@
 package schedule_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/dag"
@@ -117,5 +119,66 @@ func TestGroupKeyAngles(t *testing.T) {
 	m2.Gate(qasm.H, 0).Gate(qasm.H, 1)
 	if schedule.KeyOf(m2, 0) != schedule.KeyOf(m2, 1) {
 		t.Error("same-type gates have different keys")
+	}
+}
+
+// TestBuilderWindowsDoNotAlias is the aliasing guard for the Builder's
+// shared slabs: appending to any region's op list, or to any step's
+// region headers, of a built schedule leaves every other list unchanged.
+// A region closed with no ops stays nil.
+func TestBuilderWindowsDoNotAlias(t *testing.T) {
+	m, g := mod(t)
+	build := func() *schedule.Schedule {
+		b := schedule.NewBuilder(m, 2, 0)
+		b.Add(0)
+		b.Add(1)
+		b.Close(1) // the H group, placed in region 1 first
+		b.Add(3)
+		b.Add(4)
+		b.Close(0) // the X group
+		b.EndStep()
+		b.Add(2)
+		b.Close(0) // the CNOT
+		if ops := b.Close(1); len(ops) != 0 {
+			t.Fatalf("empty close returned %v", ops)
+		}
+		if b.Len() != 1 || len(b.Placed()) != 1 {
+			t.Fatalf("open step %d holds %v", b.Len(), b.Placed())
+		}
+		b.EndStep()
+		return b.Schedule()
+	}
+	lists := func(s *schedule.Schedule) [][][]int32 {
+		var out [][][]int32
+		for _, st := range s.Steps {
+			out = append(out, st.Regions)
+		}
+		return out
+	}
+	built := build()
+	if err := built.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	want := [][][]int32{{{3, 4}, {0, 1}}, {{2}, nil}}
+	if got := lists(built); !reflect.DeepEqual(got, want) {
+		t.Fatalf("built %v, want %v", got, want)
+	}
+	for st := range want {
+		for r := range want[st] {
+			s := build()
+			s.Steps[st].Regions[r] = append(s.Steps[st].Regions[r], 99)
+			exp := build()
+			exp.Steps[st].Regions[r] = append(slices.Clone(want[st][r]), 99)
+			if got := lists(s); !reflect.DeepEqual(got, lists(exp)) {
+				t.Errorf("append to step %d region %d: got %v", st, r, got)
+			}
+		}
+		s := build()
+		s.Steps[st].Regions = append(s.Steps[st].Regions, []int32{99})
+		got := lists(s)
+		got[st] = got[st][:2]
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("append to step %d's regions: got %v", st, got)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func main() {
 			return err
 		}
 		if *seedCache != "" {
-			return writeSeedCorpus(*seedCache)
+			return writeSeedCorpus(os.Stdout, *seedCache)
 		}
 		if *perfOut != "" {
 			return writePerfRecords(*perfOut, *perfAgainst, *reportAgainst, *schedName, *fth, *workers)
@@ -528,8 +528,8 @@ func measureDiskWarm(b bench.Benchmark, sched core.Scheduler, fth int64, workers
 // accounting) into a persistent result store at dir. Because the cache
 // keys are derived from the same Config path qschedd uses, a daemon
 // started with -cache-preload pointed here serves those requests from
-// the seed store on its very first compile.
-func writeSeedCorpus(dir string) error {
+// the seed store on its very first compile. Progress lines go to w.
+func writeSeedCorpus(w io.Writer, dir string) error {
 	cache, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
 	if err != nil {
 		return err
@@ -553,7 +553,7 @@ func writeSeedCorpus(dir string) error {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
 		st := cache.Stats()
-		fmt.Printf("%-10s seeded  (%d records, %.1f KiB on disk)\n",
+		fmt.Fprintf(w, "%-10s seeded  (%d records, %.1f KiB on disk)\n",
 			b.Name, st.DiskEntries, float64(st.DiskBytes)/1024)
 	}
 	return nil

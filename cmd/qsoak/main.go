@@ -1,7 +1,7 @@
 // Command qsoak runs the soak/determinism sweep: seeded random
 // hierarchical programs through the front end, every registered
-// scheduler, the legality oracle, the serialization codecs and the full
-// evaluation engine (see internal/soak). The defaults are the
+// scheduler, the legality oracle and the full evaluation engine (see
+// internal/soak). The defaults are the
 // acceptance profile — 200 programs × 3 seeds × all registered
 // schedulers — and every failure prints a command line that replays
 // exactly the failing instance:

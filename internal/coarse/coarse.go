@@ -49,14 +49,6 @@ func (d Dims) Best(maxWidth int) (width int, length int64, ok bool) {
 	return
 }
 
-// MinWidth returns the narrowest option.
-func (d Dims) MinWidth() (width int, length int64, ok bool) {
-	if len(d.Widths) == 0 {
-		return 0, 0, false
-	}
-	return d.Widths[0], d.Lengths[0], true
-}
-
 // CostModel sets the coarse-level costs of primitive operations.
 type CostModel struct {
 	// GateCost is the cycles charged per coarse-level gate: 1 in the

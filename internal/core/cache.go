@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -42,13 +41,12 @@ type commEntry struct {
 	locals  int64
 }
 
-// Content-address domains for the persistent layer. The version suffix
-// is part of the key: an incompatible payload-encoding change bumps it
-// and old records simply stop matching.
+// Content-address domains for the persistent layers. The version
+// suffix is part of the key: an incompatible payload-encoding change
+// bumps it and old records simply stop matching.
 const (
-	casDomainComm  = "evalcache/comm/v1"
-	casDomainSched = "evalcache/sched/v1"
-	casDomainCP    = "evalcache/cp/v1"
+	casDomainComm = "evalcache/comm/v1"
+	casDomainCP   = "evalcache/cp/v1"
 )
 
 // cacheLayer names one of EvalCache's three layers. The order is
@@ -66,6 +64,12 @@ const (
 func (l cacheLayer) hit() cacheCounter  { return cacheCounter(2 * l) }
 func (l cacheLayer) miss() cacheCounter { return cacheCounter(2*l + 1) }
 
+// persisted reports whether the layer reaches the stores. Composition
+// reads only comm entries and critical paths, so only those persist;
+// schedules live in memory and are recomputed once evicted or after a
+// restart.
+func (l cacheLayer) persisted() bool { return l != layerSched }
+
 // memKey is the one memory key of all three layers: the comm layer
 // fills every field, the schedule layer leaves comm zero, and the
 // critical-path layer keys on the fingerprint alone.
@@ -79,7 +83,7 @@ func (k commKey) memKey() memKey { return memKey{layer: layerComm, sk: k.sk, com
 
 func cpKey(fp ir.Fingerprint) memKey { return memKey{layer: layerCP, sk: schedKey{fp: fp}} }
 
-// casKey derives a layer's persistent key. These bytes are the on-disk
+// casKey derives a persisted layer's key. These bytes are the on-disk
 // contract: committed corpora (bench/baselines/cas) only hit while they
 // stay exactly as they are.
 func (k memKey) casKey() cas.Key {
@@ -89,9 +93,6 @@ func (k memKey) casKey() cas.Key {
 	var wd [16]byte
 	binary.LittleEndian.PutUint64(wd[0:8], uint64(k.sk.w))
 	binary.LittleEndian.PutUint64(wd[8:16], uint64(k.sk.d))
-	if k.layer == layerSched {
-		return cas.NewKey(casDomainSched, k.sk.fp[:], []byte(k.sk.config), wd[:])
-	}
 	// %+v renders every comm.Options field by name, so a future option
 	// automatically changes the key instead of silently aliasing records
 	// characterized under a different movement model.
@@ -99,69 +100,43 @@ func (k memKey) casKey() cas.Key {
 		[]byte(fmt.Sprintf("%+v", k.comm)))
 }
 
-// encodePayload is the write half of the layers' payload codec: a
-// commEntry is four little-endian words, a critical path one, and a
-// schedule its JSON. nil means the value has no record.
+// encodePayload is the write half of the persisted layers' codec: a
+// commEntry is four little-endian words, a critical path one.
 func encodePayload(v any) []byte {
-	switch v := v.(type) {
-	case commEntry:
+	if e, ok := v.(commEntry); ok {
 		b := make([]byte, 0, 32)
-		for _, x := range [4]int64{v.zeroLen, v.cycles, v.globals, v.locals} {
+		for _, x := range [4]int64{e.zeroLen, e.cycles, e.globals, e.locals} {
 			b = binary.LittleEndian.AppendUint64(b, uint64(x))
 		}
 		return b
-	case int64:
-		return binary.LittleEndian.AppendUint64(nil, uint64(v))
-	case *schedule.Schedule:
-		var buf bytes.Buffer
-		if err := schedule.WriteJSON(&buf, v); err != nil {
-			return nil
-		}
-		return buf.Bytes()
 	}
-	return nil
+	return binary.LittleEndian.AppendUint64(nil, uint64(v.(int64)))
 }
 
-// decodePayload is the read half. A schedule record is JSON that only
-// binds to its materialized module, so the schedule layer passes bind —
-// the leaf's once-guarded materializer; without one the record cannot
-// be read. false marks a record this build cannot use: a stale shape,
-// or a schedule that no longer binds (a changed fingerprint).
-func decodePayload(layer cacheLayer, b []byte, bind func() (*ir.Module, error)) (any, bool) {
+// decodePayload is the read half. false marks a record of a stale shape
+// that this build cannot use.
+func decodePayload(layer cacheLayer, b []byte) (any, bool) {
 	word := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i:])) }
-	switch layer {
-	case layerComm:
+	if layer == layerComm {
 		if len(b) != 32 {
 			return nil, false
 		}
 		return commEntry{zeroLen: word(0), cycles: word(1), globals: word(2), locals: word(3)}, true
-	case layerCP:
-		if len(b) != 8 {
-			return nil, false
-		}
-		return word(0), true
 	}
-	if bind == nil {
+	if len(b) != 8 {
 		return nil, false
 	}
-	m, err := bind()
-	if err != nil {
-		return nil, false
-	}
-	s, err := schedule.ReadJSON(bytes.NewReader(b), m)
-	if err != nil {
-		return nil, false
-	}
-	return s, true
+	return word(0), true
 }
 
 // CacheStats counts EvalCache traffic, split by layer. A "schedule" hit
 // with a "comm" miss is the sweep fast path: the zero-communication
 // schedule is reused and only comm.Analyze re-runs under the new
-// movement options. Disk counters cover the persistent layer: DiskHits
-// are lookups the memory front missed but a disk record served (they
-// are also counted as hits of their logical layer), DiskMisses went all
-// the way through and will recompute. Entry counts and byte sizes are
+// movement options. Disk counters cover the persisted comm and cp
+// layers (schedule lookups never reach the stores): DiskHits are
+// lookups the memory front missed but a disk record served (they are
+// also counted as hits of their logical layer), DiskMisses went all the
+// way through and will recompute. Entry counts and byte sizes are
 // absolute occupancy, not traffic.
 type CacheStats struct {
 	CommHits     int64
@@ -382,13 +357,15 @@ type CacheConfig struct {
 //
 // All three share one lookup path (get) and one insert path (put). The
 // memory front is sharded into 64 lock stripes keyed by fingerprint
-// prefix, each one map and one LRU list under an optional budget;
-// behind it sit up to two content-addressed disk stores
-// (internal/cas): a read-write store that persists every result
-// write-through (so restarts start warm and memory eviction never loses
-// work) and an optional read-only seed store preloaded from a committed
-// corpus. Disk records are versioned and checksummed; a torn or corrupt
-// record is a miss, never a crash.
+// prefix, each one map and one LRU list under an optional budget.
+// Behind the comm and critical-path layers — all that composition
+// reads — sit up to two content-addressed disk stores (internal/cas): a
+// read-write store that persists every result write-through (so
+// restarts start warm and memory eviction never loses a
+// characterization) and an optional read-only seed store preloaded from
+// a committed corpus. The schedule layer is memory-only: an evicted or
+// pre-restart schedule is recomputed. Disk records are versioned and
+// checksummed; a torn or corrupt record is a miss, never a crash.
 type EvalCache struct {
 	stripes    [cacheStripes]*cacheStripe
 	maxEntries int   // per stripe; 0 = unbounded
@@ -543,8 +520,9 @@ func entrySize(v any) int64 {
 // already resident, refreshes that entry's recency and returns its
 // value, so racing fills converge on one. A new entry then evicts from
 // the cold end until the stripe is back under budget; the fresh node is
-// never evicted. Write-through persistence means eviction just drops
-// memory — the disk layer still has the record. Caller holds st.mu.
+// never evicted. Write-through persistence means evicting a comm entry
+// or critical path just drops memory — the disk layer still has the
+// record. Caller holds st.mu.
 func (c *EvalCache) insert(st *cacheStripe, k memKey, v any) any {
 	if n, ok := st.entries[k]; ok {
 		n.unlink()
@@ -570,13 +548,13 @@ func (c *EvalCache) insert(st *cacheStripe, k memKey, v any) any {
 	return v
 }
 
-// get is every layer's lookup: the memory stripe, then the read-write
-// store, then the read-only seed. A disk record is decoded outside the
-// stripe lock (binding a schedule may materialize its module) and
-// promoted into memory; one that does not decode is stale and deleted.
-// Each lookup counts one layer hit or miss, plus a disk hit or miss
-// when it reached the stores, on the stripe and on rec.
-func (c *EvalCache) get(k memKey, rec *CacheRecorder, bind func() (*ir.Module, error)) (any, bool) {
+// get is every layer's lookup: the memory stripe, then, for a persisted
+// layer, the read-write store and the read-only seed. A disk record is
+// decoded outside the stripe lock and promoted into memory; one that
+// does not decode is stale and deleted. Each lookup counts one layer
+// hit or miss, plus a disk hit or miss when it reached the stores, on
+// the stripe and on rec.
+func (c *EvalCache) get(k memKey, rec *CacheRecorder) (any, bool) {
 	st := c.stripe(k.sk.fp)
 	st.mu.Lock()
 	if n, ok := st.entries[k]; ok {
@@ -587,7 +565,7 @@ func (c *EvalCache) get(k memKey, rec *CacheRecorder, bind func() (*ir.Module, e
 		rec.add(k.layer.hit())
 		return n.val, true
 	}
-	if !c.hasDisk() {
+	if !c.hasDisk() || !k.layer.persisted() {
 		st.n[k.layer.miss()]++
 		st.mu.Unlock()
 		rec.add(k.layer.miss())
@@ -597,7 +575,7 @@ func (c *EvalCache) get(k memKey, rec *CacheRecorder, bind func() (*ir.Module, e
 
 	ck := k.casKey()
 	if payload, ok := c.diskGet(ck); ok {
-		if v, ok := decodePayload(k.layer, payload, bind); ok {
+		if v, ok := decodePayload(k.layer, payload); ok {
 			st.mu.Lock()
 			v = c.insert(st, k, v)
 			st.n[k.layer.hit()]++
@@ -621,33 +599,30 @@ func (c *EvalCache) get(k memKey, rec *CacheRecorder, bind func() (*ir.Module, e
 }
 
 // put is every layer's insert: into memory (an already-resident entry
-// keeps its value), then write-through to the read-write store.
+// keeps its value), then, for a persisted layer, write-through to the
+// read-write store.
 func (c *EvalCache) put(k memKey, v any) {
 	st := c.stripe(k.sk.fp)
 	st.mu.Lock()
 	c.insert(st, k, v)
 	st.mu.Unlock()
-	if c.disk != nil {
-		if b := encodePayload(v); b != nil {
-			c.disk.Put(k.casKey(), b)
-		}
+	if c.disk != nil && k.layer.persisted() {
+		c.disk.Put(k.casKey(), encodePayload(v))
 	}
 }
 
 // commResult looks up a finished characterization.
 func (c *EvalCache) commResult(k commKey, rec *CacheRecorder) (commEntry, bool) {
-	v, _ := c.get(k.memKey(), rec, nil)
+	v, _ := c.get(k.memKey(), rec)
 	e, ok := v.(commEntry)
 	return e, ok
 }
 
 func (c *EvalCache) putCommResult(k commKey, e commEntry) { c.put(k.memKey(), e) }
 
-// schedule looks up a zero-communication schedule. bind — the leaf's
-// once-guarded materializer — is invoked only when a disk record must
-// be decoded.
-func (c *EvalCache) schedule(k schedKey, rec *CacheRecorder, bind func() (*ir.Module, error)) (*schedule.Schedule, bool) {
-	v, _ := c.get(memKey{layer: layerSched, sk: k}, rec, bind)
+// schedule looks up a zero-communication schedule (memory only).
+func (c *EvalCache) schedule(k schedKey, rec *CacheRecorder) (*schedule.Schedule, bool) {
+	v, _ := c.get(memKey{layer: layerSched, sk: k}, rec)
 	s, ok := v.(*schedule.Schedule)
 	return s, ok
 }
@@ -658,7 +633,7 @@ func (c *EvalCache) putSchedule(k schedKey, s *schedule.Schedule) {
 
 // criticalPath looks up a leaf's DAG depth.
 func (c *EvalCache) criticalPath(fp ir.Fingerprint, rec *CacheRecorder) (int64, bool) {
-	v, _ := c.get(cpKey(fp), rec, nil)
+	v, _ := c.get(cpKey(fp), rec)
 	cp, ok := v.(int64)
 	return cp, ok
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -22,11 +22,11 @@ func TestCacheLayerAccounting(t *testing.T) {
 	sk := schedKey{fp: fp, config: "test", w: 4, d: 0}
 	ck := commKey{sk: sk, comm: comm.Options{LocalCapacity: -1}}
 
-	if _, ok := c.schedule(sk, nil, nil); ok {
+	if _, ok := c.schedule(sk, nil); ok {
 		t.Fatal("empty cache returned a schedule")
 	}
 	c.putSchedule(sk, &schedule.Schedule{K: 4})
-	if s, ok := c.schedule(sk, nil, nil); !ok || s.K != 4 {
+	if s, ok := c.schedule(sk, nil); !ok || s.K != 4 {
 		t.Fatal("put schedule not returned")
 	}
 	if _, ok := c.commResult(ck, nil); ok {
@@ -72,10 +72,10 @@ func TestCacheKeyDiscrimination(t *testing.T) {
 	if _, ok := c.commResult(commKey{sk: sk, comm: comm.Options{LocalCapacity: 8}}, nil); ok {
 		t.Error("comm layer hit across different comm options")
 	}
-	if _, ok := c.schedule(sk, nil, nil); !ok {
+	if _, ok := c.schedule(sk, nil); !ok {
 		t.Error("schedule layer missed its exact key")
 	}
-	if _, ok := c.schedule(schedKey{config: "rcp", w: 2}, nil, nil); ok {
+	if _, ok := c.schedule(schedKey{config: "rcp", w: 2}, nil); ok {
 		t.Error("schedule layer hit across different widths")
 	}
 	st := c.Stats()
@@ -114,8 +114,8 @@ func TestCacheStatsHelpers(t *testing.T) {
 // goroutines so -race exercises the striped counters, then checks the
 // global totals and that per-goroutine recorders sum exactly to them —
 // the attribution contract the service's access logs depend on — for
-// every traffic counter. The disk-backed input sends each miss through
-// the store as well.
+// every traffic counter. The disk-backed input sends each comm and cp
+// miss through the store as well; schedule misses never reach it.
 func TestCacheCountersConcurrent(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
 		c, err := OpenEvalCache(CacheConfig{Dir: dir})
@@ -137,12 +137,12 @@ func TestCacheCountersConcurrent(t *testing.T) {
 			go func(rec *CacheRecorder) {
 				defer wg.Done()
 				for j := 0; j < iters; j++ {
-					c.schedule(sk, rec, nil)                    // hit
-					c.schedule(schedKey{config: "y"}, rec, nil) // miss
-					c.commResult(commKey{sk: sk}, rec)          // hit
-					c.commResult(commKey{}, rec)                // miss
-					c.criticalPath(ir.Fingerprint{1}, rec)      // hit
-					c.criticalPath(ir.Fingerprint{2}, rec)      // miss
+					c.schedule(sk, rec)                    // hit
+					c.schedule(schedKey{config: "y"}, rec) // miss
+					c.commResult(commKey{sk: sk}, rec)     // hit
+					c.commResult(commKey{}, rec)           // miss
+					c.criticalPath(ir.Fingerprint{1}, rec) // hit
+					c.criticalPath(ir.Fingerprint{2}, rec) // miss
 				}
 			}(recs[i])
 		}
@@ -155,7 +155,7 @@ func TestCacheCountersConcurrent(t *testing.T) {
 		}
 		wantDiskMisses := int64(0)
 		if dir != "" {
-			wantDiskMisses = 3 * n
+			wantDiskMisses = 2 * n
 		}
 		if st.DiskHits != 0 || st.DiskMisses != wantDiskMisses {
 			t.Errorf("disk traffic = %d hits, %d misses; want 0, %d", st.DiskHits, st.DiskMisses, wantDiskMisses)
@@ -197,10 +197,9 @@ func cacheHitFixture() []cacheHit {
 		c.putCriticalPath(keys[i].fp, 1000) // > 255: boxing it would allocate
 	}
 	rec := &CacheRecorder{}
-	bind := func() (*ir.Module, error) { return nil, nil }
 	return []cacheHit{
 		{"comm", func(i int) { c.commResult(commKey{sk: keys[i%cacheStripes]}, rec) }},
-		{"sched", func(i int) { c.schedule(keys[i%cacheStripes], rec, bind) }},
+		{"sched", func(i int) { c.schedule(keys[i%cacheStripes], rec) }},
 		{"cp", func(i int) { c.criticalPath(keys[i%cacheStripes].fp, rec) }},
 	}
 }
@@ -315,35 +314,31 @@ func TestCacheCPBudget(t *testing.T) {
 	}
 }
 
-// testLeafModule builds a tiny real leaf whose fingerprint anchors
-// persisted schedule records.
-func testLeafModule() *ir.Module {
-	m := ir.NewModule("leaf", []ir.Reg{{Name: "q", Size: 2}}, nil)
-	m.Gate(0, 0)
-	m.Gate(0, 1)
-	return m
-}
-
-// TestCachePersistentRoundTrip is the restart story: results written by
-// one cache instance are served — byte-identical — by a fresh instance
-// over the same directory, for all three layers, counted as disk hits.
+// TestCachePersistentRoundTrip is the restart story: comm entries and
+// critical paths written by one cache instance are served —
+// byte-identical — by a fresh instance over the same directory, counted
+// as disk hits. Schedules are memory-only: the fresh instance misses
+// them without touching the stores.
 func TestCachePersistentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m := testLeafModule()
-	fp := m.Fingerprint()
+	fp := ir.Fingerprint{5}
 	sk := schedKey{fp: fp, config: "rcp", w: 2}
 	ck := commKey{sk: sk, comm: comm.Options{LocalCapacity: 4}}
-	sched := &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}, {1}}},
-	}}
 
 	c1, err := OpenEvalCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.putSchedule(sk, sched)
+	// A real leaf's schedule, which a build that persisted schedules
+	// would have written as a third record.
+	m := ir.NewModule("leaf", []ir.Reg{{Name: "q", Size: 1}}, nil)
+	m.Gate(0, 0)
+	c1.putSchedule(sk, &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{{Regions: [][]int32{{0}}}}})
 	c1.putCommResult(ck, commEntry{zeroLen: 1, cycles: 9, globals: 2, locals: 3})
 	c1.putCriticalPath(fp, 17)
+	if st := c1.Stats(); st.DiskWrites != 2 || st.DiskEntries != 2 {
+		t.Errorf("store after three puts = %+v; want 2 writes, 2 entries", st)
+	}
 	c1.Close()
 
 	c2, err := OpenEvalCache(CacheConfig{Dir: dir})
@@ -360,16 +355,11 @@ func TestCachePersistentRoundTrip(t *testing.T) {
 	if !ok || cp != 17 {
 		t.Fatalf("cp round trip = %d, %v", cp, ok)
 	}
-	bind := func() (*ir.Module, error) { return m, nil }
-	s2, ok := c2.schedule(sk, rec, bind)
-	if !ok {
-		t.Fatal("schedule round trip missed")
+	if _, ok := c2.schedule(sk, rec); ok {
+		t.Fatal("schedule served after a restart")
 	}
-	if s2.K != sched.K || !reflect.DeepEqual(s2.Steps, sched.Steps) {
-		t.Fatalf("schedule round trip differs: %+v vs %+v", s2, sched)
-	}
-	if rs := rec.Stats(); rs.DiskHits != 3 || rs.DiskMisses != 0 {
-		t.Errorf("recorder = %+v; want 3 disk hits", rs)
+	if rs := rec.Stats(); rs.DiskHits != 2 || rs.DiskMisses != 0 || rs.SchedMisses != 1 {
+		t.Errorf("recorder = %+v; want 2 disk hits, no disk miss, 1 sched miss", rs)
 	}
 	// Promoted into memory: a repeat lookup is a pure memory hit.
 	beforeRepeat := c2.Stats()
@@ -416,35 +406,32 @@ func TestCachePreloadSeed(t *testing.T) {
 	}
 }
 
-// TestCacheStaleScheduleRecordIsMiss: a persisted schedule whose module
-// no longer hashes the same (a stale corpus against changed code) must
-// degrade to a miss and drop the record — never bind or crash.
+// TestCacheStaleScheduleRecordIsMiss: a store written by a build that
+// persisted schedules still holds evalcache/sched/v1 records. The
+// schedule layer never reads them: a lookup misses without touching the
+// stores, and the record is left in place for compaction to age out.
 func TestCacheStaleScheduleRecordIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	m := testLeafModule()
-	sk := schedKey{fp: m.Fingerprint(), config: "rcp", w: 2}
-	c1, err := OpenEvalCache(CacheConfig{Dir: dir})
+	sk := schedKey{fp: ir.Fingerprint{8}, config: "rcp", w: 2}
+	var wd [16]byte
+	binary.LittleEndian.PutUint64(wd[0:8], uint64(sk.w))
+	store, err := cas.Open(cas.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.putSchedule(sk, &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{{Regions: [][]int32{{0}}}}})
-	c1.Close()
+	store.Put(cas.NewKey("evalcache/sched/v1", sk.fp[:], []byte(sk.config), wd[:]), []byte(`{"schema":1}`))
+	store.Close()
 
-	c2, err := OpenEvalCache(CacheConfig{Dir: dir})
+	c, err := OpenEvalCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	different := ir.NewModule("leaf", []ir.Reg{{Name: "q", Size: 3}}, nil)
-	different.Gate(0, 2)
-	bind := func() (*ir.Module, error) { return different, nil }
-	if _, ok := c2.schedule(sk, nil, bind); ok {
-		t.Fatal("stale schedule record bound to a different module")
+	defer c.Close()
+	if _, ok := c.schedule(sk, nil); ok {
+		t.Fatal("persisted schedule record served")
 	}
-	// The bad record is gone: a rebuilt module misses cleanly without
-	// re-reading it.
-	if st := c2.Stats(); st.SchedMisses != 1 || st.DiskMisses != 1 {
-		t.Errorf("stats after stale bind = %+v", st)
+	if st := c.Stats(); st.SchedMisses != 1 || st.DiskHits != 0 || st.DiskMisses != 0 || st.DiskEntries != 1 {
+		t.Errorf("stats = %+v; want 1 sched miss, no disk traffic, the record kept", st)
 	}
 }
 
@@ -521,21 +508,19 @@ func TestCacheEvictedEntryServedFromDisk(t *testing.T) {
 
 // TestCacheSurvivesAbruptStop is the kill-9 half of the crash-safety
 // contract at the cache level: no Close, no flush — every completed Put
-// must already be durable (write-through + atomic rename), and a fresh
-// cache over the directory serves identical bytes.
+// of a persisted layer must already be durable (write-through + atomic
+// rename), and a fresh cache over the directory serves identical values.
 func TestCacheSurvivesAbruptStop(t *testing.T) {
 	dir := t.TempDir()
-	m := testLeafModule()
-	sk := schedKey{fp: m.Fingerprint(), config: "lpfs", w: 2}
-	sched := &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{
-		{Regions: [][]int32{{0, 1}}},
-		{Regions: [][]int32{{1}, {0}}},
-	}}
+	fp := ir.Fingerprint{6}
+	ck := commKey{sk: schedKey{fp: fp, config: "lpfs", w: 2}}
+	want := commEntry{zeroLen: 2, cycles: 7, globals: 1, locals: 4}
 	c1, err := OpenEvalCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.putSchedule(sk, sched)
+	c1.putCommResult(ck, want)
+	c1.putCriticalPath(fp, 3)
 	// Simulated kill -9: c1 is abandoned, never Closed.
 
 	c2, err := OpenEvalCache(CacheConfig{Dir: dir})
@@ -543,12 +528,11 @@ func TestCacheSurvivesAbruptStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	s2, ok := c2.schedule(sk, nil, func() (*ir.Module, error) { return m, nil })
-	if !ok {
-		t.Fatal("schedule lost after abrupt stop")
+	if e, ok := c2.commResult(ck, nil); !ok || e != want {
+		t.Fatalf("comm entry after abrupt stop = %+v, %v; want %+v", e, ok, want)
 	}
-	if !reflect.DeepEqual(s2.Steps, sched.Steps) {
-		t.Fatalf("schedule differs after abrupt stop: %+v vs %+v", s2.Steps, sched.Steps)
+	if cp, ok := c2.criticalPath(fp, nil); !ok || cp != 3 {
+		t.Fatalf("critical path after abrupt stop = %d, %v; want 3", cp, ok)
 	}
 	c1.Close() // only to stop goroutines under -race cleanliness
 }

@@ -28,9 +28,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"github.com/scaffold-go/multisimd/internal/coarse"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
@@ -385,13 +387,16 @@ type leafState struct {
 // assemble folds the per-width slots into a moduleEval, widths ascending
 // — identical output regardless of task completion order.
 func (ls *leafState) assemble(widths []int) *moduleEval {
-	ev := &moduleEval{cp: ls.cp}
-	for wi, w := range widths {
-		ce := ls.slots[wi]
-		ev.zero.Widths = append(ev.zero.Widths, w)
-		ev.zero.Lengths = append(ev.zero.Lengths, ce.zeroLen)
-		ev.withComm.Widths = append(ev.withComm.Widths, w)
-		ev.withComm.Lengths = append(ev.withComm.Lengths, ce.cycles)
+	zero := make([]int64, len(widths))
+	withComm := make([]int64, len(widths))
+	for wi, ce := range ls.slots {
+		zero[wi] = ce.zeroLen
+		withComm[wi] = ce.cycles
+	}
+	ev := &moduleEval{
+		cp:       ls.cp,
+		zero:     coarse.Dims{Widths: slices.Clone(widths), Lengths: zero},
+		withComm: coarse.Dims{Widths: slices.Clone(widths), Lengths: withComm},
 	}
 	if n := len(widths); n > 0 {
 		ev.globals = ls.slots[n-1].globals
@@ -487,14 +492,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 		ls.slots[wi] = ce
 		return nil
 	}
-	// The schedule layer may be serving a persisted record, which only
-	// decodes against its materialized module; bind hands the cache this
-	// leaf's once-guarded materializer for exactly that path.
-	bind := func() (*ir.Module, error) {
-		mat, _, err := graph()
-		return mat, err
-	}
-	s, ok := e.cache.schedule(sk, e.rec, bind)
+	s, ok := e.cache.schedule(sk, e.rec)
 	if !ok {
 		sp.SetStr("cache", "miss")
 		mat, g, err := graph()

@@ -138,9 +138,9 @@ func fpBigModule() *Module {
 }
 
 // TestFingerprintGolden pins the exact byte stream of the hash: cache
-// keys, persisted schedule records and committed content-addressed
-// stores are all keyed by these digests, so an encoder change that
-// alters them would silently invalidate every store on disk.
+// keys and committed content-addressed stores are keyed by these
+// digests, so an encoder change that alters them would silently
+// invalidate every store on disk.
 func TestFingerprintGolden(t *testing.T) {
 	p := fpProgram()
 	for _, c := range []struct {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -89,7 +88,7 @@ func (r Reason) String() string {
 	return "unknown"
 }
 
-// ParseReason inverts String; JSONL round trips through it.
+// ParseReason inverts String; JSON decoding goes through it.
 func ParseReason(s string) (Reason, error) {
 	for r := ReasonChosen; r <= ReasonRefill; r++ {
 		if r.String() == s {
@@ -99,8 +98,9 @@ func ParseReason(s string) (Reason, error) {
 	return 0, fmt.Errorf("obs: unknown decision reason %q", s)
 }
 
-// MarshalJSON renders the reason as its string name, keeping the JSONL
-// stream readable and stable if the enum ever reorders.
+// MarshalJSON renders the reason as its string name, keeping JSON
+// records (the access log's decisions) readable and stable if the enum
+// ever reorders.
 func (r Reason) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.String())
 }
@@ -296,50 +296,6 @@ func (l *DecisionLog) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// WriteJSONL renders the log as one JSON object per line — the
-// machine-readable sibling of WriteTo, loadable line-by-line without
-// holding the whole log in memory. A trailing comment line reports any
-// retention-limit drops (ReadJSONL skips it).
-func (l *DecisionLog) WriteJSONL(w io.Writer) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	enc := json.NewEncoder(w)
-	for i := range l.entries {
-		if err := enc.Encode(&l.entries[i]); err != nil {
-			return err
-		}
-	}
-	if l.dropped > 0 {
-		if _, err := fmt.Fprintf(w, "# dropped %d decisions past the %d-record limit\n", l.dropped, l.limit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a WriteJSONL stream back into decisions, skipping
-// blank and comment lines.
-func ReadJSONL(r io.Reader) ([]Decision, error) {
-	var out []Decision
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var d Decision
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			return nil, fmt.Errorf("obs: decision JSONL: %w", err)
-		}
-		out = append(out, d)
-	}
-	return out, sc.Err()
 }
 
 // WriteFile renders the log to path.

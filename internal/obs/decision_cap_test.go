@@ -1,14 +1,14 @@
 package obs
 
 import (
-	"reflect"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // TestDecisionLogCap pins the retention limit: records past the cap are
-// counted, not kept, and both renderings note the drop.
+// counted, not kept, and the text rendering notes the drop.
 func TestDecisionLogCap(t *testing.T) {
 	l := NewDecisionLogLimit(LevelStep, 3)
 	for i := 0; i < 10; i++ {
@@ -33,13 +33,6 @@ func TestDecisionLogCap(t *testing.T) {
 	}
 	if !strings.Contains(text.String(), "# dropped 7 decisions") {
 		t.Errorf("text rendering lacks the drop note:\n%s", text.String())
-	}
-	var jsonl strings.Builder
-	if err := l.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jsonl.String(), "# dropped 7 decisions") {
-		t.Errorf("JSONL rendering lacks the drop note:\n%s", jsonl.String())
 	}
 }
 
@@ -82,51 +75,29 @@ func TestDecisionLogDefaultsCapped(t *testing.T) {
 	}
 }
 
-// TestDecisionJSONLRoundTrip writes and re-reads the machine-readable
-// form; reasons travel as strings.
-func TestDecisionJSONLRoundTrip(t *testing.T) {
-	l := NewDecisionLog(LevelOp)
-	want := []Decision{
-		{Scheduler: "lpfs", Module: "BF.x", Step: 0, Region: 1, Op: 34, Reason: ReasonChosen, Detail: "weight 12"},
-		{Scheduler: "lpfs", Module: "BF.x", Step: 1, Region: 0, Op: -1, Reason: ReasonRefill},
-		{Scheduler: "rcp", Module: "y", Step: 2, Region: 3, Op: 7, Reason: ReasonDBudget, Detail: "needs 2, 7/8 used"},
-	}
-	for _, d := range want {
-		l.Record(LevelStep, d)
-	}
-	var b strings.Builder
-	if err := l.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `"reason":"d-budget"`) {
-		t.Errorf("reasons must serialize as strings:\n%s", b.String())
-	}
-	got, err := ReadJSONL(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("round trip drift:\n got %+v\nwant %+v", got, want)
-	}
-
-	if _, err := ReadJSONL(strings.NewReader(`{"reason":"telepathy"}`)); err == nil {
-		t.Error("unknown reason accepted")
-	}
-	// Comment and blank lines (the drop note) are skipped.
-	got, err = ReadJSONL(strings.NewReader("\n# dropped 7 decisions past the 3-record limit\n"))
-	if err != nil || len(got) != 0 {
-		t.Errorf("comment skip: %v, %d records", err, len(got))
-	}
-}
-
+// TestReasonParseInvertsString: every reason parses back from its name,
+// and its JSON form (the access log's decisions) is that name and
+// decodes back; an unknown name is rejected either way.
 func TestReasonParseInvertsString(t *testing.T) {
 	for r := ReasonChosen; r <= ReasonRefill; r++ {
 		back, err := ParseReason(r.String())
 		if err != nil || back != r {
 			t.Errorf("reason %d: parse(%q) = %v, %v", r, r.String(), back, err)
 		}
+		b, err := json.Marshal(r)
+		if err != nil || string(b) != `"`+r.String()+`"` {
+			t.Errorf("reason %d: JSON %s, %v; want its quoted name", r, b, err)
+		}
+		var dec Reason
+		if err := json.Unmarshal(b, &dec); err != nil || dec != r {
+			t.Errorf("reason %d: JSON decode of %s = %v, %v", r, b, dec, err)
+		}
 	}
 	if _, err := ParseReason("unknown"); err == nil {
 		t.Error("\"unknown\" parsed as a reason")
+	}
+	var dec Reason
+	if err := json.Unmarshal([]byte(`"telepathy"`), &dec); err == nil {
+		t.Error("unknown reason accepted from JSON")
 	}
 }

@@ -1,13 +1,11 @@
 // Package soak is the long-running determinism and legality harness:
 // it sweeps seeded random hierarchical programs (verify.RandomProgram)
 // through the language front end, every registered scheduler, the
-// legality oracle, the serialization codecs and the full evaluation
-// engine, asserting on every instance that
+// legality oracle and the full evaluation engine, asserting on every
+// instance that
 //
 //   - Scaffold rendering round-trips: parse + sema + lower of the
 //     generated source reproduces the exact program fingerprint;
-//   - IR and schedule JSON export/import are lossless (fingerprint- and
-//     digest-identical);
 //   - scheduling is deterministic: repeated runs yield bit-identical
 //     schedules (verify.ScheduleDigest);
 //   - every schedule passes the independent Multi-SIMD legality oracle
@@ -21,7 +19,6 @@
 package soak
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -158,7 +155,7 @@ type Failure struct {
 type Result struct {
 	// Instances is the number of generated (program, seed) instances.
 	Instances int `json:"instances"`
-	// RoundTrips counts successful source + IR round-trip checks.
+	// RoundTrips counts successful Scaffold source round-trip checks.
 	RoundTrips int `json:"round_trips"`
 	// Schedules counts leaf schedules built and oracle-verified.
 	Schedules int64 `json:"schedules"`
@@ -257,7 +254,7 @@ func Run(opts Options) (*Result, error) {
 			}
 			k, d, copts := instanceConfig(pi*31+si, opts.Gen.Wide)
 
-			if ok := checkRoundTrips(p, func(stage, detail string) { fail(pi, si, "", stage, detail) }); ok {
+			if ok := checkRoundTrip(p, func(stage, detail string) { fail(pi, si, "", stage, detail) }); ok {
 				res.RoundTrips++
 			}
 
@@ -332,39 +329,24 @@ func (o Options) Repro(pi, si int) string {
 	return b.String()
 }
 
-// checkRoundTrips asserts the two lossless-serialization invariants:
-// Scaffold source through the front end, and IR JSON through the codec.
-func checkRoundTrips(p *ir.Program, fail func(stage, detail string)) bool {
-	ok := true
+// checkRoundTrip asserts that the program's Scaffold rendering goes
+// back through the front end to the same fingerprint.
+func checkRoundTrip(p *ir.Program, fail func(stage, detail string)) bool {
 	src, err := verify.ProgramScaffold(p)
 	if err != nil {
 		fail("render", err.Error())
-		ok = false
-	} else {
-		q, err := core.Frontend(src, core.PipelineOptions{})
-		if err != nil {
-			fail("frontend", err.Error())
-			ok = false
-		} else if p.Fingerprint() != q.Fingerprint() {
-			fail("source-roundtrip", fmt.Sprintf("fingerprint drifted %s -> %s", p.Fingerprint(), q.Fingerprint()))
-			ok = false
-		}
-	}
-	var buf bytes.Buffer
-	if err := ir.WriteJSON(&buf, p); err != nil {
-		fail("ir-export", err.Error())
 		return false
 	}
-	q, err := ir.ReadJSON(&buf)
+	q, err := core.Frontend(src, core.PipelineOptions{})
 	if err != nil {
-		fail("ir-import", err.Error())
+		fail("frontend", err.Error())
 		return false
 	}
 	if p.Fingerprint() != q.Fingerprint() {
-		fail("ir-roundtrip", fmt.Sprintf("fingerprint drifted %s -> %s", p.Fingerprint(), q.Fingerprint()))
+		fail("source-roundtrip", fmt.Sprintf("fingerprint drifted %s -> %s", p.Fingerprint(), q.Fingerprint()))
 		return false
 	}
-	return ok
+	return true
 }
 
 // materializedLeaves expands every reachable leaf and builds its
@@ -390,9 +372,8 @@ func materializedLeaves(p *ir.Program) ([]*dag.Graph, error) {
 }
 
 // checkSchedules schedules every leaf twice with one scheduler,
-// asserting digest-identical repeats, oracle legality with move-list
-// consistency, and a lossless schedule JSON round trip. Each verified
-// digest folds into the sweep digest.
+// asserting digest-identical repeats and oracle legality with move-list
+// consistency. Each verified digest folds into the sweep digest.
 func checkSchedules(leaves []*dag.Graph, sched schedule.Scheduler, k, d int, copts comm.Options, sweep io.Writer) (int64, error) {
 	var n int64
 	for _, g := range leaves {
@@ -417,17 +398,6 @@ func checkSchedules(leaves []*dag.Graph, sched schedule.Scheduler, k, d int, cop
 		if err := verify.Full(s, g, res, copts); err != nil {
 			return n, fmt.Errorf("leaf %s k=%d d=%d opts=%+v: oracle: %w", m.Name, k, d, copts, err)
 		}
-		var buf bytes.Buffer
-		if err := schedule.WriteJSON(&buf, s); err != nil {
-			return n, fmt.Errorf("leaf %s: schedule export: %w", m.Name, err)
-		}
-		loaded, err := schedule.ReadJSON(&buf, m)
-		if err != nil {
-			return n, fmt.Errorf("leaf %s: schedule import: %w", m.Name, err)
-		}
-		if ld := verify.ScheduleDigest(loaded); ld != dig {
-			return n, fmt.Errorf("leaf %s: schedule JSON round trip drifted: digest %016x -> %016x", m.Name, dig, ld)
-		}
 		var db [8]byte
 		for i := 0; i < 8; i++ {
 			db[i] = byte(dig >> (8 * i))
@@ -443,6 +413,9 @@ func checkSchedules(leaves []*dag.Graph, sched schedule.Scheduler, k, d int, cop
 // bit-identical metrics. A non-empty cacheDir adds the persistent lane:
 // populate a disk-backed cache, close it, reopen the directory with
 // cold memory (a simulated restart) and demand the same metrics again.
+// The restart runs without the oracle, which would bypass the comm fast
+// path, so its every characterization must come from a persisted comm
+// record: no comm or schedule miss and at least one disk hit.
 func checkEngine(p *ir.Program, sched schedule.Scheduler, k, d int, copts comm.Options, workers []int, cacheDir string) (int64, error) {
 	var ref *core.Metrics
 	var refDesc string
@@ -492,13 +465,15 @@ func checkEngine(p *ir.Program, sched schedule.Scheduler, k, d int, copts comm.O
 			if err != nil {
 				return n, fmt.Errorf("persistent cache %s: %w", cacheDir, err)
 			}
+			rec := &core.CacheRecorder{}
 			m, err := core.Evaluate(p, core.EvalOptions{
-				Scheduler: sched,
-				K:         k,
-				D:         d,
-				Comm:      copts,
-				Verify:    true,
-				Cache:     pc,
+				Scheduler:  sched,
+				K:          k,
+				D:          d,
+				Comm:       copts,
+				Verify:     run == 0,
+				Cache:      pc,
+				CacheStats: rec,
 			})
 			pc.Close()
 			n++
@@ -511,6 +486,10 @@ func checkEngine(p *ir.Program, sched schedule.Scheduler, k, d int, copts comm.O
 			}
 			if err := check(m, fmt.Sprintf("cache=%s", state)); err != nil {
 				return n, err
+			}
+			if st := rec.Stats(); run == 1 && (st.CommMisses != 0 || st.SchedMisses != 0 || st.DiskHits == 0) {
+				return n, fmt.Errorf("cache=%s k=%d d=%d: %d comm misses, %d sched misses, %d disk hits; want 0, 0 and at least 1",
+					state, k, d, st.CommMisses, st.SchedMisses, st.DiskHits)
 			}
 		}
 	}

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -341,29 +342,21 @@ func numaExperiment(w io.Writer, fth int64, sched core.Scheduler, workers int) e
 		if biggest == nil {
 			continue
 		}
-		mat, g, err := core.MaterializeLeaf(biggest)
-		if err != nil {
-			return err
-		}
-		fine, err := sched.Schedule(mat, g, 4, 0)
-		if err != nil {
-			return err
-		}
-		res, err := comm.Analyze(fine, comm.Options{})
+		l, err := core.ScheduleLeaf(biggest, sched, 4, 0, comm.Options{})
 		if err != nil {
 			return err
 		}
 		cfg := numa.Config{Banks: 2}
-		rr, err := numa.Analyze(fine, res, numa.RoundRobin(mat.TotalSlots(), 2), cfg)
+		rr, err := numa.Analyze(l.S, l.Comm, numa.RoundRobin(l.S.M.TotalSlots(), 2), cfg)
 		if err != nil {
 			return err
 		}
-		aff, err := numa.Analyze(fine, res, numa.AffinityMoves(fine, res, 2), cfg)
+		aff, err := numa.Analyze(l.S, l.Comm, numa.AffinityMoves(l.S, l.Comm, 2), cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-10s %10d %11.1f%% %12.1f%% %12d %12d\n",
-			wl.Name, res.GlobalMoves, 100*rr.FarFraction(), 100*aff.FarFraction(), rr.Cycles, aff.Cycles)
+			wl.Name, l.Comm.GlobalMoves, 100*rr.FarFraction(), 100*aff.FarFraction(), rr.Cycles, aff.Cycles)
 	}
 	return nil
 }
@@ -494,7 +487,7 @@ func measureDiskWarm(b bench.Benchmark, sched core.Scheduler, fth int64, workers
 	}
 	defer os.RemoveAll(dir)
 
-	w, err := buildWorkload(b, fth, true, workers)
+	w, opts, err := perfWorkload(b, sched, fth, workers)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -502,7 +495,7 @@ func measureDiskWarm(b bench.Benchmark, sched core.Scheduler, fth int64, workers
 	if err != nil {
 		return 0, 0, err
 	}
-	opts := core.EvalOptions{Scheduler: sched, K: 4, Cache: warmCache, Workers: w.Workers}
+	opts.Cache = warmCache
 	if _, err := core.Evaluate(w.Prog, opts); err != nil {
 		warmCache.Close()
 		return 0, 0, fmt.Errorf("%s disk populate: %w", b.Name, err)
@@ -626,15 +619,27 @@ func checkReportAgainst(dir string, rec *report.Report) error {
 	return nil
 }
 
+// perfWorkload builds gated benchmark b as -perf-out measures it
+// (flattened at fth, 0 = 2000, on a fresh cache) with the k=4 options
+// of its perf record and schedule report.
+func perfWorkload(b bench.Benchmark, sched core.Scheduler, fth int64, workers int) (core.Workload, core.EvalOptions, error) {
+	if fth == 0 {
+		fth = 2000
+	}
+	w, err := buildWorkload(b, fth, true, workers)
+	if err != nil {
+		return core.Workload{}, core.EvalOptions{}, err
+	}
+	return w, core.EvalOptions{Scheduler: sched, K: 4, Cache: w.Cache, Workers: w.Workers}, nil
+}
+
 // writePerfRecords evaluates each gated benchmark (the eight small
 // presets plus the extended QAOA/QFT/QPE workloads) twice at k=4 — a cold
 // run that fills the EvalCache and a warm run that should hit it — and
 // writes the wall times, cache behavior, worker-pool peak and host
 // parallelism (GOMAXPROCS and the effective worker count) per
-// benchmark, plus a REPORT_<name>.json schedule report
-// from a final, untimed profiled run (profiling bypasses the warm
-// comm-cache fast path, so it stays out of the timed pair to keep wall
-// times comparable with committed baselines). Each benchmark gets a fresh cache and
+// benchmark, plus a REPORT_<name>.json schedule report built, untimed,
+// from the cold run's metrics. Each benchmark gets a fresh cache and
 // metrics registry so records are independent. With a non-empty against
 // / reportAgainst dir, every record is also checked for wall-time /
 // schedule regressions; all benchmarks still run and write records
@@ -647,21 +652,14 @@ func writePerfRecords(dir, against, reportAgainst, schedName string, fth int64, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if fth == 0 {
-		fth = 2000
-	}
 	var regressions []error
 	for _, b := range bench.Gated() {
-		w, err := buildWorkload(b, fth, true, workers)
+		w, opts, err := perfWorkload(b, sched, fth, workers)
 		if err != nil {
 			return err
 		}
 		reg := obs.NewRegistry()
-		opts := core.EvalOptions{
-			Scheduler: sched, K: 4,
-			Cache: w.Cache, Workers: w.Workers,
-			Obs: &obs.Observer{Metrics: reg},
-		}
+		opts.Obs = &obs.Observer{Metrics: reg}
 		start := time.Now()
 		m, err := core.Evaluate(w.Prog, opts)
 		if err != nil {
@@ -721,13 +719,10 @@ func writePerfRecords(dir, against, reportAgainst, schedName string, fth int64, 
 			}
 		}
 
-		popts := opts
-		popts.Profile = report.NewCollector()
-		pm, err := core.Evaluate(w.Prog, popts)
+		sr, err := core.BuildReport(context.Background(), w.Prog, b.Name, m, opts)
 		if err != nil {
-			return fmt.Errorf("%s profile: %w", b.Name, err)
+			return fmt.Errorf("%s report: %w", b.Name, err)
 		}
-		sr := core.BuildReport(popts.Profile, b.Name, pm, popts)
 		rpath := filepath.Join(dir, "REPORT_"+b.Name+".json")
 		if err := sr.WriteJSONFile(rpath); err != nil {
 			return err

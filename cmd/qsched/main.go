@@ -36,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +45,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obscli"
-	"github.com/scaffold-go/multisimd/internal/report"
 	"github.com/scaffold-go/multisimd/internal/request"
 )
 
@@ -117,14 +117,13 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
+	// -decisions records the evaluation, not the report's reschedules.
+	reportOpts := eopts
 	sched := core.WithDecisionLog(eopts.Scheduler, obsv.D())
 	eopts.Scheduler = sched
 	eopts.Obs = obsv
 	if cfg.dump != "" {
 		return dumpLeaf(prog, cfg.dump, req, sched)
-	}
-	if cfg.report != "" || cfg.reportJS != "" {
-		eopts.Profile = report.NewCollector()
 	}
 	m, err := core.Evaluate(prog, eopts)
 	if err != nil {
@@ -133,8 +132,11 @@ func run(cfg config) error {
 	if err := cfg.obs.Finish(obsv); err != nil {
 		return err
 	}
-	if eopts.Profile != nil {
-		r := core.BuildReport(eopts.Profile, cfg.benchmarkLabel(), m, eopts)
+	if cfg.report != "" || cfg.reportJS != "" {
+		r, err := core.BuildReport(context.Background(), prog, cfg.benchmarkLabel(), m, reportOpts)
+		if err != nil {
+			return err
+		}
 		if cfg.report != "" {
 			if err := r.WriteHTMLFile(cfg.report); err != nil {
 				return err
@@ -200,7 +202,7 @@ func dumpLeaf(prog *ir.Program, name string, req request.Config, sched core.Sche
 		return err
 	}
 	fmt.Printf("# %s: %d ops, cp %d, %d steps, %d cycles with movement (%d teleports, %d local moves)\n",
-		name, ls.Ops, ls.CriticalPath, ls.Steps, ls.Comm.Cycles, ls.Comm.GlobalMoves, ls.Comm.LocalMoves)
+		name, ls.G.Len(), ls.G.CriticalPath(), ls.S.Length(), ls.Comm.Cycles, ls.Comm.GlobalMoves, ls.Comm.LocalMoves)
 	fmt.Printf("# EPR pre-distribution (bandwidth %d/cycle, latency %d): %d pairs, %d issued before t0, peak buffer %d\n",
 		ls.EPR.Bandwidth, ls.EPR.Latency, ls.Plan.Pairs, ls.Plan.PreIssued, ls.Plan.MaxBuffered)
 	_, err = os.Stdout.WriteString(ls.Text)

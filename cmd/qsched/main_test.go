@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +141,40 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 	}
 }
 
+// TestReportLeavesDecisionLogUnchanged: the report reschedules every
+// leaf without the decision log, so -decisions is byte-identical with
+// and without -report-json. Concurrent leaf tasks interleave their
+// records, so the evaluation runs on one worker (GOMAXPROCS 1).
+func TestReportLeavesDecisionLogUnchanged(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	var logs [][]byte
+	for i, withReport := range []bool{false, true} {
+		// rcp: lpfs logs no decision on this leaf at width k, so a
+		// report rescheduled through the logging scheduler would go unseen.
+		cfg := testConfig("rcp", "Grovers", "", false)
+		cfg.obs.Decisions = fmt.Sprintf("%s/decisions-%d.log", dir, i)
+		cfg.obs.DecisionLevel = "op"
+		if withReport {
+			cfg.reportJS = dir + "/report.json"
+		}
+		if err := run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(cfg.obs.Decisions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs = append(logs, data)
+	}
+	if len(logs[0]) == 0 {
+		t.Fatal("empty decision log")
+	}
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Errorf("-report-json changed the decision log: %d vs %d bytes", len(logs[0]), len(logs[1]))
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	if err := run(testConfig("quantum", "Grovers", "", false)); err == nil {
 		t.Error("unknown scheduler accepted")
@@ -160,6 +195,17 @@ func TestRunErrors(t *testing.T) {
 	bad.obs.DecisionLevel = "verbose"
 	if err := run(bad); err == nil {
 		t.Error("bad -decision-level accepted")
+	}
+	// k above request.MaxK fails validation before anything runs: the
+	// -metrics-out snapshot an evaluation would write never appears.
+	wide := testConfig("lpfs", "Grovers", "", false)
+	wide.req.K = request.MaxK + 1
+	wide.obs.MetricsOut = t.TempDir() + "/metrics.json"
+	if err := run(wide); err == nil || !strings.Contains(err.Error(), "k must be") {
+		t.Errorf("k=%d: error %v, want a k validation error", wide.req.K, err)
+	}
+	if _, err := os.Stat(wide.obs.MetricsOut); !os.IsNotExist(err) {
+		t.Errorf("k=%d wrote %s (stat: %v)", wide.req.K, wide.obs.MetricsOut, err)
 	}
 }
 

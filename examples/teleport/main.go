@@ -15,7 +15,6 @@ import (
 
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/lpfs"
 	"github.com/scaffold-go/multisimd/internal/qasm"
 	"github.com/scaffold-go/multisimd/internal/sim"
 )
@@ -70,18 +69,11 @@ module main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mod, g, err := core.MaterializeLeaf(prog.EntryModule())
+	l, err := core.ScheduleLeaf(prog.EntryModule(), core.LPFS, 2, 0, comm.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := lpfs.Schedule(mod, g, lpfs.Options{K: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := comm.Analyze(s, comm.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	s, res := l.S, l.Comm
 	fmt.Println("the same teleports from the compiler's point of view")
 	fmt.Printf("(each starred move is one Fig. 2 circuit, %d cycles when unmasked):\n", comm.TeleportCycles)
 	if err := comm.WriteSchedule(os.Stdout, s, res); err != nil {

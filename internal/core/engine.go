@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +38,9 @@ import (
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obs"
+	"github.com/scaffold-go/multisimd/internal/report"
 	"github.com/scaffold-go/multisimd/internal/resource"
+	"github.com/scaffold-go/multisimd/internal/schedule"
 	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
@@ -175,6 +178,99 @@ func MaterializeLeaf(mod *ir.Module) (*ir.Module, *dag.Graph, error) {
 		return nil, nil, err
 	}
 	return mat, g, nil
+}
+
+// Leaf is one leaf module scheduled on its own: its dependency DAG, its
+// fine-grained schedule and the full communication analysis, move lists
+// included.
+type Leaf struct {
+	G    *dag.Graph
+	S    *schedule.Schedule
+	Comm *comm.Result
+}
+
+// ScheduleLeaf materializes mod, schedules it with sched on a
+// Multi-SIMD(w,d) machine and analyzes its movement under copts: the
+// one path for every caller that needs one leaf's move lists.
+func ScheduleLeaf(mod *ir.Module, sched Scheduler, w, d int, copts comm.Options) (*Leaf, error) {
+	mat, g, err := MaterializeLeaf(mod)
+	if err != nil {
+		return nil, err
+	}
+	s, err := sched.Schedule(mat, g, w, d)
+	if err != nil {
+		return nil, err
+	}
+	res, err := comm.Analyze(s, copts)
+	if err != nil {
+		return nil, err
+	}
+	return &Leaf{G: g, S: s, Comm: res}, nil
+}
+
+// BuildReport assembles the schedule report of p's evaluation under
+// opts, whose Metrics are m: every reachable leaf goes through
+// ScheduleLeaf at width k on the worker pool, and Modules is sorted by
+// name. Totals denormalizes m so the report is self-contained. Pass the
+// scheduler without its decision log: these reschedules are not the
+// evaluation's decisions.
+func BuildReport(ctx context.Context, p *ir.Program, benchmark string, m *Metrics, opts EvalOptions) (*report.Report, error) {
+	est, err := resource.New(p)
+	if err != nil {
+		return nil, err
+	}
+	var leaves []*ir.Module
+	for _, name := range est.Reachable() {
+		if mod := p.Modules[name]; mod.IsLeaf() {
+			leaves = append(leaves, mod)
+		}
+	}
+	sched := opts.scheduler()
+	mods := make([]report.ModuleReport, len(leaves))
+	err = runTasks(ctx, len(leaves), opts.workers(), func(_, i int) error {
+		mod := leaves[i]
+		l, err := ScheduleLeaf(mod, sched, opts.K, opts.D, opts.Comm)
+		if err != nil {
+			return fmt.Errorf("core: module %s: %w", mod.Name, err)
+		}
+		mods[i] = report.Analyze(mod.Name, l.S, l.G, l.Comm)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(mods, func(i, j int) bool { return mods[i].Name < mods[j].Name })
+
+	r := &report.Report{
+		Schema:    report.SchemaVersion,
+		Benchmark: benchmark,
+		Scheduler: sched.Name(),
+		K:         opts.K,
+		D:         opts.D,
+		Comm:      report.CommConfigOf(opts.Comm),
+		Totals: report.Totals{
+			TotalGates:     m.TotalGates,
+			MinQubits:      m.MinQubits,
+			Modules:        m.Modules,
+			Leaves:         m.Leaves,
+			CriticalPath:   m.CriticalPath,
+			ZeroCommSteps:  m.ZeroCommSteps,
+			CommCycles:     m.CommCycles,
+			GlobalMoves:    m.GlobalMoves,
+			LocalMoves:     m.LocalMoves,
+			SeqCycles:      m.SeqCycles,
+			NaiveCycles:    m.NaiveCycles,
+			SpeedupVsSeq:   m.SpeedupVsSeq(),
+			SpeedupVsNaive: m.SpeedupVsNaive(),
+			CPSpeedup:      m.CPSpeedup(),
+		},
+		Modules: mods,
+	}
+	if m.CommCycles > 0 && m.CommCycles > m.ZeroCommSteps {
+		r.Totals.CommOverheadFraction =
+			float64(m.CommCycles-m.ZeroCommSteps) / float64(m.CommCycles)
+	}
+	return r, nil
 }
 
 // graph materializes a leaf body and builds its dependency DAG exactly
@@ -446,13 +542,6 @@ func (e *engine) evalLeaves(leaves []*leafState) error {
 	return runTasks(e.ctx, n, workers, task)
 }
 
-// profiled reports whether this width slot feeds the schedule profiler:
-// leaves are profiled once, at the machine width k — the last entry of
-// the ascending width set.
-func (e *engine) profiled(wi int) bool {
-	return e.opts.Profile != nil && wi == len(e.widths)-1
-}
-
 // characterize fills one leaf's width slot, consulting the cache layers
 // outermost-first: a comm hit is free; a capacity-dominated point reuses
 // this sweep's unlimited-scratchpad result; a schedule hit re-runs only
@@ -478,9 +567,8 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	sk := schedKey{fp: ls.fp, config: e.cfg, w: w, d: e.opts.D}
 	ck := commKey{sk: sk, comm: e.comm}
 	// Verification re-derives the move list, so it bypasses the warm
-	// fast paths: a cached result may predate the oracle. Profiling needs
-	// the schedule and move lists too, but only at the profiled width.
-	fast := !e.opts.Verify && !e.profiled(wi)
+	// fast paths: a cached result may predate the oracle.
+	fast := !e.opts.Verify
 	if ce, ok := e.cache.commResult(ck, e.rec); ok && fast {
 		sp.SetStr("cache", "comm-hit")
 		ls.slots[wi] = ce
@@ -513,7 +601,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	} else {
 		sp.SetStr("cache", "sched-hit")
 	}
-	// Only verification and profiling read the move lists.
+	// Only verification reads the move lists.
 	var res *comm.Result
 	var sum comm.Summary
 	var err error
@@ -547,13 +635,6 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 			e.eo.tr.Instant("verify", "rejection: "+ls.name, 0)
 			return fmt.Errorf("width %d: %w", w, err)
 		}
-	}
-	if e.profiled(wi) {
-		_, g, err := graph()
-		if err != nil {
-			return err
-		}
-		e.opts.Profile.Add(ls.name, s, g, res)
 	}
 	ce := commEntry{
 		zeroLen: int64(s.Length()),

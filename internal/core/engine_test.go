@@ -163,7 +163,7 @@ func TestEvalCacheScheduleReuse(t *testing.T) {
 // comm.Options; tuned schedulers come from lpfs.New / rcp.New or the
 // registry.
 func TestRemovedEvalOptionFields(t *testing.T) {
-	removed := []string{"LocalCapacity", "NoOverlap", "EPRBandwidth", "LPFSOpts", "RCPOpts"}
+	removed := []string{"LocalCapacity", "NoOverlap", "EPRBandwidth", "LPFSOpts", "RCPOpts", "Profile"}
 	typ := reflect.TypeOf(core.EvalOptions{})
 	for _, name := range removed {
 		if _, ok := typ.FieldByName(name); ok {

@@ -13,7 +13,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/lpfs"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/rcp"
-	"github.com/scaffold-go/multisimd/internal/report"
 	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
@@ -89,15 +88,6 @@ type EvalOptions struct {
 	// WithDecisionLog). Nil disables all instrumentation at the cost of
 	// nil checks only.
 	Obs *obs.Observer
-
-	// Profile, when non-nil, collects schedule-level analytics for every
-	// leaf characterized at full width k: per-step occupancy, utilization,
-	// move breakdowns and slack (internal/report). Assemble the run's
-	// Report with BuildReport afterward. Profiling needs the leaf's
-	// schedule and dependency graph, so — like Verify — it bypasses the
-	// warm comm-cache fast path at the profiled width; nil costs a nil
-	// check only.
-	Profile *report.Collector
 
 	// Workers bounds the engine's leaf-characterization concurrency:
 	// 0 uses runtime.GOMAXPROCS(0), 1 runs the serial path. Results are

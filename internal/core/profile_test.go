@@ -1,11 +1,13 @@
 package core_test
 
-// Engine-side tests of the schedule profiler hook (EvalOptions.Profile):
-// the collector sees every leaf at machine width, warm caches do not
-// starve it, worker-pool order does not perturb it, and the assembled
-// report agrees with the Metrics the evaluation returns.
+// Tests of BuildReport, the one source of schedule reports: it profiles
+// every leaf at machine width, worker-pool order does not perturb it,
+// and the assembled report agrees with the Metrics the evaluation
+// returns. TestScheduleLeafMatchesEngine (leaf_test.go) ties its per-leaf
+// numbers to the engine's cache entries.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -21,19 +23,21 @@ func TestEvaluateProfileCollectsLeaves(t *testing.T) {
 		t.Fatal("no Grovers workload")
 	}
 	opts := core.EvalOptions{
-		K:       4,
-		Comm:    comm.Options{LocalCapacity: -1},
-		Profile: report.NewCollector(),
-		Verify:  true, // profiled numbers ride on verified move lists
+		K:      4,
+		Comm:   comm.Options{LocalCapacity: -1},
+		Verify: true,
 	}
 	m, err := core.Evaluate(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := opts.Profile.Len(); got != m.Leaves {
+	r, err := core.BuildReport(context.Background(), p, "Grovers", m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.Modules); got != m.Leaves {
 		t.Fatalf("profiled %d modules, evaluation had %d leaves", got, m.Leaves)
 	}
-	r := core.BuildReport(opts.Profile, "Grovers", m, opts)
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,56 +55,27 @@ func TestEvaluateProfileCollectsLeaves(t *testing.T) {
 	}
 }
 
-// TestProfileOnWarmCache is the cache-interaction pin: a fully warm
-// cache serves comm entries without schedules, so a profiled run must
-// bypass that fast path (like Verify) and still see every leaf.
-func TestProfileOnWarmCache(t *testing.T) {
-	progs := engineWorkloads(t)
-	p := progs["BWT"]
-	if p == nil {
-		t.Fatal("no BWT workload")
-	}
-	cache := core.NewEvalCache()
-	opts := core.EvalOptions{K: 4, Cache: cache}
-	m1, err := core.Evaluate(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Profile = report.NewCollector()
-	m2, err := core.Evaluate(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Errorf("profiling changed the metrics: %+v vs %+v", m1, m2)
-	}
-	if got := opts.Profile.Len(); got != m2.Leaves {
-		t.Fatalf("warm run profiled %d modules, want %d leaves", got, m2.Leaves)
-	}
-}
-
-// TestProfileWorkerInvariance runs the profiled evaluation serially and
-// on a wide pool; the assembled reports must be identical.
+// TestProfileWorkerInvariance builds the report serially and on a wide
+// pool; the two must be identical.
 func TestProfileWorkerInvariance(t *testing.T) {
 	progs := engineWorkloads(t)
 	p := progs["SHA-1"]
 	if p == nil {
 		t.Fatal("no SHA-1 workload")
 	}
+	opts := core.EvalOptions{K: 4, Comm: comm.Options{LocalCapacity: 2}}
+	m, err := core.Evaluate(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var reports []*report.Report
 	for _, workers := range []int{1, 8} {
-		opts := core.EvalOptions{
-			K:       4,
-			Comm:    comm.Options{LocalCapacity: 2},
-			Workers: workers,
-			Profile: report.NewCollector(),
-		}
-		m, err := core.Evaluate(p, opts)
+		opts.Workers = workers
+		r, err := core.BuildReport(context.Background(), p, "SHA-1", m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports = append(reports, core.BuildReport(opts.Profile, "SHA-1", m, opts))
+		reports = append(reports, r)
 	}
 	if !reflect.DeepEqual(reports[0], reports[1]) {
 		t.Error("report differs between Workers=1 and Workers=8")

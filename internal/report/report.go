@@ -1,9 +1,10 @@
 // Package report is the schedule-level profiler of the toolflow: where
 // package obs observes the *Go process* (spans, counters, pprof), this
-// package observes the *schedules the process emits*. It consumes the
-// artifacts of one hierarchical evaluation — each leaf module's
-// fine-grained schedule, dependency DAG and communication analysis —
-// and derives the quantities the paper evaluates schedules by:
+// package observes the *schedules the process emits*. It consumes one
+// scheduled leaf at a time — its fine-grained schedule, dependency DAG
+// and communication analysis, as core.ScheduleLeaf returns them; the
+// evaluation itself keeps only per-width scalars — and derives the
+// quantities the paper evaluates schedules by:
 // per-timestep region occupancy, SIMD utilization per region and
 // overall, d-fill, move breakdowns (local/global, eviction/departure),
 // communication-overhead fraction, achieved length against the critical
@@ -19,9 +20,9 @@
 //     attributes metric deltas to specific modules, regions and steps.
 //
 // The analytics walk the same per-boundary move lists that
-// internal/verify replays when checking legality, so a verified
-// evaluation's reported movement numbers are correct by construction;
-// the package's tests cross-check both against each other.
+// internal/verify replays when checking legality, so the movement
+// numbers reported for a schedule the oracle accepts are the replayed
+// ground truth; the package's tests cross-check both against each other.
 package report
 
 import (
@@ -29,8 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"sync"
 
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/dag"
@@ -156,7 +155,7 @@ type Gantt struct {
 	MovesTruncated bool        `json:"moves_truncated,omitempty"`
 }
 
-// ModuleReport is the full analytics set of one profiled leaf module at
+// ModuleReport is the full analytics set of one reachable leaf module at
 // the machine width the evaluation selected.
 type ModuleReport struct {
 	Name  string `json:"name"`
@@ -202,14 +201,15 @@ type Report struct {
 	D         int        `json:"d"`
 	Comm      CommConfig `json:"comm"`
 	Totals    Totals     `json:"totals"`
-	// Modules holds the profiled leaves, sorted by name.
+	// Modules holds the reachable leaves, sorted by name.
 	Modules []ModuleReport `json:"modules"`
 }
 
 // Analyze computes one leaf's analytics from its fine-grained schedule,
 // dependency graph and communication analysis. It walks exactly the
-// per-boundary move lists that verify.Moves replays, so on a verified
-// evaluation the movement numbers here are the replayed ground truth.
+// per-boundary move lists that verify.Moves replays, so for a schedule
+// the oracle accepts the movement numbers here are the replayed ground
+// truth.
 func Analyze(name string, s *schedule.Schedule, g *dag.Graph, res *comm.Result) ModuleReport {
 	nSteps := len(s.Steps)
 	mr := ModuleReport{
@@ -387,59 +387,6 @@ func ganttLane(l comm.Loc) int {
 		return -1
 	}
 	return int(l.Region)
-}
-
-// Collector accumulates per-leaf profiles while an evaluation runs. It
-// is safe for concurrent use (the engine adds from its worker pool) and
-// nil-safe: a nil Collector ignores Add and returns nothing, so the
-// disabled path costs a nil check only (AllocsPerRun-guarded, the obs
-// convention).
-type Collector struct {
-	mu   sync.Mutex
-	mods map[string]ModuleReport
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{mods: map[string]ModuleReport{}}
-}
-
-// Add profiles one leaf characterization and records it under name.
-// Re-adding a name overwrites (the engine profiles each leaf once).
-func (c *Collector) Add(name string, s *schedule.Schedule, g *dag.Graph, res *comm.Result) {
-	if c == nil {
-		return
-	}
-	mr := Analyze(name, s, g, res)
-	c.mu.Lock()
-	c.mods[name] = mr
-	c.mu.Unlock()
-}
-
-// Len reports the number of profiled modules.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mods)
-}
-
-// Modules returns the collected profiles sorted by module name —
-// deterministic output regardless of worker-pool completion order.
-func (c *Collector) Modules() []ModuleReport {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ModuleReport, 0, len(c.mods))
-	for _, mr := range c.mods {
-		out = append(out, mr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Validate checks the report's schema version and structural invariants

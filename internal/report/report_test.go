@@ -8,6 +8,7 @@ package report_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"math/rand"
 	"os"
@@ -186,21 +187,23 @@ module main() {
 }
 `
 
-// evalReport evaluates reportSource with profiling on and returns the
-// assembled report.
+// evalReport evaluates reportSource with verification on and returns
+// the report BuildReport assembles for that evaluation.
 func evalReport(t *testing.T, opts core.EvalOptions) *report.Report {
 	t.Helper()
 	p, err := core.Build(reportSource, core.PipelineOptions{FTh: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Profile = report.NewCollector()
 	opts.Verify = true
 	m, err := core.Evaluate(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.BuildReport(opts.Profile, "report-toy", m, opts)
+	r, err := core.BuildReport(context.Background(), p, "report-toy", m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("built report fails its own validation: %v", err)
 	}
@@ -392,47 +395,5 @@ func TestDiffPresence(t *testing.T) {
 	}
 	if !gone {
 		t.Errorf("dropped module not reported a-only: %+v", d.Modules)
-	}
-}
-
-// TestNilCollectorAllocatesNothing pins the disabled-profiling cost to
-// nil checks only, the obs convention.
-func TestNilCollectorAllocatesNothing(t *testing.T) {
-	s, g, res := analyzed(t, 7, rcp.Scheduler{}, 3, 0, comm.Options{})
-	var c *report.Collector
-	if n := testing.AllocsPerRun(100, func() {
-		c.Add("m", s, g, res)
-		_ = c.Len()
-		_ = c.Modules()
-	}); n != 0 {
-		t.Errorf("nil collector allocates %v per run", n)
-	}
-}
-
-// TestCollectorConcurrent mirrors the engine: many goroutines adding
-// distinct leaves concurrently must all land.
-func TestCollectorConcurrent(t *testing.T) {
-	s, g, res := analyzed(t, 11, rcp.Scheduler{}, 3, 0, comm.Options{})
-	c := report.NewCollector()
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 16; i++ {
-				c.Add(string(rune('a'+w))+"-leaf", s, g, res)
-			}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	if c.Len() != 8 {
-		t.Errorf("collector holds %d modules, want 8", c.Len())
-	}
-	mods := c.Modules()
-	for i := 1; i < len(mods); i++ {
-		if mods[i-1].Name >= mods[i].Name {
-			t.Errorf("modules unsorted at %d: %q >= %q", i, mods[i-1].Name, mods[i].Name)
-		}
 	}
 }

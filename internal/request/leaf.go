@@ -33,10 +33,9 @@ func LeafModule(prog *ir.Program, name string) (*ir.Module, error) {
 // request's machine and communication model: what qsched -dump prints
 // and qschedd's /v1/schedule serves.
 type LeafSchedule struct {
-	Ops, CriticalPath, Steps int
-	Comm                     *comm.Result
-	EPR                      epr.Config
-	Plan                     *epr.Plan
+	*core.Leaf
+	EPR  epr.Config
+	Plan *epr.Plan
 	// Text is the paper's timestep/region/move-list rendering.
 	Text string
 }
@@ -46,15 +45,7 @@ type LeafSchedule struct {
 // EPR pre-distribution at EPRBandwidth pairs per cycle (unset: 2),
 // latency 1.
 func (c Config) ScheduleLeaf(mod *ir.Module, sched core.Scheduler) (*LeafSchedule, error) {
-	mat, g, err := core.MaterializeLeaf(mod)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.Schedule(mat, g, c.K, c.D)
-	if err != nil {
-		return nil, err
-	}
-	res, err := comm.Analyze(s, c.Comm())
+	l, err := core.ScheduleLeaf(mod, sched, c.K, c.D, c.Comm())
 	if err != nil {
 		return nil, err
 	}
@@ -62,16 +53,13 @@ func (c Config) ScheduleLeaf(mod *ir.Module, sched core.Scheduler) (*LeafSchedul
 	if c.EPRBandwidth > 0 {
 		cfg.Bandwidth = c.EPRBandwidth
 	}
-	plan, err := epr.Build(s, res, cfg)
+	plan, err := epr.Build(l.S, l.Comm, cfg)
 	if err != nil {
 		return nil, err
 	}
 	var text strings.Builder
-	if err := comm.WriteSchedule(&text, s, res); err != nil {
+	if err := comm.WriteSchedule(&text, l.S, l.Comm); err != nil {
 		return nil, err
 	}
-	return &LeafSchedule{
-		Ops: g.Len(), CriticalPath: g.CriticalPath(), Steps: s.Length(),
-		Comm: res, EPR: cfg, Plan: plan, Text: text.String(),
-	}, nil
+	return &LeafSchedule{Leaf: l, EPR: cfg, Plan: plan, Text: text.String()}, nil
 }

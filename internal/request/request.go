@@ -28,6 +28,10 @@ const (
 	DefaultFTh       = 2000 // exploration-scale flattening threshold
 )
 
+// MaxK bounds k at 8x the paper's largest machine (128 regions): memory
+// grows linearly in k, so unbounded, a tiny body could ask for gigabytes.
+const MaxK = 1024
+
 // Config is one compilation request. The zero value plus a Source (or
 // Bench) is valid after WithDefaults. JSON field names are the daemon's
 // v1 wire contract; the flag names RegisterFlags installs are qsched's.
@@ -60,7 +64,8 @@ type Config struct {
 
 	// Verify runs the independent legality oracle over every leaf.
 	Verify bool `json:"verify,omitempty"`
-	// Profile collects schedule-level analytics (internal/report).
+	// Profile builds the schedule report (core.BuildReport) after the
+	// evaluation.
 	Profile bool `json:"profile,omitempty"`
 }
 
@@ -120,8 +125,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("request: unknown scheduler %q (registered: %s)",
 			c.Scheduler, strings.Join(schedule.Names(), ", "))
 	}
-	if c.K < 1 {
-		return fmt.Errorf("request: k must be >= 1, got %d", c.K)
+	if c.K < 1 || c.K > MaxK {
+		return fmt.Errorf("request: k must be in [1, %d], got %d", MaxK, c.K)
 	}
 	if c.D < 0 {
 		return fmt.Errorf("request: d must be >= 0, got %d", c.D)
@@ -169,8 +174,8 @@ func (c Config) Build(o *obs.Observer) (*ir.Program, error) {
 }
 
 // EvalOptions resolves the scheduler and assembles the engine options
-// the config describes. Run-scoped extras (Obs, Cache, Workers, Profile
-// collector) are the caller's to attach.
+// the config describes. Run-scoped extras (Obs, Cache, Workers) are the
+// caller's to attach.
 func (c Config) EvalOptions() (core.EvalOptions, error) {
 	sched, err := core.SchedulerByName(c.Scheduler)
 	if err != nil {

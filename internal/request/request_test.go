@@ -84,6 +84,8 @@ func TestValidate(t *testing.T) {
 		{"unknown bench", func(c *request.Config) { c.Source = ""; c.Bench = "nope" }, "unknown benchmark"},
 		{"unknown scheduler", func(c *request.Config) { c.Scheduler = "quantum" }, "unknown scheduler"},
 		{"bad k", func(c *request.Config) { c.K = -2 }, "k must be"},
+		{"max k", func(c *request.Config) { c.K = request.MaxK }, ""},
+		{"k above max", func(c *request.Config) { c.K = request.MaxK + 1 }, "k must be in [1, 1024]"},
 		{"bad d", func(c *request.Config) { c.D = -1 }, "d must be"},
 		{"bad fth", func(c *request.Config) { c.FTh = -1 }, "fth must be"},
 		{"bad epr", func(c *request.Config) { c.EPRBandwidth = -1 }, "epr_bandwidth must be"},

@@ -146,6 +146,8 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		// aggregate into the shared registry.
 		tr := obs.NewTracer()
 		eopts.Obs = &obs.Observer{Trace: tr, Metrics: s.reg}
+		// Decision tails record the evaluation, not the report's reschedules.
+		reportOpts := eopts
 		// With telemetry on, also capture the scheduler's decision log
 		// so a postmortem can say not just how long the schedule phase
 		// took but what it chose.
@@ -153,11 +155,6 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		if s.telem != nil {
 			dlog = obs.NewDecisionLogLimit(obs.LevelStep, recorderDecisionCap)
 			eopts.Scheduler = core.WithDecisionLog(eopts.Scheduler, dlog)
-		}
-		var collector *report.Collector
-		if req.Profile {
-			collector = report.NewCollector()
-			eopts.Profile = collector
 		}
 		// The cache is shared by every concurrent flight, so a global
 		// Stats() delta around the evaluation would bleed other flights'
@@ -185,8 +182,10 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 			res.stats.Spans = tr.Events()
 			res.stats.Decisions = decisionTail(dlog, recorderDecisionTail)
 		}
-		if collector != nil {
-			res.rep = core.BuildReport(collector, req.Label(), m, eopts)
+		if req.Profile {
+			if res.rep, err = core.BuildReport(evalCtx, p, req.Label(), m, reportOpts); err != nil {
+				return nil, err
+			}
 		}
 		return res, nil
 	}
@@ -400,9 +399,9 @@ func (s *Server) scheduleModule(sreq ScheduleRequest) (*ScheduleResponse, int, e
 	return &ScheduleResponse{
 		Schema:       SchemaVersion,
 		Module:       sreq.Module,
-		Ops:          ls.Ops,
-		CriticalPath: ls.CriticalPath,
-		Steps:        ls.Steps,
+		Ops:          ls.G.Len(),
+		CriticalPath: ls.G.CriticalPath(),
+		Steps:        ls.S.Length(),
 		Cycles:       ls.Comm.Cycles,
 		GlobalMoves:  ls.Comm.GlobalMoves,
 		LocalMoves:   ls.Comm.LocalMoves,

@@ -19,6 +19,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/report"
+	"github.com/scaffold-go/multisimd/internal/request"
 	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
@@ -173,6 +174,33 @@ func TestMalformedJSON(t *testing.T) {
 		if e.Schema != SchemaVersion || e.Error.Code != tc.code || e.Error.Message == "" {
 			t.Errorf("%s: error envelope %+v, want schema %d code %s", tc.name, e, SchemaVersion, tc.code)
 		}
+	}
+}
+
+// TestKAboveMaxRejected pins the request-size bound on k: a tiny body
+// asking for request.MaxK+1 regions is a 400 invalid on every
+// evaluating endpoint, and nothing is evaluated (the engine's task
+// counter stays 0 until a valid request runs).
+func TestKAboveMaxRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	tasks := s.Registry().Counter("engine.tasks")
+	for _, path := range []string{"/v1/compile", "/v1/report", "/v1/verify", "/v1/schedule"} {
+		resp, data := post(t, ts.URL+path, compileBody(tinySource, "lpfs", request.MaxK+1))
+		var e ErrorResponse
+		decodeInto(t, data, &e)
+		if resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeInvalid ||
+			!strings.Contains(e.Error.Message, "k must be") {
+			t.Errorf("%s k=%d: status %d, error %+v", path, request.MaxK+1, resp.StatusCode, e.Error)
+		}
+	}
+	if n := tasks.Value(); n != 0 {
+		t.Errorf("rejected requests ran %d engine tasks", n)
+	}
+	if resp, data := post(t, ts.URL+"/v1/compile", compileBody(tinySource, "lpfs", 2)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request: status %d: %s", resp.StatusCode, data)
+	}
+	if tasks.Value() == 0 {
+		t.Error("engine.tasks did not count a valid evaluation")
 	}
 }
 

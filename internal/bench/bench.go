@@ -18,7 +18,9 @@ package bench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 
 	"github.com/scaffold-go/multisimd/internal/core"
 )
@@ -111,17 +113,25 @@ func Extended() []Benchmark {
 	}
 }
 
-// Gated returns every benchmark the perf/report regression gates cover:
-// the paper's eight small presets plus the extended workloads.
-func Gated() []Benchmark {
+// gated is the registry behind Gated and ByName, generated once: every
+// request that names a benchmark would otherwise regenerate the Scaffold
+// source of all of them.
+var gated = sync.OnceValue(func() []Benchmark {
 	return append(AllSmall(), Extended()...)
+})
+
+// Gated returns every benchmark the perf/report regression gates cover:
+// the paper's eight small presets plus the extended workloads. The slice
+// is the caller's own copy.
+func Gated() []Benchmark {
+	return slices.Clone(gated())
 }
 
 // ByName returns the small-preset or extended benchmark with the given
 // name — the lookup behind qsched -bench and the service's
 // {"bench": ...} requests.
 func ByName(name string) (Benchmark, bool) {
-	for _, b := range Gated() {
+	for _, b := range gated() {
 		if b.Name == name {
 			return b, true
 		}

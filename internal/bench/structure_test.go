@@ -111,6 +111,41 @@ func TestBenchmarkNamesAndLookups(t *testing.T) {
 	}
 }
 
+// TestByNameAllocatesNothing pins the registry lookup behind every
+// {"bench": ...} request to zero allocations: the gated sources are
+// generated once, not on each call.
+func TestByNameAllocatesNothing(t *testing.T) {
+	bench.ByName("QPE") // the first call builds the registry
+	got := testing.AllocsPerRun(100, func() {
+		if _, ok := bench.ByName("QPE"); !ok {
+			t.Fatal("ByName(QPE) failed")
+		}
+	})
+	if got != 0 {
+		t.Errorf("ByName allocates %.0f times per call, want 0", got)
+	}
+}
+
+// TestGatedReturnsCopy overwrites the slice Gated returns and checks
+// the registry ByName reads is untouched.
+func TestGatedReturnsCopy(t *testing.T) {
+	want, ok := bench.ByName("SHA-1")
+	if !ok {
+		t.Fatal("no SHA-1 benchmark")
+	}
+	g := bench.Gated()
+	for i := range g {
+		g[i] = bench.Benchmark{Name: "junk"}
+	}
+	got, ok := bench.ByName("SHA-1")
+	if !ok || got != want {
+		t.Errorf("ByName(SHA-1) after mutating Gated's slice: ok=%v, changed=%v", ok, got != want)
+	}
+	if _, ok := bench.ByName("junk"); ok {
+		t.Error("a write to Gated's slice reached the registry")
+	}
+}
+
 // TestPaperParamsMatchTable1 pins the parameter strings against the
 // paper's Table 1 row labels.
 func TestPaperParamsMatchTable1(t *testing.T) {

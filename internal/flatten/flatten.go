@@ -77,26 +77,20 @@ func Program(p *ir.Program, opts Options) (*Stats, error) {
 }
 
 // inlineAll expands every call op in a single pass. Callees are already
-// leaves (bottom-up processing), so one pass makes the module a leaf.
+// leaves (bottom-up processing), so one pass makes the module a leaf, and
+// the expanded length is known before anything is copied: each non-call
+// op stays one op and each call becomes EffCount copies of its callee's
+// body. The body is allocated once at exactly that length.
 func inlineAll(p *ir.Program, m *ir.Module, fth int64) error {
+	var size int64
 	hasCall := false
-	for i := range m.Ops {
-		if m.Ops[i].Kind == ir.CallOp {
-			hasCall = true
-			break
-		}
-	}
-	if !hasCall {
-		return nil
-	}
-	out := make([]ir.Op, 0, len(m.Ops))
-	var err error
 	for i := range m.Ops {
 		op := &m.Ops[i]
 		if op.Kind != ir.CallOp {
-			out = append(out, *op)
+			size++
 			continue
 		}
+		hasCall = true
 		callee := p.Modules[op.Callee]
 		if callee == nil {
 			return fmt.Errorf("flatten: module %s calls missing %q", m.Name, op.Callee)
@@ -104,15 +98,27 @@ func inlineAll(p *ir.Program, m *ir.Module, fth int64) error {
 		if !callee.IsLeaf() {
 			return fmt.Errorf("flatten: internal error: callee %s of %s not yet a leaf", callee.Name, m.Name)
 		}
-		out, err = p.ExpandCall(out, m, op, i)
-		if err != nil {
-			return err
-		}
-		if int64(len(out)) > 4*fth {
+		size += op.EffCount() * int64(len(callee.Ops))
+		if size > 4*fth {
 			// Inlining materializes call repetitions; a module under FTh
 			// expanded gates can still blow up structurally if counts
 			// hide in gate ops. Guard against runaway growth.
 			return fmt.Errorf("flatten: module %s grew past %d ops while inlining", m.Name, 4*fth)
+		}
+	}
+	if !hasCall {
+		return nil
+	}
+	out := make([]ir.Op, 0, size)
+	var err error
+	for i := range m.Ops {
+		op := &m.Ops[i]
+		if op.Kind != ir.CallOp {
+			out = append(out, *op)
+			continue
+		}
+		if out, err = p.ExpandCall(out, m, op, i); err != nil {
+			return err
 		}
 	}
 	m.Ops = out

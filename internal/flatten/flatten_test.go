@@ -1,8 +1,11 @@
 package flatten_test
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/scaffold-go/multisimd/internal/bench"
+	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/flatten"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/qasm"
@@ -178,5 +181,82 @@ func TestFlattenInvalidProgram(t *testing.T) {
 	p.Add(m)
 	if _, err := flatten.Program(p, flatten.Options{}); err == nil {
 		t.Error("missing callee not reported")
+	}
+}
+
+// TestInlinePresizeExact builds every gated benchmark at FTh 2000 and
+// checks that each module flattening turned into a leaf holds its body
+// in a slice of exactly its length: the inlined size is computed before
+// copying, so the body is allocated once and never regrown.
+func TestInlinePresizeExact(t *testing.T) {
+	for _, b := range bench.Gated() {
+		opts := b.Pipeline
+		opts.FTh = 2000
+		modular := opts
+		modular.SkipFlatten = true
+		before, err := core.Build(b.Source, modular)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		p, err := core.Build(b.Source, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		flattened := 0
+		for name, m := range p.Modules {
+			if before.Modules[name].IsLeaf() || !m.IsLeaf() {
+				continue
+			}
+			flattened++
+			if cap(m.Ops) != len(m.Ops) {
+				t.Errorf("%s: flattened module %s has %d ops in a slice of cap %d",
+					b.Name, name, len(m.Ops), cap(m.Ops))
+			}
+		}
+		if flattened == 0 {
+			t.Errorf("%s: no module was flattened", b.Name)
+		}
+	}
+}
+
+// TestInlinedArgsIndependent appends to one inlined op's operands and
+// checks the next op's are unchanged: inlined ops share one operand
+// slab, so each op's window must end at its own last operand.
+func TestInlinedArgsIndependent(t *testing.T) {
+	p := buildProgram()
+	if _, err := flatten.Program(p, flatten.Options{Threshold: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	ops := p.Modules["main"].Ops
+	want := slices.Clone(ops[1].Args)
+	ops[0].Args = append(ops[0].Args, 7)
+	if !slices.Equal(ops[1].Args, want) {
+		t.Errorf("appending to op 0's args changed op 1's from %v to %v", want, ops[1].Args)
+	}
+}
+
+// BenchmarkFlattenSHA1 measures the flattening pass alone on the gated
+// SHA-1 at FTh 2000: each op flattens a fresh copy of the decomposed,
+// still modular program.
+func BenchmarkFlattenSHA1(b *testing.B) {
+	bm, ok := bench.ByName("SHA-1")
+	if !ok {
+		b.Fatal("no SHA-1 benchmark")
+	}
+	opts := bm.Pipeline
+	opts.SkipFlatten = true
+	modular, err := core.Build(bm.Source, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := modular.Clone()
+		b.StartTimer()
+		if _, err := flatten.Program(p, flatten.Options{Threshold: 2000}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -53,6 +53,7 @@ func TestValidateCatches(t *testing.T) {
 		"negative slot":     func(p *Program) { p.Modules["main"].Gate(qasm.H, -1) },
 		"arity":             func(p *Program) { p.Modules["main"].Gate(qasm.CNOT, 0) },
 		"no-cloning gate":   func(p *Program) { p.Modules["main"].Gate(qasm.CNOT, 1, 1) },
+		"no-cloning apart":  func(p *Program) { p.Modules["main"].Gate(qasm.Toffoli, 0, 1, 0) },
 		"missing callee":    func(p *Program) { p.Modules["main"].Call("ghost", Range{Start: 0, Len: 1}) },
 		"arg size mismatch": func(p *Program) {
 			p.Add(twoQubitLeaf("leaf"))

@@ -76,12 +76,21 @@ func (p *Program) ExpandCall(dst []Op, caller *Module, call *Op, tag int) ([]Op,
 		}
 	}
 
+	// Every clone's Args is a window of one slab. Each window's capacity
+	// is clipped to its length, so appending to one op's Args reallocates
+	// instead of overwriting the next op's operands.
 	reps := call.EffCount()
+	perRep := 0
+	for j := range callee.Ops {
+		perRep += len(callee.Ops[j].Args)
+	}
+	slab := make([]int, reps*int64(perRep))
 	for r := int64(0); r < reps; r++ {
 		for j := range callee.Ops {
-			op := callee.Ops[j]
-			clone := op
-			clone.Args = make([]int, len(op.Args))
+			op := &callee.Ops[j]
+			clone := *op
+			clone.Args = slab[:len(op.Args):len(op.Args)]
+			slab = slab[len(op.Args):]
 			for k, s := range op.Args {
 				clone.Args[k] = slotMap[s]
 			}

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Validate checks structural well-formedness of the whole program:
 // slot indices in range, gate arities respected, call argument shapes
@@ -48,18 +51,18 @@ func (m *Module) validateGate(i int, op *Op) error {
 		return fmt.Errorf("ir: %s op %d: %s wants %d operands, has %d",
 			m.Name, i, op.Gate, op.Gate.Arity(), len(op.Args))
 	}
-	seen := make(map[int]bool, len(op.Args))
-	for _, slot := range op.Args {
+	// Arity is at most three, so a pairwise scan finds repeats without
+	// allocating.
+	for k, slot := range op.Args {
 		if slot < 0 || slot >= m.totalSlots {
 			return fmt.Errorf("ir: %s op %d: slot %d out of range [0,%d)",
 				m.Name, i, slot, m.totalSlots)
 		}
-		if seen[slot] {
+		if slices.Contains(op.Args[:k], slot) {
 			// No-cloning: a gate cannot take the same qubit twice.
 			return fmt.Errorf("ir: %s op %d: %s repeats operand slot %d",
 				m.Name, i, op.Gate, slot)
 		}
-		seen[slot] = true
 	}
 	return nil
 }

@@ -87,6 +87,11 @@ func (e *emitter) module(m *ir.Module, names []string) error {
 						sub = append(sub, names[s])
 					}
 				}
+				if start, ok := m.CallLocals(i); ok {
+					// A leaf's call runs on the fresh locals flatten
+					// gave it, as its inlined body would.
+					sub = append(sub, names[start:start+callee.LocalSlots()]...)
+				}
 				for len(sub) < callee.TotalSlots() {
 					// Fresh ancilla names per dynamic instance; the
 					// declaration block does not cover them, matching

@@ -101,10 +101,11 @@ type unlimitedEntry struct {
 
 // prepare does p's per-program work: resource totals and the reachable
 // order (the estimator's callees-first topological order), then every
-// reachable leaf's fingerprint, hashed on the worker pool. Leaves with
-// equal fingerprints share one leafBody. Nothing is materialized yet:
-// cache hits never need a body.
-func prepare(ctx context.Context, p *ir.Program, workers int, o *obs.Observer) (*prepared, error) {
+// reachable leaf's fingerprint: taken from digests (ir.Program.Digests)
+// when the caller hashed p already, else hashed on the worker pool.
+// Leaves with equal fingerprints share one leafBody. Nothing is
+// materialized yet: cache hits never need a body.
+func prepare(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerprint, workers int, o *obs.Observer) (*prepared, error) {
 	tr := o.T()
 	psp := tr.Span("engine", "prepare")
 	defer psp.End()
@@ -124,14 +125,25 @@ func prepare(ctx context.Context, p *ir.Program, workers int, o *obs.Observer) (
 	}
 	psp.SetInt("leaves", int64(len(pp.leaves)))
 	// Every characterization task keys the cache by its leaf's content
-	// hash. Hashes are computed once per preparation, never memoized on
-	// the module: passes mutate bodies in place.
-	err = runTasks(ctx, len(pp.leaves), workers, func(_, i int) error {
-		pp.leaves[i].fp = pp.leaves[i].mod.Fingerprint()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	// hash. Hashes are computed once per preparation (or handed in by a
+	// caller that hashed this very program), never memoized on the
+	// module: passes mutate bodies in place.
+	if digests != nil {
+		for _, pl := range pp.leaves {
+			fp, ok := digests[pl.name]
+			if !ok {
+				return nil, fmt.Errorf("core: no digest for leaf %s", pl.name)
+			}
+			pl.fp = fp
+		}
+	} else {
+		err = runTasks(ctx, len(pp.leaves), workers, func(_, i int) error {
+			pp.leaves[i].fp = pp.leaves[i].mod.Fingerprint()
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	bodies := make(map[ir.Fingerprint]*leafBody, len(pp.leaves))
 	for _, pl := range pp.leaves {

@@ -196,13 +196,22 @@ func Evaluate(p *ir.Program, opts EvalOptions) (*Metrics, error) {
 // daemon threads each request's context through here; batch callers use
 // Evaluate.
 func EvaluateContext(ctx context.Context, p *ir.Program, opts EvalOptions) (*Metrics, error) {
-	return evaluate(ctx, p, nil, opts)
+	return evaluate(ctx, p, nil, nil, opts)
+}
+
+// EvaluateDigests is EvaluateContext for a caller that has hashed p
+// already: digests is ir.Program.Digests' Modules for this very p, and
+// the engine keys every leaf by its digest there instead of hashing it
+// again. The service daemon keys each request by the same pass.
+func EvaluateDigests(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerprint, opts EvalOptions) (*Metrics, error) {
+	return evaluate(ctx, p, nil, digests, opts)
 }
 
 // evaluate is the one evaluation path. pp, when non-nil, is p already
 // prepared by the caller (a sweep shares one preparation across its
-// variants); otherwise p is prepared inside the run span.
-func evaluate(ctx context.Context, p *ir.Program, pp *prepared, opts EvalOptions) (*Metrics, error) {
+// variants); otherwise p is prepared inside the run span, with the
+// caller's leaf digests when it has them.
+func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[string]ir.Fingerprint, opts EvalOptions) (*Metrics, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1")
 	}
@@ -222,7 +231,7 @@ func evaluate(ctx context.Context, p *ir.Program, pp *prepared, opts EvalOptions
 	var m *Metrics
 	var err error
 	if pp == nil {
-		pp, err = prepare(ctx, p, opts.workers(), opts.Obs)
+		pp, err = prepare(ctx, p, digests, opts.workers(), opts.Obs)
 	}
 	if err == nil {
 		e.pp = pp

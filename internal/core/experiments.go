@@ -75,7 +75,7 @@ func sweep(tag string, ws []Workload, variants []variant) ([]Cell, error) {
 
 // prepare does the workload's per-program work once for a sweep.
 func (w Workload) prepare(tag string) (*prepared, error) {
-	pp, err := prepare(context.TODO(), w.Prog, EvalOptions{Workers: w.Workers}.workers(), w.Obs)
+	pp, err := prepare(context.TODO(), w.Prog, nil, EvalOptions{Workers: w.Workers}.workers(), w.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s: %w", tag, w.Name, err)
 	}
@@ -90,7 +90,7 @@ func (w Workload) evaluate(tag string, pp *prepared, variants []variant) ([]Cell
 	for _, v := range variants {
 		o := v.opts
 		o.Cache, o.Workers, o.Obs = w.Cache, w.Workers, w.Obs
-		m, err := evaluate(context.TODO(), w.Prog, pp, o)
+		m, err := evaluate(context.TODO(), w.Prog, pp, nil, o)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s %s: %w", tag, w.Name, v.name, err)
 		}

@@ -124,11 +124,19 @@ func midend(p *ir.Program, opts PipelineOptions) (*ir.Program, error) {
 			return nil, err
 		}
 	}
+	// One check covers what every pass above produced; lower already
+	// rejected malformed input.
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("core: mid-end produced an invalid program: %w", err)
+	}
 	return p, nil
 }
 
-// reuseLeaves applies ancilla recycling to each leaf whose body is fully
-// materialized (no Count multipliers); symbolic leaves are left alone.
+// reuseLeaves applies ancilla recycling to each reachable leaf whose
+// expanded body repeats no op; symbolic leaves are left alone. Each
+// leaf is recycled on its materialized copy, which then replaces it in
+// the program: a leaf marked over it keeps expanding the body it was
+// marked over, as if that body had been copied in.
 func reuseLeaves(p *ir.Program) error {
 	names, err := p.Topo()
 	if err != nil {
@@ -136,24 +144,19 @@ func reuseLeaves(p *ir.Program) error {
 	}
 	for _, name := range names {
 		m := p.Modules[name]
-		if !m.IsLeaf() {
+		if !m.IsLeaf() || !m.IsMaterialized() {
 			continue
 		}
-		materialized := true
-		for i := range m.Ops {
-			if m.Ops[i].EffCount() != 1 {
-				materialized = false
-				break
-			}
+		flat, err := m.Materialize(0)
+		if err != nil {
+			return err
 		}
-		if !materialized {
-			continue
-		}
-		if _, err := reuse.Leaf(m); err != nil {
+		if _, err := reuse.Leaf(flat); err != nil {
 			return fmt.Errorf("core: ancilla reuse on %s: %w", name, err)
 		}
+		p.Add(flat)
 	}
-	return p.Validate()
+	return nil
 }
 
 // BuildSources combines several source fragments (module libraries plus

@@ -13,7 +13,6 @@
 package decompose
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/scaffold-go/multisimd/internal/ir"
@@ -50,9 +49,6 @@ func Program(p *ir.Program, opts Options) (int, error) {
 		if err := decomposeModule(p, p.Modules[name], opts, rotMods); err != nil {
 			return 0, err
 		}
-	}
-	if err := p.Validate(); err != nil {
-		return 0, fmt.Errorf("decompose: produced invalid program: %w", err)
 	}
 	return len(rotMods), nil
 }
@@ -167,9 +163,13 @@ func emitRz(p *ir.Program, out *[]ir.Op, m *ir.Module, target int, angle float64
 	}
 	name := rotationModuleName(angle, opts.epsilon())
 	if p.Module(name) == nil {
+		// Every gate acts on the module's one qubit, slot 0: the body and
+		// all its operand lists are two exactly sized allocations.
 		rm := ir.NewModule(name, []ir.Reg{{Name: "q", Size: 1}}, nil)
-		for _, g := range seq {
-			rm.Gate(g, 0)
+		rm.Ops = make([]ir.Op, len(seq))
+		slot := make([]int, len(seq))
+		for i, g := range seq {
+			rm.Ops[i] = ir.Op{Kind: ir.GateOp, Gate: g, Args: slot[i : i+1 : i+1], Count: 1}
 		}
 		p.Add(rm)
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/scaffold-go/multisimd/internal/bench"
+	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/decompose"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/qasm"
@@ -150,6 +152,22 @@ func TestRotationsBecomeBlackboxes(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("%d rotation calls, want 3", calls)
 	}
+	// Each rotation module's body is exactly sized, and every gate's
+	// operand list is a window clipped to its one slot, so appending to
+	// one cannot overwrite the next.
+	for name, rm := range p.Modules {
+		if name == "main" {
+			continue
+		}
+		if cap(rm.Ops) != len(rm.Ops) {
+			t.Errorf("%s: %d ops in a slice of cap %d", name, len(rm.Ops), cap(rm.Ops))
+		}
+		for i := range rm.Ops {
+			if a := rm.Ops[i].Args; len(a) != 1 || cap(a) != 1 || a[0] != 0 {
+				t.Fatalf("%s op %d: operands %v (cap %d)", name, i, a, cap(a))
+			}
+		}
+	}
 }
 
 func TestCountedWideGateReplication(t *testing.T) {
@@ -231,5 +249,28 @@ func TestApproxLengthMatchesSequence(t *testing.T) {
 	}
 	if decompose.ApproxLength(5) != decompose.ApproxLength(1e-10) {
 		t.Error("invalid epsilon not defaulted")
+	}
+}
+
+// BenchmarkDecomposeSHA1 measures the decomposition pass alone on the
+// gated SHA-1: each op decomposes a fresh copy of the lowered program.
+func BenchmarkDecomposeSHA1(b *testing.B) {
+	bm, ok := bench.ByName("SHA-1")
+	if !ok {
+		b.Fatal("no SHA-1 benchmark")
+	}
+	lowered, err := core.Frontend(bm.Source, bm.Pipeline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := lowered.Clone()
+		b.StartTimer()
+		if _, err := decompose.Program(p, decompose.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

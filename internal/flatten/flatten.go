@@ -1,7 +1,8 @@
 // Package flatten implements the paper's leaf-module flattening pass
 // (§3.1.1): every module whose fully expanded gate count is at most the
-// Flattening Threshold (FTh) has all of its calls inlined, turning it
-// into a leaf of at most FTh operations. Larger modules keep their call
+// Flattening Threshold (FTh) becomes a leaf of at most FTh operations.
+// The pass marks it rather than copying its callees' bodies into it; the
+// body is expanded where it is consumed. Larger modules keep their call
 // structure and are stitched by the coarse-grained scheduler.
 package flatten
 
@@ -31,18 +32,26 @@ func (o Options) threshold() int64 {
 
 // Stats reports what flattening did.
 type Stats struct {
-	Threshold      int64
-	Flattened      int // modules whose calls were all inlined
-	AlreadyLeaf    int
-	KeptModular    int // modules above FTh
+	Threshold   int64
+	Flattened   int // modules under FTh that had calls
+	AlreadyLeaf int
+	KeptModular int // modules above FTh
+	// InlinedCallOps counts the gate ops of the flattened modules'
+	// expanded bodies: what inlining their calls would copy.
 	InlinedCallOps int
 }
 
-// Program flattens the program in place.
+// Program flattens the program in place: it marks every reachable
+// module whose expanded gate count is at most FTh as a leaf
+// (ir.Program.MarkLeaf). Nothing is copied: a leaf's calls stay in
+// place and expand only where a body is consumed (Materialize,
+// Fingerprint, QASM emission), so a leaf of FTh gates costs its
+// structure, not its expansion, until then.
 //
-// Processing bottom-up guarantees that when a module under FTh inlines
-// its calls, every callee is already a leaf (a callee's gate count never
-// exceeds its caller's), so one pass suffices.
+// Processing bottom-up guarantees that when a module under FTh is
+// marked, every callee is already a leaf (a callee's gate count never
+// exceeds its caller's), so one pass suffices. A leaf's expanded op
+// count is at most its gate count, hence at most FTh.
 func Program(p *ir.Program, opts Options) (*Stats, error) {
 	fth := opts.threshold()
 	est, err := resource.New(p)
@@ -50,6 +59,7 @@ func Program(p *ir.Program, opts Options) (*Stats, error) {
 		return nil, err
 	}
 	stats := &Stats{Threshold: fth}
+	gateOps := map[string]int{} // per leaf, for InlinedCallOps
 	for _, name := range est.Reachable() {
 		m := p.Modules[name]
 		gates, err := est.Gates(name)
@@ -60,77 +70,26 @@ func Program(p *ir.Program, opts Options) (*Stats, error) {
 			stats.KeptModular++
 			continue
 		}
-		if m.IsLeaf() {
+		natural := m.IsLeaf()
+		n := 0
+		for i := range m.Ops {
+			op := &m.Ops[i]
+			if op.Kind == ir.GateOp {
+				n++
+			} else {
+				n += int(op.EffCount()) * gateOps[op.Callee]
+			}
+		}
+		gateOps[name] = n
+		if err := p.MarkLeaf(m); err != nil {
+			return nil, fmt.Errorf("flatten: %w", err)
+		}
+		if natural {
 			stats.AlreadyLeaf++
 			continue
 		}
-		if err := inlineAll(p, m, fth); err != nil {
-			return nil, err
-		}
 		stats.Flattened++
-		stats.InlinedCallOps += countGates(m)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("flatten: produced invalid program: %w", err)
+		stats.InlinedCallOps += n
 	}
 	return stats, nil
-}
-
-// inlineAll expands every call op in a single pass. Callees are already
-// leaves (bottom-up processing), so one pass makes the module a leaf, and
-// the expanded length is known before anything is copied: each non-call
-// op stays one op and each call becomes EffCount copies of its callee's
-// body. The body is allocated once at exactly that length.
-func inlineAll(p *ir.Program, m *ir.Module, fth int64) error {
-	var size int64
-	hasCall := false
-	for i := range m.Ops {
-		op := &m.Ops[i]
-		if op.Kind != ir.CallOp {
-			size++
-			continue
-		}
-		hasCall = true
-		callee := p.Modules[op.Callee]
-		if callee == nil {
-			return fmt.Errorf("flatten: module %s calls missing %q", m.Name, op.Callee)
-		}
-		if !callee.IsLeaf() {
-			return fmt.Errorf("flatten: internal error: callee %s of %s not yet a leaf", callee.Name, m.Name)
-		}
-		size += op.EffCount() * int64(len(callee.Ops))
-		if size > 4*fth {
-			// Inlining materializes call repetitions; a module under FTh
-			// expanded gates can still blow up structurally if counts
-			// hide in gate ops. Guard against runaway growth.
-			return fmt.Errorf("flatten: module %s grew past %d ops while inlining", m.Name, 4*fth)
-		}
-	}
-	if !hasCall {
-		return nil
-	}
-	out := make([]ir.Op, 0, size)
-	var err error
-	for i := range m.Ops {
-		op := &m.Ops[i]
-		if op.Kind != ir.CallOp {
-			out = append(out, *op)
-			continue
-		}
-		if out, err = p.ExpandCall(out, m, op, i); err != nil {
-			return err
-		}
-	}
-	m.Ops = out
-	return nil
-}
-
-func countGates(m *ir.Module) int {
-	n := 0
-	for i := range m.Ops {
-		if m.Ops[i].Kind == ir.GateOp {
-			n++
-		}
-	}
-	return n
 }

@@ -1,7 +1,7 @@
 package flatten_test
 
 import (
-	"slices"
+	"errors"
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/bench"
@@ -95,7 +95,10 @@ func TestFlattenPreservesSemantics(t *testing.T) {
 	if _, err := flatten.Program(p, flatten.Options{Threshold: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	main := p.Modules["main"]
+	main, err := p.Modules["main"].Materialize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(main.Ops) != 24 {
 		t.Fatalf("main has %d ops, want 24", len(main.Ops))
 	}
@@ -126,8 +129,12 @@ func TestFlattenWithCounts(t *testing.T) {
 	if _, err := flatten.Program(p, flatten.Options{Threshold: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Modules["main"].Ops) != 50 {
-		t.Errorf("replicated to %d ops", len(p.Modules["main"].Ops))
+	mat, err := p.Modules["main"].Materialize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mat.Ops) != 50 {
+		t.Errorf("replicated to %d ops", len(mat.Ops))
 	}
 }
 
@@ -137,12 +144,10 @@ func TestDefaultThreshold(t *testing.T) {
 	}
 }
 
+// TestFlattenGrowthGuard checks that a leaf's expansion is bounded
+// where it is consumed: marking copies nothing, and materializing past
+// the caller's limit fails with ir.ErrTooLarge before allocating.
 func TestFlattenGrowthGuard(t *testing.T) {
-	// A module whose expanded gate count is under FTh but whose
-	// structural expansion explodes via counted calls is caught by the
-	// growth guard rather than exhausting memory... construct: leaf with
-	// 1 gate; caller calls it 10 times (50 ops after inlining) with a
-	// tiny FTh that still covers the gate count.
 	p := ir.NewProgram("main")
 	leaf := ir.NewModule("leaf", []ir.Reg{{Name: "x", Size: 1}}, nil)
 	leaf.Gate(qasm.T, 0)
@@ -150,13 +155,14 @@ func TestFlattenGrowthGuard(t *testing.T) {
 	main := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 1}})
 	main.CallN("leaf", 100, ir.Range{Start: 0, Len: 1})
 	p.Add(main)
-	// FTh 100 covers main (100 gates); guard allows 4*FTh = 400 > 100,
-	// so this flattens fine.
 	if _, err := flatten.Program(p, flatten.Options{Threshold: 100}); err != nil {
 		t.Fatalf("legit flatten rejected: %v", err)
 	}
-	if len(p.Modules["main"].Ops) != 100 {
-		t.Errorf("ops: %d", len(p.Modules["main"].Ops))
+	if m := p.Modules["main"]; !m.IsLeaf() || len(m.Ops) != 1 || m.MaterializedSize() != 100 {
+		t.Errorf("marked main: leaf %v, %d ops, expands to %d", m.IsLeaf(), len(m.Ops), m.MaterializedSize())
+	}
+	if _, err := p.Modules["main"].Materialize(99); !errors.Is(err, ir.ErrTooLarge) {
+		t.Errorf("materializing past the limit: %v", err)
 	}
 }
 
@@ -181,57 +187,6 @@ func TestFlattenInvalidProgram(t *testing.T) {
 	p.Add(m)
 	if _, err := flatten.Program(p, flatten.Options{}); err == nil {
 		t.Error("missing callee not reported")
-	}
-}
-
-// TestInlinePresizeExact builds every gated benchmark at FTh 2000 and
-// checks that each module flattening turned into a leaf holds its body
-// in a slice of exactly its length: the inlined size is computed before
-// copying, so the body is allocated once and never regrown.
-func TestInlinePresizeExact(t *testing.T) {
-	for _, b := range bench.Gated() {
-		opts := b.Pipeline
-		opts.FTh = 2000
-		modular := opts
-		modular.SkipFlatten = true
-		before, err := core.Build(b.Source, modular)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		p, err := core.Build(b.Source, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		flattened := 0
-		for name, m := range p.Modules {
-			if before.Modules[name].IsLeaf() || !m.IsLeaf() {
-				continue
-			}
-			flattened++
-			if cap(m.Ops) != len(m.Ops) {
-				t.Errorf("%s: flattened module %s has %d ops in a slice of cap %d",
-					b.Name, name, len(m.Ops), cap(m.Ops))
-			}
-		}
-		if flattened == 0 {
-			t.Errorf("%s: no module was flattened", b.Name)
-		}
-	}
-}
-
-// TestInlinedArgsIndependent appends to one inlined op's operands and
-// checks the next op's are unchanged: inlined ops share one operand
-// slab, so each op's window must end at its own last operand.
-func TestInlinedArgsIndependent(t *testing.T) {
-	p := buildProgram()
-	if _, err := flatten.Program(p, flatten.Options{Threshold: 1000}); err != nil {
-		t.Fatal(err)
-	}
-	ops := p.Modules["main"].Ops
-	want := slices.Clone(ops[1].Args)
-	ops[0].Args = append(ops[0].Args, 7)
-	if !slices.Equal(ops[1].Args, want) {
-		t.Errorf("appending to op 0's args changed op 1's from %v to %v", want, ops[1].Args)
 	}
 }
 

@@ -21,9 +21,11 @@ type Fingerprint [sha256.Size]byte
 // String renders the fingerprint as hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// Fingerprint computes the module's content hash. It walks the ops once;
-// callers that need it repeatedly should memoize (the module itself does
-// not, because passes mutate bodies in place).
+// Fingerprint computes the module's content hash: that of its expanded
+// body, so a marked leaf hashes exactly as its inlined body would. It
+// walks the expansion once; callers that need it repeatedly should
+// memoize (the module itself does not, because passes mutate bodies in
+// place).
 //
 // Fields are little-endian encoded into a stack buffer that is flushed
 // into the digest a block at a time, so the digest sees a few large
@@ -69,9 +71,10 @@ func (m *Module) Fingerprint() Fingerprint {
 		u64(uint64(l.Size))
 	}
 
-	u64(uint64(len(m.Ops)))
-	for i := range m.Ops {
-		op := &m.Ops[i]
+	// The expanded body: its length, then each op over m's slots.
+	u64(uint64(m.extent().ops))
+	var scratch []int
+	m.expand(nil, &scratch, func(op *Op, slots []int) {
 		u64(uint64(op.Kind))
 		u64(uint64(op.EffCount()))
 		switch op.Kind {
@@ -80,7 +83,7 @@ func (m *Module) Fingerprint() Fingerprint {
 			u64(math.Float64bits(op.Angle))
 			u64(uint64(len(op.Args)))
 			for _, a := range op.Args {
-				u64(uint64(a))
+				u64(uint64(slotAt(slots, a)))
 			}
 		case CallOp:
 			str(op.Callee)
@@ -90,7 +93,7 @@ func (m *Module) Fingerprint() Fingerprint {
 				u64(uint64(r.Len))
 			}
 		}
-	}
+	})
 	h.Write(buf[:n])
 
 	var f Fingerprint
@@ -98,15 +101,22 @@ func (m *Module) Fingerprint() Fingerprint {
 	return f
 }
 
-// Fingerprint computes a whole-program content hash: the entry name plus
-// every module's (name, body-fingerprint) pair in definition order.
-// Module names participate here — unlike in the per-module hash — because
-// call ops reference callees by name, so two programs with identical
-// bodies but re-wired call graphs must not collide. It is the dedup key
-// of the service daemon's singleflight layer: structurally identical
-// submissions (millions of users compiling the same textbook circuit)
-// hash equal and share one evaluation.
-func (p *Program) Fingerprint() Fingerprint {
+// Digests is one hashing pass over a program: every module's
+// Fingerprint by name, and the program's Fingerprint built from them.
+type Digests struct {
+	Modules map[string]Fingerprint
+	Program Fingerprint
+}
+
+// Digests hashes every module once. The program hash covers the entry
+// name plus every module's (name, fingerprint) pair in definition
+// order. Module names participate here — unlike in the per-module hash
+// — because call ops reference callees by name, so two programs with
+// identical bodies but re-wired call graphs must not collide. It is the
+// dedup key of the service daemon's singleflight layer, and the module
+// digests key its leaves, so a request hashes each body once.
+func (p *Program) Digests() Digests {
+	d := Digests{Modules: make(map[string]Fingerprint, len(p.Order))}
 	h := sha256.New()
 	var buf [8]byte
 	str := func(s string) {
@@ -118,9 +128,12 @@ func (p *Program) Fingerprint() Fingerprint {
 	for _, name := range p.Order {
 		str(name)
 		f := p.Modules[name].Fingerprint()
+		d.Modules[name] = f
 		h.Write(f[:])
 	}
-	var f Fingerprint
-	h.Sum(f[:0])
-	return f
+	h.Sum(d.Program[:0])
+	return d
 }
+
+// Fingerprint is the whole-program content hash (see Digests).
+func (p *Program) Fingerprint() Fingerprint { return p.Digests().Program }

@@ -13,6 +13,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/scaffold-go/multisimd/internal/qasm"
@@ -79,6 +80,12 @@ type Module struct {
 	paramSlots int
 	totalSlots int
 	names      []string
+
+	// leaf is set by MarkLeaf: calls lists its calls in op order, and
+	// ext is the extent of the body they expand into.
+	leaf  bool
+	calls []leafCall
+	ext   extent
 }
 
 // NewModule constructs a module and computes its slot layout.
@@ -186,9 +193,13 @@ func (m *Module) CallN(callee string, count int64, args ...Range) *Module {
 	return m
 }
 
-// IsLeaf reports whether the module contains no call operations
-// (paper §3.1: leaf modules are composed solely of primitive gates).
+// IsLeaf reports whether the module is a leaf (paper §3.1: leaf modules
+// are composed solely of primitive gates): marked by MarkLeaf, or free of
+// call operations.
 func (m *Module) IsLeaf() bool {
+	if m.leaf {
+		return true
+	}
 	for i := range m.Ops {
 		if m.Ops[i].Kind == CallOp {
 			return false
@@ -222,6 +233,9 @@ func (m *Module) Clone() *Module {
 		Ops:        make([]Op, len(m.Ops)),
 		paramSlots: m.paramSlots,
 		totalSlots: m.totalSlots,
+		leaf:       m.leaf,
+		calls:      slices.Clone(m.calls),
+		ext:        m.ext,
 	}
 	for i := range m.Ops {
 		o := m.Ops[i]
@@ -259,18 +273,28 @@ func (p *Program) Module(name string) *Module { return p.Modules[name] }
 // EntryModule returns the entry module or nil.
 func (p *Program) EntryModule() *Module { return p.Modules[p.Entry] }
 
-// Clone deep-copies the program.
+// Clone deep-copies the program. A marked leaf of the copy expands
+// through the copies of its callees; one that a pass has since replaced
+// in p stays shared, as nothing can reach it to change it.
 func (p *Program) Clone() *Program {
 	c := NewProgram(p.Entry)
 	for _, name := range p.Order {
 		c.Add(p.Modules[name].Clone())
+	}
+	for _, m := range c.Modules {
+		for i, lc := range m.calls {
+			if p.Modules[lc.callee.Name] == lc.callee {
+				m.calls[i].callee = c.Modules[lc.callee.Name]
+			}
+		}
 	}
 	return c
 }
 
 // Topo returns module names in bottom-up topological order of the call
 // graph (callees before callers), restricted to modules reachable from the
-// entry. It returns an error on recursion or missing callees.
+// entry. It stops at a marked leaf: its callees are part of its body.
+// It returns an error on recursion or missing callees.
 func (p *Program) Topo() ([]string, error) {
 	const (
 		white = 0
@@ -292,9 +316,11 @@ func (p *Program) Topo() ([]string, error) {
 			return fmt.Errorf("ir: missing module %q", name)
 		}
 		color[name] = gray
-		for _, callee := range m.Callees() {
-			if err := visit(callee); err != nil {
-				return err
+		if !m.leaf {
+			for _, callee := range m.Callees() {
+				if err := visit(callee); err != nil {
+					return err
+				}
 			}
 		}
 		color[name] = black
@@ -309,7 +335,9 @@ func (p *Program) Topo() ([]string, error) {
 
 // SetLocals replaces the module's local registers and recomputes the
 // slot layout. Callers must have rewritten all op slot references to the
-// new layout already (used by optimization passes like ancilla reuse).
+// new layout already (used by optimization passes like ancilla reuse),
+// so it applies to a materialized body, not to a leaf whose calls still
+// expand into fresh locals.
 func (m *Module) SetLocals(locals []Reg) {
 	m.Locals = locals
 	m.relayout()

@@ -118,6 +118,9 @@ func TestMaterialize(t *testing.T) {
 	}
 }
 
+// TestInlineCall marks a caller as a leaf and checks that its
+// materialized body is the call inlined: callee params bound to the
+// call's argument slots and callee locals to fresh caller locals.
 func TestInlineCall(t *testing.T) {
 	p := NewProgram("main")
 	leaf := NewModule("leaf", []Reg{{Name: "x", Size: 2}}, []Reg{{Name: "anc", Size: 1}})
@@ -129,22 +132,40 @@ func TestInlineCall(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	n, err := p.InlineCall(main, 0)
+	if err := p.MarkLeaf(main); err != nil {
+		t.Fatal(err)
+	}
+	if !main.IsLeaf() || len(main.Ops) != 1 {
+		t.Fatalf("marked main: leaf %v, %d ops", main.IsLeaf(), len(main.Ops))
+	}
+	if start, ok := main.CallLocals(0); !ok || start != 4 {
+		t.Errorf("CallLocals(0) = %d, %v; want 4, true", start, ok)
+	}
+	if main.SlotName(4) != "leaf.0.anc" || main.TotalSlots() != 5 {
+		t.Errorf("fresh local: %q of %d slots", main.SlotName(4), main.TotalSlots())
+	}
+	mat, err := main.Materialize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || len(main.Ops) != 2 {
-		t.Fatalf("inlined %d ops, body %d", n, len(main.Ops))
+	if len(mat.Ops) != 2 {
+		t.Fatalf("inlined body %d ops", len(mat.Ops))
 	}
 	// leaf slots 0,1 -> caller 2,3; leaf local 2 -> fresh caller local 4.
-	if main.Ops[0].Args[0] != 2 || main.Ops[0].Args[1] != 4 {
-		t.Errorf("op0 args: %v", main.Ops[0].Args)
+	if mat.Ops[0].Args[0] != 2 || mat.Ops[0].Args[1] != 4 {
+		t.Errorf("op0 args: %v", mat.Ops[0].Args)
 	}
-	if main.Ops[1].Args[0] != 3 || main.Ops[1].Args[1] != 4 {
-		t.Errorf("op1 args: %v", main.Ops[1].Args)
+	if mat.Ops[1].Args[0] != 3 || mat.Ops[1].Args[1] != 4 {
+		t.Errorf("op1 args: %v", mat.Ops[1].Args)
+	}
+	// Operands are windows of one slab, each clipped to its own length:
+	// appending to one op's operands must not overwrite the next op's.
+	mat.Ops[0].Args = append(mat.Ops[0].Args, 7)
+	if mat.Ops[1].Args[0] != 3 {
+		t.Errorf("append to op0's operands changed op1's to %v", mat.Ops[1].Args)
 	}
 	if err := p.Validate(); err != nil {
-		t.Fatalf("post-inline validate: %v", err)
+		t.Fatalf("post-mark validate: %v", err)
 	}
 }
 
@@ -155,14 +176,23 @@ func TestInlineCallWithCount(t *testing.T) {
 	main := NewModule("main", nil, []Reg{{Name: "q", Size: 2}})
 	main.CallN("leaf", 3, Range{Start: 0, Len: 2})
 	p.Add(main)
-	if _, err := p.InlineCall(main, 0); err != nil {
+	if err := p.MarkLeaf(main); err != nil {
 		t.Fatal(err)
 	}
-	if len(main.Ops) != 6 {
-		t.Fatalf("replicated body: %d ops", len(main.Ops))
+	if main.MaterializedSize() != 6 {
+		t.Fatalf("replicated body: %d ops", main.MaterializedSize())
+	}
+	mat, err := main.Materialize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mat.Ops) != 6 {
+		t.Fatalf("replicated body: %d ops", len(mat.Ops))
 	}
 }
 
+// TestInlineCallNestedCallRemap marks a chain main -> mid -> leaf and
+// checks that leaf's gates land on main's slots through both calls.
 func TestInlineCallNestedCallRemap(t *testing.T) {
 	p := NewProgram("main")
 	p.Add(twoQubitLeaf("leaf"))
@@ -172,15 +202,30 @@ func TestInlineCallNestedCallRemap(t *testing.T) {
 	main := NewModule("main", nil, []Reg{{Name: "q", Size: 5}})
 	main.Call("mid", Range{Start: 3, Len: 2})
 	p.Add(main)
-	if _, err := p.InlineCall(main, 0); err != nil {
+	if err := p.MarkLeaf(main); err == nil {
+		t.Fatal("marked a module whose callee is not a leaf")
+	}
+	for _, m := range []*Module{mid, main} {
+		if err := p.MarkLeaf(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mat, err := main.Materialize(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	call := main.Ops[0]
-	if call.Kind != CallOp || call.Callee != "leaf" {
-		t.Fatalf("expected remapped call, got %+v", call)
+	if len(mat.Ops) != 2 || mat.Ops[0].Kind != GateOp {
+		t.Fatalf("expanded body: %+v", mat.Ops)
 	}
-	if call.CallArgs[0] != (Range{Start: 3, Len: 2}) {
-		t.Errorf("nested call range: %+v", call.CallArgs[0])
+	for i, op := range mat.Ops {
+		for _, s := range op.Args {
+			if s != 3 && s != 4 {
+				t.Errorf("op %d: slot %d outside the call's range [3,5)", i, s)
+			}
+		}
+	}
+	if order, err := p.Topo(); err != nil || len(order) != 1 {
+		t.Errorf("Topo past a marked leaf: %v, %v", order, err)
 	}
 }
 
@@ -193,6 +238,30 @@ func TestCloneIndependence(t *testing.T) {
 	c.Modules["main"].Gate(qasm.X, 0)
 	if m.Ops[0].Args[0] != 0 || len(m.Ops) != 2 {
 		t.Error("clone shares storage with original")
+	}
+}
+
+// TestCloneKeepsMark clones a program with a marked leaf: the copy's
+// leaf expands through the copy's callee, so changing the original
+// callee afterwards changes neither the copy's body nor its digest.
+func TestCloneKeepsMark(t *testing.T) {
+	p := NewProgram("main")
+	p.Add(twoQubitLeaf("leaf"))
+	main := NewModule("main", nil, []Reg{{Name: "q", Size: 2}})
+	main.CallN("leaf", 2, Range{Start: 0, Len: 2})
+	p.Add(main)
+	if err := p.MarkLeaf(main); err != nil {
+		t.Fatal(err)
+	}
+	c := p.Clone()
+	want := main.Fingerprint()
+	p.Modules["leaf"].Ops[0].Gate = qasm.T
+	cm := c.Modules["main"]
+	if !cm.IsLeaf() || cm.Fingerprint() != want || cm.MaterializedSize() != 4 {
+		t.Errorf("clone: leaf %v, size %d, digest kept %v", cm.IsLeaf(), cm.MaterializedSize(), cm.Fingerprint() == want)
+	}
+	if main.Fingerprint() == want {
+		t.Error("the original's leaf does not expand through its own callee")
 	}
 }
 

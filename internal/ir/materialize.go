@@ -1,146 +1,193 @@
 package ir
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // ErrTooLarge is wrapped by materialization errors when expansion would
 // exceed the caller's op limit.
 var ErrTooLarge = fmt.Errorf("ir: materialization exceeds op limit")
 
-// MaterializedSize returns the number of ops the module body expands to
-// once Count multipliers are unrolled (calls count as one op per
-// repetition).
-func (m *Module) MaterializedSize() int64 {
-	var n int64
+// leafCall is one call op of a marked leaf: its index in Ops, the first
+// of the fresh locals MarkLeaf gave the callee's locals, and the callee.
+type leafCall struct {
+	op     int
+	fresh  int
+	callee *Module
+}
+
+// extent measures a module's expanded body: ops is its length with
+// counts kept, unrolled its length with every Count unrolled, and args
+// the operand slots of its ops (counts kept).
+type extent struct{ ops, unrolled, args int64 }
+
+// add returns e plus n copies of f, saturating at math.MaxInt64 so that
+// an absurd parameterization reads as too large rather than wrapping.
+func (e extent) add(n int64, f extent) extent {
+	sat := func(a, b int64) int64 {
+		if b != 0 && n > (math.MaxInt64-a)/b {
+			return math.MaxInt64
+		}
+		return a + n*b
+	}
+	return extent{sat(e.ops, f.ops), sat(e.unrolled, f.unrolled), sat(e.args, f.args)}
+}
+
+// extent returns the extent of m's expanded body. A marked leaf's was
+// fixed when it was marked; any other body is its own ops, calls
+// counting as one op per repetition.
+func (m *Module) extent() extent {
+	if m.leaf {
+		return m.ext
+	}
+	var e extent
 	for i := range m.Ops {
-		n += m.Ops[i].EffCount()
+		e = e.add(1, extent{1, m.Ops[i].EffCount(), int64(len(m.Ops[i].Args))})
 	}
-	return n
+	return e
 }
 
-// Materialize returns a copy of the module with every Count > 1 operation
-// replicated into Count consecutive ops. limit bounds the resulting body
-// size; it returns an error wrapping ErrTooLarge when exceeded.
-func (m *Module) Materialize(limit int64) (*Module, error) {
-	need := m.MaterializedSize()
-	if limit > 0 && need > limit {
-		return nil, fmt.Errorf("%w: module %s needs %d ops, limit %d", ErrTooLarge, m.Name, need, limit)
-	}
-	out := m.Clone()
-	out.Ops = make([]Op, 0, need)
-	for i := range m.Ops {
-		op := m.Ops[i]
-		n := op.EffCount()
-		unit := op
-		unit.Count = 1
-		unit.Args = append([]int(nil), op.Args...)
-		unit.CallArgs = append([]Range(nil), op.CallArgs...)
-		for r := int64(0); r < n; r++ {
-			out.Ops = append(out.Ops, unit)
-		}
-	}
-	return out, nil
-}
-
-// ExpandCall appends the expansion of call op `call` (owned by caller)
-// to dst and returns the extended slice: the callee's body remapped
-// through the call's argument ranges, with callee locals added as fresh
-// caller locals named with the given tag, replicated Count times. The
-// callee module itself is not modified.
-func (p *Program) ExpandCall(dst []Op, caller *Module, call *Op, tag int) ([]Op, error) {
-	callee := p.Modules[call.Callee]
-	if callee == nil {
-		return dst, fmt.Errorf("ir: ExpandCall: missing module %q", call.Callee)
-	}
-	// Build the slot map: callee slot -> caller slot.
-	slotMap := make([]int, callee.TotalSlots())
-	n := 0
-	for _, r := range call.CallArgs {
-		for s := r.Start; s < r.Start+r.Len; s++ {
-			slotMap[n] = s
-			n++
-		}
-	}
-	if n != callee.ParamSlots() {
-		return dst, fmt.Errorf("ir: ExpandCall: %s->%s arg slots %d != params %d",
-			caller.Name, call.Callee, n, callee.ParamSlots())
-	}
-	// Callee locals become fresh caller locals (ancilla are reusable
-	// across inlined bodies in principle, but fresh locals keep the
-	// transformation simple and correct; the resource estimator models
-	// reuse separately).
-	for _, l := range callee.Locals {
-		r := caller.AddLocal(fmt.Sprintf("%s.%d.%s", callee.Name, tag, l.Name), l.Size)
-		for s := 0; s < l.Size; s++ {
-			slotMap[n] = r.Start + s
-			n++
-		}
-	}
-
-	// Every clone's Args is a window of one slab. Each window's capacity
-	// is clipped to its length, so appending to one op's Args reallocates
-	// instead of overwriting the next op's operands.
-	reps := call.EffCount()
-	perRep := 0
-	for j := range callee.Ops {
-		perRep += len(callee.Ops[j].Args)
-	}
-	slab := make([]int, reps*int64(perRep))
-	for r := int64(0); r < reps; r++ {
-		for j := range callee.Ops {
-			op := &callee.Ops[j]
-			clone := *op
-			clone.Args = slab[:len(op.Args):len(op.Args)]
-			slab = slab[len(op.Args):]
-			for k, s := range op.Args {
-				clone.Args[k] = slotMap[s]
-			}
-			clone.CallArgs = make([]Range, 0, len(op.CallArgs))
-			for _, cr := range op.CallArgs {
-				clone.CallArgs = append(clone.CallArgs, remapRange(cr, slotMap)...)
-			}
-			dst = append(dst, clone)
-		}
-	}
-	return dst, nil
-}
-
-// InlineCall replaces the call op at index i in caller with the callee's
-// body (see ExpandCall). It returns the number of ops the call expanded
-// to.
-func (p *Program) InlineCall(caller *Module, i int) (int, error) {
-	if i < 0 || i >= len(caller.Ops) || caller.Ops[i].Kind != CallOp {
-		return 0, fmt.Errorf("ir: InlineCall: op %d of %s is not a call", i, caller.Name)
-	}
-	call := caller.Ops[i]
-	body, err := p.ExpandCall(nil, caller, &call, i)
-	if err != nil {
-		return 0, err
-	}
-	newOps := make([]Op, 0, len(caller.Ops)-1+len(body))
-	newOps = append(newOps, caller.Ops[:i]...)
-	newOps = append(newOps, body...)
-	newOps = append(newOps, caller.Ops[i+1:]...)
-	caller.Ops = newOps
-	return len(body), nil
-}
-
-// remapRange maps a contiguous callee range through the slot map,
-// coalescing the image into maximal contiguous runs. Ranges that address
-// a single register (the common case) stay a single range; a range that
-// spans registers whose images are scattered splits into several.
-func remapRange(r Range, slotMap []int) []Range {
-	if r.Len == 0 {
+// MarkLeaf makes m a leaf without copying a callee body (paper §3.1.1:
+// a module under FTh becomes a leaf). Every callee must be a leaf
+// already. Calls stay in place, and each call's callee locals become
+// fresh locals of m, named "<callee>.<op index>.<local>", in call order:
+// the layout inlining every call would give m. Materialize,
+// MaterializedSize and Fingerprint then see m as that inlined body.
+func (p *Program) MarkLeaf(m *Module) error {
+	if m.leaf {
 		return nil
 	}
-	out := []Range{{Start: slotMap[r.Start], Len: 1}}
-	for k := 1; k < r.Len; k++ {
-		s := slotMap[r.Start+k]
-		last := &out[len(out)-1]
-		if s == last.Start+last.Len {
-			last.Len++
-		} else {
-			out = append(out, Range{Start: s, Len: 1})
+	var calls []leafCall
+	var e extent
+	for i := range m.Ops {
+		op := &m.Ops[i]
+		reps := op.EffCount()
+		if op.Kind != CallOp {
+			e = e.add(1, extent{1, reps, int64(len(op.Args))})
+			continue
 		}
+		callee := p.Modules[op.Callee]
+		slots := 0
+		for _, r := range op.CallArgs {
+			slots += r.Len
+		}
+		if callee == nil || !callee.IsLeaf() || slots != callee.ParamSlots() {
+			return fmt.Errorf("ir: MarkLeaf: %s op %d: %q is not a leaf taking %d slots", m.Name, i, op.Callee, slots)
+		}
+		calls = append(calls, leafCall{op: i, fresh: m.totalSlots, callee: callee})
+		for _, l := range callee.Locals {
+			m.AddLocal(fmt.Sprintf("%s.%d.%s", callee.Name, i, l.Name), l.Size)
+		}
+		e = e.add(reps, callee.extent())
 	}
-	return out
+	m.leaf, m.calls, m.ext = true, calls, e
+	return nil
+}
+
+// CallLocals returns the first slot of the fresh locals MarkLeaf gave
+// call op i of a marked leaf: the callee's local slot s binds to caller
+// slot start + s - callee.ParamSlots(). It reports false for any other
+// op or module.
+func (m *Module) CallLocals(i int) (start int, ok bool) {
+	k, ok := slices.BinarySearchFunc(m.calls, i, func(c leafCall, i int) int { return cmp.Compare(c.op, i) })
+	if !ok {
+		return 0, false
+	}
+	return m.calls[k].fresh, true
+}
+
+// expand visits m's expanded body in order: m's ops, except that each
+// call of a marked leaf is replaced, EffCount times, by its callee's
+// expanded body. slots maps the slots of the ops visited into the slot
+// space of the module expansion started from (nil: they are its own);
+// scratch holds the maps of the calls being expanded.
+func (m *Module) expand(slots []int, scratch *[]int, visit func(op *Op, slots []int)) {
+	calls := m.calls
+	for i := range m.Ops {
+		op := &m.Ops[i]
+		if !m.leaf || op.Kind != CallOp {
+			visit(op, slots)
+			continue
+		}
+		c := calls[0]
+		calls = calls[1:]
+		base := len(*scratch)
+		for _, r := range op.CallArgs {
+			for s := r.Start; s < r.Start+r.Len; s++ {
+				*scratch = append(*scratch, slotAt(slots, s))
+			}
+		}
+		for s := c.fresh; s < c.fresh+c.callee.LocalSlots(); s++ {
+			*scratch = append(*scratch, slotAt(slots, s))
+		}
+		// Nested expansions append past sub and truncate back to it, so
+		// sub stays intact (in the old array if append moved it).
+		sub := (*scratch)[base:]
+		for r := op.EffCount(); r > 0; r-- {
+			c.callee.expand(sub, scratch, visit)
+		}
+		*scratch = (*scratch)[:base]
+	}
+}
+
+func slotAt(slots []int, s int) int {
+	if slots == nil {
+		return s
+	}
+	return slots[s]
+}
+
+// MaterializedSize returns the number of ops the module body expands to
+// once Count multipliers are unrolled (a marked leaf's calls expand;
+// any other call counts as one op per repetition).
+func (m *Module) MaterializedSize() int64 { return m.extent().unrolled }
+
+// IsMaterialized reports whether the module's expanded body repeats no
+// op (every EffCount is 1), so that Materialize only expands its calls.
+func (m *Module) IsMaterialized() bool {
+	e := m.extent()
+	return e.ops == e.unrolled
+}
+
+// Materialize returns a copy of the module with its expanded body (see
+// MarkLeaf) and every Count > 1 operation replicated into Count
+// consecutive ops, built in one pass into an exactly sized body whose
+// operand lists are windows of one slab. Copies of one repeated op share
+// its operand window. limit bounds the resulting body size; it returns
+// an error wrapping ErrTooLarge when exceeded.
+func (m *Module) Materialize(limit int64) (*Module, error) {
+	e := m.extent()
+	if limit > 0 && e.unrolled > limit {
+		return nil, fmt.Errorf("%w: module %s needs %d ops, limit %d", ErrTooLarge, m.Name, e.unrolled, limit)
+	}
+	out := &Module{
+		Name:       m.Name,
+		Params:     append([]Reg(nil), m.Params...),
+		Locals:     append([]Reg(nil), m.Locals...),
+		Ops:        make([]Op, 0, e.unrolled),
+		paramSlots: m.paramSlots,
+		totalSlots: m.totalSlots,
+	}
+	slab := make([]int, e.args)
+	var scratch []int
+	m.expand(nil, &scratch, func(op *Op, slots []int) {
+		unit := *op
+		unit.Count = 1
+		unit.Args = nil
+		if n := len(op.Args); n > 0 {
+			unit.Args = slab[:n:n]
+			slab = slab[n:]
+			for k, s := range op.Args {
+				unit.Args[k] = slotAt(slots, s)
+			}
+		}
+		unit.CallArgs = append([]Range(nil), op.CallArgs...)
+		for r := op.EffCount(); r > 0; r-- {
+			out.Ops = append(out.Ops, unit)
+		}
+	})
+	return out, nil
 }

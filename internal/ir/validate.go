@@ -85,15 +85,21 @@ func (p *Program) validateCall(m *Module, i int, op *Op) error {
 			m.Name, i, op.Callee, total, callee.ParamSlots())
 	}
 	// No-cloning across call arguments: the concatenated ranges must not
-	// alias the same caller slot twice.
-	seen := make(map[int]bool, total)
-	for _, r := range op.CallArgs {
-		for s := r.Start; s < r.Start+r.Len; s++ {
-			if seen[s] {
-				return fmt.Errorf("ir: %s op %d: call to %s aliases slot %d",
-					m.Name, i, op.Callee, s)
+	// alias the same caller slot twice. The first repeat in argument
+	// order is the lowest slot of the first range that overlaps an
+	// earlier one; a pairwise scan finds it without allocating.
+	for j, r := range op.CallArgs {
+		alias := -1
+		for _, q := range op.CallArgs[:j] {
+			if q.Start < r.Start+r.Len && r.Start < q.Start+q.Len {
+				if s := max(q.Start, r.Start); alias < 0 || s < alias {
+					alias = s
+				}
 			}
-			seen[s] = true
+		}
+		if alias >= 0 {
+			return fmt.Errorf("ir: %s op %d: call to %s aliases slot %d",
+				m.Name, i, op.Callee, alias)
 		}
 	}
 	return nil

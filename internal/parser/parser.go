@@ -30,18 +30,34 @@ import (
 	"github.com/scaffold-go/multisimd/internal/scaffold"
 )
 
+// parser reads tokens from the lexer one at a time: the grammar needs
+// one token of lookahead, so the source is never held as a token slice.
 type parser struct {
-	toks []scaffold.Token
-	pos  int
+	lx  *scaffold.Lexer
+	tok scaffold.Token // the current token
+	err error          // the lexer's error; tok is EOF once it is set
 }
 
-// Parse parses a whole source file.
+// Parse parses a whole source file. A lexical error anywhere in src is
+// reported in preference to a syntax error, as if src had been
+// tokenized in full first.
 func Parse(src string) (*ast.Program, error) {
-	toks, err := scaffold.Lex(src)
-	if err != nil {
-		return nil, err
+	p := &parser{lx: scaffold.NewLexer(src)}
+	p.next()
+	prog, err := p.parseProgram()
+	if err == nil && p.err == nil {
+		return prog, nil
 	}
-	p := &parser{toks: toks}
+	for p.err == nil && p.tok.Kind != scaffold.EOF {
+		p.next()
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return nil, err
+}
+
+func (p *parser) parseProgram() (*ast.Program, error) {
 	prog := &ast.Program{}
 	for p.cur().Kind != scaffold.EOF {
 		m, err := p.parseModule()
@@ -53,8 +69,19 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-func (p *parser) cur() scaffold.Token  { return p.toks[p.pos] }
-func (p *parser) next() scaffold.Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() scaffold.Token { return p.tok }
+
+// next returns the current token and advances to the following one.
+func (p *parser) next() scaffold.Token {
+	t := p.tok
+	if p.err != nil {
+		return t
+	}
+	if p.tok, p.err = p.lx.Next(); p.err != nil {
+		p.tok = scaffold.Token{Kind: scaffold.EOF}
+	}
+	return t
+}
 
 func (p *parser) peekKind(k scaffold.Kind) bool { return p.cur().Kind == k }
 
@@ -63,7 +90,7 @@ func (p *parser) expect(k scaffold.Kind) (scaffold.Token, error) {
 	if t.Kind != k {
 		return t, fmt.Errorf("parser: %s: expected %s, found %s %q", t.Pos, k, t.Kind, t.Text)
 	}
-	p.pos++
+	p.next()
 	return t, nil
 }
 

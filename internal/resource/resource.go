@@ -115,13 +115,17 @@ func (e *Estimator) peakLocals(name string) (int64, error) {
 		return 0, fmt.Errorf("resource: missing module %q", name)
 	}
 	var deepest int64
-	for _, callee := range m.Callees() {
-		p, err := e.peakLocals(callee)
-		if err != nil {
-			return 0, err
-		}
-		if p > deepest {
-			deepest = p
+	// A marked leaf's locals already hold its calls' ancillae (flatten
+	// gives them fresh slots), so its footprint stops there.
+	if !m.IsLeaf() {
+		for _, callee := range m.Callees() {
+			p, err := e.peakLocals(callee)
+			if err != nil {
+				return 0, err
+			}
+			if p > deepest {
+				deepest = p
+			}
 		}
 	}
 	p := satAdd(int64(m.LocalSlots()), deepest)

@@ -1,12 +1,12 @@
 // Package reuse implements ancilla recycling on materialized leaf
 // modules: local qubits with disjoint live ranges share physical slots.
 //
-// Flattening (ir.ExpandCall) allocates fresh locals per inlined call
-// site for simplicity, which inflates a leaf's footprint well past the
+// Flattening (ir.Program.MarkLeaf) gives every call of a leaf fresh
+// locals for simplicity, which inflates a leaf's footprint well past the
 // paper's Table 1 metric Q — defined with "maximal possible reuse of
 // ancilla qubits across functions". This pass restores that reuse on
-// the flat form: an interval-graph coloring over ancilla live ranges,
-// exactly the classical register-allocation view of the paper's
+// the materialized body: an interval-graph coloring over ancilla live
+// ranges, exactly the classical register-allocation view of the paper's
 // sequential-reuse model.
 //
 // Soundness rests on the clean-ancilla convention: every local starts
@@ -56,7 +56,7 @@ func Leaf(m *ir.Module) (Stats, error) {
 	for i := range m.Ops {
 		op := &m.Ops[i]
 		if op.Kind != ir.GateOp {
-			return st, fmt.Errorf("reuse: module %s op %d is a call; flatten first", m.Name, i)
+			return st, fmt.Errorf("reuse: module %s op %d is a call; materialize first", m.Name, i)
 		}
 		if op.EffCount() != 1 {
 			return st, fmt.Errorf("reuse: module %s op %d has count %d; materialize first", m.Name, i, op.Count)

@@ -114,6 +114,12 @@ func TestReuseOnFlattenedArithmetic(t *testing.T) {
 	if work == nil || !work.IsLeaf() {
 		t.Fatal("work not flattened to a leaf")
 	}
+	// The pass rewrites a materialized body: swap in work's.
+	work, err = work.Materialize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Add(work)
 	main := ir.NewModule("main", nil, []ir.Reg{
 		{Name: "ctl", Size: 1}, {Name: "a", Size: 3}, {Name: "b", Size: 3},
 		{Name: "cin", Size: 1}, {Name: "cout", Size: 1},
@@ -200,7 +206,11 @@ func TestReuseNeverIncreasesAndStaysValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := prog.EntryModule()
+	m, err := prog.EntryModule().Materialize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Add(m)
 	before := m.LocalSlots()
 	st, err := reuse.Leaf(m)
 	if err != nil {

@@ -120,7 +120,9 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 	if err != nil {
 		return evalResult{}, false, err
 	}
-	fp := p.Fingerprint()
+	// One hashing pass keys the request and the engine's leaves.
+	digests := p.Digests()
+	fp := digests.Program
 	key := req.KeyOf(fp)
 	fn := func(workCtx context.Context) (any, error) {
 		s.wg.Add(1)
@@ -163,7 +165,7 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		cacheRec := &core.CacheRecorder{}
 		eopts.CacheStats = cacheRec
 		evalStart := time.Now()
-		m, err := core.EvaluateContext(evalCtx, p, eopts)
+		m, err := core.EvaluateDigests(evalCtx, p, digests.Modules, eopts)
 		if err != nil {
 			return nil, err
 		}

@@ -341,6 +341,11 @@ func (s *State) runModuleMapped(p *ir.Program, m *ir.Module, slotMap []int, live
 						sub = append(sub, slotMap[q])
 					}
 				}
+				if start, ok := m.CallLocals(i); ok {
+					// A leaf's call runs on the fresh locals flatten
+					// gave it.
+					sub = append(sub, slotMap[start:start+callee.LocalSlots()]...)
+				}
 				// Callee locals need fresh simulator qubits; allocate
 				// from the tail of the state if available.
 				var anc []int

@@ -55,7 +55,7 @@ func TestCheckAgainstGatesColdAndWarm(t *testing.T) {
 func minimalReport(commCycles, zeroSteps int64) *report.Report {
 	return &report.Report{
 		Schema: report.SchemaVersion, Benchmark: "X", Scheduler: "lpfs", K: 4,
-		Totals: report.Totals{CommCycles: commCycles, ZeroCommSteps: zeroSteps},
+		Totals: report.Totals{Metrics: report.Metrics{CommCycles: commCycles, ZeroCommSteps: zeroSteps}},
 	}
 }
 

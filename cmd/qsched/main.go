@@ -117,8 +117,6 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	// -decisions records the evaluation, not the report's reschedules.
-	reportOpts := eopts
 	sched := core.WithDecisionLog(eopts.Scheduler, obsv.D())
 	eopts.Scheduler = sched
 	eopts.Obs = obsv
@@ -133,7 +131,7 @@ func run(cfg config) error {
 		return err
 	}
 	if cfg.report != "" || cfg.reportJS != "" {
-		r, err := core.BuildReport(context.Background(), prog, cfg.benchmarkLabel(), m, reportOpts)
+		r, err := core.BuildReport(context.Background(), prog, cfg.benchmarkLabel(), m, eopts)
 		if err != nil {
 			return err
 		}
@@ -153,7 +151,7 @@ func run(cfg config) error {
 
 	fmt.Printf("scheduler:           %s\n", sched.Name())
 	if req.Verify {
-		fmt.Printf("verification:        every leaf schedule and move list legal\n")
+		fmt.Printf("verification:        every leaf re-derived, legal and as served\n")
 	}
 	fmt.Printf("machine:             Multi-SIMD(%d,%s), local capacity %s\n", req.K, dStr(req.D), capStr(req.Local))
 	fmt.Printf("modules / leaves:    %d / %d\n", m.Modules, m.Leaves)

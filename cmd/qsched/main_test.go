@@ -141,21 +141,22 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 	}
 }
 
-// TestReportLeavesDecisionLogUnchanged: the report reschedules every
-// leaf without the decision log, so -decisions is byte-identical with
-// and without -report-json. Concurrent leaf tasks interleave their
-// records, so the evaluation runs on one worker (GOMAXPROCS 1).
+// TestReportLeavesDecisionLogUnchanged: the report and the -verify
+// audit reschedule every leaf without the decision log, so -decisions
+// is byte-identical with and without -report-json or -verify.
+// Concurrent leaf tasks interleave their records, so the evaluation
+// runs on one worker (GOMAXPROCS 1).
 func TestReportLeavesDecisionLogUnchanged(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir := t.TempDir()
 	var logs [][]byte
-	for i, withReport := range []bool{false, true} {
+	for i, in := range []struct{ report, verify bool }{{}, {report: true}, {verify: true}} {
 		// rcp: lpfs logs no decision on this leaf at width k, so a
 		// report rescheduled through the logging scheduler would go unseen.
-		cfg := testConfig("rcp", "Grovers", "", false)
+		cfg := testConfig("rcp", "Grovers", "", in.verify)
 		cfg.obs.Decisions = fmt.Sprintf("%s/decisions-%d.log", dir, i)
 		cfg.obs.DecisionLevel = "op"
-		if withReport {
+		if in.report {
 			cfg.reportJS = dir + "/report.json"
 		}
 		if err := run(cfg); err != nil {
@@ -170,8 +171,10 @@ func TestReportLeavesDecisionLogUnchanged(t *testing.T) {
 	if len(logs[0]) == 0 {
 		t.Fatal("empty decision log")
 	}
-	if !bytes.Equal(logs[0], logs[1]) {
-		t.Errorf("-report-json changed the decision log: %d vs %d bytes", len(logs[0]), len(logs[1]))
+	for i, in := range []string{"-report-json", "-verify"} {
+		if !bytes.Equal(logs[0], logs[i+1]) {
+			t.Errorf("%s changed the decision log: %d vs %d bytes", in, len(logs[0]), len(logs[i+1]))
+		}
 	}
 }
 

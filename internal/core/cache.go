@@ -41,6 +41,12 @@ type commEntry struct {
 	locals  int64
 }
 
+// entryOf is the characterization of schedule s whose movement
+// summary is sum.
+func entryOf(s *schedule.Schedule, sum comm.Summary) commEntry {
+	return commEntry{zeroLen: int64(s.Length()), cycles: sum.Cycles, globals: sum.GlobalMoves, locals: sum.LocalMoves}
+}
+
 // Content-address domains for the persistent layers. The version
 // suffix is part of the key: an incompatible payload-encoding change
 // bumps it and old records simply stop matching.

@@ -17,9 +17,15 @@ package core
 // every result lands in a pre-assigned slot, so Metrics are identical at
 // any worker count and on any cache temperature.
 //
+// Characterization has one path whatever the options: a comm hit, then
+// the capacity-dominance memo, then a schedule hit, and only a miss
+// schedules; movement is only ever summarized. Verification is not part
+// of it: EvalOptions.Verify audits the composed result afterwards
+// (audit.go), re-deriving every entry the cache served.
+//
 // Observability (EvalOptions.Obs) threads through here: every pool task
 // traces a span on its worker slot's track, fresh materializations,
-// schedules and comm analyses feed the metrics registry, and verifier
+// schedules and comm analyses feed the metrics registry, and audit
 // rejections count and mark the trace. All of it is nil-guarded — a run
 // without an Observer takes only nil checks (see
 // TestDisabled*AllocatesNothing in internal/obs).
@@ -41,7 +47,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/report"
 	"github.com/scaffold-go/multisimd/internal/resource"
 	"github.com/scaffold-go/multisimd/internal/schedule"
-	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
 func (o EvalOptions) workers() int {
@@ -209,6 +214,12 @@ func ScheduleLeaf(mod *ir.Module, sched Scheduler, w, d int, copts comm.Options)
 	if err != nil {
 		return nil, err
 	}
+	return scheduleBody(mat, g, sched, w, d, copts)
+}
+
+// scheduleBody schedules a materialized leaf body with its DAG and
+// analyzes its movement in full.
+func scheduleBody(mat *ir.Module, g *dag.Graph, sched Scheduler, w, d int, copts comm.Options) (*Leaf, error) {
 	s, err := sched.Schedule(mat, g, w, d)
 	if err != nil {
 		return nil, err
@@ -221,31 +232,18 @@ func ScheduleLeaf(mod *ir.Module, sched Scheduler, w, d int, copts comm.Options)
 }
 
 // BuildReport assembles the schedule report of p's evaluation under
-// opts, whose Metrics are m: every reachable leaf goes through
-// ScheduleLeaf at width k on the worker pool, and Modules is sorted by
-// name. Totals denormalizes m so the report is self-contained. Pass the
-// scheduler without its decision log: these reschedules are not the
-// evaluation's decisions.
+// opts, whose Metrics are m: every reachable leaf is re-derived at
+// width k (see rederive; the scheduler's decision log stays out of it),
+// and Modules is sorted by name. Totals denormalizes m so the report is
+// self-contained.
 func BuildReport(ctx context.Context, p *ir.Program, benchmark string, m *Metrics, opts EvalOptions) (*report.Report, error) {
-	est, err := resource.New(p)
+	pp, err := prepare(ctx, p, nil, opts.workers(), nil)
 	if err != nil {
 		return nil, err
 	}
-	var leaves []*ir.Module
-	for _, name := range est.Reachable() {
-		if mod := p.Modules[name]; mod.IsLeaf() {
-			leaves = append(leaves, mod)
-		}
-	}
-	sched := opts.scheduler()
-	mods := make([]report.ModuleReport, len(leaves))
-	err = runTasks(ctx, len(leaves), opts.workers(), func(_, i int) error {
-		mod := leaves[i]
-		l, err := ScheduleLeaf(mod, sched, opts.K, opts.D, opts.Comm)
-		if err != nil {
-			return fmt.Errorf("core: module %s: %w", mod.Name, err)
-		}
-		mods[i] = report.Analyze(mod.Name, l.S, l.G, l.Comm)
+	mods := make([]report.ModuleReport, len(pp.leaves))
+	err = pp.rederive(ctx, opts, []int{opts.K}, func(i, _ int, l *Leaf) error {
+		mods[i] = report.Analyze(pp.leaves[i].name, l.S, l.G, l.Comm)
 		return nil
 	})
 	if err != nil {
@@ -256,27 +254,12 @@ func BuildReport(ctx context.Context, p *ir.Program, benchmark string, m *Metric
 	r := &report.Report{
 		Schema:    report.SchemaVersion,
 		Benchmark: benchmark,
-		Scheduler: sched.Name(),
+		Scheduler: opts.scheduler().Name(),
 		K:         opts.K,
 		D:         opts.D,
 		Comm:      report.CommConfigOf(opts.Comm),
-		Totals: report.Totals{
-			TotalGates:     m.TotalGates,
-			MinQubits:      m.MinQubits,
-			Modules:        m.Modules,
-			Leaves:         m.Leaves,
-			CriticalPath:   m.CriticalPath,
-			ZeroCommSteps:  m.ZeroCommSteps,
-			CommCycles:     m.CommCycles,
-			GlobalMoves:    m.GlobalMoves,
-			LocalMoves:     m.LocalMoves,
-			SeqCycles:      m.SeqCycles,
-			NaiveCycles:    m.NaiveCycles,
-			SpeedupVsSeq:   m.SpeedupVsSeq(),
-			SpeedupVsNaive: m.SpeedupVsNaive(),
-			CPSpeedup:      m.CPSpeedup(),
-		},
-		Modules: mods,
+		Totals:    report.Totals{Metrics: m.Wire()},
+		Modules:   mods,
 	}
 	if m.CommCycles > 0 && m.CommCycles > m.ZeroCommSteps {
 		r.Totals.CommOverheadFraction =
@@ -370,7 +353,7 @@ type engObs struct {
 	commGlobal *obs.Counter // teleports across fresh comm analyses
 	commLocal  *obs.Counter // local moves across fresh comm analyses
 	commStall  *obs.Counter // EPR-stall overhead cycles across fresh analyses
-	verifyRej  *obs.Counter // legality-oracle rejections
+	verifyRej  *obs.Counter // Verify audit rejections
 
 	queueDepth  *obs.Gauge // tasks not yet claimed by a worker
 	workersPeak *obs.Gauge // peak concurrently running pool tasks
@@ -557,15 +540,14 @@ func (e *engine) evalLeaves(leaves []*leafState) error {
 // characterize fills one leaf's width slot, consulting the cache layers
 // outermost-first: a comm hit is free; a capacity-dominated point reuses
 // this sweep's unlimited-scratchpad result; a schedule hit re-runs only
-// the comm analysis; a miss schedules and analyzes, then populates both.
-// sp is the task's trace span, annotated with which layer served the
-// point (inert when tracing is off).
+// the movement summary; a miss schedules and summarizes, then populates
+// both. sp is the task's trace span, annotated with which layer served
+// the point (inert when tracing is off).
 func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
-	graph := func() (*ir.Module, *dag.Graph, error) { return e.pp.graph(ls.body) }
 	if wi == 0 {
 		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
 		if !ok {
-			_, g, err := graph()
+			_, g, err := e.pp.graph(ls.body)
 			if err != nil {
 				return err
 			}
@@ -578,15 +560,12 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	w := e.widths[wi]
 	sk := schedKey{fp: ls.fp, config: e.cfg, w: w, d: e.opts.D}
 	ck := commKey{sk: sk, comm: e.comm}
-	// Verification re-derives the move list, so it bypasses the warm
-	// fast paths: a cached result may predate the oracle.
-	fast := !e.opts.Verify
-	if ce, ok := e.cache.commResult(ck, e.rec); ok && fast {
+	if ce, ok := e.cache.commResult(ck, e.rec); ok {
 		sp.SetStr("cache", "comm-hit")
 		ls.slots[wi] = ce
 		return nil
 	}
-	if ce, ok := e.pp.unlimitedFor(ck); ok && fast {
+	if ce, ok := e.pp.unlimitedFor(ck); ok {
 		sp.SetStr("cache", "capacity-dominated")
 		e.cache.putCommResult(ck, ce)
 		ls.slots[wi] = ce
@@ -595,7 +574,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	s, ok := e.cache.schedule(sk, e.rec)
 	if !ok {
 		sp.SetStr("cache", "miss")
-		mat, g, err := graph()
+		mat, g, err := e.pp.graph(ls.body)
 		if err != nil {
 			return err
 		}
@@ -613,15 +592,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	} else {
 		sp.SetStr("cache", "sched-hit")
 	}
-	// Only verification reads the move lists.
-	var res *comm.Result
-	var sum comm.Summary
-	var err error
-	if fast {
-		sum, err = comm.Summarize(s, e.comm)
-	} else if res, err = comm.Analyze(s, e.comm); err == nil {
-		sum = res.Summary()
-	}
+	sum, err := comm.Summarize(s, e.comm)
 	if err != nil {
 		return err
 	}
@@ -634,26 +605,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	sp.SetInt("global_moves", sum.GlobalMoves)
 	sp.SetInt("local_moves", sum.LocalMoves)
 	sp.SetInt("stall_cycles", sum.StallCycles)
-	if e.opts.Verify {
-		// The cached schedule may hang off a structurally identical
-		// module from another leaf (content-addressed keys); the DAG
-		// shape is the same, so this leaf's graph checks it.
-		_, g, err := graph()
-		if err != nil {
-			return err
-		}
-		if err := verify.Full(s, g, res, e.comm); err != nil {
-			e.eo.verifyRej.Inc()
-			e.eo.tr.Instant("verify", "rejection: "+ls.name, 0)
-			return fmt.Errorf("width %d: %w", w, err)
-		}
-	}
-	ce := commEntry{
-		zeroLen: int64(s.Length()),
-		cycles:  sum.Cycles,
-		globals: sum.GlobalMoves,
-		locals:  sum.LocalMoves,
-	}
+	ce := entryOf(s, sum)
 	e.cache.putCommResult(ck, ce)
 	e.pp.noteUnlimited(ck, ce, sum.MaxLocalOccupancy)
 	ls.slots[wi] = ce

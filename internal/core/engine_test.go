@@ -175,10 +175,10 @@ func TestRemovedEvalOptionFields(t *testing.T) {
 	}
 }
 
-// TestEvaluateWithVerify runs the in-engine legality oracle over every
-// small benchmark with both schedulers: verification must pass on real
-// workloads and must be transparent — identical Metrics with it off —
-// including on a warm cache, where Verify bypasses the comm fast path.
+// TestEvaluateWithVerify audits every small benchmark with both
+// schedulers: the audit must pass on real workloads and be transparent —
+// identical Metrics with it off — and the warm run it audits must be
+// served by the comm layer alone, exactly like an unverified one.
 func TestEvaluateWithVerify(t *testing.T) {
 	progs := engineWorkloads(t)
 	for name, p := range progs {
@@ -195,13 +195,19 @@ func TestEvaluateWithVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, sched.Name(), err)
 			}
+			rec := &core.CacheRecorder{}
+			opts.CacheStats = rec
 			warm, err := core.Evaluate(p, opts)
 			if err != nil {
 				t.Fatalf("%s/%s warm: %v", name, sched.Name(), err)
 			}
+			if st := rec.Stats(); st.CommMisses != 0 || st.SchedHits+st.SchedMisses != 0 {
+				t.Errorf("%s/%s warm: %d comm misses, %d schedule lookups; want comm hits alone",
+					name, sched.Name(), st.CommMisses, st.SchedHits+st.SchedMisses)
+			}
 			plain := opts
 			plain.Verify = false
-			plain.Cache = nil
+			plain.Cache, plain.CacheStats = nil, nil
 			want, err := core.Evaluate(p, plain)
 			if err != nil {
 				t.Fatalf("%s/%s unverified: %v", name, sched.Name(), err)

@@ -13,6 +13,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/lpfs"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/rcp"
+	"github.com/scaffold-go/multisimd/internal/report"
 	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
@@ -40,13 +41,14 @@ func SchedulerByName(name string) (Scheduler, error) {
 		name, strings.Join(schedule.Names(), ", "))
 }
 
-// WithDecisionLog returns s with the introspection log attached, when
-// the scheduler supports one (the rcp and lpfs adapters do). Schedulers
-// without the hook — and a nil log — pass through unchanged, so callers
-// can apply it unconditionally. Decision logging does not alter
-// schedules; the log is excluded from cache-key configuration strings.
+// WithDecisionLog returns s with the introspection log l attached, when
+// the scheduler supports one (the rcp and lpfs adapters do); a nil l
+// detaches any log s carries. Schedulers without the hook pass through
+// unchanged, so callers can apply it unconditionally. Decision logging
+// does not alter schedules; the log is excluded from cache-key
+// configuration strings.
 func WithDecisionLog(s Scheduler, l *obs.DecisionLog) Scheduler {
-	if l == nil || s == nil {
+	if s == nil {
 		return s
 	}
 	if w, ok := s.(interface {
@@ -72,12 +74,16 @@ type EvalOptions struct {
 	// comm.Analyze and the characterization cache key.
 	Comm comm.Options
 
-	// Verify runs the independent legality oracle (internal/verify) over
-	// every leaf characterization: the Multi-SIMD schedule contract plus
-	// move-list consistency of the communication analysis. Verification
-	// needs the leaf's dependency graph, so it forces materialization
-	// even on warm cache entries; the engine's tests and the qsched
-	// -verify flag turn it on, perf-sensitive sweeps leave it off.
+	// Verify audits the evaluation after it has composed its Metrics:
+	// every reachable leaf is rescheduled at every width from scratch,
+	// its schedule and move list pass the independent legality oracle
+	// (internal/verify), and each re-derived characterization must equal
+	// the one the cache served — from memory, a disk store or a preload —
+	// and recompose to identical Metrics. A difference fails the run.
+	// The evaluation itself takes the same path either way; the audit
+	// roughly repeats a cold run's work, so the engine's tests, qsched
+	// -verify and /v1/verify turn it on and perf-sensitive sweeps leave
+	// it off.
 	Verify bool
 
 	// Obs, when non-nil, receives the run's observability streams: a
@@ -167,6 +173,27 @@ func (m *Metrics) SpeedupVsNaive() float64 {
 	return float64(m.NaiveCycles) / float64(m.CommCycles)
 }
 
+// Wire renders m in its one wire shape, speedups included: the
+// service's response bodies and a report's Totals.
+func (m *Metrics) Wire() report.Metrics {
+	return report.Metrics{
+		TotalGates:     m.TotalGates,
+		MinQubits:      m.MinQubits,
+		Modules:        m.Modules,
+		Leaves:         m.Leaves,
+		CriticalPath:   m.CriticalPath,
+		ZeroCommSteps:  m.ZeroCommSteps,
+		CommCycles:     m.CommCycles,
+		GlobalMoves:    m.GlobalMoves,
+		LocalMoves:     m.LocalMoves,
+		SeqCycles:      m.SeqCycles,
+		NaiveCycles:    m.NaiveCycles,
+		SpeedupVsSeq:   m.SpeedupVsSeq(),
+		SpeedupVsNaive: m.SpeedupVsNaive(),
+		CPSpeedup:      m.CPSpeedup(),
+	}
+}
+
 // moduleEval caches one module's blackbox characterizations.
 type moduleEval struct {
 	zero     coarse.Dims // schedule length per width, free communication
@@ -236,6 +263,9 @@ func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[stri
 	if err == nil {
 		e.pp = pp
 		m, err = e.evaluate(p)
+	}
+	if err == nil && opts.Verify {
+		err = e.audit(p, m)
 	}
 	if m != nil {
 		esp.SetInt("comm_cycles", m.CommCycles)

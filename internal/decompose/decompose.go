@@ -146,23 +146,25 @@ func emitToffoli(emit func(op qasm.Opcode, args ...int), a, b, c int) {
 // emitRz lowers one Rz application: exact Clifford+T gates when the angle
 // is a multiple of π/4, otherwise the SQCT-substitute sequence: inline
 // when it is at most four gates, else as a call to a shared per-angle
-// module.
+// module. A repeated angle finds its module and is not approximated
+// again.
 func emitRz(p *ir.Program, out *[]ir.Op, m *ir.Module, target int, angle float64, opts Options, rotMods map[string]bool) error {
 	seq := exactSequence(angle)
+	var name string
 	if seq == nil {
-		seq = ApproxSequence(angle, opts.epsilon())
+		// nil stays nil when the angle's module exists already.
+		name = rotationModuleName(angle, opts.epsilon())
+		if p.Module(name) == nil {
+			seq = ApproxSequence(angle, opts.epsilon())
+		}
 	}
-	if len(seq) == 0 {
-		return nil // identity rotation
-	}
-	if len(seq) <= 4 {
+	if seq != nil && len(seq) <= 4 {
 		for _, g := range seq {
 			*out = append(*out, ir.Op{Kind: ir.GateOp, Gate: g, Args: []int{target}, Count: 1})
 		}
-		return nil
+		return nil // an empty sequence is the identity rotation
 	}
-	name := rotationModuleName(angle, opts.epsilon())
-	if p.Module(name) == nil {
+	if seq != nil {
 		// Every gate acts on the module's one qubit, slot 0: the body and
 		// all its operand lists are two exactly sized allocations.
 		rm := ir.NewModule(name, []ir.Reg{{Name: "q", Size: 1}}, nil)

@@ -170,6 +170,38 @@ func TestRotationsBecomeBlackboxes(t *testing.T) {
 	}
 }
 
+// TestRepeatedAngleApproximatesOnce: a repeated non-exact angle finds
+// its rotation module and is not approximated again, so every repeat
+// after the first allocates only for its call op: the operand range and
+// the callee name.
+func TestRepeatedAngleApproximatesOnce(t *testing.T) {
+	const runs = 5
+	allocs := func(n int) float64 {
+		// AllocsPerRun calls f runs+1 times; decomposition is in place, so
+		// each call gets its own program, built outside the measurement.
+		progs := make([]*ir.Program, runs+1)
+		for i := range progs {
+			progs[i] = ir.NewProgram("main")
+			m := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 1}})
+			for j := 0; j < n; j++ {
+				m.Rot(qasm.Rz, 0.3, 0)
+			}
+			progs[i].Add(m)
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := decompose.Program(progs[next], decompose.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	const n = 200
+	if per := (allocs(2*n) - allocs(n)) / n; per > 2 {
+		t.Errorf("%.2f allocations per repeated rotation, want at most 2 for its call op", per)
+	}
+}
+
 func TestCountedWideGateReplication(t *testing.T) {
 	p := ir.NewProgram("main")
 	m := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 3}})

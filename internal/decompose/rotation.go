@@ -1,7 +1,6 @@
 package decompose
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/scaffold-go/multisimd/internal/qasm"
@@ -92,10 +91,17 @@ func canonicalAngle(angle float64) float64 {
 	return a
 }
 
-// rotationModuleName builds the canonical per-angle module name.
+// rotationModuleName builds the canonical per-angle module name, "rz_"
+// and 16 hex digits, in the one allocation of its string: every
+// rotation op pays it.
 func rotationModuleName(angle, epsilon float64) string {
-	a := canonicalAngle(angle)
-	return fmt.Sprintf("rz_%016x", math.Float64bits(a)^splitmix64(math.Float64bits(epsilon))())
+	x := math.Float64bits(canonicalAngle(angle)) ^ splitmix64(math.Float64bits(epsilon))()
+	name := [19]byte{'r', 'z', '_'}
+	for i := len(name) - 1; i >= 3; i-- {
+		name[i] = "0123456789abcdef"[x&15]
+		x >>= 4
+	}
+	return string(name[:])
 }
 
 // splitmix64 returns a deterministic 64-bit PRNG stream seeded by seed.

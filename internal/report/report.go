@@ -76,9 +76,10 @@ func CommConfigOf(o comm.Options) CommConfig {
 	}
 }
 
-// Totals is the whole-benchmark metric set (core.Metrics plus the
-// derived ratios), denormalized into the report so it is self-contained.
-type Totals struct {
+// Metrics is core.Metrics on the wire, the derived speedups
+// denormalized so a body is self-contained: the service's response
+// bodies and a report's Totals share this one shape.
+type Metrics struct {
 	TotalGates    int64 `json:"total_gates"`
 	MinQubits     int64 `json:"min_qubits"`
 	Modules       int   `json:"modules"`
@@ -94,6 +95,12 @@ type Totals struct {
 	SpeedupVsSeq   float64 `json:"speedup_vs_seq"`
 	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
 	CPSpeedup      float64 `json:"cp_speedup"`
+}
+
+// Totals is the whole-benchmark metric set, denormalized into the
+// report so it is self-contained.
+type Totals struct {
+	Metrics
 	// CommOverheadFraction is (CommCycles - ZeroCommSteps) / CommCycles:
 	// the share of the achieved runtime spent on unmasked movement.
 	CommOverheadFraction float64 `json:"comm_overhead_fraction"`

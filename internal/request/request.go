@@ -62,7 +62,9 @@ type Config struct {
 	// EPRBandwidth caps teleports per step boundary (0 = unlimited).
 	EPRBandwidth int `json:"epr_bandwidth,omitempty"`
 
-	// Verify runs the independent legality oracle over every leaf.
+	// Verify audits the evaluation (core.EvalOptions.Verify): every leaf
+	// re-derived, checked by the legality oracle and compared with what
+	// the cache served.
 	Verify bool `json:"verify,omitempty"`
 	// Profile builds the schedule report (core.BuildReport) after the
 	// evaluation.
@@ -83,7 +85,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&c.FTh, "fth", DefaultFTh, "flattening threshold")
 	fs.StringVar(&c.Entry, "entry", DefaultEntry, "entry module")
 	fs.StringVar(&c.Bench, "bench", "", "built-in benchmark name")
-	fs.BoolVar(&c.Verify, "verify", false, "check every leaf schedule and move list with the legality oracle")
+	fs.BoolVar(&c.Verify, "verify", false, "audit the evaluation: re-derive every leaf, check it with the legality oracle and compare it with what the cache served")
 }
 
 // WithDefaults fills unset fields with the package defaults and returns

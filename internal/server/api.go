@@ -11,6 +11,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/obs/telem"
+	"github.com/scaffold-go/multisimd/internal/report"
 	"github.com/scaffold-go/multisimd/internal/request"
 )
 
@@ -54,43 +55,8 @@ type ErrorResponse struct {
 	Error     ErrorBody `json:"error"`
 }
 
-// MetricsBody mirrors core.Metrics for the wire, denormalizing the
-// derived speedups so responses are self-contained.
-type MetricsBody struct {
-	TotalGates     int64   `json:"total_gates"`
-	MinQubits      int64   `json:"min_qubits"`
-	Modules        int     `json:"modules"`
-	Leaves         int     `json:"leaves"`
-	CriticalPath   int64   `json:"critical_path"`
-	ZeroCommSteps  int64   `json:"zero_comm_steps"`
-	CommCycles     int64   `json:"comm_cycles"`
-	GlobalMoves    int64   `json:"global_moves"`
-	LocalMoves     int64   `json:"local_moves"`
-	SeqCycles      int64   `json:"seq_cycles"`
-	NaiveCycles    int64   `json:"naive_cycles"`
-	SpeedupVsSeq   float64 `json:"speedup_vs_seq"`
-	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
-	CPSpeedup      float64 `json:"cp_speedup"`
-}
-
-func metricsBody(m *core.Metrics) MetricsBody {
-	return MetricsBody{
-		TotalGates:     m.TotalGates,
-		MinQubits:      m.MinQubits,
-		Modules:        m.Modules,
-		Leaves:         m.Leaves,
-		CriticalPath:   m.CriticalPath,
-		ZeroCommSteps:  m.ZeroCommSteps,
-		CommCycles:     m.CommCycles,
-		GlobalMoves:    m.GlobalMoves,
-		LocalMoves:     m.LocalMoves,
-		SeqCycles:      m.SeqCycles,
-		NaiveCycles:    m.NaiveCycles,
-		SpeedupVsSeq:   m.SpeedupVsSeq(),
-		SpeedupVsNaive: m.SpeedupVsNaive(),
-		CPSpeedup:      m.CPSpeedup(),
-	}
-}
+// MetricsBody is core.Metrics on the wire (see report.Metrics).
+type MetricsBody = report.Metrics
 
 // CompileResponse answers POST /v1/compile. Request carries the
 // normalized configuration the evaluation actually ran under (defaults
@@ -105,9 +71,10 @@ type CompileResponse struct {
 	Metrics   MetricsBody    `json:"metrics"`
 }
 
-// VerifyResponse answers POST /v1/verify: the same evaluation with the
-// independent legality oracle forced on. Verified is always true on a
-// 2xx — an illegal schedule is an evaluation_failed error.
+// VerifyResponse answers POST /v1/verify: the same evaluation, audited
+// (core.EvalOptions.Verify). Verified is always true on a 2xx — an
+// illegal schedule, or a served characterization that differs from its
+// re-derivation, is an evaluation_failed error.
 type VerifyResponse struct {
 	Schema    int            `json:"schema"`
 	RequestID string         `json:"request_id,omitempty"`

@@ -70,9 +70,9 @@ func TestCompileMatchesInProcessEngine(t *testing.T) {
 		}
 		var cr CompileResponse
 		decodeInto(t, data, &cr)
-		if !reflect.DeepEqual(cr.Metrics, metricsBody(want)) {
+		if !reflect.DeepEqual(cr.Metrics, want.Wire()) {
 			t.Errorf("trial %d seed %d (%s k=%d d=%d local=%d): service metrics diverge from engine\n service: %+v\n engine:  %+v\nreplay: verify.RandomProgram(rand.New(rand.NewSource(%d)), %+v)",
-				trial, seed, cfg.Scheduler, cfg.K, cfg.D, cfg.Local, cr.Metrics, metricsBody(want), seed, gen)
+				trial, seed, cfg.Scheduler, cfg.K, cfg.D, cfg.Local, cr.Metrics, want.Wire(), seed, gen)
 		}
 
 		// Resubmitting the identical request must return identical

@@ -148,8 +148,6 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		// aggregate into the shared registry.
 		tr := obs.NewTracer()
 		eopts.Obs = &obs.Observer{Trace: tr, Metrics: s.reg}
-		// Decision tails record the evaluation, not the report's reschedules.
-		reportOpts := eopts
 		// With telemetry on, also capture the scheduler's decision log
 		// so a postmortem can say not just how long the schedule phase
 		// took but what it chose.
@@ -185,7 +183,7 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 			res.stats.Decisions = decisionTail(dlog, recorderDecisionTail)
 		}
 		if req.Profile {
-			if res.rep, err = core.BuildReport(evalCtx, p, req.Label(), m, reportOpts); err != nil {
+			if res.rep, err = core.BuildReport(evalCtx, p, req.Label(), m, eopts); err != nil {
 				return nil, err
 			}
 		}
@@ -284,7 +282,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		Label:     req.Label(),
 		Request:   req,
 		Deduped:   deduped,
-		Metrics:   metricsBody(res.m),
+		Metrics:   res.m.Wire(),
 	})
 }
 
@@ -324,7 +322,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		Request:   req,
 		Deduped:   deduped,
 		Verified:  true,
-		Metrics:   metricsBody(res.m),
+		Metrics:   res.m.Wire(),
 	})
 }
 

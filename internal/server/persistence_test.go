@@ -1,12 +1,21 @@
 package server
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"io/fs"
 	"net/http"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/scaffold-go/multisimd/internal/cas"
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/obs"
 )
@@ -204,5 +213,82 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	decodeInto(t, data, &ds)
 	if ds.Cache.DiskHits == 0 || ds.Cache.DiskEntries == 0 {
 		t.Errorf("debug state hides the disk layer: %+v", ds.Cache)
+	}
+}
+
+// TestVerifyAuditsDiskRecords: a comm record rewritten on disk with a
+// valid frame (so no checksum can catch it) is served as is by
+// /v1/compile after a restart, and /v1/verify reports it, naming the
+// module, the width and the field that differs.
+func TestVerifyAuditsDiskRecords(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"bench": "Grovers", "scheduler": "lpfs", "k": 2}`
+
+	cache1, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts1 := newTestServer(t, Options{Cache: cache1})
+	if resp, data := post(t, ts1.URL+"/v1/compile", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming compile: %d: %s", resp.StatusCode, data)
+	}
+	ts1.Close()
+	cache1.Close()
+
+	// Rewrite the first comm record (a 32-byte payload: zero-comm
+	// length, cycles, global moves, local moves) with cycles + 1.
+	var keys []string
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(d.Name(), ".rec") {
+			keys = append(keys, strings.TrimSuffix(d.Name(), ".rec"))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(keys)
+	store, err := cas.Open(cas.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := int64(-1)
+	for _, name := range keys {
+		var k cas.Key
+		if raw, err := hex.DecodeString(name); err != nil || copy(k[:], raw) != len(k) {
+			t.Fatalf("record name %q", name)
+		}
+		payload, ok := store.Get(k)
+		if !ok || len(payload) != 32 {
+			continue
+		}
+		cycles = int64(binary.LittleEndian.Uint64(payload[8:]))
+		binary.LittleEndian.PutUint64(payload[8:], uint64(cycles+1))
+		store.Delete(k)
+		store.Put(k, payload)
+		break
+	}
+	store.Close()
+	if cycles < 0 {
+		t.Fatalf("no comm record among %d records", len(keys))
+	}
+
+	cache2, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Options{Cache: cache2})
+	if resp, data := post(t, ts2.URL+"/v1/compile", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile over the rewritten record: %d: %s", resp.StatusCode, data)
+	}
+	resp, data := post(t, ts2.URL+"/v1/verify", body)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("verify over the rewritten record: %d: %s", resp.StatusCode, data)
+	}
+	var er ErrorResponse
+	decodeInto(t, data, &er)
+	want := regexp.MustCompile(`module \S+: width \d+: ` + regexp.QuoteMeta(fmt.Sprintf("served cycles %d, re-derived %d", cycles+1, cycles)))
+	if er.Error.Code != CodeEvalFailed || !want.MatchString(er.Error.Message) {
+		t.Errorf("verify error %+v, want %s matching %s", er.Error, CodeEvalFailed, want)
 	}
 }

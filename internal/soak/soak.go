@@ -10,8 +10,9 @@
 //     schedules (verify.ScheduleDigest);
 //   - every schedule passes the independent Multi-SIMD legality oracle
 //     with move-list consistency (verify.Full);
-//   - engine metrics are bit-identical across worker counts and across
-//     cache cold/warm runs, with the in-engine oracle (Verify) on.
+//   - engine metrics are bit-identical across worker counts, cache
+//     cold/warm runs and (given a cache directory) a restart served from
+//     disk, every run audited against a re-derivation (Verify).
 //
 // Failures carry the derived seed and a qsoak command line that replays
 // exactly the failing instance, so a multi-hour sweep never has to be
@@ -409,13 +410,13 @@ func checkSchedules(leaves []*dag.Graph, sched schedule.Scheduler, k, d int, cop
 
 // checkEngine runs the full evaluation engine over the hierarchical
 // program — cold and warm cache at every requested worker count, with
-// the in-engine legality oracle on — and asserts every run returns
+// every run audited (Verify) — and asserts every run returns
 // bit-identical metrics. A non-empty cacheDir adds the persistent lane:
 // populate a disk-backed cache, close it, reopen the directory with
 // cold memory (a simulated restart) and demand the same metrics again.
-// The restart runs without the oracle, which would bypass the comm fast
-// path, so its every characterization must come from a persisted comm
-// record: no comm or schedule miss and at least one disk hit.
+// The restart's every characterization must come from a persisted comm
+// record — no comm or schedule miss and at least one disk hit — and the
+// audit re-derives each record it was served.
 func checkEngine(p *ir.Program, sched schedule.Scheduler, k, d int, copts comm.Options, workers []int, cacheDir string) (int64, error) {
 	var ref *core.Metrics
 	var refDesc string
@@ -471,7 +472,7 @@ func checkEngine(p *ir.Program, sched schedule.Scheduler, k, d int, copts comm.O
 				K:          k,
 				D:          d,
 				Comm:       copts,
-				Verify:     run == 0,
+				Verify:     true,
 				Cache:      pc,
 				CacheStats: rec,
 			})

@@ -23,18 +23,12 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
@@ -43,8 +37,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/numa"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/obscli"
-	"github.com/scaffold-go/multisimd/internal/report"
-	"github.com/scaffold-go/multisimd/internal/request"
 	"github.com/scaffold-go/multisimd/internal/resource"
 )
 
@@ -60,10 +52,8 @@ func main() {
 	fth := flag.Int64("fth", 0, "flattening threshold override (0 = scale default)")
 	schedName := flag.String("sched", "lpfs", "scheduler for the extended experiments (registered: rcp, lpfs)")
 	workers := flag.Int("workers", 0, "evaluation concurrency (0 = GOMAXPROCS, 1 = serial)")
-	perfOut := flag.String("perf-out", "", "write per-benchmark BENCH_<name>.json perf records and REPORT_<name>.json schedule reports into this `dir` instead of running an experiment")
+	perfOut := flag.String("perf-out", "", "write every committed record of bench/baselines into this `dir` instead of running an experiment: BENCH_<name>.json perf records, REPORT_<name>.json schedule reports and the seed corpus cas/ (request defaults: lpfs, k=4, fth=2000; serve it with qschedd -cache-preload)")
 	perfAgainst := flag.String("perf-against", "", "baseline `dir` of committed BENCH_<name>.json records; with -perf-out, fail if any cold or warm wall time exceeds its baseline by more than 25% + 50ms, or any disk-warm wall time exceeds 2x its warm time + 50ms")
-	reportAgainst := flag.String("report-against", "", "baseline `dir` of committed REPORT_<name>.json schedule reports; with -perf-out, attribute any schedule-level delta to modules/regions/steps and fail on a schedule regression")
-	seedCache := flag.String("seed-cache", "", "write a persistent result-store corpus for the gated benchmarks (request defaults: lpfs, k=4, fth=2000) into this `dir` instead of running an experiment; serve it with qschedd -cache-preload")
 	var obsFlags obscli.Flags
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -74,17 +64,11 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if *seedCache != "" {
-			return writeSeedCorpus(os.Stdout, *seedCache)
-		}
 		if *perfOut != "" {
-			return writePerfRecords(*perfOut, *perfAgainst, *reportAgainst, *schedName, *fth, *workers)
+			return perfRecords(*perfOut, *perfAgainst, *schedName, *fth, *workers)
 		}
 		if *perfAgainst != "" {
 			return fmt.Errorf("-perf-against requires -perf-out")
-		}
-		if *reportAgainst != "" {
-			return fmt.Errorf("-report-against requires -perf-out")
 		}
 		if err := run(os.Stdout, *exp, *scale, *fth, *schedName, *workers); err != nil {
 			return err
@@ -453,288 +437,4 @@ func buildWorkload(b bench.Benchmark, fth int64, flatten bool, workers int) (cor
 		Name: b.Name, Params: b.Params, Prog: p,
 		Cache: core.NewEvalCache(), Workers: workers, Obs: observer,
 	}, nil
-}
-
-// perfRecord is one benchmark's machine-readable performance summary,
-// written as BENCH_<name>.json by -perf-out for CI trend tracking.
-type perfRecord struct {
-	Benchmark      string          `json:"benchmark"`
-	Params         string          `json:"params"`
-	Scheduler      string          `json:"scheduler"`
-	K              int             `json:"k"`
-	ColdWallMS     float64         `json:"cold_wall_ms"`
-	WarmWallMS     float64         `json:"warm_wall_ms"`
-	DiskWarmWallMS float64         `json:"disk_warm_wall_ms"`
-	DiskHits       int64           `json:"disk_hits"`
-	CacheHitRate   float64         `json:"cache_hit_rate"`
-	CacheStats     core.CacheStats `json:"cache_stats"`
-	PeakGoroutines int64           `json:"peak_goroutines"`
-	SpeedupVsNaive float64         `json:"speedup_vs_naive"`
-	GoMaxProcs     int             `json:"gomaxprocs"`
-	Workers        int             `json:"workers"`
-}
-
-// measureDiskWarm prices the warm-restart path: populate a persistent
-// store with one untimed evaluation, close the cache (simulating
-// process exit), reopen the same directory with cold memory, and time
-// an evaluation that must be served entirely from the disk layer. The
-// timed cold/warm pair stays memory-only so committed trajectories are
-// unaffected; this measurement rides alongside it.
-func measureDiskWarm(b bench.Benchmark, sched core.Scheduler, fth int64, workers int) (float64, int64, error) {
-	dir, err := os.MkdirTemp("", "qbench-cas-*")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.RemoveAll(dir)
-
-	w, opts, err := perfWorkload(b, sched, fth, workers)
-	if err != nil {
-		return 0, 0, err
-	}
-	warmCache, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
-	if err != nil {
-		return 0, 0, err
-	}
-	opts.Cache = warmCache
-	if _, err := core.Evaluate(w.Prog, opts); err != nil {
-		warmCache.Close()
-		return 0, 0, fmt.Errorf("%s disk populate: %w", b.Name, err)
-	}
-	warmCache.Close()
-
-	coldProc, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer coldProc.Close()
-	opts.Cache = coldProc
-	start := time.Now()
-	if _, err := core.Evaluate(w.Prog, opts); err != nil {
-		return 0, 0, fmt.Errorf("%s disk warm: %w", b.Name, err)
-	}
-	wall := float64(time.Since(start).Microseconds()) / 1000
-	return wall, coldProc.Stats().DiskHits, nil
-}
-
-// writeSeedCorpus evaluates every gated benchmark through the daemon's
-// request defaults (lpfs, k=4, d unlimited, fth=2000, default movement
-// accounting) into a persistent result store at dir. Because the cache
-// keys are derived from the same Config path qschedd uses, a daemon
-// started with -cache-preload pointed here serves those requests from
-// the seed store on its very first compile. Progress lines go to w.
-func writeSeedCorpus(w io.Writer, dir string) error {
-	cache, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
-	if err != nil {
-		return err
-	}
-	defer cache.Close()
-	for _, b := range bench.Gated() {
-		cfg := request.Config{Bench: b.Name}.WithDefaults()
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		p, err := cfg.Build(nil)
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		eopts, err := cfg.EvalOptions()
-		if err != nil {
-			return err
-		}
-		eopts.Cache = cache
-		if _, err := core.Evaluate(p, eopts); err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		st := cache.Stats()
-		fmt.Fprintf(w, "%-10s seeded  (%d records, %.1f KiB on disk)\n",
-			b.Name, st.DiskEntries, float64(st.DiskBytes)/1024)
-	}
-	return nil
-}
-
-// regressionLimit flags a fresh cold wall time as a regression when it
-// exceeds the committed baseline by more than 25%, with an absolute
-// 50ms slack so millisecond-scale benchmarks don't trip on scheduler
-// jitter from a noisy CI host.
-func regressionLimit(baselineMS float64) float64 {
-	return baselineMS*1.25 + 50
-}
-
-// checkAgainst compares a fresh record with the committed baseline in
-// dir, gating both the cold and warm wall times with the same 25%+50ms
-// slack. A missing baseline file is not an error — new benchmarks join
-// the trajectory on their first committed record.
-func checkAgainst(dir string, rec perfRecord) error {
-	path := filepath.Join(dir, "BENCH_"+rec.Benchmark+".json")
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		fmt.Printf("%-10s no baseline at %s, skipping check\n", rec.Benchmark, path)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var base perfRecord
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if limit := regressionLimit(base.ColdWallMS); rec.ColdWallMS > limit {
-		return fmt.Errorf("%s: cold wall time %.1fms exceeds %.1fms (baseline %.1fms + 25%% + 50ms slack)",
-			rec.Benchmark, rec.ColdWallMS, limit, base.ColdWallMS)
-	}
-	if limit := regressionLimit(base.WarmWallMS); rec.WarmWallMS > limit {
-		return fmt.Errorf("%s: warm wall time %.1fms exceeds %.1fms (baseline %.1fms + 25%% + 50ms slack)",
-			rec.Benchmark, rec.WarmWallMS, limit, base.WarmWallMS)
-	}
-	return nil
-}
-
-// checkReportAgainst diffs a fresh schedule report with the committed
-// baseline in dir, printing the module/region/step attribution of any
-// movement. Only a schedule regression (longer comm-expanded runtime or
-// longer zero-comm schedule) is an error; improvements and neutral
-// shuffles are narrated but pass. A missing baseline passes like
-// checkAgainst.
-func checkReportAgainst(dir string, rec *report.Report) error {
-	path := filepath.Join(dir, "REPORT_"+rec.Benchmark+".json")
-	base, err := report.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		fmt.Printf("%-10s no baseline report at %s, skipping check\n", rec.Benchmark, path)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	d := report.Diff(base, rec)
-	if err := d.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	if d.Regression {
-		var buf strings.Builder
-		if err := d.WriteText(&buf); err != nil {
-			return err
-		}
-		return fmt.Errorf("schedule regression vs %s:\n%s", path, buf.String())
-	}
-	return nil
-}
-
-// perfWorkload builds gated benchmark b as -perf-out measures it
-// (flattened at fth, 0 = 2000, on a fresh cache) with the k=4 options
-// of its perf record and schedule report.
-func perfWorkload(b bench.Benchmark, sched core.Scheduler, fth int64, workers int) (core.Workload, core.EvalOptions, error) {
-	if fth == 0 {
-		fth = 2000
-	}
-	w, err := buildWorkload(b, fth, true, workers)
-	if err != nil {
-		return core.Workload{}, core.EvalOptions{}, err
-	}
-	return w, core.EvalOptions{Scheduler: sched, K: 4, Cache: w.Cache, Workers: w.Workers}, nil
-}
-
-// writePerfRecords evaluates each gated benchmark (the eight small
-// presets plus the extended QAOA/QFT/QPE workloads) twice at k=4 — a cold
-// run that fills the EvalCache and a warm run that should hit it — and
-// writes the wall times, cache behavior, worker-pool peak and host
-// parallelism (GOMAXPROCS and the effective worker count) per
-// benchmark, plus a REPORT_<name>.json schedule report built, untimed,
-// from the cold run's metrics. Each benchmark gets a fresh cache and
-// metrics registry so records are independent. With a non-empty against
-// / reportAgainst dir, every record is also checked for wall-time /
-// schedule regressions; all benchmarks still run and write records
-// before the first regression is reported.
-func writePerfRecords(dir, against, reportAgainst, schedName string, fth int64, workers int) error {
-	sched, err := core.SchedulerByName(schedName)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var regressions []error
-	for _, b := range bench.Gated() {
-		w, opts, err := perfWorkload(b, sched, fth, workers)
-		if err != nil {
-			return err
-		}
-		reg := obs.NewRegistry()
-		opts.Obs = &obs.Observer{Metrics: reg}
-		start := time.Now()
-		m, err := core.Evaluate(w.Prog, opts)
-		if err != nil {
-			return fmt.Errorf("%s cold: %w", b.Name, err)
-		}
-		cold := time.Since(start)
-		afterCold := w.Cache.Stats()
-		start = time.Now()
-		if _, err := core.Evaluate(w.Prog, opts); err != nil {
-			return fmt.Errorf("%s warm: %w", b.Name, err)
-		}
-		warm := time.Since(start)
-		warmStats := w.Cache.Stats().Sub(afterCold)
-		effWorkers := workers
-		if effWorkers == 0 {
-			effWorkers = runtime.GOMAXPROCS(0)
-		}
-		diskWarm, diskHits, err := measureDiskWarm(b, sched, fth, workers)
-		if err != nil {
-			return err
-		}
-		rec := perfRecord{
-			Benchmark: b.Name, Params: b.Params,
-			Scheduler: sched.Name(), K: 4,
-			ColdWallMS:     float64(cold.Microseconds()) / 1000,
-			WarmWallMS:     float64(warm.Microseconds()) / 1000,
-			DiskWarmWallMS: diskWarm,
-			DiskHits:       diskHits,
-			CacheHitRate:   warmStats.CommHitRate(),
-			CacheStats:     w.Cache.Stats(),
-			PeakGoroutines: reg.Gauge("engine.workers.peak").Value(),
-			SpeedupVsNaive: m.SpeedupVsNaive(),
-			GoMaxProcs:     runtime.GOMAXPROCS(0),
-			Workers:        effWorkers,
-		}
-		data, err := json.MarshalIndent(rec, "", " ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, "BENCH_"+b.Name+".json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("%-10s cold %8.1fms  warm %8.1fms  disk-warm %8.1fms  hit rate %5.1f%%  -> %s\n",
-			b.Name, rec.ColdWallMS, rec.WarmWallMS, rec.DiskWarmWallMS, 100*rec.CacheHitRate, path)
-		if against != "" {
-			if err := checkAgainst(against, rec); err != nil {
-				regressions = append(regressions, err)
-			}
-			// A fresh cold process answering from the disk layer must land
-			// near the in-memory warm path, not near the true cold path —
-			// the same 50ms absolute slack absorbs host jitter.
-			if limit := 2*rec.WarmWallMS + 50; rec.DiskWarmWallMS > limit {
-				regressions = append(regressions, fmt.Errorf(
-					"%s: disk-warm wall time %.1fms exceeds %.1fms (2x warm %.1fms + 50ms slack)",
-					b.Name, rec.DiskWarmWallMS, limit, rec.WarmWallMS))
-			}
-		}
-
-		sr, err := core.BuildReport(context.Background(), w.Prog, b.Name, m, opts)
-		if err != nil {
-			return fmt.Errorf("%s report: %w", b.Name, err)
-		}
-		rpath := filepath.Join(dir, "REPORT_"+b.Name+".json")
-		if err := sr.WriteJSONFile(rpath); err != nil {
-			return err
-		}
-		if reportAgainst != "" {
-			if err := checkReportAgainst(reportAgainst, sr); err != nil {
-				regressions = append(regressions, err)
-			}
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("regression vs committed baselines: %w", errors.Join(regressions...))
-	}
-	return nil
 }

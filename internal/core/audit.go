@@ -46,7 +46,11 @@ func (pp *prepared) rederive(ctx context.Context, opts EvalOptions, widths []int
 // as it was; an entry evicted since is not compared). Then the
 // re-derived entries alone must reproduce m: composing from a private
 // cache that holds only them may miss nothing and must return identical
-// Metrics. Every failure counts a verify.rejections and marks the trace.
+// Metrics. Every failure counts a verify.rejections and marks the trace,
+// and a served entry that differs from its re-derivation is replaced by
+// it, in memory and in the read-write store, so the next evaluation is
+// served the re-derived value. A rejection stops the audit, so entries
+// of points it had not reached stay as they are until the next one.
 func (e *engine) audit(p *ir.Program, m *Metrics) error {
 	sp := e.eo.tr.Span("engine", "audit")
 	defer sp.End()
@@ -71,6 +75,9 @@ func (e *engine) audit(p *ir.Program, m *Metrics) error {
 		}
 		var fields []field
 		if got, ok := e.cache.commResult(ck, discard); ok {
+			if got != ce {
+				e.cache.replace(ck.memKey(), ce)
+			}
 			fields = []field{{"zeroLen", got.zeroLen, ce.zeroLen}, {"cycles", got.cycles, ce.cycles},
 				{"globals", got.globals, ce.globals}, {"locals", got.locals, ce.locals}}
 		}
@@ -78,6 +85,9 @@ func (e *engine) audit(p *ir.Program, m *Metrics) error {
 			cp := int64(l.G.CriticalPath())
 			fresh.putCriticalPath(pl.fp, cp)
 			if got, ok := e.cache.criticalPath(pl.fp, discard); ok {
+				if got != cp {
+					e.cache.replace(cpKey(pl.fp), cp)
+				}
 				fields = append(fields, field{"critical path", got, cp})
 			}
 		}

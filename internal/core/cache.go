@@ -617,6 +617,27 @@ func (c *EvalCache) put(k memKey, v any) {
 	}
 }
 
+// replace makes v the entry for k of a persisted layer whatever is
+// resident, and rewrites its read-write record: how an audit corrects
+// an entry it rejected, which put (a resident entry keeps its value)
+// cannot do. Both layers' nodes are fixed-size, so a resident node
+// keeps its size.
+func (c *EvalCache) replace(k memKey, v any) {
+	st := c.stripe(k.sk.fp)
+	st.mu.Lock()
+	if n, ok := st.entries[k]; ok {
+		n.val = v
+	} else {
+		c.insert(st, k, v)
+	}
+	st.mu.Unlock()
+	if c.disk != nil {
+		ck := k.casKey()
+		c.disk.Delete(ck)
+		c.disk.Put(ck, encodePayload(v))
+	}
+}
+
 // commResult looks up a finished characterization.
 func (c *EvalCache) commResult(k commKey, rec *CacheRecorder) (commEntry, bool) {
 	v, _ := c.get(k.memKey(), rec)

@@ -6,9 +6,10 @@ package core
 // fingerprints (hashed on the worker pool) and a once-guarded
 // materialization plus DAG per distinct leaf body. The evaluation step
 // then characterizes leaves under one set of EvalOptions — scheduling
-// each leaf module at every blackbox width and analyzing its movement —
-// which is embarrassingly parallel: no (module, width) point depends on
-// any other. It fans those points out over a bounded worker pool,
+// each distinct leaf body at every blackbox width and analyzing its
+// movement — which is embarrassingly parallel: no (body, width) point
+// depends on any other. It fans those points out over a bounded worker
+// pool, one task per point (leaves sharing a body share its tasks),
 // memoizes them in a content-addressed EvalCache, then composes
 // non-leaf modules serially in topological order (the only place child
 // results are actually consumed). Evaluate runs both steps; an
@@ -68,6 +69,7 @@ func (o EvalOptions) workers() int {
 type prepared struct {
 	order      []string        // reachable modules, callees first
 	leaves     []*preparedLeaf // the reachable leaves, in order
+	bodies     []*leafBody     // their distinct bodies, in first-leaf order
 	totalGates int64
 	minQubits  int64
 
@@ -87,9 +89,13 @@ type preparedLeaf struct {
 	body *leafBody
 }
 
-// leafBody is a lazily built (once-guarded) materialization + DAG,
-// shared by the per-width tasks of every evaluation in the sweep.
+// leafBody is one distinct leaf body, named after the first leaf that
+// has it: the unit an evaluation characterizes, and a lazily built
+// (once-guarded) materialization + DAG shared by the per-width tasks of
+// every evaluation in the sweep.
 type leafBody struct {
+	name string
+	fp   ir.Fingerprint
 	mod  *ir.Module
 	once sync.Once
 	mat  *ir.Module
@@ -153,8 +159,9 @@ func prepare(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerpri
 	bodies := make(map[ir.Fingerprint]*leafBody, len(pp.leaves))
 	for _, pl := range pp.leaves {
 		if pl.body = bodies[pl.fp]; pl.body == nil {
-			pl.body = &leafBody{mod: pl.mod}
+			pl.body = &leafBody{name: pl.name, fp: pl.fp, mod: pl.mod}
 			bodies[pl.fp] = pl.body
+			pp.bodies = append(pp.bodies, pl.body)
 		}
 	}
 	return pp, nil
@@ -417,24 +424,30 @@ func schedulerConfig(s Scheduler) string {
 }
 
 // run evaluates every reachable module, bottom-up, and returns the
-// per-module characterizations.
+// per-module characterizations. Leaves are characterized per distinct
+// body, and every leaf name points at its body's moduleEval.
 func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
 	evals := make(map[string]*moduleEval, len(e.pp.order))
-	leaves := make([]*leafState, len(e.pp.leaves))
-	for i, pl := range e.pp.leaves {
-		leaves[i] = &leafState{preparedLeaf: pl, slots: make([]commEntry, len(e.widths))}
+	bodies := make([]*leafState, len(e.pp.bodies))
+	for i, b := range e.pp.bodies {
+		bodies[i] = &leafState{leafBody: b, slots: make([]commEntry, len(e.widths))}
 	}
 
 	lsp := e.eo.tr.Span("engine", "characterize-leaves")
-	lsp.SetInt("leaves", int64(len(leaves)))
+	lsp.SetInt("leaves", int64(len(e.pp.leaves)))
+	lsp.SetInt("bodies", int64(len(bodies)))
 	lsp.SetInt("widths", int64(len(e.widths)))
-	err := e.evalLeaves(leaves)
+	err := e.evalLeaves(bodies)
 	lsp.End()
 	if err != nil {
 		return nil, err
 	}
-	for _, ls := range leaves {
-		evals[ls.name] = ls.assemble(e.widths)
+	byBody := make(map[*leafBody]*moduleEval, len(bodies))
+	for _, ls := range bodies {
+		byBody[ls.leafBody] = ls.assemble(e.widths)
+	}
+	for _, pl := range e.pp.leaves {
+		evals[pl.name] = byBody[pl.body]
 	}
 
 	// Non-leaf composition consumes child dims, so it runs serially in
@@ -467,10 +480,10 @@ func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
 	return evals, nil
 }
 
-// leafState carries one prepared leaf through one evaluation's pool:
-// its critical path and a pre-assigned result slot per width.
+// leafState carries one distinct leaf body through one evaluation's
+// pool: its critical path and a pre-assigned result slot per width.
 type leafState struct {
-	*preparedLeaf
+	*leafBody
 	cp    int64
 	slots []commEntry
 }
@@ -496,7 +509,8 @@ func (ls *leafState) assemble(widths []int) *moduleEval {
 	return ev
 }
 
-// evalLeaves characterizes every (leaf, width) point on the worker pool.
+// evalLeaves characterizes every (body, width) point on the worker pool:
+// one task per point, so no two tasks of a run share a cache key.
 // Each task traces a span on its worker slot's track (tid = slot + 1;
 // tid 0 is the coordinating goroutine), so the trace shows pool
 // utilization as a timeline; a running-task high-water mark and the
@@ -547,7 +561,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	if wi == 0 {
 		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
 		if !ok {
-			_, g, err := e.pp.graph(ls.body)
+			_, g, err := e.pp.graph(ls.leafBody)
 			if err != nil {
 				return err
 			}
@@ -574,7 +588,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	s, ok := e.cache.schedule(sk, e.rec)
 	if !ok {
 		sp.SetStr("cache", "miss")
-		mat, g, err := e.pp.graph(ls.body)
+		mat, g, err := e.pp.graph(ls.leafBody)
 		if err != nil {
 			return err
 		}

@@ -202,7 +202,8 @@ func (d *DiffReport) Changed() bool {
 }
 
 // WriteText renders the attribution as a human-readable summary, the
-// qbench -report-against output:
+// one TestReportBaselinesCurrent (cmd/qbench) prints when a committed
+// schedule report drifts:
 //
 //	SHA-1: comm cycles +120 (+3.4%), zero-comm steps +20
 //	  sha1_round: +100 cycles (steps +20, stall +80), diverges at step 42

@@ -219,19 +219,29 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 // TestVerifyAuditsDiskRecords: a comm record rewritten on disk with a
 // valid frame (so no checksum can catch it) is served as is by
 // /v1/compile after a restart, and /v1/verify reports it, naming the
-// module, the width and the field that differs.
+// module, the width and the field that differs. The rejected entry is
+// replaced by its re-derivation: the same server, and a later one over
+// the same directory, serve the honest metrics again.
 func TestVerifyAuditsDiskRecords(t *testing.T) {
 	dir := t.TempDir()
 	body := `{"bench": "Grovers", "scheduler": "lpfs", "k": 2}`
+	compile := func(url, what string) MetricsBody {
+		t.Helper()
+		resp, data := post(t, url+"/v1/compile", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s compile: %d: %s", what, resp.StatusCode, data)
+		}
+		var cr CompileResponse
+		decodeInto(t, data, &cr)
+		return cr.Metrics
+	}
 
 	cache1, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts1 := newTestServer(t, Options{Cache: cache1})
-	if resp, data := post(t, ts1.URL+"/v1/compile", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warming compile: %d: %s", resp.StatusCode, data)
-	}
+	honest := compile(ts1.URL, "warming")
 	ts1.Close()
 	cache1.Close()
 
@@ -278,8 +288,8 @@ func TestVerifyAuditsDiskRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts2 := newTestServer(t, Options{Cache: cache2})
-	if resp, data := post(t, ts2.URL+"/v1/compile", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile over the rewritten record: %d: %s", resp.StatusCode, data)
+	if got := compile(ts2.URL, "tampered"); got == honest {
+		t.Fatalf("the rewritten record left the metrics as they were: comm_cycles %d", got.CommCycles)
 	}
 	resp, data := post(t, ts2.URL+"/v1/verify", body)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -290,5 +300,20 @@ func TestVerifyAuditsDiskRecords(t *testing.T) {
 	want := regexp.MustCompile(`module \S+: width \d+: ` + regexp.QuoteMeta(fmt.Sprintf("served cycles %d, re-derived %d", cycles+1, cycles)))
 	if er.Error.Code != CodeEvalFailed || !want.MatchString(er.Error.Message) {
 		t.Errorf("verify error %+v, want %s matching %s", er.Error, CodeEvalFailed, want)
+	}
+	if got := compile(ts2.URL, "audited"); got != honest {
+		t.Errorf("after the rejection /v1/compile serves comm_cycles %d, want the re-derived %d", got.CommCycles, honest.CommCycles)
+	}
+	ts2.Close()
+	cache2.Close()
+
+	cache3, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache3.Close()
+	_, ts3 := newTestServer(t, Options{Cache: cache3})
+	if got := compile(ts3.URL, "restarted"); got != honest {
+		t.Errorf("after a restart /v1/compile serves comm_cycles %d, want the re-derived %d", got.CommCycles, honest.CommCycles)
 	}
 }

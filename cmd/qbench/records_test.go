@@ -28,29 +28,53 @@ const baselinesDir = "../../bench/baselines"
 // pinned.
 var hostFields = []string{"cold_wall_ms", "warm_wall_ms", "disk_warm_wall_ms", "peak_goroutines", "gomaxprocs", "workers"}
 
-// TestReportBaselinesCurrent runs the record pass (-perf-out) into a
-// temporary directory and requires bench/baselines to hold what it
-// wrote:
-//   - every REPORT_<name>.json byte for byte; a mismatch prints the
-//     module, region and step attribution of report.Diff;
-//   - every BENCH_<name>.json field but hostFields, the engine's work
-//     counters included;
-//   - exactly the record files of cas/, byte for byte.
+// The record pass (-perf-out) writes every committed record; three
+// tests run it into a temporary directory and pin what it wrote against
+// bench/baselines:
+//   - TestReportBaselinesCurrent: every REPORT_<name>.json byte for byte;
+//     a mismatch prints the module, region and step attribution of
+//     report.Diff;
+//   - TestWritePerfRecordsEmitsReports: a BENCH_<name>.json and a
+//     readable REPORT_<name>.json per gated benchmark, and every BENCH
+//     field but hostFields, the engine's work counters included;
+//   - TestSeedCorpusCurrent: exactly the record files of cas/, byte for
+//     byte.
 //
 // After an intended change, run `go run ./cmd/qbench -perf-out <empty
 // dir>` and copy its REPORT_*.json files, its cas/ directory and the
 // non-host fields of its BENCH_*.json files into bench/baselines.
-func TestReportBaselinesCurrent(t *testing.T) {
+
+// recordPass runs the record pass into a temporary directory and
+// returns it.
+func recordPass(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	if _, err := writeRecords(io.Discard, dir, "lpfs", 0, 0); err != nil {
 		t.Fatal(err)
 	}
+	return dir
+}
+
+func TestReportBaselinesCurrent(t *testing.T) {
+	dir := recordPass(t)
 	for _, b := range bench.Gated() {
 		name := "REPORT_" + b.Name + ".json"
 		if !bytes.Equal(readFile(t, dir, name), readFile(t, baselinesDir, name)) {
 			t.Errorf("%s differs from the report -perf-out writes now:\n%s", name, reportDiff(t, dir, name))
 		}
-		name = "BENCH_" + b.Name + ".json"
+	}
+}
+
+func TestWritePerfRecordsEmitsReports(t *testing.T) {
+	dir := recordPass(t)
+	for _, b := range bench.Gated() {
+		r, err := report.ReadFile(filepath.Join(dir, "REPORT_"+b.Name+".json"))
+		if err != nil {
+			t.Errorf("%s: %v", b.Name, err)
+		} else if r.Benchmark != b.Name || len(r.Modules) == 0 {
+			t.Errorf("%s: report names %q with %d modules", b.Name, r.Benchmark, len(r.Modules))
+		}
+		name := "BENCH_" + b.Name + ".json"
 		got, want := benchFields(t, dir, name), benchFields(t, baselinesDir, name)
 		all := maps.Clone(got)
 		maps.Copy(all, want)
@@ -60,7 +84,10 @@ func TestReportBaselinesCurrent(t *testing.T) {
 			}
 		}
 	}
+}
 
+func TestSeedCorpusCurrent(t *testing.T) {
+	dir := recordPass(t)
 	got := corpusRecords(t, filepath.Join(dir, "cas"))
 	want := corpusRecords(t, filepath.Join(baselinesDir, "cas"))
 	if len(want) == 0 {

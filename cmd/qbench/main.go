@@ -93,7 +93,6 @@ func run(w io.Writer, exp, scale string, fth int64, schedName string, workers in
 	if err != nil {
 		return err
 	}
-	sched = core.WithDecisionLog(sched, observer.D())
 	smallFTh := int64(2000)
 	if fth != 0 {
 		smallFTh = fth

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"testing"
+
+	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/obs"
+	"github.com/scaffold-go/multisimd/internal/obscli"
 )
 
 // wallMS matches the fth table's wall-clock analysis column, the one
@@ -44,5 +49,40 @@ func TestExperimentsRun(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if err := run(io.Discard, "fig99", "small", 0, "lpfs", 0); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestFig6DecisionLogAcrossWorkers: -experiment fig6 with -decisions
+// logs the decisions of the paper's schedulers, and the log is byte for
+// byte the same at -workers 1 and -workers 4. Each run starts from
+// fresh workloads, as a new qbench process would.
+func TestFig6DecisionLogAcrossWorkers(t *testing.T) {
+	defer func(o *obs.Observer, m map[string][]core.Workload) { observer, workloadMemo = o, m }(observer, workloadMemo)
+	dir := t.TempDir()
+	var logs [][]byte
+	for _, workers := range []int{1, 4} {
+		f := obscli.Flags{Decisions: filepath.Join(dir, fmt.Sprintf("workers-%d.log", workers))}
+		var err error
+		if observer, err = f.Setup(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		workloadMemo = map[string][]core.Workload{}
+		if err := run(io.Discard, "fig6", "small", 0, "lpfs", workers); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Finish(observer); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(f.Decisions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 {
+			t.Fatalf("-workers %d: empty decision log", workers)
+		}
+		logs = append(logs, data)
+	}
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Errorf("decision log differs between -workers 1 and 4: %d vs %d bytes", len(logs[0]), len(logs[1]))
 	}
 }

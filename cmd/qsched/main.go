@@ -117,11 +117,13 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	sched := core.WithDecisionLog(eopts.Scheduler, obsv.D())
-	eopts.Scheduler = sched
 	eopts.Obs = obsv
 	if cfg.dump != "" {
-		return dumpLeaf(prog, cfg.dump, req, sched)
+		// -dump schedules one leaf outside any evaluation: the scheduler logs.
+		if err := dumpLeaf(prog, cfg.dump, req, core.WithDecisionLog(eopts.Scheduler, obsv.D())); err != nil {
+			return err
+		}
+		return cfg.obs.Finish(obsv)
 	}
 	m, err := core.Evaluate(prog, eopts)
 	if err != nil {
@@ -149,7 +151,7 @@ func run(cfg config) error {
 		}
 	}
 
-	fmt.Printf("scheduler:           %s\n", sched.Name())
+	fmt.Printf("scheduler:           %s\n", eopts.Scheduler.Name())
 	if req.Verify {
 		fmt.Printf("verification:        every leaf re-derived, legal and as served\n")
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +41,29 @@ func TestRunDump(t *testing.T) {
 	cfg.req.K = 2
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDumpDecisionLog: -decisions logs the -dump leaf's schedule, the
+// one leaf qsched schedules outside any evaluation.
+func TestDumpDecisionLog(t *testing.T) {
+	cfg := testConfig("rcp", "Grovers", "main", false)
+	dir := t.TempDir()
+	cfg.obs.Decisions = dir + "/decisions.log"
+	out, err := os.Create(dir + "/dump.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(cfg)
+	os.Stdout = stdout
+	out.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(cfg.obs.Decisions); err != nil || len(data) == 0 {
+		t.Errorf("-dump -decisions wrote %d bytes (%v)", len(data), err)
 	}
 }
 
@@ -144,10 +166,7 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 // TestReportLeavesDecisionLogUnchanged: the report and the -verify
 // audit reschedule every leaf without the decision log, so -decisions
 // is byte-identical with and without -report-json or -verify.
-// Concurrent leaf tasks interleave their records, so the evaluation
-// runs on one worker (GOMAXPROCS 1).
 func TestReportLeavesDecisionLogUnchanged(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir := t.TempDir()
 	var logs [][]byte
 	for i, in := range []struct{ report, verify bool }{{}, {report: true}, {verify: true}} {

@@ -11,13 +11,12 @@ import (
 
 // rederive re-derives every prepared leaf at each of widths from
 // scratch on the worker pool: the once-materialized body, the scheduler
-// with its decision log detached (these reschedules are not the
-// evaluation's decisions) and the full comm.Analyze, move lists
-// included. No cache is read or written. fn receives each point as
+// (which logs nothing: these reschedules are not the evaluation's
+// decisions) and the full comm.Analyze, move lists included. No cache is read or written. fn receives each point as
 // (leaf index, width index); BuildReport profiles them and audit checks
 // them.
 func (pp *prepared) rederive(ctx context.Context, opts EvalOptions, widths []int, fn func(i, wi int, l *Leaf) error) error {
-	sched := WithDecisionLog(opts.scheduler(), nil)
+	sched := opts.scheduler()
 	nW := len(widths)
 	return runTasks(ctx, len(pp.leaves)*nW, opts.workers(), func(_, t int) error {
 		pl := pp.leaves[t/nW]
@@ -103,7 +102,6 @@ func (e *engine) audit(p *ir.Program, m *Metrics) error {
 	}
 
 	opts := e.opts
-	opts.Scheduler = WithDecisionLog(e.sched, nil)
 	opts.Obs, opts.Verify = nil, false
 	opts.Cache, opts.CacheStats = fresh, &CacheRecorder{}
 	again, err := evaluate(e.ctx, p, e.pp, nil, opts)

@@ -26,8 +26,10 @@ package core
 //
 // Observability (EvalOptions.Obs) threads through here: every pool task
 // traces a span on its worker slot's track, fresh materializations,
-// schedules and comm analyses feed the metrics registry, and audit
-// rejections count and mark the trace. All of it is nil-guarded — a run
+// schedules and comm analyses feed the metrics registry, audit
+// rejections count and mark the trace, and a fresh schedule records its
+// decisions into a buffer of its own task, appended to Obs.Decisions in
+// task order once every task has run. All of it is nil-guarded — a run
 // without an Observer takes only nil checks (see
 // TestDisabled*AllocatesNothing in internal/obs).
 
@@ -240,9 +242,8 @@ func scheduleBody(mat *ir.Module, g *dag.Graph, sched Scheduler, w, d int, copts
 
 // BuildReport assembles the schedule report of p's evaluation under
 // opts, whose Metrics are m: every reachable leaf is re-derived at
-// width k (see rederive; the scheduler's decision log stays out of it),
-// and Modules is sorted by name. Totals denormalizes m so the report is
-// self-contained.
+// width k (see rederive; nothing is logged), and Modules is sorted by
+// name. Totals denormalizes m so the report is self-contained.
 func BuildReport(ctx context.Context, p *ir.Program, benchmark string, m *Metrics, opts EvalOptions) (*report.Report, error) {
 	pp, err := prepare(ctx, p, nil, opts.workers(), nil)
 	if err != nil {
@@ -425,12 +426,18 @@ func schedulerConfig(s Scheduler) string {
 
 // run evaluates every reachable module, bottom-up, and returns the
 // per-module characterizations. Leaves are characterized per distinct
-// body, and every leaf name points at its body's moduleEval.
+// body, and every leaf name points at its body's moduleEval. Decision
+// buffers append in task order (body, then width): what one worker logs.
 func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
 	evals := make(map[string]*moduleEval, len(e.pp.order))
 	bodies := make([]*leafState, len(e.pp.bodies))
+	dlog := e.opts.Obs.D()
+	logging := dlog.Enabled(obs.LevelStep)
 	for i, b := range e.pp.bodies {
 		bodies[i] = &leafState{leafBody: b, slots: make([]commEntry, len(e.widths))}
+		if logging {
+			bodies[i].decisions = make([]*obs.DecisionLog, len(e.widths))
+		}
 	}
 
 	lsp := e.eo.tr.Span("engine", "characterize-leaves")
@@ -441,6 +448,14 @@ func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
 	lsp.End()
 	if err != nil {
 		return nil, err
+	}
+	if logging {
+		id := obs.RequestID(e.ctx)
+		for _, ls := range bodies {
+			for _, b := range ls.decisions {
+				dlog.Append(b, id)
+			}
+		}
 	}
 	byBody := make(map[*leafBody]*moduleEval, len(bodies))
 	for _, ls := range bodies {
@@ -481,11 +496,13 @@ func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
 }
 
 // leafState carries one distinct leaf body through one evaluation's
-// pool: its critical path and a pre-assigned result slot per width.
+// pool: its critical path, a pre-assigned result slot per width and,
+// when the run logs decisions, a buffer per freshly scheduled width.
 type leafState struct {
 	*leafBody
-	cp    int64
-	slots []commEntry
+	cp        int64
+	slots     []commEntry
+	decisions []*obs.DecisionLog
 }
 
 // assemble folds the per-width slots into a moduleEval, widths ascending
@@ -592,7 +609,12 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		if s, err = e.sched.Schedule(mat, g, w, e.opts.D); err != nil {
+		sched := e.sched
+		if ls.decisions != nil {
+			ls.decisions[wi] = e.opts.Obs.D().Buffer()
+			sched = WithDecisionLog(sched, ls.decisions[wi])
+		}
+		if s, err = sched.Schedule(mat, g, w, e.opts.D); err != nil {
 			return err
 		}
 		e.cache.putSchedule(sk, s)

@@ -44,13 +44,11 @@ func SchedulerByName(name string) (Scheduler, error) {
 // WithDecisionLog returns s with the introspection log l attached, when
 // the scheduler supports one (the rcp and lpfs adapters do); a nil l
 // detaches any log s carries. Schedulers without the hook pass through
-// unchanged, so callers can apply it unconditionally. Decision logging
-// does not alter schedules; the log is excluded from cache-key
-// configuration strings.
+// unchanged, so callers can apply it unconditionally. It is for a leaf
+// scheduled outside an evaluation: an evaluation detaches the log and
+// logs through EvalOptions.Obs.Decisions. Logging does not alter
+// schedules; the log is excluded from cache-key configuration strings.
 func WithDecisionLog(s Scheduler, l *obs.DecisionLog) Scheduler {
-	if s == nil {
-		return s
-	}
 	if w, ok := s.(interface {
 		WithDecisionLog(*obs.DecisionLog) schedule.Scheduler
 	}); ok {
@@ -89,10 +87,10 @@ type EvalOptions struct {
 	// Obs, when non-nil, receives the run's observability streams: a
 	// span per pipeline phase, engine stage and worker-pool task on
 	// Obs.Trace; cache, schedule, movement and verifier instruments on
-	// Obs.Metrics (names in DESIGN.md); nothing on Obs.Decisions — the
-	// scheduler decision log attaches to the scheduler itself (see
-	// WithDecisionLog). Nil disables all instrumentation at the cost of
-	// nil checks only.
+	// Obs.Metrics (names in DESIGN.md); on Obs.Decisions, the only way
+	// a decision log enters a run, each fresh schedule's decisions in
+	// task order at any worker count. Nil disables all instrumentation
+	// at the cost of nil checks only.
 	Obs *obs.Observer
 
 	// Workers bounds the engine's leaf-characterization concurrency:
@@ -115,14 +113,14 @@ type EvalOptions struct {
 	CacheStats *CacheRecorder
 }
 
-// scheduler resolves the effective scheduler, defaulting to RCP. Tuned
-// variants come from lpfs.New / rcp.New or the schedule registry; the
-// options struct no longer carries per-algorithm knobs.
+// scheduler resolves the effective scheduler, defaulting to RCP, with
+// any decision log it carries detached: a run logs through
+// Obs.Decisions only, and re-derivations (reports, the audit) not at all.
 func (o EvalOptions) scheduler() Scheduler {
 	if o.Scheduler == nil {
 		return RCP
 	}
-	return o.Scheduler
+	return WithDecisionLog(o.Scheduler, nil)
 }
 
 // Metrics is the paper's per-benchmark measurement set.
@@ -248,12 +246,9 @@ func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[stri
 	esp.SetStr("scheduler", e.sched.Name())
 	if id := obs.RequestID(ctx); id != "" {
 		// The service threads its request id through the context; stamp
-		// it on the run span and the scheduler's decision log so traces
+		// it on the run span (run stamps it on the decisions) so traces
 		// and decision streams correlate with access-log lines.
 		esp.SetStr("request_id", id)
-		if dl, ok := e.sched.(interface{ DecisionLog() *obs.DecisionLog }); ok {
-			dl.DecisionLog().SetRequest(id)
-		}
 	}
 	var m *Metrics
 	var err error

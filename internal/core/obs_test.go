@@ -27,7 +27,7 @@ func TestEvaluateObservability(t *testing.T) {
 	}
 	cache := core.NewEvalCache()
 	opts := core.EvalOptions{
-		Scheduler: core.WithDecisionLog(core.LPFS, o.Decisions),
+		Scheduler: core.LPFS,
 		K:         4,
 		Cache:     cache,
 		Obs:       o,
@@ -129,7 +129,7 @@ func TestEngineObservabilityRace(t *testing.T) {
 			Decisions: obs.NewDecisionLog(obs.LevelOp),
 		}
 		opts := core.EvalOptions{
-			Scheduler: core.WithDecisionLog(sched, o.Decisions),
+			Scheduler: sched,
 			K:         4,
 			Comm:      comm.Options{LocalCapacity: -1},
 			Workers:   8,
@@ -143,6 +143,57 @@ func TestEngineObservabilityRace(t *testing.T) {
 		}
 		if o.Trace.Len() == 0 {
 			t.Errorf("%s: no spans recorded", sched.Name())
+		}
+	}
+}
+
+// TestEngineDecisionLogAcrossWorkers logs SHA-1 and Grovers under RCP
+// at LevelOp through Obs.Decisions alone. Each task schedules into its
+// own buffer and the engine appends them in task order, so at 1, 2 and
+// 8 workers, each on a fresh cache, the log renders byte for byte the
+// same; a warm rerun, every point served from the cache, appends
+// nothing.
+func TestEngineDecisionLogAcrossWorkers(t *testing.T) {
+	progs := engineWorkloads(t)
+	for _, name := range []string{"SHA-1", "Grovers"} {
+		p := progs[name]
+		if p == nil {
+			t.Fatalf("no %s workload", name)
+		}
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			o := &obs.Observer{Decisions: obs.NewDecisionLog(obs.LevelOp)}
+			opts := core.EvalOptions{
+				Scheduler: core.RCP,
+				K:         4,
+				Comm:      comm.Options{LocalCapacity: -1},
+				Workers:   workers,
+				Cache:     core.NewEvalCache(),
+				Obs:       o,
+			}
+			if _, err := core.Evaluate(p, opts); err != nil {
+				t.Fatalf("%s, %d workers: %v", name, workers, err)
+			}
+			var buf bytes.Buffer
+			if _, err := o.Decisions.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case buf.Len() == 0:
+				t.Fatalf("%s, %d workers: empty decision log", name, workers)
+			case want == nil:
+				want = buf.Bytes()
+			case !bytes.Equal(buf.Bytes(), want):
+				t.Errorf("%s: decision log at %d workers differs from 1 worker's (%d vs %d bytes)",
+					name, workers, buf.Len(), len(want))
+			}
+			n := o.Decisions.Len()
+			if _, err := core.Evaluate(p, opts); err != nil {
+				t.Fatalf("%s, %d workers, warm: %v", name, workers, err)
+			}
+			if got := o.Decisions.Len(); got != n {
+				t.Errorf("%s, %d workers: warm rerun appended %d decisions", name, workers, got-n)
+			}
 		}
 	}
 }

@@ -43,11 +43,6 @@ func (s Scheduler) WithDecisionLog(l *obs.DecisionLog) schedule.Scheduler {
 	return s
 }
 
-// DecisionLog returns the attached introspection log (nil when none),
-// so callers like the service engine can stamp per-request context on
-// it without knowing the scheduler's concrete type.
-func (s Scheduler) DecisionLog() *obs.DecisionLog { return s.Opts.Log }
-
 // Schedule implements schedule.Scheduler.
 func (s Scheduler) Schedule(m *ir.Module, g *dag.Graph, k, d int) (*schedule.Schedule, error) {
 	o := s.Opts

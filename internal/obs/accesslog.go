@@ -83,7 +83,8 @@ type RequestRecord struct {
 	Err string `json:"error,omitempty"`
 
 	// Spans are the completed spans Phases was folded from, and
-	// Decisions the tail of the evaluation's scheduler decision log.
+	// Decisions the first 64 records of the evaluation's scheduler
+	// decision log, in task order.
 	// Both are postmortem payload: never in the access log.
 	Spans     []SpanEvent `json:"spans,omitempty"`
 	Decisions []Decision  `json:"decisions,omitempty"`

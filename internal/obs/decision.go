@@ -143,15 +143,14 @@ const DefaultDecisionLimit = 1 << 20
 // DecisionLog accumulates scheduler decisions at or below its level,
 // keeping at most its limit and counting the overflow (Dropped). A nil
 // *DecisionLog is the disabled log: Enabled is false and Record no-ops.
-// Safe for concurrent use (the engine schedules leaves from a worker
-// pool).
+// Safe for concurrent use; the engine's tasks each record into a Buffer
+// it Appends in task order, so the log is the same at any worker count.
 type DecisionLog struct {
 	level   Level
 	limit   int
 	mu      sync.Mutex
 	entries []Decision
 	dropped int64
-	request string
 }
 
 // NewDecisionLog returns a log recording entries at or below level,
@@ -180,38 +179,47 @@ func (l *DecisionLog) Record(lv Level, d Decision) {
 		return
 	}
 	l.mu.Lock()
+	l.add(d)
+	l.mu.Unlock()
+}
+
+// add keeps d, or counts it once the limit is reached. l.mu is held.
+func (l *DecisionLog) add(d Decision) {
 	if l.limit > 0 && len(l.entries) >= l.limit {
 		l.dropped++
 	} else {
-		if d.Request == "" {
-			d.Request = l.request
-		}
 		l.entries = append(l.entries, d)
 	}
-	l.mu.Unlock()
 }
 
-// SetRequest stamps every subsequently recorded decision with the
-// request id (the service sets it before handing the log to the
-// engine), so decision streams from concurrent requests stay
-// attributable after they are merged or archived.
-func (l *DecisionLog) SetRequest(id string) {
+// Buffer returns an empty log with l's level and limit: the one a
+// single task records into before Append merges it into l (nil for the
+// disabled log).
+func (l *DecisionLog) Buffer() *DecisionLog {
 	if l == nil {
+		return nil
+	}
+	return NewDecisionLogLimit(l.level, l.limit)
+}
+
+// Append adds b's records to l in b's order, as though they had been
+// recorded here: each is stamped with request (the id of the service
+// request whose evaluation produced it; "" outside the service), l's
+// limit applies to them in turn, and what it turns away, plus b's own
+// Dropped, adds to l's Dropped. A nil b appends nothing.
+func (l *DecisionLog) Append(b *DecisionLog, request string) {
+	if l == nil || b == nil {
 		return
 	}
-	l.mu.Lock()
-	l.request = id
-	l.mu.Unlock()
-}
-
-// Request returns the id set by SetRequest ("" when unset).
-func (l *DecisionLog) Request() string {
-	if l == nil {
-		return ""
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.request
+	for _, d := range b.entries {
+		d.Request = request
+		l.add(d)
+	}
+	l.dropped += b.dropped
 }
 
 // Dropped reports how many records the retention limit discarded.

@@ -36,6 +36,38 @@ func TestDecisionLogCap(t *testing.T) {
 	}
 }
 
+// TestDecisionLogAppendBuffers pins the merge of per-task buffers:
+// appending them in order keeps what one log recording every record in
+// that order keeps, drops what it drops, and stamps the request id.
+func TestDecisionLogAppendBuffers(t *testing.T) {
+	whole := NewDecisionLogLimit(LevelStep, 5)
+	merged := NewDecisionLogLimit(LevelStep, 5)
+	step := 0
+	for _, n := range []int{3, 7, 2} { // the second buffer overflows the limit itself
+		b := merged.Buffer()
+		for i := 0; i < n; i++ {
+			d := Decision{Scheduler: "rcp", Module: "m", Step: step, Op: -1}
+			whole.Record(LevelStep, d)
+			b.Record(LevelStep, d)
+			step++
+		}
+		merged.Append(b, "req-1")
+	}
+	merged.Append(nil, "req-1")
+	if merged.Len() != 5 || merged.Dropped() != 7 || whole.Dropped() != 7 {
+		t.Fatalf("merged kept %d, dropped %d; one log dropped %d (want 5, 7, 7)", merged.Len(), merged.Dropped(), whole.Dropped())
+	}
+	for i, d := range merged.Entries() {
+		if want := whole.Entries()[i]; d.Step != want.Step || d.Request != "req-1" {
+			t.Errorf("entry %d = step %d request %q, want step %d request req-1", i, d.Step, d.Request, want.Step)
+		}
+	}
+	var nilLog *DecisionLog
+	if nilLog.Buffer() != nil {
+		t.Error("the disabled log's buffer is not disabled")
+	}
+}
+
 func TestDecisionLogCapConcurrent(t *testing.T) {
 	l := NewDecisionLogLimit(LevelOp, 100)
 	var wg sync.WaitGroup

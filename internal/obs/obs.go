@@ -32,7 +32,8 @@ type Observer struct {
 	Trace *Tracer
 	// Metrics receives counters, gauges and histograms (nil = off).
 	Metrics *Registry
-	// Decisions receives scheduler introspection records (nil = off).
+	// Decisions receives scheduler introspection records (nil = off),
+	// appended by an evaluation in task order once its tasks have run.
 	Decisions *DecisionLog
 }
 

@@ -2,7 +2,7 @@ package telem
 
 // The flight recorder: a fixed-size in-memory ring of recent request
 // records (obs.RequestRecord: the access-log fields plus, with
-// telemetry on, raw spans and the decision-log tail). When a
+// telemetry on, raw spans and the first scheduler decisions). When a
 // request ends badly — slow, 5xx, 429 — or an operator asks via
 // POST /v1/debug/snapshot, the ring is frozen into a postmortem bundle:
 // one self-contained, schema-versioned JSON file holding the triggering

@@ -67,9 +67,6 @@ type DiffReport struct {
 	A      Run         `json:"a"`
 	B      Run         `json:"b"`
 	Totals TotalsDelta `json:"totals"`
-	// Regression reports whether B is worse than A on a schedule-quality
-	// axis: longer comm-expanded runtime or longer zero-comm schedule.
-	Regression bool `json:"regression"`
 	// ConfigDrift is set when the two runs used different scheduler /
 	// machine / comm configurations — deltas then reflect configuration,
 	// not code.
@@ -96,7 +93,6 @@ func Diff(a, b *Report) *DiffReport {
 			TotalGates:    b.Totals.TotalGates - a.Totals.TotalGates,
 		},
 	}
-	d.Regression = d.Totals.CommCycles > 0 || d.Totals.ZeroCommSteps > 0
 	d.ConfigDrift = d.A != d.B
 
 	am := map[string]*ModuleReport{}

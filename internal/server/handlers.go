@@ -33,22 +33,9 @@ const statusClientClosedRequest = 499
 // entry carries; the tail folds into "(other)" rows per category.
 const maxLogPhases = 12
 
-// recorderDecisionCap bounds the per-flight decision log collected for
-// the flight recorder; recorderDecisionTail is how much of it a request
-// record keeps (the end of the log is where a stall shows).
-const (
-	recorderDecisionCap  = 4096
-	recorderDecisionTail = 64
-)
-
-// decisionTail returns the last max entries of a decision log.
-func decisionTail(l *obs.DecisionLog, max int) []obs.Decision {
-	ents := l.Entries()
-	if len(ents) > max {
-		ents = ents[len(ents)-max:]
-	}
-	return ents
-}
+// recorderDecisions is how many of a flight's scheduler decisions its
+// request record keeps: the first ones, in task order.
+const recorderDecisions = 64
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -107,7 +94,7 @@ type evalResult struct {
 	rep *report.Report
 	// stats carries the evaluation's fields of the request record:
 	// queue wait, eval wall, cache traffic, phases and, with telemetry
-	// on, spans and the decision-log tail.
+	// on, spans and the first decisions.
 	stats obs.RequestRecord
 }
 
@@ -151,10 +138,8 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		// With telemetry on, also capture the scheduler's decision log
 		// so a postmortem can say not just how long the schedule phase
 		// took but what it chose.
-		var dlog *obs.DecisionLog
 		if s.telem != nil {
-			dlog = obs.NewDecisionLogLimit(obs.LevelStep, recorderDecisionCap)
-			eopts.Scheduler = core.WithDecisionLog(eopts.Scheduler, dlog)
+			eopts.Obs.Decisions = obs.NewDecisionLogLimit(obs.LevelStep, recorderDecisions)
 		}
 		// The cache is shared by every concurrent flight, so a global
 		// Stats() delta around the evaluation would bleed other flights'
@@ -180,7 +165,7 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		}}
 		if s.telem != nil {
 			res.stats.Spans = tr.Events()
-			res.stats.Decisions = decisionTail(dlog, recorderDecisionTail)
+			res.stats.Decisions = eopts.Obs.Decisions.Entries()
 		}
 		if req.Profile {
 			if res.rep, err = core.BuildReport(evalCtx, p, req.Label(), m, eopts); err != nil {

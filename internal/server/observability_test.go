@@ -314,7 +314,7 @@ func TestOverloadCarriesIDAndQueueDepth(t *testing.T) {
 // always present, and nothing outside the documented schema appears.
 // New fields must be added to the allowed set deliberately. It runs
 // with and without a telemetry store: with one, the request's record
-// carries spans and a decision tail, which must never reach the line.
+// carries spans and decisions, which must never reach the line.
 func TestAccessLogSchema(t *testing.T) {
 	for _, withTelemetry := range []bool{false, true} {
 		t.Run(fmt.Sprintf("telemetry=%v", withTelemetry), func(t *testing.T) {
@@ -330,7 +330,7 @@ func testAccessLogSchema(t *testing.T, withTelemetry bool) {
 		opts.Telemetry = openTelem(t, t.TempDir())
 	}
 	s, ts := newTestServer(t, opts)
-	// RCP logs a decision per scheduled step, so the tail is populated.
+	// RCP logs a decision per scheduled step, so decisions are recorded.
 	if resp, data := postWithID(t, ts.URL+"/v1/compile", "schema-check", compileBody(tinySource, "rcp", 2)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %d %s", resp.StatusCode, data)
 	}

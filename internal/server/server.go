@@ -55,7 +55,7 @@ type Options struct {
 
 	// Telemetry is the persistent telemetry store (nil = history lives
 	// in an in-memory store, the flight recorder captures no spans or
-	// decision tails, no postmortem bundles are written, and the
+	// decisions, no postmortem bundles are written, and the
 	// telemetry endpoints answer telemetry_disabled). The caller opens
 	// and closes it; the server only appends.
 	Telemetry *telem.Store

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/obs/telem"
+	"github.com/scaffold-go/multisimd/internal/request"
 )
 
 // openTelem opens a telemetry store in a fresh temp dir, sealing every
@@ -119,7 +121,7 @@ func TestSnapshotEndpointWritesBundle(t *testing.T) {
 	_, ts := newTestServer(t, Options{SampleEvery: -1, Telemetry: st})
 
 	// Prime the flight recorder with one real evaluation. RCP logs a
-	// decision per scheduled step, so the tail is never empty here
+	// decision per scheduled step, so the decisions are never empty here
 	// (lpfs only logs refills/deadlocks, which a tiny program has none of).
 	resp, data := postWithID(t, ts.URL+"/v1/compile", "prime-1", compileBody(tinySource, "rcp", 2))
 	if resp.StatusCode != http.StatusOK {
@@ -146,7 +148,7 @@ func TestSnapshotEndpointWritesBundle(t *testing.T) {
 		t.Fatalf("bundle landed in %s, want under the telemetry dir", sr.Path)
 	}
 	// The ring (and so the bundle) carries the primed compile, spans,
-	// decision tail and all — self-contained postmortem context.
+	// decisions and all — self-contained postmortem context.
 	found := false
 	for _, rec := range b.Recent {
 		if rec.ID == "prime-1" {
@@ -155,7 +157,7 @@ func TestSnapshotEndpointWritesBundle(t *testing.T) {
 				t.Fatalf("recorded request has no spans: %+v", rec)
 			}
 			if len(rec.Decisions) == 0 {
-				t.Fatalf("recorded request has no decision tail: %+v", rec)
+				t.Fatalf("recorded request has no decisions: %+v", rec)
 			}
 		}
 	}
@@ -486,5 +488,51 @@ func TestDashboardTrendWithoutTelemetry(t *testing.T) {
 			t.Fatalf("dashboard never rendered an in-memory trend:\n%.600s", html)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRecordedDecisionsCarryRequestID: with telemetry on, a request's
+// record keeps the first recorderDecisions decisions of its evaluation,
+// in task order and each stamped with the request's id: the head of
+// the log a serial evaluation of the same request records.
+func TestRecordedDecisionsCarryRequestID(t *testing.T) {
+	var buf syncBuffer
+	s, ts := newTestServer(t, Options{AccessLog: obs.NewAccessLog(&buf), Telemetry: openTelem(t, t.TempDir())})
+	if resp, data := postWithID(t, ts.URL+"/v1/compile", "decided", `{"bench":"Grovers","scheduler":"rcp","k":4}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, data)
+	}
+	waitForEntry(t, &buf, "decided")
+	var got []obs.Decision
+	for _, r := range s.recorder.Recent() {
+		if r.ID == "decided" {
+			got = r.Decisions
+		}
+	}
+
+	req := request.Config{Bench: "Grovers", Scheduler: "rcp", K: 4}.WithDefaults()
+	p, err := req.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eopts, err := req.EvalOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eopts.Workers = 1
+	eopts.Obs = &obs.Observer{Decisions: obs.NewDecisionLogLimit(obs.LevelStep, 0)}
+	if _, err := core.Evaluate(p, eopts); err != nil {
+		t.Fatal(err)
+	}
+	want := eopts.Obs.Decisions.Entries()
+	if len(want) <= recorderDecisions {
+		t.Fatalf("Grovers logs %d decisions, too few to tell the head from the tail", len(want))
+	}
+	want = want[:recorderDecisions]
+	for i := range want {
+		want[i].Request = "decided"
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded decisions are not the first %d, stamped with the request id:\ngot  %+v\nwant %+v",
+			recorderDecisions, got, want)
 	}
 }

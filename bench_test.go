@@ -210,7 +210,7 @@ func BenchmarkTable2Rotations(b *testing.B) {
 	var cells []core.Cell
 	var err error
 	for i := 0; i < b.N; i++ {
-		cells, err = core.Table2(8, []int{1, 2, 4, 8})
+		cells, err = core.Table2(8, []int{1, 2, 4, 8}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -260,7 +260,7 @@ func run(w io.Writer, exp, scale string, fth int64, schedName string, workers in
 		return nil
 	case "table2":
 		const rotations = 8
-		cells, err := core.Table2(rotations, []int{1, 2, 4, 8})
+		cells, err := core.Table2(rotations, []int{1, 2, 4, 8}, observer)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -84,5 +85,42 @@ func TestFig6DecisionLogAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(logs[0], logs[1]) {
 		t.Errorf("decision log differs between -workers 1 and 4: %d vs %d bytes", len(logs[0]), len(logs[1]))
+	}
+}
+
+// TestTable2Observed: -experiment table2 instruments its evaluations,
+// so -decisions and -metrics-out record the rotation sweep's scheduling
+// rather than an empty log and an empty snapshot.
+func TestTable2Observed(t *testing.T) {
+	defer func(o *obs.Observer) { observer = o }(observer)
+	dir := t.TempDir()
+	f := obscli.Flags{Decisions: filepath.Join(dir, "d.log"), MetricsOut: filepath.Join(dir, "m.json")}
+	var err error
+	if observer, err = f.Setup(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(io.Discard, "table2", "small", 0, "lpfs", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Finish(observer); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(f.Decisions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) == 0 {
+		t.Error("empty table2 decision log")
+	}
+	data, err := os.ReadFile(f.MetricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["engine.tasks"] == 0 {
+		t.Errorf("table2 metrics snapshot counts no engine tasks: %s", data)
 	}
 }

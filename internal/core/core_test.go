@@ -107,7 +107,7 @@ func TestEvaluateLocalMemoryNeverHurts(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	cells, err := core.Table2(6, []int{1, 2, 3, 6})
+	cells, err := core.Table2(6, []int{1, 2, 3, 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,23 @@
 package core
 
 // This file is the hierarchical evaluation engine. It runs in two
-// steps. prepare does the per-program work, which no evaluation option
-// changes: resource totals, the reachable module order, leaf
-// fingerprints (hashed on the worker pool) and a once-guarded
-// materialization plus DAG per distinct leaf body. The evaluation step
-// then characterizes leaves under one set of EvalOptions — scheduling
-// each distinct leaf body at every blackbox width and analyzing its
-// movement — which is embarrassingly parallel: no (body, width) point
-// depends on any other. It fans those points out over a bounded worker
-// pool, one task per point (leaves sharing a body share its tasks),
-// memoizes them in a content-addressed EvalCache, then composes
-// non-leaf modules serially in topological order (the only place child
-// results are actually consumed). Evaluate runs both steps; an
-// experiment sweep prepares each workload once and evaluates every
-// variant against it. Determinism: schedulers are deterministic and
-// every result lands in a pre-assigned slot, so Metrics are identical at
-// any worker count and on any cache temperature.
+// steps. prepare does the per-program work, which no evaluation
+// option changes: resource totals, the reachable module order, leaf
+// fingerprints (from the caller's one ir.Program.Digests pass) and a
+// once-guarded materialization plus DAG per distinct leaf body. The
+// evaluation step then characterizes leaves under one set of
+// EvalOptions — scheduling each distinct leaf body at every blackbox
+// width and analyzing its movement — which is embarrassingly
+// parallel: no (body, width) point depends on any other. It fans
+// those points out over a bounded worker pool, one task per point
+// (leaves sharing a body share its tasks), memoizes them in a
+// content-addressed EvalCache, then composes non-leaf modules
+// serially in topological order (the only place child results are
+// actually consumed). Evaluate runs both steps; an experiment sweep
+// prepares each workload once and evaluates every variant against it.
+// Determinism: schedulers are deterministic and every result lands in
+// a pre-assigned slot, so Metrics are identical at any worker count
+// and on any cache temperature.
 //
 // Characterization has one path whatever the options: a comm hit, then
 // the capacity-dominance memo, then a schedule hit, and only a miss
@@ -114,11 +115,10 @@ type unlimitedEntry struct {
 
 // prepare does p's per-program work: resource totals and the reachable
 // order (the estimator's callees-first topological order), then every
-// reachable leaf's fingerprint: taken from digests (ir.Program.Digests)
-// when the caller hashed p already, else hashed on the worker pool.
-// Leaves with equal fingerprints share one leafBody. Nothing is
-// materialized yet: cache hits never need a body.
-func prepare(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerprint, workers int, o *obs.Observer) (*prepared, error) {
+// reachable leaf's fingerprint, taken from digests (ir.Program.Digests'
+// Modules for this very p). Leaves with equal fingerprints share one
+// leafBody. Nothing is materialized yet: cache hits never need a body.
+func prepare(p *ir.Program, digests map[string]ir.Fingerprint, o *obs.Observer) (*prepared, error) {
 	tr := o.T()
 	psp := tr.Span("engine", "prepare")
 	defer psp.End()
@@ -138,25 +138,14 @@ func prepare(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerpri
 	}
 	psp.SetInt("leaves", int64(len(pp.leaves)))
 	// Every characterization task keys the cache by its leaf's content
-	// hash. Hashes are computed once per preparation (or handed in by a
-	// caller that hashed this very program), never memoized on the
-	// module: passes mutate bodies in place.
-	if digests != nil {
-		for _, pl := range pp.leaves {
-			fp, ok := digests[pl.name]
-			if !ok {
-				return nil, fmt.Errorf("core: no digest for leaf %s", pl.name)
-			}
-			pl.fp = fp
+	// hash, computed by the caller's one hashing pass over p, never
+	// memoized on the module: passes mutate bodies in place.
+	for _, pl := range pp.leaves {
+		fp, ok := digests[pl.name]
+		if !ok {
+			return nil, fmt.Errorf("core: no digest for leaf %s", pl.name)
 		}
-	} else {
-		err = runTasks(ctx, len(pp.leaves), workers, func(_, i int) error {
-			pp.leaves[i].fp = pp.leaves[i].mod.Fingerprint()
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		pl.fp = fp
 	}
 	bodies := make(map[ir.Fingerprint]*leafBody, len(pp.leaves))
 	for _, pl := range pp.leaves {
@@ -245,7 +234,7 @@ func scheduleBody(mat *ir.Module, g *dag.Graph, sched Scheduler, w, d int, copts
 // width k (see rederive; nothing is logged), and Modules is sorted by
 // name. Totals denormalizes m so the report is self-contained.
 func BuildReport(ctx context.Context, p *ir.Program, benchmark string, m *Metrics, opts EvalOptions) (*report.Report, error) {
-	pp, err := prepare(ctx, p, nil, opts.workers(), nil)
+	pp, err := prepare(p, p.Digests().Modules, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -217,25 +217,27 @@ func Evaluate(p *ir.Program, opts EvalOptions) (*Metrics, error) {
 // scheduler calls finish; nothing new starts) and between non-leaf
 // compositions, returning the context's error. Partial results never
 // leak — the cache only ever receives completed characterizations, so an
-// abandoned run leaves it consistent for the next caller. The service
-// daemon threads each request's context through here; batch callers use
+// abandoned run leaves it consistent for the next caller. It hashes p
+// once (ir.Program.Digests) and keys the leaves by those digests, as
+// EvaluateDigests does with a caller's. The service daemon threads each
+// request's context through EvaluateDigests; batch callers use
 // Evaluate.
 func EvaluateContext(ctx context.Context, p *ir.Program, opts EvalOptions) (*Metrics, error) {
-	return evaluate(ctx, p, nil, nil, opts)
+	return EvaluateDigests(ctx, p, p.Digests().Modules, opts)
 }
 
 // EvaluateDigests is EvaluateContext for a caller that has hashed p
 // already: digests is ir.Program.Digests' Modules for this very p, and
-// the engine keys every leaf by its digest there instead of hashing it
-// again. The service daemon keys each request by the same pass.
+// the engine keys every leaf by its digest there. The service daemon
+// keys each request by the same pass.
 func EvaluateDigests(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerprint, opts EvalOptions) (*Metrics, error) {
 	return evaluate(ctx, p, nil, digests, opts)
 }
 
 // evaluate is the one evaluation path. pp, when non-nil, is p already
 // prepared by the caller (a sweep shares one preparation across its
-// variants); otherwise p is prepared inside the run span, with the
-// caller's leaf digests when it has them.
+// variants); otherwise p is prepared inside the run span, its leaves
+// keyed by digests.
 func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[string]ir.Fingerprint, opts EvalOptions) (*Metrics, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("core: k must be >= 1")
@@ -253,7 +255,7 @@ func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[stri
 	var m *Metrics
 	var err error
 	if pp == nil {
-		pp, err = prepare(ctx, p, digests, opts.workers(), opts.Obs)
+		pp, err = prepare(p, digests, opts.Obs)
 	}
 	if err == nil {
 		e.pp = pp

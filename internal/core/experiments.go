@@ -75,7 +75,7 @@ func sweep(tag string, ws []Workload, variants []variant) ([]Cell, error) {
 
 // prepare does the workload's per-program work once for a sweep.
 func (w Workload) prepare(tag string) (*prepared, error) {
-	pp, err := prepare(context.TODO(), w.Prog, nil, EvalOptions{Workers: w.Workers}.workers(), w.Obs)
+	pp, err := prepare(w.Prog, w.Prog.Digests().Modules, w.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s: %w", tag, w.Name, err)
 	}
@@ -286,15 +286,16 @@ func Table1(ws []Workload) ([]Table1Row, error) {
 // Table2 demonstrates the paper's Table 2: n data-parallel Rz gates with
 // distinct angles cannot share a SIMD region once decomposed, so their
 // zero-comm schedule (Metrics.ZeroCommSteps) serializes unless k grows.
-// It returns one LPFS cell per k, in the order given.
-func Table2(n int, ks []int) ([]Cell, error) {
+// It returns one LPFS cell per k, in the order given. o, when non-nil,
+// instruments both the build and the evaluations.
+func Table2(n int, ks []int, o *obs.Observer) ([]Cell, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module main() {\n  qbit q[%d];\n", n)
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&sb, "  Rz(q[%d], %g);\n", i, 0.1+0.71*float64(i))
 	}
 	sb.WriteString("}\n")
-	prog, err := Build(sb.String(), PipelineOptions{})
+	prog, err := Build(sb.String(), PipelineOptions{Obs: o})
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,7 @@ func Table2(n int, ks []int) ([]Cell, error) {
 		vs[i] = variant{fmt.Sprintf("k=%d", k), EvalOptions{Scheduler: LPFS, K: k}}
 	}
 	// The k sweep shares every width below max(ks).
-	w := Workload{Name: fmt.Sprintf("%d rotations", n), Prog: prog, Cache: NewEvalCache()}
+	w := Workload{Name: fmt.Sprintf("%d rotations", n), Prog: prog, Cache: NewEvalCache(), Obs: o}
 	return sweep("table2", []Workload{w}, vs)
 }
 

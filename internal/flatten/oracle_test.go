@@ -3,7 +3,12 @@ package flatten_test
 // The differential oracle for marking: refFlatten is the eager pass
 // that marking replaced — it copies every callee body into each module
 // under FTh — kept here as the reference. Every observable of a marked
-// program must equal that of the same program flattened eagerly.
+// program must equal that of the same program flattened eagerly, except
+// a leaf's digest: a marked leaf's is a Merkle digest over its call
+// structure, the reference's a flat one over the copied body. For those
+// the oracle checks what the engine relies on instead: leaves with equal
+// digests materialize to identical bodies, and the two keyings
+// partition the leaves into the same classes.
 
 import (
 	"bytes"
@@ -105,9 +110,38 @@ const (
 	qasmLimit        = 1 << 16
 )
 
+// leafClasses accumulates every leaf the oracle sees, across programs:
+// its Merkle digest in the marked program and its flat digest in the
+// reference. The two keyings must partition the leaves alike — each
+// Merkle digest goes with exactly one flat digest and back — so the
+// engine shares characterizations between the same leaves, and keys the
+// same cache traffic, as it would under flat digests.
+type leafClasses struct {
+	flatOf   map[ir.Fingerprint]ir.Fingerprint // Merkle digest -> flat
+	merkleOf map[ir.Fingerprint]ir.Fingerprint // flat digest -> Merkle
+}
+
+func newLeafClasses() *leafClasses {
+	return &leafClasses{flatOf: map[ir.Fingerprint]ir.Fingerprint{}, merkleOf: map[ir.Fingerprint]ir.Fingerprint{}}
+}
+
+func (c *leafClasses) add(t *testing.T, label string, merkle, flat ir.Fingerprint) {
+	t.Helper()
+	if f, ok := c.flatOf[merkle]; !ok {
+		c.flatOf[merkle] = flat
+	} else if f != flat {
+		t.Errorf("%s: Merkle digest %s joins leaves of flat digests %s and %s", label, merkle, f, flat)
+	}
+	if m, ok := c.merkleOf[flat]; !ok {
+		c.merkleOf[flat] = merkle
+	} else if m != merkle {
+		t.Errorf("%s: flat digest %s splits into Merkle digests %s and %s", label, flat, m, merkle)
+	}
+}
+
 // checkAgainstRef flattens a copy of the modular program p both ways
-// at fth and compares every observable.
-func checkAgainstRef(t *testing.T, label string, p *ir.Program, fth int64) {
+// at fth and compares every observable; classes collects its leaves.
+func checkAgainstRef(t *testing.T, label string, p *ir.Program, fth int64, classes *leafClasses) {
 	t.Helper()
 	got, want := p.Clone(), p.Clone()
 	gotStats, err := flatten.Program(got, flatten.Options{Threshold: fth})
@@ -124,12 +158,29 @@ func checkAgainstRef(t *testing.T, label string, p *ir.Program, fth int64) {
 	if err := got.Validate(); err != nil {
 		t.Errorf("%s: marked program invalid: %v", label, err)
 	}
-	if g, w := got.Digests(), want.Digests(); !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: digests differ", label)
-	}
 	checkResources(t, label, got, want)
+	gd, wd := got.Digests(), want.Digests()
+	bodies := map[ir.Fingerprint]*ir.Module{} // a materialized leaf per Merkle digest
 	for _, name := range want.Order {
-		checkModule(t, label+" "+name, got.Modules[name], want.Modules[name])
+		l := label + " " + name
+		mat := checkModule(t, l, got.Modules[name], want.Modules[name])
+		g, w := gd.Modules[name], wd.Modules[name]
+		if !want.Modules[name].IsLeaf() {
+			// Above the leaves both programs hash the same call ops.
+			if g != w {
+				t.Errorf("%s: digest %s, reference %s", l, g, w)
+			}
+			continue
+		}
+		classes.add(t, l, g, w)
+		if mat == nil {
+			continue
+		}
+		if first := bodies[g]; first == nil {
+			bodies[g] = mat
+		} else if diff := bodyDiff(mat, first); diff != "" {
+			t.Errorf("%s: shares digest %s with %s but materializes differently: %s", l, g, first.Name, diff)
+		}
 	}
 	checkQASM(t, label, got, want)
 }
@@ -160,11 +211,14 @@ func checkResources(t *testing.T, label string, got, want *ir.Program) {
 	}
 }
 
-func checkModule(t *testing.T, label string, got, want *ir.Module) {
+// checkModule compares a marked module with its reference and returns
+// the marked module's materialized body when it is a leaf under
+// materializeLimit (else nil).
+func checkModule(t *testing.T, label string, got, want *ir.Module) *ir.Module {
 	t.Helper()
 	if got.IsLeaf() != want.IsLeaf() || got.MaterializedSize() != want.MaterializedSize() ||
-		got.IsMaterialized() != want.IsMaterialized() || got.Fingerprint() != want.Fingerprint() {
-		t.Errorf("%s: leaf %v/%v, size %d/%d, materialized %v/%v or fingerprint differs", label,
+		got.IsMaterialized() != want.IsMaterialized() {
+		t.Errorf("%s: leaf %v/%v, size %d/%d, materialized %v/%v", label,
 			got.IsLeaf(), want.IsLeaf(), got.MaterializedSize(), want.MaterializedSize(),
 			got.IsMaterialized(), want.IsMaterialized())
 	}
@@ -178,33 +232,48 @@ func checkModule(t *testing.T, label string, got, want *ir.Module) {
 		}
 	}
 	if !want.IsLeaf() {
-		return
+		return nil
 	}
 	gm, gerr := got.Materialize(materializeLimit)
 	wm, werr := want.Materialize(materializeLimit)
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 		t.Errorf("%s: materialize: %v, reference %v", label, gerr, werr)
-		return
+		return nil
 	}
 	if werr != nil {
-		return
+		return nil
 	}
-	if gm.Name != wm.Name || !reflect.DeepEqual(gm.Params, wm.Params) ||
-		!reflect.DeepEqual(gm.Locals, wm.Locals) || gm.TotalSlots() != wm.TotalSlots() ||
-		len(gm.Ops) != len(wm.Ops) {
-		t.Errorf("%s: materialized %s/%d slots/%d ops, reference %s/%d/%d", label,
-			gm.Name, gm.TotalSlots(), len(gm.Ops), wm.Name, wm.TotalSlots(), len(wm.Ops))
-		return
+	if gm.Name != wm.Name || !reflect.DeepEqual(gm.Params, wm.Params) || !reflect.DeepEqual(gm.Locals, wm.Locals) {
+		t.Errorf("%s: materialized %s %v %v, reference %s %v %v", label, gm.Name, gm.Params, gm.Locals, wm.Name, wm.Params, wm.Locals)
+	} else if diff := bodyDiff(gm, wm); diff != "" {
+		t.Errorf("%s: materialized body differs from the reference: %s", label, diff)
 	}
-	for i := range wm.Ops {
-		g, w := &gm.Ops[i], &wm.Ops[i]
+	return gm
+}
+
+// bodyDiff describes the first difference between two bodies in what
+// scheduling sees — register sizes and ops, not names — or returns "".
+func bodyDiff(a, b *ir.Module) string {
+	sizes := func(rs []ir.Reg) []int {
+		var out []int
+		for _, r := range rs {
+			out = append(out, r.Size)
+		}
+		return out
+	}
+	if !slices.Equal(sizes(a.Params), sizes(b.Params)) || !slices.Equal(sizes(a.Locals), sizes(b.Locals)) ||
+		len(a.Ops) != len(b.Ops) {
+		return fmt.Sprintf("%d/%d slots, %d/%d ops", a.TotalSlots(), b.TotalSlots(), len(a.Ops), len(b.Ops))
+	}
+	for i := range a.Ops {
+		g, w := &a.Ops[i], &b.Ops[i]
 		if g.Kind != w.Kind || g.Gate != w.Gate || math.Float64bits(g.Angle) != math.Float64bits(w.Angle) ||
 			g.Count != w.Count || g.Callee != w.Callee ||
 			!slices.Equal(g.Args, w.Args) || !slices.Equal(g.CallArgs, w.CallArgs) {
-			t.Errorf("%s: materialized op %d is %+v, reference %+v", label, i, *g, *w)
-			return
+			return fmt.Sprintf("op %d is %+v, against %+v", i, *g, *w)
 		}
 	}
+	return ""
 }
 
 func checkQASM(t *testing.T, label string, got, want *ir.Program) {
@@ -234,10 +303,11 @@ func modular(t *testing.T, b bench.Benchmark) *ir.Program {
 // the service's FTh, the paper's, and thresholds that keep call
 // structure above the leaves.
 func TestMarkMatchesEagerGated(t *testing.T) {
+	classes := newLeafClasses()
 	for _, b := range bench.Gated() {
 		p := modular(t, b)
 		for _, fth := range []int64{20, 300, 2000, flatten.DefaultThreshold} {
-			checkAgainstRef(t, fmt.Sprintf("%s fth=%d", b.Name, fth), p, fth)
+			checkAgainstRef(t, fmt.Sprintf("%s fth=%d", b.Name, fth), p, fth, classes)
 		}
 	}
 }
@@ -250,6 +320,7 @@ func TestMarkMatchesEagerPaperScale(t *testing.T) {
 		t.Skip("paper-scale generation is slow; run without -short")
 	}
 	ran := 0
+	classes := newLeafClasses()
 	for _, b := range bench.All() {
 		p := modular(t, b)
 		fth := b.Pipeline.FTh
@@ -271,7 +342,7 @@ func TestMarkMatchesEagerPaperScale(t *testing.T) {
 			continue
 		}
 		ran++
-		checkAgainstRef(t, b.Name, p, fth)
+		checkAgainstRef(t, b.Name, p, fth, classes)
 	}
 	if ran < 4 {
 		t.Errorf("only %d paper-scale programs compared", ran)
@@ -287,6 +358,7 @@ func TestMarkMatchesEagerSoak(t *testing.T) {
 		{Loops: true, Wide: true, Measure: true},
 		{Depth: 3, Loops: true, Wide: true},
 	}
+	classes := newLeafClasses()
 	for pi, gen := range profiles {
 		for seed := int64(1); seed <= 10; seed++ {
 			p := verify.RandomProgram(rand.New(rand.NewSource(seed)), gen)
@@ -307,7 +379,7 @@ func TestMarkMatchesEagerSoak(t *testing.T) {
 			slices.Sort(fths)
 			fths = slices.Compact(fths)
 			for _, fth := range []int64{fths[0], fths[len(fths)/2], fths[len(fths)-1]} {
-				checkAgainstRef(t, fmt.Sprintf("profile %d seed %d fth=%d", pi, seed, fth), p, fth)
+				checkAgainstRef(t, fmt.Sprintf("profile %d seed %d fth=%d", pi, seed, fth), p, fth, classes)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/qasm"
@@ -54,6 +55,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 			t.Errorf("%s change not reflected in fingerprint", name)
 		}
 	}
+	checkMarkedSensitivity(t)
 }
 
 // fpProgram is a two-module program for the program-level hash tests.
@@ -65,6 +67,29 @@ func fpProgram() *Program {
 	main.Ops = append(main.Ops, Op{Kind: CallOp, Callee: "leaf", CallArgs: []Range{{Start: 0, Len: 2}}, Count: 1})
 	p.Add(leaf)
 	p.Add(main)
+	return p
+}
+
+// fpMarkedProgram is a program of marked leaves: top calls mid twice
+// over (Count 2) and inner once, mid calls inner three times over, and
+// every call's callee locals are fresh locals of its caller.
+func fpMarkedProgram(t testing.TB) *Program {
+	p := NewProgram("top")
+	inner := NewModule("inner", []Reg{{Name: "q", Size: 2}}, []Reg{{Name: "a", Size: 1}})
+	inner.Gate(qasm.H, 0).Gate(qasm.CNOT, 0, 2).Rot(qasm.Rz, 0.25, 1)
+	mid := NewModule("mid", []Reg{{Name: "x", Size: 3}}, nil)
+	mid.CallN("inner", 3, Range{Start: 0, Len: 2})
+	mid.Gate(qasm.T, 2)
+	top := NewModule("top", []Reg{{Name: "q", Size: 4}}, []Reg{{Name: "b", Size: 1}})
+	top.Gate(qasm.H, 4)
+	top.CallN("mid", 2, Range{Start: 1, Len: 2}, Range{Start: 4, Len: 1})
+	top.Call("inner", Range{Start: 0, Len: 2})
+	for _, m := range []*Module{inner, mid, top} {
+		p.Add(m)
+		if err := p.MarkLeaf(m); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return p
 }
 
@@ -95,6 +120,40 @@ func TestProgramFingerprintSensitivity(t *testing.T) {
 		mutate(p)
 		if p.Fingerprint() == base {
 			t.Errorf("%s change not reflected in program fingerprint", name)
+		}
+	}
+}
+
+// checkMarkedSensitivity: a marked leaf's Merkle digest changes with
+// everything its inlined body is made of — each call's fresh-local
+// start, count and argument ranges, and the body of a callee any number
+// of calls down — and Module.Fingerprint agrees with Program.Digests on
+// every module.
+func checkMarkedSensitivity(t *testing.T) {
+	t.Helper()
+	base := fpMarkedProgram(t)
+	want := base.Modules["top"].Fingerprint()
+	for name, m := range base.Modules {
+		if f, d := m.Fingerprint(), base.Digests().Modules[name]; f != d {
+			t.Errorf("%s: Fingerprint %s, Digests %s", name, f, d)
+		}
+	}
+	mutations := map[string]func(*Program){
+		"fresh-local start": func(p *Program) { p.Modules["top"].calls[1].fresh++ },
+		"call count":        func(p *Program) { p.Modules["top"].Ops[1].Count = 3 },
+		"nested call count": func(p *Program) { p.Modules["mid"].Ops[0].Count = 4 },
+		"call range":        func(p *Program) { p.Modules["top"].Ops[1].CallArgs[1].Start = 3 },
+		"callee body":       func(p *Program) { p.Modules["mid"].Ops[1].Gate = qasm.S },
+		"nested callee":     func(p *Program) { p.Modules["inner"].Ops[2].Angle = 0.5 },
+	}
+	for name, mutate := range mutations {
+		p := fpMarkedProgram(t)
+		mutate(p)
+		if p.Modules["top"].Fingerprint() == want {
+			t.Errorf("%s change not reflected in the marked leaf's fingerprint", name)
+		}
+		if p.Digests().Modules["top"] == want {
+			t.Errorf("%s change not reflected in Digests", name)
 		}
 	}
 }
@@ -142,7 +201,7 @@ func fpBigModule() *Module {
 // digests, so an encoder change that alters them would silently
 // invalidate every store on disk.
 func TestFingerprintGolden(t *testing.T) {
-	p := fpProgram()
+	p, mp := fpProgram(), fpMarkedProgram(t)
 	for _, c := range []struct {
 		name string
 		got  Fingerprint
@@ -152,6 +211,8 @@ func TestFingerprintGolden(t *testing.T) {
 		{"fpProgram main", p.Modules["main"].Fingerprint(), "9bc68f030388f1f21ba65f4c116606303876a32f02b990e47a220e6dd1273e90"},
 		{"fpProgram", p.Fingerprint(), "7117642288adb2714dc335e9ec45cd5891208b47e30b2b2ce734ba23b198ac3e"},
 		{"fpBigModule", fpBigModule().Fingerprint(), "d620a7a8752dd02d5560bf181f8d6d482f16db9de8a3563927f85f9f7aaac4e1"},
+		{"fpMarkedProgram top", mp.Modules["top"].Fingerprint(), "76245980bb00adcfa1b0a7e44ca7e51820274965a66a1a71c6672c8ebf3ad65c"},
+		{"fpMarkedProgram", mp.Fingerprint(), "8df251e3b68c653a06ec2128209887d328cbd8e959278f4dde3f8a4167c14de0"},
 	} {
 		if c.got.String() != c.want {
 			t.Errorf("%s fingerprint = %s, want %s", c.name, c.got, c.want)
@@ -160,9 +221,15 @@ func TestFingerprintGolden(t *testing.T) {
 }
 
 // TestFingerprintAllocs guards the one-pass encoder: hashing a module
-// allocates nothing, including callee names longer than its buffer.
+// allocates nothing, including callee names longer than its buffer and
+// a marked leaf's Merkle digest, whose memo of callee digests stays on
+// the stack while it holds a few entries.
 func TestFingerprintAllocs(t *testing.T) {
-	for name, m := range map[string]*Module{"fpModule": fpModule(), "fpBigModule": fpBigModule()} {
+	for name, m := range map[string]*Module{
+		"fpModule":            fpModule(),
+		"fpBigModule":         fpBigModule(),
+		"fpMarkedProgram top": fpMarkedProgram(t).Modules["top"],
+	} {
 		if allocs := testing.AllocsPerRun(100, func() { m.Fingerprint() }); allocs != 0 {
 			t.Errorf("%s: Module.Fingerprint allocates %.0f times per call, want 0", name, allocs)
 		}
@@ -194,3 +261,47 @@ func BenchmarkModuleFingerprint(b *testing.B) {
 
 // fpSink keeps the benchmarked hash from being optimized away.
 var fpSink Fingerprint
+
+// BenchmarkProgramDigests hashes a program whose top leaf makes 256
+// counted calls to a marked leaf that itself calls a 64-gate leaf, at
+// call counts 1 and 1000: the expansion grows 1000-fold, the hashing
+// cost does not, because a Merkle digest hashes each module's own ops
+// once.
+func BenchmarkProgramDigests(b *testing.B) {
+	for _, count := range []int64{1, 1000} {
+		b.Run(fmt.Sprintf("count=%d", count), func(b *testing.B) {
+			p := NewProgram("top")
+			inner := NewModule("inner", []Reg{{Name: "q", Size: 8}}, []Reg{{Name: "a", Size: 2}})
+			for i := 0; i < 64; i++ {
+				s := i % 8
+				switch i % 3 {
+				case 0:
+					inner.Gate(qasm.H, s)
+				case 1:
+					inner.Rot(qasm.Rz, float64(i)/64, s)
+				case 2:
+					inner.Gate(qasm.CNOT, s, 8+i%2)
+				}
+			}
+			mid := NewModule("mid", []Reg{{Name: "x", Size: 8}}, nil)
+			mid.CallN("inner", count, Range{Start: 0, Len: 8})
+			mid.Gate(qasm.X, 0)
+			top := NewModule("top", []Reg{{Name: "q", Size: 16}}, nil)
+			for i := 0; i < 256; i++ {
+				top.CallN("mid", count, Range{Start: i % 9, Len: 8})
+			}
+			for _, m := range []*Module{inner, mid, top} {
+				p.Add(m)
+				if err := p.MarkLeaf(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fpSink = p.Digests().Program
+			}
+			b.ReportMetric(float64(top.MaterializedSize()), "expanded-ops")
+		})
+	}
+}

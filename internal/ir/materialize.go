@@ -54,8 +54,9 @@ func (m *Module) extent() extent {
 // a module under FTh becomes a leaf). Every callee must be a leaf
 // already. Calls stay in place, and each call's callee locals become
 // fresh locals of m, named "<callee>.<op index>.<local>", in call order:
-// the layout inlining every call would give m. Materialize,
-// MaterializedSize and Fingerprint then see m as that inlined body.
+// the layout inlining every call would give m. Materialize and
+// MaterializedSize then see m as that inlined body; Fingerprint hashes
+// its calls by their callees' digests instead (a Merkle digest).
 func (p *Program) MarkLeaf(m *Module) error {
 	if m.leaf {
 		return nil

@@ -19,9 +19,10 @@ import (
 //
 // res may be nil, in which case the move column prints "-".
 func WriteSchedule(w io.Writer, s *schedule.Schedule, res *Result) error {
+	names := s.M.SlotNames()
 	for t := range s.Steps {
 		var cols []string
-		cols = append(cols, moveColumn(s, t, res))
+		cols = append(cols, moveColumn(names, t, res))
 		for r, ops := range s.Steps[t].Regions {
 			if len(ops) == 0 {
 				continue
@@ -30,7 +31,7 @@ func WriteSchedule(w io.Writer, s *schedule.Schedule, res *Result) error {
 			fmt.Fprintf(&b, "r%d:", r+1)
 			for _, op := range ops {
 				b.WriteByte(' ')
-				b.WriteString(formatOp(s, op))
+				b.WriteString(formatOp(s, names, op))
 			}
 			cols = append(cols, b.String())
 		}
@@ -41,7 +42,7 @@ func WriteSchedule(w io.Writer, s *schedule.Schedule, res *Result) error {
 	return nil
 }
 
-func moveColumn(s *schedule.Schedule, t int, res *Result) string {
+func moveColumn(names []string, t int, res *Result) string {
 	if res == nil || t >= len(res.Boundaries) || len(res.Boundaries[t]) == 0 {
 		return "-"
 	}
@@ -52,7 +53,7 @@ func moveColumn(s *schedule.Schedule, t int, res *Result) string {
 			mark = "*"
 		}
 		parts = append(parts, fmt.Sprintf("%s:%s->%s%s",
-			s.M.SlotName(mv.Slot), locShort(mv.From), locShort(mv.To), mark))
+			names[mv.Slot], locShort(mv.From), locShort(mv.To), mark))
 	}
 	return strings.Join(parts, " ")
 }
@@ -69,7 +70,7 @@ func locShort(l Loc) string {
 	return "?"
 }
 
-func formatOp(s *schedule.Schedule, op int32) string {
+func formatOp(s *schedule.Schedule, names []string, op int32) string {
 	o := &s.M.Ops[op]
 	var b strings.Builder
 	b.WriteString(o.Gate.String())
@@ -78,7 +79,7 @@ func formatOp(s *schedule.Schedule, op int32) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(s.M.SlotName(slot))
+		b.WriteString(names[slot])
 	}
 	if o.Gate.IsRotation() {
 		fmt.Fprintf(&b, ",%g", o.Angle)

@@ -27,14 +27,11 @@ func EmitQASM(w io.Writer, p *ir.Program, limit int64) (int64, error) {
 		return 0, fmt.Errorf("core: entry module %s takes parameters", entry.Name)
 	}
 	bw := bufio.NewWriter(w)
-	for s := 0; s < entry.TotalSlots(); s++ {
-		if _, err := fmt.Fprintf(bw, "qubit %s\n", entry.SlotName(s)); err != nil {
+	names := entry.SlotNames()
+	for _, name := range names {
+		if _, err := fmt.Fprintf(bw, "qubit %s\n", name); err != nil {
 			return 0, err
 		}
-	}
-	names := make([]string, entry.TotalSlots())
-	for s := range names {
-		names[s] = entry.SlotName(s)
 	}
 	e := &emitter{p: p, w: bw, limit: limit}
 	if err := e.module(entry, names); err != nil {

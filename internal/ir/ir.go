@@ -79,7 +79,6 @@ type Module struct {
 
 	paramSlots int
 	totalSlots int
-	names      []string
 
 	// leaf is set by MarkLeaf: calls lists its calls in op order, and
 	// ext is the extent of the body they expand into.
@@ -104,7 +103,6 @@ func (m *Module) relayout() {
 	for _, l := range m.Locals {
 		m.totalSlots += l.Size
 	}
-	m.names = nil
 }
 
 // ParamSlots returns the number of slots occupied by parameters.
@@ -121,33 +119,47 @@ func (m *Module) AddLocal(name string, size int) Range {
 	m.Locals = append(m.Locals, Reg{Name: name, Size: size})
 	start := m.totalSlots
 	m.totalSlots += size
-	m.names = nil
 	return Range{Start: start, Len: size}
 }
 
 // SlotName returns a human-readable name for a slot index, used by QASM
-// emission and diagnostics.
+// emission and diagnostics. It is computed from Params and Locals on
+// every call: a module holds no lazily written state, so a built
+// program can be shared by concurrent readers.
 func (m *Module) SlotName(slot int) string {
-	if m.names == nil {
-		m.names = make([]string, 0, m.totalSlots)
-		emit := func(regs []Reg) {
-			for _, r := range regs {
-				if r.Size == 1 {
-					m.names = append(m.names, r.Name)
-					continue
-				}
-				for i := 0; i < r.Size; i++ {
-					m.names = append(m.names, fmt.Sprintf("%s[%d]", r.Name, i))
-				}
+	off := slot
+	for _, regs := range [2][]Reg{m.Params, m.Locals} {
+		for _, r := range regs {
+			if off >= 0 && off < r.Size {
+				return regSlotName(r, off)
+			}
+			off -= r.Size
+		}
+	}
+	return fmt.Sprintf("slot%d", slot)
+}
+
+// SlotNames returns every slot's SlotName in slot order, in one pass,
+// for callers that name many slots.
+func (m *Module) SlotNames() []string {
+	names := make([]string, 0, m.totalSlots)
+	for _, regs := range [2][]Reg{m.Params, m.Locals} {
+		for _, r := range regs {
+			for i := 0; i < r.Size; i++ {
+				names = append(names, regSlotName(r, i))
 			}
 		}
-		emit(m.Params)
-		emit(m.Locals)
 	}
-	if slot < 0 || slot >= len(m.names) {
-		return fmt.Sprintf("slot%d", slot)
+	return names
+}
+
+// regSlotName names slot i of register r: a one-qubit register by its
+// name, any other as name[i].
+func regSlotName(r Reg, i int) string {
+	if r.Size == 1 {
+		return r.Name
 	}
-	return m.names[slot]
+	return fmt.Sprintf("%s[%d]", r.Name, i)
 }
 
 // RegRange returns the slot range of the named register (parameter or

@@ -8,6 +8,8 @@
 package request
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"strings"
@@ -164,15 +166,42 @@ func (c Config) Comm() comm.Options {
 	}
 }
 
-// Build compiles the named program through the full pipeline. The
-// observer (nil = off) traces the compile phases.
-func (c Config) Build(o *obs.Observer) (*ir.Program, error) {
-	src := c.Source
+// source resolves the program text: the inline source, or the named
+// benchmark's.
+func (c Config) source() string {
 	if c.Bench != "" {
 		b, _ := bench.ByName(c.Bench)
-		src = b.Source
+		return b.Source
 	}
-	return core.Build(src, core.PipelineOptions{Entry: c.Entry, FTh: c.FTh, Obs: o})
+	return c.Source
+}
+
+// Build compiles the named program through the full pipeline. The
+// observer (nil = off) traces the compile phases. BuildKey covers
+// exactly the fields it reads.
+func (c Config) Build(o *obs.Observer) (*ir.Program, error) {
+	return core.Build(c.source(), core.PipelineOptions{Entry: c.Entry, FTh: c.FTh, Obs: o})
+}
+
+// BuildKey identifies Build's output: a SHA-256 over the resolved
+// source, Entry and FTh, the only fields Build reads. A benchmark name
+// and its inline source share a key; the machine shape, scheduler,
+// comm model and toggles do not enter it.
+func (c Config) BuildKey() [sha256.Size]byte {
+	h := sha256.New()
+	var n [8]byte
+	field := func(b []byte) {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	field([]byte(c.source()))
+	field([]byte(c.Entry))
+	binary.LittleEndian.PutUint64(n[:], uint64(c.FTh))
+	h.Write(n[:])
+	var k [sha256.Size]byte
+	h.Sum(k[:0])
+	return k
 }
 
 // EvalOptions resolves the scheduler and assembles the engine options

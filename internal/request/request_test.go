@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/request"
@@ -181,5 +182,43 @@ func TestLabel(t *testing.T) {
 	}
 	if got := (request.Config{Source: "x"}).Label(); got != "program" {
 		t.Errorf("source label %q", got)
+	}
+}
+
+// TestBuildKey pins what keys a build: the resolved source, Entry and
+// FTh change it, every other field leaves it alone, and a benchmark
+// name shares its key with the benchmark's own source sent inline.
+func TestBuildKey(t *testing.T) {
+	sha1, ok := bench.ByName("SHA-1")
+	if !ok {
+		t.Fatal("no SHA-1 benchmark")
+	}
+	base := request.Config{Bench: "SHA-1"}.WithDefaults()
+	if inline := (request.Config{Source: sha1.Source}).WithDefaults(); inline.BuildKey() != base.BuildKey() {
+		t.Error("the bench name and its inline source have different build keys")
+	}
+	for _, tc := range []struct {
+		field   string
+		mut     func(*request.Config)
+		changes bool
+	}{
+		{"source", func(c *request.Config) { c.Bench, c.Source = "", sha1.Source+"\n" }, true},
+		{"bench", func(c *request.Config) { c.Bench = "Grovers" }, true},
+		{"entry", func(c *request.Config) { c.Entry = "kernel" }, true},
+		{"fth", func(c *request.Config) { c.FTh = 1 }, true},
+		{"k", func(c *request.Config) { c.K = 8 }, false},
+		{"d", func(c *request.Config) { c.D = 2 }, false},
+		{"sched", func(c *request.Config) { c.Scheduler = "rcp" }, false},
+		{"local", func(c *request.Config) { c.Local = -1 }, false},
+		{"overlap", func(c *request.Config) { c.NoOverlap = true }, false},
+		{"epr", func(c *request.Config) { c.EPRBandwidth = 1 }, false},
+		{"verify", func(c *request.Config) { c.Verify = true }, false},
+		{"profile", func(c *request.Config) { c.Profile = true }, false},
+	} {
+		mod := base
+		tc.mut(&mod)
+		if got := mod.BuildKey() != base.BuildKey(); got != tc.changes {
+			t.Errorf("changing %s: build key changed %v, want %v", tc.field, got, tc.changes)
+		}
 	}
 }

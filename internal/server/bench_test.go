@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,15 +12,17 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/request"
+	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
 // BenchmarkWarmCompile measures one /v1/compile on a warm cache: every
 // gated benchmark at k=2 and k=4, request defaults otherwise, against
 // an in-process server preloaded with the committed bench/baselines/cas
 // corpus and warmed before timing, so each request is served from
-// memory. One op is one request; what it costs is the work the service
-// does when nothing needs scheduling (front end, fingerprint, cache
-// lookups, coarse compose, HTTP and JSON).
+// memory, and each source has been seen twice, so its build is in the
+// build memo. One op is one request; what it costs is the work the
+// service does when nothing needs building or scheduling (build-key
+// hash, cache lookups, coarse compose, HTTP and JSON).
 func BenchmarkWarmCompile(b *testing.B) {
 	cache, err := core.OpenEvalCache(core.CacheConfig{Preload: "../../bench/baselines/cas"})
 	if err != nil {
@@ -57,7 +60,8 @@ func BenchmarkWarmCompile(b *testing.B) {
 			b.Fatalf("%s: status %d: %s", body, resp.StatusCode, data)
 		}
 	}
-	// The first pass promotes the preload's records into memory.
+	// The first pass promotes the preload's records into memory; k=2
+	// and k=4 share a build key, so it also keeps every build.
 	for _, body := range bodies {
 		compile(body)
 	}
@@ -72,5 +76,53 @@ func BenchmarkWarmCompile(b *testing.B) {
 	d := cache.Stats().Sub(before)
 	if d.CommMisses != 0 || d.SchedMisses != 0 || d.CPMisses != 0 || d.DiskHits != 0 || d.DiskMisses != 0 {
 		b.Fatalf("timed requests left memory: %+v", d)
+	}
+}
+
+// BenchmarkColdCompile measures one /v1/compile of a source the server
+// has never seen: each op is a unique generated program, so every op
+// builds, schedules on an empty cache and passes through the build
+// memo's admission path, which keeps nothing.
+func BenchmarkColdCompile(b *testing.B) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Close()
+	}()
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([]string, b.N)
+	for i := range bodies {
+		src, err := verify.ProgramScaffold(verify.RandomProgram(rng, verify.ProgramGenOptions{LeafOps: 16, Loops: true}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := json.Marshal(request.Config{Source: src, K: 2 + 2*(i%2)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = string(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %s", resp.StatusCode, data)
+		}
+	}
+	b.StopTimer()
+	s.memo.mu.Lock()
+	defer s.memo.mu.Unlock()
+	if n := len(s.memo.entries); n != 0 {
+		b.Fatalf("unique sources left %d builds in the memo", n)
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/core"
-	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/obs/telem"
 	"github.com/scaffold-go/multisimd/internal/report"
@@ -102,14 +101,10 @@ type evalResult struct {
 // concurrent requests collapse onto one admission slot and one engine
 // run against the shared cache. The boolean reports whether this call
 // joined an existing flight.
-func (s *Server) evaluate(ctx context.Context, req request.Config, prog programBuilder) (evalResult, bool, error) {
-	p, err := prog()
-	if err != nil {
-		return evalResult{}, false, err
-	}
-	// One hashing pass keys the request and the engine's leaves.
-	digests := p.Digests()
-	fp := digests.Program
+func (s *Server) evaluate(ctx context.Context, req request.Config, b builtProgram) (evalResult, bool, error) {
+	// The build's one hashing pass keys the request and the engine's
+	// leaves.
+	p, fp := b.p, b.d.Program
 	key := req.KeyOf(fp)
 	fn := func(workCtx context.Context) (any, error) {
 		s.wg.Add(1)
@@ -148,7 +143,7 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 		cacheRec := &core.CacheRecorder{}
 		eopts.CacheStats = cacheRec
 		evalStart := time.Now()
-		m, err := core.EvaluateDigests(evalCtx, p, digests.Modules, eopts)
+		m, err := core.EvaluateDigests(evalCtx, p, b.d.Modules, eopts)
 		if err != nil {
 			return nil, err
 		}
@@ -203,10 +198,6 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, prog programB
 	}
 	return res, deduped, nil
 }
-
-// programBuilder defers the (comparatively cheap) parse+lower step so
-// evaluate can map its failures to compile_failed.
-type programBuilder = func() (*ir.Program, error)
 
 // writeEvalError maps an evaluation failure to its transport shape.
 func (s *Server) writeEvalError(w http.ResponseWriter, r *http.Request, err error) {
@@ -271,23 +262,31 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// compile builds and evaluates req, writing the error response itself
-// on failure (callers just return on err != nil).
+// compile builds (or takes from the build memo) and evaluates req,
+// writing the error response itself on failure (callers just return on
+// err != nil).
 func (s *Server) compile(w http.ResponseWriter, r *http.Request, req request.Config) (evalResult, bool, error) {
-	built := false
-	res, deduped, err := s.evaluate(r.Context(), req, func() (*ir.Program, error) {
-		p, berr := req.Build(nil)
-		built = berr == nil
-		return p, berr
-	})
+	b, err := s.program(req)
 	if err != nil {
-		if !built {
-			writeError(w, r, http.StatusBadRequest, CodeCompileFailed, err.Error())
-		} else {
-			s.writeEvalError(w, r, err)
-		}
+		status := buildStatus(err)
+		writeError(w, r, status, codeFor(status), err.Error())
+		return evalResult{}, false, err
+	}
+	res, deduped, err := s.evaluate(r.Context(), req, b)
+	if err != nil {
+		s.writeEvalError(w, r, err)
 	}
 	return res, deduped, err
+}
+
+// buildStatus maps a failure of Server.program to its HTTP status: a
+// source that does not build is the client's 400; a memo entry a Verify
+// request rejects fails like an audit rejection, 422.
+func buildStatus(err error) int {
+	if errors.Is(err, errStaleBuild) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -365,11 +364,11 @@ func codeFor(status int) string {
 // scheduleModule produces the fine-grained leaf schedule the CLI's
 // -dump flag prints, as a structured response.
 func (s *Server) scheduleModule(sreq ScheduleRequest) (*ScheduleResponse, int, error) {
-	prog, err := sreq.Config.Build(nil)
+	b, err := s.program(sreq.Config)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, buildStatus(err), err
 	}
-	mod, err := request.LeafModule(prog, sreq.Module)
+	mod, err := request.LeafModule(b.p, sreq.Module)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}

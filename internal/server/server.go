@@ -79,6 +79,7 @@ var errBusy = errors.New("server: admission queue full")
 type Server struct {
 	opts    Options
 	cache   *core.EvalCache
+	memo    *buildMemo
 	flights *flightGroup
 	sem     chan struct{}
 	queued  atomic.Int64
@@ -144,6 +145,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		cache:   opts.Cache,
+		memo:    newBuildMemo(opts.Registry),
 		flights: newFlightGroup(),
 		sem:     make(chan struct{}, opts.MaxInflight),
 		reg:     opts.Registry,

@@ -16,12 +16,17 @@ import (
 
 // TestWarmCompileAllocBudget pins one warm /v1/compile (the gated SHA-1
 // at k=4 over the committed cas corpus, served from memory) to its
-// measured allocation count, ±5%. The request builds the program, hashes
-// every module once for both its key and the leaf lookups, and composes
-// from cached dims. Copying leaf bodies at build time, as flattening
-// once did, adds over 300 allocations and fails here.
+// measured allocation count, ±5%. The request takes its program and
+// digests from the build memo, looks its leaves up and composes from
+// cached dims: it builds and hashes nothing. A request that builds its
+// program again (over 3,000 allocations) fails here. Under the race
+// detector sync.Pool drops a share of its Puts, and fmt, encoding/json
+// and net/http pool their state, so a race build pins its own count.
 func TestWarmCompileAllocBudget(t *testing.T) {
-	const want = 4061
+	want := 734.0
+	if raceEnabled {
+		want = 769
+	}
 	cache, err := core.OpenEvalCache(core.CacheConfig{Preload: "../../bench/baselines/cas"})
 	if err != nil {
 		t.Fatal(err)
@@ -39,14 +44,17 @@ func TestWarmCompileAllocBudget(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	compile() // promote the preload's records into memory
+	// The first request promotes the preload's records into memory; the
+	// second sighting of the source keeps its build.
+	compile()
+	compile()
 	before := cache.Stats()
 	got := testing.AllocsPerRun(20, compile)
 	if d := cache.Stats().Sub(before); d.CommMisses != 0 || d.SchedMisses != 0 || d.CPMisses != 0 || d.DiskHits != 0 {
 		t.Fatalf("measured requests left memory: %+v", d)
 	}
 	if got < want-want/20 || got > want+want/20 {
-		t.Errorf("warm /v1/compile allocates %.0f times, budget %d (±5%%)", got, want)
+		t.Errorf("warm /v1/compile allocates %.0f times, budget %.0f (±5%%)", got, want)
 	}
 }
 

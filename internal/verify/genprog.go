@@ -333,6 +333,7 @@ func writeModuleScaffold(sb *strings.Builder, p *ir.Program, m *ir.Module) error
 		return "", false
 	}
 
+	names := m.SlotNames()
 	for i := range m.Ops {
 		op := &m.Ops[i]
 		var stmt string
@@ -348,7 +349,7 @@ func writeModuleScaffold(sb *strings.Builder, p *ir.Program, m *ir.Module) error
 				if s < 0 || s >= m.TotalSlots() {
 					return fmt.Errorf("verify: module %s op %d: slot %d out of range", m.Name, i, s)
 				}
-				b.WriteString(m.SlotName(s))
+				b.WriteString(names[s])
 			}
 			if op.Gate.IsRotation() {
 				if math.IsNaN(op.Angle) || math.IsInf(op.Angle, 0) {

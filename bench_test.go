@@ -304,6 +304,37 @@ func BenchmarkPaperSweepOp(b *testing.B) {
 	b.ReportMetric(f8[0].LPFS[3], "lpfs_inf_x")
 }
 
+// BenchmarkPaperSweepPass measures one whole pass of perfbench's
+// paper-sweep workload: every gated benchmark, each built at FTh 2000
+// and run through Figs. 6, 7 and 8 on a fresh cache with one engine
+// worker per CPU. It reproduces the workload's op mix in process.
+func BenchmarkPaperSweepPass(b *testing.B) {
+	gated := bench.Gated()
+	workers := runtime.GOMAXPROCS(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range gated {
+			opts := bm.Pipeline
+			opts.FTh = benchFTh
+			p, err := core.Build(bm.Source, opts)
+			if err != nil {
+				b.Fatalf("%s: %v", bm.Name, err)
+			}
+			ws := []core.Workload{{Name: bm.Name, Params: bm.Params, Prog: p, Cache: core.NewEvalCache(), Workers: workers}}
+			if _, err := core.Fig6(ws); err != nil {
+				b.Fatalf("%s: %v", bm.Name, err)
+			}
+			if _, err := core.Fig7(ws); err != nil {
+				b.Fatalf("%s: %v", bm.Name, err)
+			}
+			if _, err := core.Fig8(ws); err != nil {
+				b.Fatalf("%s: %v", bm.Name, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(gated)), "benchmarks/pass")
+}
+
 // --- Toolflow micro-benchmarks: the compiler itself under load. ---
 
 // BenchmarkCompileSHA1 measures the full pipeline on the scaled SHA-1.

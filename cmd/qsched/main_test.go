@@ -249,11 +249,13 @@ type evilScheduler struct{}
 func (evilScheduler) Name() string { return "evil" }
 
 func (evilScheduler) Schedule(m *ir.Module, g *dag.Graph, k, d int) (*schedule.Schedule, error) {
-	s := &schedule.Schedule{M: m, K: k, D: d}
+	b := schedule.NewBuilder(m, k, d)
 	for op := len(m.Ops) - 1; op >= 0; op-- {
-		s.Steps = append(s.Steps, schedule.Step{Regions: [][]int32{{int32(op)}}})
+		b.Add(int32(op))
+		b.Close(0)
+		b.EndStep()
 	}
-	return s, nil
+	return b.Schedule(), nil
 }
 
 func init() { schedule.Register(evilScheduler{}) }

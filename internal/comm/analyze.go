@@ -144,17 +144,13 @@ func (a *Analyzer) reset(slots, nSteps, k int) {
 	a.moves = a.moves[:0]
 }
 
-// buildUses flattens the per-qubit (step, region) touch lists into the
-// arena, preserving the step-order scan (and its duplicate-use error)
-// of the map-based original.
+// buildUses flattens the per-qubit (step, region) touch lists,
+// preserving the step-order scan (and its duplicate-use error) of the
+// map-based original.
 func (a *Analyzer) buildUses(s *schedule.Schedule) error {
-	for t := range s.Steps {
-		for _, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
-				for _, slot := range s.M.Ops[op].Args {
-					a.useOff[slot+1]++
-				}
-			}
+	for _, op := range s.Ops() {
+		for _, slot := range s.M.Ops[op].Args {
+			a.useOff[slot+1]++
 		}
 	}
 	for i := 1; i < len(a.useOff); i++ {
@@ -163,8 +159,8 @@ func (a *Analyzer) buildUses(s *schedule.Schedule) error {
 	total := int(a.useOff[len(a.useOff)-1])
 	a.uses = grown(a.uses, total)
 	for t := range s.Steps {
-		for r, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					off, n := a.useOff[slot], a.useFil[slot]
 					if n > 0 && a.uses[off+n-1].step == int32(t) {
@@ -186,13 +182,16 @@ func (a *Analyzer) buildActivity(s *schedule.Schedule) {
 	nSteps := len(s.Steps)
 	stride := nSteps + 1
 	for r := 0; r < s.K; r++ {
-		row := a.nextActive[r*stride : (r+1)*stride]
-		row[nSteps] = int32(nSteps)
-		for t := nSteps - 1; t >= 0; t-- {
-			if r < len(s.Steps[t].Regions) && len(s.Steps[t].Regions[r]) > 0 {
-				row[t] = int32(t)
+		a.nextActive[r*stride+nSteps] = int32(nSteps)
+	}
+	for t := nSteps - 1; t >= 0; t-- {
+		b := s.Bounds(t)
+		for r := 0; r < s.K; r++ {
+			i := r*stride + t
+			if b[r] < b[r+1] {
+				a.nextActive[i] = int32(t)
 			} else {
-				row[t] = row[t+1]
+				a.nextActive[i] = a.nextActive[i+1]
 			}
 		}
 	}
@@ -296,8 +295,8 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 			a.loc[ev.slot] = ev.dest
 		}
 		// In-moves: operands of step t reach their regions.
-		for r := range s.Steps[t].Regions {
-			for _, op := range s.Steps[t].Regions[r] {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					l := a.loc[slot]
 					dst := Loc{Kind: InRegion, Region: int32(r)}
@@ -350,8 +349,8 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 			rec.Overhead[t] = over
 		}
 		// Out-decisions for step t's operands.
-		for r := range s.Steps[t].Regions {
-			for _, op := range s.Steps[t].Regions[r] {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					a.cursor[slot]++
 					i := a.cursor[slot]

@@ -15,9 +15,12 @@ import (
 	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
-func sched(t *testing.T, m *ir.Module, steps []schedule.Step, k int) *schedule.Schedule {
+func sched(t *testing.T, m *ir.Module, steps [][][]int32, k int) *schedule.Schedule {
 	t.Helper()
-	s := &schedule.Schedule{M: m, K: k, Steps: steps}
+	s, err := schedule.FromLists(m, k, 0, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := dag.Build(m)
 	if err != nil {
 		t.Fatal(err)
@@ -35,9 +38,9 @@ func TestSerialChainStaysPut(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Gate(qasm.T, 0)
 	}
-	var steps []schedule.Step
+	var steps [][][]int32
 	for i := 0; i < 5; i++ {
-		steps = append(steps, schedule.Step{Regions: [][]int32{{int32(i)}}})
+		steps = append(steps, [][]int32{{int32(i)}})
 	}
 	s := sched(t, m, steps, 1)
 	res, err := comm.Analyze(s, comm.Options{})
@@ -59,10 +62,10 @@ func TestPingPongStalls(t *testing.T) {
 	m.Gate(qasm.CNOT, 0, 1)
 	m.Gate(qasm.H, 0)
 	m.Gate(qasm.CNOT, 0, 1)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}, nil}},
-		{Regions: [][]int32{nil, {1}}},
-		{Regions: [][]int32{{2}, nil}},
+	steps := [][][]int32{
+		{{0}, nil},
+		{nil, {1}},
+		{{2}, nil},
 	}
 	s := sched(t, m, steps, 2)
 	res, err := comm.Analyze(s, comm.Options{})
@@ -88,13 +91,13 @@ func TestMaskingHidesDistantReuse(t *testing.T) {
 		m.Gate(qasm.T, 1)
 	}
 	m.Gate(qasm.X, 0) // reused far later
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}, nil}},
+	steps := [][][]int32{
+		{{0}, nil},
 	}
 	for i := 0; i < 6; i++ {
-		steps = append(steps, schedule.Step{Regions: [][]int32{nil, {int32(i + 1)}}})
+		steps = append(steps, [][]int32{nil, {int32(i + 1)}})
 	}
-	steps = append(steps, schedule.Step{Regions: [][]int32{nil, {7}}})
+	steps = append(steps, [][]int32{nil, {7}})
 	s := sched(t, m, steps, 2)
 	res, err := comm.Analyze(s, comm.Options{})
 	if err != nil {
@@ -113,9 +116,9 @@ func TestNoOverlapCharges(t *testing.T) {
 	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 2}})
 	m.Gate(qasm.H, 0)
 	m.Gate(qasm.H, 1)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
+	steps := [][][]int32{
+		{{0}},
+		{{1}},
 	}
 	s := sched(t, m, steps, 1)
 	res, err := comm.Analyze(s, comm.Options{NoOverlap: true})
@@ -136,10 +139,10 @@ func TestLocalMemoryConvertsEvictions(t *testing.T) {
 	m.Gate(qasm.H, 0) // step 0, region 0
 	m.Gate(qasm.T, 1) // step 1, region 0 (evicts q0)
 	m.Gate(qasm.X, 0) // step 2, region 0 (q0 returns)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{2}}},
+	steps := [][][]int32{
+		{{0}},
+		{{1}},
+		{{2}},
 	}
 	s := sched(t, m, steps, 1)
 
@@ -181,10 +184,10 @@ func TestLocalCapacityLimit(t *testing.T) {
 	m.Gate(qasm.CNOT, 0, 1) // step 0 region 0
 	m.Gate(qasm.T, 2)       // step 1 region 0 (evicts q0 and q1)
 	m.Gate(qasm.CNOT, 0, 1) // step 2 region 0
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{2}}},
+	steps := [][][]int32{
+		{{0}},
+		{{1}},
+		{{2}},
 	}
 	s := sched(t, m, steps, 1)
 	res, err := comm.Analyze(s, comm.Options{LocalCapacity: 1})
@@ -206,10 +209,10 @@ func TestIdleRegionStoresPassively(t *testing.T) {
 	m.Gate(qasm.H, 0)
 	m.Gate(qasm.T, 1)
 	m.Gate(qasm.X, 0)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}, nil}},
-		{Regions: [][]int32{nil, {1}}},
-		{Regions: [][]int32{{2}, nil}},
+	steps := [][][]int32{
+		{{0}, nil},
+		{nil, {1}},
+		{{2}, nil},
 	}
 	s := sched(t, m, steps, 2)
 	res, err := comm.Analyze(s, comm.Options{})
@@ -293,9 +296,9 @@ func TestEPRBandwidthThrottling(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Gate(qasm.X, i)
 	}
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0, 1, 2, 3}, nil}},
-		{Regions: [][]int32{nil, {4, 5, 6, 7}}},
+	steps := [][][]int32{
+		{{0, 1, 2, 3}, nil},
+		{nil, {4, 5, 6, 7}},
 	}
 	s := sched(t, m, steps, 2)
 
@@ -367,7 +370,7 @@ func TestDegenerateSchedules(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Gate(qasm.H, i)
 	}
-	s := sched(t, m, []schedule.Step{{Regions: [][]int32{{0, 1, 2, 3}}}}, 1)
+	s := sched(t, m, [][][]int32{{{0, 1, 2, 3}}}, 1)
 	for _, bw := range []int{0, 1, 2, 3} {
 		res, err := comm.Analyze(s, comm.Options{EPRBandwidth: bw})
 		if err != nil {

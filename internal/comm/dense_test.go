@@ -138,10 +138,18 @@ func TestSummarizeMatchesAnalyze(t *testing.T) {
 func TestDenseAnalyzeDuplicateUseError(t *testing.T) {
 	s := corpusSchedules(t)[0]
 	// Corrupt a copy: schedule the same op twice in one step.
-	bad := &schedule.Schedule{M: s.M, K: s.K, D: s.D}
-	bad.Steps = append([]schedule.Step(nil), s.Steps...)
-	first := bad.Steps[0].Regions[0][0]
-	bad.Steps[0] = schedule.Step{Regions: [][]int32{{first, first}}}
+	lists := make([][][]int32, s.Length())
+	for t := range lists {
+		for r := 0; r < s.K; r++ {
+			lists[t] = append(lists[t], s.Region(t, r))
+		}
+	}
+	first := lists[0][0][0]
+	lists[0] = [][]int32{{first, first}}
+	bad, err := schedule.FromLists(s.M, s.K, s.D, lists)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, refErr := referenceAnalyze(bad, comm.Options{})
 	_, denseErr := comm.Analyze(bad, comm.Options{})
 	if refErr == nil || denseErr == nil {

@@ -23,7 +23,8 @@ func WriteSchedule(w io.Writer, s *schedule.Schedule, res *Result) error {
 	for t := range s.Steps {
 		var cols []string
 		cols = append(cols, moveColumn(names, t, res))
-		for r, ops := range s.Steps[t].Regions {
+		for r := 0; r < s.K; r++ {
+			ops := s.Region(t, r)
 			if len(ops) == 0 {
 				continue
 			}

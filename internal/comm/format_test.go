@@ -7,7 +7,6 @@ import (
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/qasm"
-	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
 func TestWriteSchedule(t *testing.T) {
@@ -15,9 +14,9 @@ func TestWriteSchedule(t *testing.T) {
 	m.Gate(qasm.H, 0)
 	m.Rot(qasm.Rz, 0.5, 1)
 	m.Gate(qasm.CNOT, 0, 1)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}, {1}}},
-		{Regions: [][]int32{{2}, nil}},
+	steps := [][][]int32{
+		{{0}, {1}},
+		{{2}, nil},
 	}
 	s := sched(t, m, steps, 2)
 	res, err := comm.Analyze(s, comm.Options{})
@@ -59,10 +58,10 @@ func TestWriteScheduleLocalMoves(t *testing.T) {
 	m.Gate(qasm.H, 0)
 	m.Gate(qasm.T, 1)
 	m.Gate(qasm.X, 0)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{2}}},
+	steps := [][][]int32{
+		{{0}},
+		{{1}},
+		{{2}},
 	}
 	s := sched(t, m, steps, 1)
 	res, err := comm.Analyze(s, comm.Options{LocalCapacity: -1})

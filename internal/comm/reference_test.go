@@ -79,8 +79,8 @@ func referenceAnalyze(s *schedule.Schedule, opts comm.Options) (*comm.Result, er
 			addMove(t, comm.Move{Slot: ev.slot, Kind: ev.kind, From: loc[ev.slot], To: ev.dest})
 			loc[ev.slot] = ev.dest
 		}
-		for r := range s.Steps[t].Regions {
-			for _, op := range s.Steps[t].Regions[r] {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					l := loc[slot]
 					dst := comm.Loc{Kind: comm.InRegion, Region: int32(r)}
@@ -109,8 +109,8 @@ func referenceAnalyze(s *schedule.Schedule, opts comm.Options) (*comm.Result, er
 				}
 			}
 		}
-		for r := range s.Steps[t].Regions {
-			for _, op := range s.Steps[t].Regions[r] {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					cursor[slot]++
 					us := uses[slot]
@@ -192,8 +192,8 @@ func referenceAnalyze(s *schedule.Schedule, opts comm.Options) (*comm.Result, er
 func refUseLists(s *schedule.Schedule) (map[int][]refUse, error) {
 	uses := make(map[int][]refUse)
 	for t := range s.Steps {
-		for r, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					us := uses[slot]
 					if len(us) > 0 && us[len(us)-1].step == int32(t) {
@@ -214,7 +214,7 @@ func refActivityIndex(s *schedule.Schedule) [][]int32 {
 		idx[r] = make([]int32, nSteps+1)
 		idx[r][nSteps] = int32(nSteps)
 		for t := nSteps - 1; t >= 0; t-- {
-			active := r < len(s.Steps[t].Regions) && len(s.Steps[t].Regions[r]) > 0
+			active := len(s.Region(t, r)) > 0
 			if active {
 				idx[r][t] = int32(t)
 			} else {

@@ -498,10 +498,11 @@ func (c *EvalCache) Stats() CacheStats {
 }
 
 // entrySize estimates a value's memory footprint for the byte budget.
-// Schedule estimates deliberately overcount (the pinned materialized
-// module is attributed to every schedule that references it) — for a
-// budget, too big is the safe direction. Comm entries and critical
-// paths are a fixed node.
+// A schedule is its header, its op slab and offsets (4 B per op and per
+// region-step) and an 8 B summary per step. Schedule estimates
+// deliberately overcount (the pinned materialized module is attributed
+// to every schedule that references it) — for a budget, too big is the
+// safe direction. Comm entries and critical paths are a fixed node.
 const commEntrySize = 192
 
 func entrySize(v any) int64 {
@@ -509,13 +510,8 @@ func entrySize(v any) int64 {
 	if !ok {
 		return commEntrySize
 	}
-	sz := int64(256)
-	for i := range s.Steps {
-		sz += 48
-		for _, r := range s.Steps[i].Regions {
-			sz += 24 + 4*int64(len(r))
-		}
-	}
+	steps := int64(len(s.Steps))
+	sz := 256 + 8*steps + 4*(int64(s.TotalOps())+steps*int64(s.K)+1)
 	if s.M != nil {
 		sz += 96 * int64(len(s.M.Ops))
 	}

@@ -333,7 +333,7 @@ func TestCachePersistentRoundTrip(t *testing.T) {
 	// would have written as a third record.
 	m := ir.NewModule("leaf", []ir.Reg{{Name: "q", Size: 1}}, nil)
 	m.Gate(0, 0)
-	c1.putSchedule(sk, &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{{Regions: [][]int32{{0}}}}})
+	c1.putSchedule(sk, schedule.Sequential(m, 2))
 	c1.putCommResult(ck, commEntry{zeroLen: 1, cycles: 9, globals: 2, locals: 3})
 	c1.putCriticalPath(fp, 17)
 	if st := c1.Stats(); st.DiskWrites != 2 || st.DiskEntries != 2 {

@@ -610,8 +610,8 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 		e.eo.schedFresh.Inc()
 		e.eo.schedSteps.Add(int64(len(s.Steps)))
 		if e.eo.opsPerStep != nil {
-			for i := range s.Steps {
-				e.eo.opsPerStep.Observe(int64(s.Steps[i].Ops()))
+			for _, st := range s.Steps {
+				e.eo.opsPerStep.Observe(int64(st.Ops()))
 			}
 		}
 	} else {

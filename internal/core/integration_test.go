@@ -82,9 +82,9 @@ func TestBenchmarkLeavesExecuteOnMachine(t *testing.T) {
 						t.Fatalf("%s %s k=%d %+v: %v", name, cfg.sched, cfg.k, cfg.comm, err)
 					}
 					executed := 0
-					for _, st := range s.Steps {
-						for _, ops := range st.Regions {
-							executed += len(ops)
+					for ti := range s.Steps {
+						for r := 0; r < s.K; r++ {
+							executed += len(s.Region(ti, r))
 						}
 					}
 					if executed != len(mat.Ops) {

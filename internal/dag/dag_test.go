@@ -8,6 +8,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/qasm"
+	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
 // chainModule builds n serial H gates on one qubit.
@@ -191,5 +192,21 @@ func TestEdgeDirectionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkBuild builds the dependency graph of a 2000-op random leaf
+// and lists its roots, the start of every scheduler call.
+func BenchmarkBuild(b *testing.B) {
+	m := verify.RandomLeaf(rand.New(rand.NewSource(42)), verify.GenOptions{Ops: 2000, Qubits: 12})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := dag.Build(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(g.Roots()) == 0 {
+			b.Fatal("no roots")
+		}
 	}
 }

@@ -14,9 +14,12 @@ import (
 	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
-func analyzed(t *testing.T, m *ir.Module, steps []schedule.Step, k int) (*schedule.Schedule, *comm.Result) {
+func analyzed(t *testing.T, m *ir.Module, steps [][][]int32, k int) (*schedule.Schedule, *comm.Result) {
 	t.Helper()
-	s := &schedule.Schedule{M: m, K: k, Steps: steps}
+	s, err := schedule.FromLists(m, k, 0, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := dag.Build(m)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +48,10 @@ func TestPlanCoversEveryTeleport(t *testing.T) {
 	m.Gate(qasm.CNOT, 0, 1)
 	m.Gate(qasm.H, 2)
 	m.Gate(qasm.CNOT, 0, 2)
-	steps := []schedule.Step{
-		{Regions: [][]int32{{0}, nil}},
-		{Regions: [][]int32{nil, {1}}},
-		{Regions: [][]int32{nil, {2}}},
+	steps := [][][]int32{
+		{{0}, nil},
+		{nil, {1}},
+		{nil, {2}},
 	}
 	s, res := analyzed(t, m, steps, 2)
 	plan, err := epr.Build(s, res, epr.Config{Bandwidth: 2, Latency: 1})
@@ -72,7 +75,7 @@ func TestBandwidthForcesPreIssue(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Gate(qasm.H, i)
 	}
-	steps := []schedule.Step{{Regions: [][]int32{{0, 1, 2, 3}}}}
+	steps := [][][]int32{{{0, 1, 2, 3}}}
 	s, res := analyzed(t, m, steps, 1)
 	plan, err := epr.Build(s, res, epr.Config{Bandwidth: 1})
 	if err != nil {
@@ -100,7 +103,7 @@ func TestBandwidthForcesPreIssue(t *testing.T) {
 func TestLatencyShiftsIssues(t *testing.T) {
 	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 1}})
 	m.Gate(qasm.H, 0)
-	steps := []schedule.Step{{Regions: [][]int32{{0}}}}
+	steps := [][][]int32{{{0}}}
 	s, res := analyzed(t, m, steps, 1)
 	plan, err := epr.Build(s, res, epr.Config{Bandwidth: 1, Latency: 5})
 	if err != nil {
@@ -116,7 +119,10 @@ func TestLatencyShiftsIssues(t *testing.T) {
 
 func TestEmptySchedule(t *testing.T) {
 	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 1}})
-	s := &schedule.Schedule{M: m, K: 1}
+	s, err := schedule.FromLists(m, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan, err := epr.Build(s, &comm.Result{}, epr.Config{Bandwidth: 1})
 	if err != nil {
 		t.Fatal(err)

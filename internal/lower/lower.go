@@ -12,6 +12,7 @@ package lower
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/scaffold-go/multisimd/internal/ast"
@@ -563,42 +564,54 @@ func evalAngle(vars map[string]int64, e ast.Expr) (float64, error) {
 		v, err := evalAngle(vars, ex.E)
 		return -v, err
 	case *ast.BinExpr:
-		a, err := evalAngle(vars, ex.L)
-		if err != nil {
-			return 0, err
+		v, err := evalAngleBin(vars, ex)
+		if err == nil && (math.IsInf(v, 0) || math.IsNaN(v)) {
+			// A non-finite angle names no rotation; decomposition would
+			// silently drop the gate.
+			return 0, fmt.Errorf("lower: %s: angle overflows to %v", ex.Pos, v)
 		}
-		b, err := evalAngle(vars, ex.R)
-		if err != nil {
-			return 0, err
-		}
-		switch ex.Op {
-		case scaffold.Plus:
-			return a + b, nil
-		case scaffold.Minus:
-			return a - b, nil
-		case scaffold.Star:
-			return a * b, nil
-		case scaffold.Slash:
-			if b == 0 {
-				return 0, fmt.Errorf("lower: %s: division by zero in angle", ex.Pos)
-			}
-			return a / b, nil
-		case scaffold.Percent, scaffold.Shl:
-			ai, bi := int64(a), int64(b)
-			if ex.Op == scaffold.Percent {
-				if bi == 0 {
-					return 0, fmt.Errorf("lower: %s: modulo by zero in angle", ex.Pos)
-				}
-				return float64(ai % bi), nil
-			}
-			if bi < 0 || bi > 62 {
-				return 0, fmt.Errorf("lower: %s: shift amount %d out of range", ex.Pos, bi)
-			}
-			return float64(ai << uint(bi)), nil
-		}
-		return 0, fmt.Errorf("lower: %s: unknown operator %s", ex.Pos, ex.Op)
+		return v, err
 	}
 	return 0, fmt.Errorf("lower: unknown angle expression %T", e)
+}
+
+// evalAngleBin folds one binary angle expression; evalAngle rejects a
+// non-finite result.
+func evalAngleBin(vars map[string]int64, ex *ast.BinExpr) (float64, error) {
+	a, err := evalAngle(vars, ex.L)
+	if err != nil {
+		return 0, err
+	}
+	b, err := evalAngle(vars, ex.R)
+	if err != nil {
+		return 0, err
+	}
+	switch ex.Op {
+	case scaffold.Plus:
+		return a + b, nil
+	case scaffold.Minus:
+		return a - b, nil
+	case scaffold.Star:
+		return a * b, nil
+	case scaffold.Slash:
+		if b == 0 {
+			return 0, fmt.Errorf("lower: %s: division by zero in angle", ex.Pos)
+		}
+		return a / b, nil
+	case scaffold.Percent, scaffold.Shl:
+		ai, bi := int64(a), int64(b)
+		if ex.Op == scaffold.Percent {
+			if bi == 0 {
+				return 0, fmt.Errorf("lower: %s: modulo by zero in angle", ex.Pos)
+			}
+			return float64(ai % bi), nil
+		}
+		if bi < 0 || bi > 62 {
+			return 0, fmt.Errorf("lower: %s: shift amount %d out of range", ex.Pos, bi)
+		}
+		return float64(ai << uint(bi)), nil
+	}
+	return 0, fmt.Errorf("lower: %s: unknown operator %s", ex.Pos, ex.Op)
 }
 
 func evalCond(vars map[string]int64, c ast.Cond) (bool, error) {

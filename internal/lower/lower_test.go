@@ -305,6 +305,41 @@ func TestLowerErrors(t *testing.T) {
 	}
 }
 
+// TestLowerRejectsNonFiniteAngles: an angle expression that overflows
+// to ±Inf, or cancels infinities into NaN, is a positioned lowering
+// error, not a rotation that decomposition silently drops.
+func TestLowerRejectsNonFiniteAngles(t *testing.T) {
+	cases := map[string]string{
+		"+Inf":          `module main() { qbit q[1]; Rz(q[0], 1e308*10.0); }`,
+		"-Inf":          `module main() { qbit q[1]; Rz(q[0], -1e308*10.0); }`,
+		"NaN":           `module main() { qbit q[1]; Rz(q[0], 1e308*10.0 - 1e308*10.0); }`,
+		"Inf inside":    `module main() { qbit q[1]; Rz(q[0], 1.0/(1e308*10.0)); }`,
+		"loop overflow": `module main() { qbit q[1]; for (i = 1; i < 2; i++) { Rz(q[0], 1e308*(i+9)); } }`,
+	}
+	for name, src := range cases {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: parse failed: %v", name, err)
+		}
+		if err := sema.Check(prog); err != nil {
+			t.Fatalf("%s: sema: %v", name, err)
+		}
+		_, err = lower.Lower(prog, "main", lower.Options{})
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "lower: 1:") || !strings.Contains(msg, "angle overflows") {
+			t.Errorf("%s: error %q, want a positioned angle-overflow error", name, msg)
+		}
+	}
+	// Large but finite angles still lower.
+	m := lowerSrc(t, `module main() { qbit q[1]; Rz(q[0], 1e308*1.5); }`, lower.Options{}).EntryModule()
+	if got := m.Ops[0].Angle; got != 1e308*1.5 {
+		t.Errorf("angle %g", got)
+	}
+}
+
 func TestLowerLoopVarAngles(t *testing.T) {
 	p := lowerSrc(t, `
 module main() {

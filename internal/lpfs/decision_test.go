@@ -31,7 +31,7 @@ func TestDecisionLogRecordsRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Steps, logged.Steps) {
+	if !reflect.DeepEqual(plain, logged) {
 		t.Fatal("decision logging changed the schedule")
 	}
 	if got := log.CountReason(obs.ReasonRefill); got == 0 {

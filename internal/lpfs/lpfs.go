@@ -67,9 +67,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	}
 	n := g.Len()
 	b := schedule.NewBuilder(m, opts.K, opts.D)
+	b.Grow(g.CriticalPath()) // no schedule is shorter
 	l := opts.l()
 	useSIMD, useRefill := opts.simd(), opts.refill()
 	log := opts.Log
+	gid, _ := schedule.GroupIDs(m) // dense group ids: ops match by integer
 
 	pending := make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -118,11 +120,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		b.Add(op)
 		inStepAt[op] = stamp
 	}
-	// takeFree adds ready, unclaimed free-list ops matching key to the
-	// open region, up to the remaining d budget, in free-list order.
-	takeFree := func(key schedule.GroupKey, qubits int) {
+	// takeFree adds ready, unclaimed free-list ops of group id group to
+	// the open region, up to the remaining d budget, in free-list order.
+	takeFree := func(group int32, qubits int) {
 		for _, op := range ready {
-			if claimed[op] || !isReady(op) || schedule.KeyOf(m, op) != key {
+			if claimed[op] || !isReady(op) || gid[op] != group {
 				continue
 			}
 			need := len(m.Ops[op].Args)
@@ -165,7 +167,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				paths[i] = paths[i][1:]
 				add(head)
 				if useSIMD {
-					takeFree(schedule.KeyOf(m, head), len(m.Ops[head].Args))
+					takeFree(gid[head], len(m.Ops[head].Args))
 				}
 				b.Close(i)
 				continue
@@ -187,8 +189,8 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				})
 			}
 			if useSIMD {
-				if key, ok := firstFreeKey(m, ready, claimed, isReady); ok {
-					takeFree(key, 0)
+				if group, ok := firstFreeGroup(gid, ready, claimed, isReady); ok {
+					takeFree(group, 0)
 					b.Close(i)
 				}
 			}
@@ -196,11 +198,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 
 		// Unallocated regions consume the free list in order.
 		for r := l; r < opts.K; r++ {
-			key, ok := firstFreeKey(m, ready, claimed, isReady)
+			group, ok := firstFreeGroup(gid, ready, claimed, isReady)
 			if !ok {
 				break
 			}
-			takeFree(key, 0)
+			takeFree(group, 0)
 			b.Close(r)
 		}
 
@@ -262,7 +264,6 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		}
 
 		placed := b.Placed()
-		b.EndStep()
 		scheduled += len(placed)
 		for _, op := range placed {
 			done[op] = true
@@ -273,20 +274,21 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				}
 			}
 		}
+		b.EndStep()
 		ready = compactReady(ready, done)
 	}
 	return b.Schedule(), nil
 }
 
-// firstFreeKey returns the group key of the first ready, unclaimed op in
-// free-list order (the paper's ready.top()).
-func firstFreeKey(m *ir.Module, ready []int32, claimed []bool, isReady func(int32) bool) (schedule.GroupKey, bool) {
+// firstFreeGroup returns the group id of the first ready, unclaimed op
+// in free-list order (the paper's ready.top()).
+func firstFreeGroup(gid, ready []int32, claimed []bool, isReady func(int32) bool) (int32, bool) {
 	for _, op := range ready {
 		if !claimed[op] && isReady(op) {
-			return schedule.KeyOf(m, op), true
+			return gid[op], true
 		}
 	}
-	return schedule.GroupKey{}, false
+	return 0, false
 }
 
 func compactReady(ready []int32, done []bool) []int32 {

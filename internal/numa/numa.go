@@ -92,9 +92,9 @@ func Affinity(s *schedule.Schedule, banks int) Assignment {
 		counts[i] = make([]int, banks)
 	}
 	for t := range s.Steps {
-		for r, ops := range s.Steps[t].Regions {
+		for r := 0; r < s.K; r++ {
 			bank := BankOf(int32(r), s.K, banks)
-			for _, op := range ops {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					counts[slot][bank]++
 				}

@@ -49,16 +49,19 @@ func TestRoundRobin(t *testing.T) {
 func pinnedSchedule(t *testing.T) (*schedule.Schedule, *comm.Result) {
 	t.Helper()
 	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 2}})
-	var steps []schedule.Step
+	var steps [][][]int32
 	for i := 0; i < 4; i++ {
 		m.Gate(qasm.H, 0)
 		m.Gate(qasm.H, 1)
 		steps = append(steps,
-			schedule.Step{Regions: [][]int32{{int32(2 * i)}, nil, nil, nil}},
-			schedule.Step{Regions: [][]int32{nil, nil, nil, {int32(2*i + 1)}}},
+			[][]int32{{int32(2 * i)}, nil, nil, nil},
+			[][]int32{nil, nil, nil, {int32(2*i + 1)}},
 		)
 	}
-	s := &schedule.Schedule{M: m, K: 4, Steps: steps}
+	s, err := schedule.FromLists(m, 4, 0, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g, err := dag.Build(m)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -105,6 +106,9 @@ func parseInst(line string) (Inst, error) {
 		angle, err := strconv.ParseFloat(strings.TrimSpace(args[len(args)-1]), 64)
 		if err != nil {
 			return Inst{}, fmt.Errorf("%s: bad angle: %w", name, err)
+		}
+		if math.IsInf(angle, 0) || math.IsNaN(angle) {
+			return Inst{}, fmt.Errorf("%s: angle %v is not finite", name, angle)
 		}
 		in.Angle = angle
 		args = args[:len(args)-1]

@@ -130,7 +130,10 @@ func TestParseErrors(t *testing.T) {
 		"CNOT(q0)",      // wrong arity
 		"Rz(q0)",        // missing angle
 		"Rz(q0,notnum)", // bad angle
-		"Toffoli(a,b)",  // wrong arity
+		"Rz(q0,nan)",    // non-finite angles
+		"Rz(q0,-Inf)",
+		"Rx(q0,1e999)",
+		"Toffoli(a,b)", // wrong arity
 	} {
 		if _, _, err := Parse(strings.NewReader(bad + "\n")); err == nil {
 			t.Errorf("accepted %q", bad)

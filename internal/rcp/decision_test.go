@@ -29,7 +29,7 @@ func TestDecisionLogRecordsChosenAndDBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Steps, logged.Steps) {
+	if !reflect.DeepEqual(plain, logged) {
 		t.Fatal("decision logging changed the schedule")
 	}
 	if got := log.CountReason(obs.ReasonChosen); got != 4 {

@@ -75,6 +75,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	wop, wdist, wslack := opts.weights()
 	n := g.Len()
 	b := schedule.NewBuilder(m, opts.K, opts.D)
+	b.Grow(g.CriticalPath()) // no schedule is shorter
 	log := opts.Log
 
 	pending := make([]int32, n) // unsatisfied dependency counts
@@ -88,11 +89,13 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	}
 	scheduled := 0
 
-	// Scratch buffers hoisted out of the per-step and per-candidate
-	// loops: the prevalence map is cleared (not reallocated) every
-	// auction round, and the per-op locality counts reuse one k-sized
-	// slice instead of allocating per ready candidate.
-	prev := make(map[schedule.GroupKey]int, 16)
+	// Group keys are interned once into dense ids, so the prevalence
+	// tally is a slice indexed by id: counted over the ready list each
+	// auction round and zeroed by walking the same list. The per-op
+	// locality counts reuse one k-sized slice instead of allocating per
+	// ready candidate.
+	gid, groups := schedule.GroupIDs(m)
+	prev := make([]int32, groups)
 	counts := make([]int, opts.K)
 	regionFree := make([]bool, opts.K)
 	// cand weights are retained only when op-level decision logging asks
@@ -113,10 +116,9 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		freeRegions := opts.K
 
 		for freeRegions > 0 && len(ready) > 0 {
-			// Prevalence of each group key in the ready list.
-			clear(prev)
+			// Prevalence of each group in the ready list.
 			for _, op := range ready {
-				prev[schedule.KeyOf(m, op)]++
+				prev[gid[op]]++
 			}
 			// Find the max-weight (op, region) pair.
 			bestW := 0.0
@@ -125,8 +127,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			cands = cands[:0]
 			logOps := log.Enabled(obs.LevelOp)
 			for _, op := range ready {
-				key := schedule.KeyOf(m, op)
-				base := wop*float64(prev[key]) - wslack*float64(g.Slack(op))
+				base := wop*float64(prev[gid[op]]) - wslack*float64(g.Slack(op))
 				// Locality: prefer the free region already holding the
 				// most operands of this op, lowest region index on ties
 				// (a map here would let Go's random iteration order pick
@@ -167,16 +168,19 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 					bestRegion = region
 				}
 			}
+			for _, op := range ready {
+				prev[gid[op]] = 0
+			}
 			if bestOp < 0 {
 				break
 			}
 			// Extract all ready ops of the winning type into the region,
 			// respecting the d limit.
-			key := schedule.KeyOf(m, bestOp)
+			group := gid[bestOp]
 			qubits := 0
 			rest := ready[:0]
 			for _, op := range ready {
-				if schedule.KeyOf(m, op) == key {
+				if gid[op] == group {
 					need := len(m.Ops[op].Args)
 					if opts.D == 0 || qubits+need <= opts.D {
 						b.Add(op)
@@ -229,9 +233,9 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		if len(placed) == 0 {
 			return nil, fmt.Errorf("rcp: made no progress at step %d", b.Len())
 		}
-		b.EndStep()
 		scheduled += len(placed)
-		// Release children whose dependencies completed this step.
+		// Release children whose dependencies completed this step, in
+		// placement order (EndStep reorders the step into region order).
 		for _, op := range placed {
 			for _, child := range g.Succs[op] {
 				pending[child]--
@@ -240,6 +244,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 				}
 			}
 		}
+		b.EndStep()
 	}
 	return b.Schedule(), nil
 }

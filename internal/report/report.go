@@ -246,15 +246,14 @@ func Analyze(name string, s *schedule.Schedule, g *dag.Graph, res *comm.Result) 
 	var busyRegionSteps int64
 	for t := 0; t < nSteps; t++ {
 		busy := 0
-		for r, ops := range s.Steps[t].Regions {
+		for r := 0; r < s.K; r++ {
+			ops := s.Region(t, r)
 			if len(ops) == 0 {
 				continue
 			}
 			busy++
 			busyRegionSteps++
-			if r < len(busySteps) {
-				busySteps[r]++
-			}
+			busySteps[r]++
 			qubits := 0
 			for _, op := range ops {
 				qubits += len(s.M.Ops[op].Args)
@@ -359,7 +358,8 @@ func slack(s *schedule.Schedule, g *dag.Graph) SlackStats {
 func buildGantt(s *schedule.Schedule, res *comm.Result) *Gantt {
 	gt := &Gantt{Steps: len(s.Steps)}
 	for t := range s.Steps {
-		for r, ops := range s.Steps[t].Regions {
+		for r := 0; r < s.K; r++ {
+			ops := s.Region(t, r)
 			if len(ops) == 0 {
 				continue
 			}

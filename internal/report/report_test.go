@@ -118,10 +118,10 @@ func TestAnalyzeCrossCheck(t *testing.T) {
 
 			// Occupancy: recompute busy regions per step directly.
 			var busyTotal int64
-			for ti, step := range s.Steps {
+			for ti := range s.Steps {
 				busy := 0
-				for _, ops := range step.Regions {
-					if len(ops) > 0 {
+				for r := 0; r < s.K; r++ {
+					if len(s.Region(ti, r)) > 0 {
 						busy++
 					}
 				}

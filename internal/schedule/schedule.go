@@ -15,64 +15,98 @@ import (
 	"github.com/scaffold-go/multisimd/internal/qasm"
 )
 
-// Step is one logical timestep: Regions[r] lists the ops (indices into
-// the module body) executing in SIMD region r.
+// Step summarizes one logical timestep: how many ops it holds and how
+// many regions execute at least one. The ops themselves live in the
+// schedule's op slab; Schedule.Region and Schedule.StepOps read them.
 type Step struct {
-	Regions [][]int32
+	ops, busy int32
 }
 
 // Busy returns how many regions execute at least one op.
-func (s *Step) Busy() int {
-	n := 0
-	for _, ops := range s.Regions {
-		if len(ops) > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s Step) Busy() int { return int(s.busy) }
 
 // Ops returns the total number of ops in the step.
-func (s *Step) Ops() int {
-	n := 0
-	for _, ops := range s.Regions {
-		n += len(ops)
-	}
-	return n
-}
+func (s Step) Ops() int { return int(s.ops) }
 
 // Schedule is a complete fine-grained schedule of one materialized leaf
-// module onto a Multi-SIMD(k,d) machine.
+// module onto a Multi-SIMD(k,d) machine. Its ops sit in one slab sorted
+// by (step, region), delimited by one offset per region per step; no
+// per-step or per-region data holds a pointer.
 type Schedule struct {
 	M     *ir.Module
 	K     int
 	D     int // qubits per region per step; 0 means unbounded (d = ∞)
 	Steps []Step
+
+	ops []int32 // every op (index into M.Ops), sorted by (step, region)
+	off []int32 // region r of step t is ops[off[t*K+r]:off[t*K+r+1]]
 }
 
 // Length returns the schedule length in logical timesteps.
 func (s *Schedule) Length() int { return len(s.Steps) }
+
+// Region returns the ops (indices into the module body) executing in
+// SIMD region r at step t, in placement order. The slice is cap-clipped
+// and must not be modified.
+func (s *Schedule) Region(t, r int) []int32 {
+	i := t*s.K + r
+	lo, hi := s.off[i], s.off[i+1]
+	return s.ops[lo:hi:hi]
+}
+
+// Bounds returns step t's k+1 region boundaries in the op slab: region
+// r of step t is Ops()[b[r]:b[r+1]]. The slice must not be modified.
+func (s *Schedule) Bounds(t int) []int32 {
+	i := t * s.K
+	return s.off[i : i+s.K+1 : i+s.K+1]
+}
+
+// StepOps returns every op of step t, region by region.
+func (s *Schedule) StepOps(t int) []int32 {
+	lo, hi := s.off[t*s.K], s.off[(t+1)*s.K]
+	return s.ops[lo:hi:hi]
+}
+
+// Ops returns every scheduled op in (step, region) order. The slice
+// must not be modified.
+func (s *Schedule) Ops() []int32 { return s.ops[:len(s.ops):len(s.ops)] }
 
 // Width returns the highest degree of operation-level parallelism: the
 // maximum number of simultaneously busy regions in any step. This is the
 // blackbox width used by the hierarchical scheduler (paper §4.3).
 func (s *Schedule) Width() int {
 	w := 0
-	for i := range s.Steps {
-		if b := s.Steps[i].Busy(); b > w {
-			w = b
-		}
+	for _, st := range s.Steps {
+		w = max(w, st.Busy())
 	}
 	return w
 }
 
 // TotalOps returns the number of scheduled operations.
-func (s *Schedule) TotalOps() int {
-	n := 0
-	for i := range s.Steps {
-		n += s.Steps[i].Ops()
+func (s *Schedule) TotalOps() int { return len(s.ops) }
+
+// FromLists builds a schedule from nested lists: steps[t][r] holds the
+// ops of region r at step t, and a step may list fewer than k regions.
+// It rejects a step listing more than k regions; Validate checks the
+// rest.
+func FromLists(m *ir.Module, k, d int, steps [][][]int32) (*Schedule, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("schedule: k = %d, want >= 1", k)
 	}
-	return n
+	b := NewBuilder(m, k, d)
+	for t, regions := range steps {
+		if len(regions) > k {
+			return nil, fmt.Errorf("schedule: step %d uses %d regions, k = %d", t, len(regions), k)
+		}
+		for r, ops := range regions {
+			for _, op := range ops {
+				b.Add(op)
+			}
+			b.Close(r)
+		}
+		b.EndStep()
+	}
+	return b.Schedule(), nil
 }
 
 // GroupKey identifies a SIMD-compatible operation class: a region applies
@@ -93,6 +127,45 @@ func KeyOf(m *ir.Module, i int32) GroupKey {
 	return k
 }
 
+// GroupIDs interns every op's group key into a small dense id, first
+// seen first, so schedulers compare and count groups by integer. Two
+// ops share an id iff their keys are equal (a NaN angle shares with
+// nothing; -0 and +0 are one key); the ids run from 0 to the returned
+// count. Plain gates intern by opcode, so only rotations pay for a
+// map lookup; the map is sized for every rotation up front, so it is
+// never rehashed while it fills.
+func GroupIDs(m *ir.Module) ([]int32, int) {
+	ids := make([]int32, len(m.Ops))
+	rots := 0
+	for i := range m.Ops {
+		if m.Ops[i].Gate.IsRotation() {
+			rots++
+		}
+	}
+	var byGate [qasm.NumOpcodes]int32       // 1 + a plain gate's id, 0 = unseen
+	byKey := make(map[GroupKey]int32, rots) // rotations
+	groups := int32(0)
+	for i := range m.Ops {
+		op := &m.Ops[i]
+		if !op.Gate.IsRotation() {
+			if byGate[op.Gate] == 0 {
+				groups++
+				byGate[op.Gate] = groups
+			}
+			ids[i] = byGate[op.Gate] - 1
+			continue
+		}
+		k := GroupKey{Op: op.Gate, Angle: op.Angle}
+		id, ok := byKey[k]
+		if !ok {
+			id, groups = groups, groups+1
+			byKey[k] = id
+		}
+		ids[i] = id
+	}
+	return ids, int(groups)
+}
+
 // Validate checks the schedule against the module's dependency graph and
 // the Multi-SIMD execution model:
 //
@@ -100,6 +173,9 @@ func KeyOf(m *ir.Module, i int32) GroupKey {
 //   - ops sharing a region-step carry the same group key (SIMD),
 //   - region-step qubit usage respects d,
 //   - every dependency is satisfied in a strictly earlier timestep.
+//
+// A schedule never holds more than K regions per step; FromLists
+// rejects nested lists that would.
 func (s *Schedule) Validate(g *dag.Graph) error {
 	if g.M != s.M {
 		return fmt.Errorf("schedule: graph is for module %s, schedule for %s", g.M.Name, s.M.Name)
@@ -110,17 +186,14 @@ func (s *Schedule) Validate(g *dag.Graph) error {
 		at[i] = -1
 	}
 	for t := range s.Steps {
-		step := &s.Steps[t]
-		if len(step.Regions) > s.K {
-			return fmt.Errorf("schedule: step %d uses %d regions, k = %d", t, len(step.Regions), s.K)
-		}
-		for r, ops := range step.Regions {
+		for r := 0; r < s.K; r++ {
+			ops := s.Region(t, r)
 			if len(ops) == 0 {
 				continue
 			}
-			key := KeyOf(s.M, ops[0])
+			var key GroupKey
 			qubits := 0
-			for _, op := range ops {
+			for i, op := range ops {
 				if op < 0 || int(op) >= n {
 					return fmt.Errorf("schedule: step %d region %d references op %d of %d", t, r, op, n)
 				}
@@ -128,7 +201,9 @@ func (s *Schedule) Validate(g *dag.Graph) error {
 					return fmt.Errorf("schedule: op %d scheduled twice (steps %d and %d)", op, at[op], t)
 				}
 				at[op] = int32(t)
-				if k := KeyOf(s.M, op); k != key {
+				if k := KeyOf(s.M, op); i == 0 {
+					key = k
+				} else if k != key {
 					return fmt.Errorf("schedule: step %d region %d mixes %v and %v", t, r, key, k)
 				}
 				qubits += len(s.M.Ops[op].Args)
@@ -160,10 +235,8 @@ func (s *Schedule) StepOf() []int32 {
 		at[i] = -1
 	}
 	for t := range s.Steps {
-		for _, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
-				at[op] = int32(t)
-			}
+		for _, op := range s.StepOps(t) {
+			at[op] = int32(t)
 		}
 	}
 	return at
@@ -176,8 +249,8 @@ func (s *Schedule) RegionOf() []int32 {
 		at[i] = -1
 	}
 	for t := range s.Steps {
-		for r, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				at[op] = int32(r)
 			}
 		}
@@ -186,77 +259,125 @@ func (s *Schedule) RegionOf() []int32 {
 }
 
 // Sequential builds the trivial 1-op-per-step schedule used as the
-// paper's sequential baseline.
+// paper's sequential baseline: op i alone in region 0 of step i.
 func Sequential(m *ir.Module, k int) *Schedule {
-	s := &Schedule{M: m, K: k}
-	s.Steps = make([]Step, len(m.Ops))
+	b := NewBuilder(m, k, 0)
 	for i := range m.Ops {
-		regions := make([][]int32, 1)
-		regions[0] = []int32{int32(i)}
-		s.Steps[i] = Step{Regions: regions}
+		b.Add(int32(i))
+		b.Close(0)
+		b.EndStep()
 	}
-	return s
+	return b.Schedule()
 }
 
 // Builder assembles a schedule one step at a time. Every op is placed
-// exactly once, so all region lists are windows of one len(M.Ops)-sized
-// []int32; headers gather in pooled scratch until Schedule copies them
-// into one exactly sized [][]int32. Windows are cap-clipped, so an append
-// never reaches a neighbour. A region that receives no ops stays nil.
+// exactly once, so ops go straight into the schedule's len(M.Ops)-sized
+// slab. Ops are added to the open region and closed into region r, in
+// any region order; EndStep puts the open step's regions in region
+// order, keeping each region's op order. The per-step summaries and
+// offsets gather in pooled pointer-free scratch until Schedule copies
+// them out exactly sized. The schedule is allocated with its Builder.
 type Builder struct {
-	s         *Schedule
-	ops       []int32    // op slab; ops[step:] are the open step's
-	hdrs      *[][]int32 // pooled scratch: K headers per step, the open step's last
-	step, reg int        // slab offsets where the open step and region begin
+	s    Schedule
+	sc   *scratch
+	step int // slab offset where the open step begins
+	reg  int // slab offset where the open region begins
 }
 
-var hdrPool = sync.Pool{New: func() any { return new([][]int32) }}
+// scratch is a Builder's reusable pointer-free state.
+type scratch struct {
+	steps  []Step
+	off    []int32 // one offset per region per step, after a leading 0
+	lo, hi []int32 // open step: region r's slab window, lo == hi until closed
+	tmp    []int32 // a copy of the open step's ops, for reordering
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // NewBuilder starts a schedule of m on a Multi-SIMD(k,d) machine.
 func NewBuilder(m *ir.Module, k, d int) *Builder {
-	b := &Builder{s: &Schedule{M: m, K: k, D: d}, ops: make([]int32, 0, len(m.Ops)), hdrs: hdrPool.Get().(*[][]int32)}
-	*b.hdrs = (*b.hdrs)[:0]
-	b.EndStep()
-	return b
+	sc := scratchPool.Get().(*scratch)
+	sc.steps = sc.steps[:0]
+	sc.off = append(sc.off[:0], 0)
+	sc.lo = slices.Grow(sc.lo[:0], k)[:k]
+	sc.hi = slices.Grow(sc.hi[:0], k)[:k]
+	clear(sc.lo)
+	clear(sc.hi)
+	return &Builder{
+		s:  Schedule{M: m, K: k, D: d, ops: make([]int32, 0, len(m.Ops))},
+		sc: sc,
+	}
+}
+
+// Grow reserves scratch for steps more timesteps, so that a caller who
+// knows a lower bound on the length (the critical path) does not regrow
+// it step by step when the pool hands out a fresh scratch.
+func (b *Builder) Grow(steps int) {
+	b.sc.steps = slices.Grow(b.sc.steps, steps)
+	b.sc.off = slices.Grow(b.sc.off, steps*b.s.K)
 }
 
 // Len returns the open step's index.
-func (b *Builder) Len() int { return len(*b.hdrs)/b.s.K - 1 }
+func (b *Builder) Len() int { return len(b.sc.steps) }
 
 // Add appends op to the open region.
-func (b *Builder) Add(op int32) { b.ops = append(b.ops, op) }
+func (b *Builder) Add(op int32) { b.s.ops = append(b.s.ops, op) }
 
 // Close makes the ops added since the previous Close region r of the
-// open step, at most once per step, and returns them.
+// open step, at most once per step, and returns them. The returned
+// slice is valid until EndStep.
 func (b *Builder) Close(r int) []int32 {
-	ops := b.ops[b.reg:len(b.ops):len(b.ops)]
-	if b.reg = len(b.ops); len(ops) > 0 {
-		(*b.hdrs)[len(*b.hdrs)-b.s.K+r] = ops
+	ops := b.s.ops
+	lo, hi := b.reg, len(ops)
+	b.reg = hi
+	if lo < hi {
+		b.sc.lo[r], b.sc.hi[r] = int32(lo), int32(hi)
 	}
-	return ops
+	return ops[lo:hi:hi]
 }
 
-// Placed returns the ops placed in the open step so far.
-func (b *Builder) Placed() []int32 { return b.ops[b.step:] }
+// Placed returns the ops placed in the open step so far, in the order
+// they were added. The slice is valid until EndStep.
+func (b *Builder) Placed() []int32 { return b.s.ops[b.step:] }
 
-// EndStep finishes the open step and opens the next.
+// EndStep finishes the open step and opens the next. Every op added in
+// the step must have been closed into a region.
 func (b *Builder) EndStep() {
-	n := len(*b.hdrs)
-	*b.hdrs = slices.Grow(*b.hdrs, b.s.K)[:n+b.s.K]
-	clear((*b.hdrs)[n:])
-	b.step = len(b.ops)
+	ops, sc := b.s.ops, b.sc
+	if b.reg != len(ops) {
+		panic("schedule: EndStep with ops not closed into a region")
+	}
+	open := ops[b.step:]
+	sc.tmp = append(sc.tmp[:0], open...)
+	base, at := int32(b.step), int32(b.step)
+	busy := int32(0)
+	n := len(sc.off)
+	sc.off = slices.Grow(sc.off, len(sc.lo))[:n+len(sc.lo)]
+	off := sc.off[n:]
+	for r, lo := range sc.lo {
+		if hi := sc.hi[r]; lo < hi {
+			busy++
+			copy(ops[at:], sc.tmp[lo-base:hi-base])
+			at += hi - lo
+		}
+		off[r] = at
+	}
+	clear(sc.lo)
+	clear(sc.hi)
+	sc.steps = append(sc.steps, Step{ops: int32(len(open)), busy: busy})
+	b.step = len(ops)
 }
 
-// Schedule returns the finished steps; the open step must be empty.
+// Schedule returns the finished schedule; the open step must be empty.
+// The Builder must not be used afterwards.
 func (b *Builder) Schedule() *Schedule {
-	k, n := b.s.K, b.Len()
-	hdrs := make([][]int32, n*k)
-	copy(hdrs, *b.hdrs)
-	clear(*b.hdrs)
-	hdrPool.Put(b.hdrs)
-	b.s.Steps = make([]Step, n)
-	for t := range b.s.Steps {
-		b.s.Steps[t].Regions = hdrs[t*k : (t+1)*k : (t+1)*k]
+	if b.step != len(b.s.ops) {
+		panic("schedule: Schedule with an unfinished step")
 	}
-	return b.s
+	s, sc := &b.s, b.sc
+	s.Steps = slices.Clone(sc.steps)
+	s.off = slices.Clone(sc.off)
+	b.sc = nil
+	scratchPool.Put(sc)
+	return s
 }

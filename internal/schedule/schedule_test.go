@@ -1,7 +1,10 @@
 package schedule_test
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/qasm"
 	"github.com/scaffold-go/multisimd/internal/schedule"
+	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
 func mod(t *testing.T) (*ir.Module, *dag.Graph) {
@@ -20,6 +24,31 @@ func mod(t *testing.T) (*ir.Module, *dag.Graph) {
 		t.Fatal(err)
 	}
 	return m, g
+}
+
+// mustLists builds a schedule from nested per-step region lists.
+func mustLists(t *testing.T, m *ir.Module, k, d int, steps [][][]int32) *schedule.Schedule {
+	t.Helper()
+	s, err := schedule.FromLists(m, k, d, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// lists reads a schedule back as nested lists, k regions per step, an
+// empty region as nil.
+func lists(s *schedule.Schedule) [][][]int32 {
+	out := make([][][]int32, s.Length())
+	for t := range out {
+		out[t] = make([][]int32, s.K)
+		for r := range out[t] {
+			if ops := s.Region(t, r); len(ops) > 0 {
+				out[t][r] = slices.Clone(ops)
+			}
+		}
+	}
+	return out
 }
 
 func TestSequentialSchedule(t *testing.T) {
@@ -35,10 +64,10 @@ func TestSequentialSchedule(t *testing.T) {
 
 func TestValidSIMDSchedule(t *testing.T) {
 	m, g := mod(t)
-	s := &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{
-		{Regions: [][]int32{{0, 1}, {3, 4}}}, // H group, X group
-		{Regions: [][]int32{{2}}},            // CNOT
-	}}
+	s := mustLists(t, m, 2, 0, [][][]int32{
+		{{0, 1}, {3, 4}}, // H group, X group
+		{{2}},            // CNOT
+	})
 	if err := s.Validate(g); err != nil {
 		t.Fatal(err)
 	}
@@ -57,34 +86,45 @@ func TestValidSIMDSchedule(t *testing.T) {
 
 func TestValidateCatchesViolations(t *testing.T) {
 	m, g := mod(t)
-	cases := map[string]*schedule.Schedule{
-		"mixed types in region": {M: m, K: 2, Steps: []schedule.Step{
-			{Regions: [][]int32{{0, 3}}},
-			{Regions: [][]int32{{1, 4}}},
-			{Regions: [][]int32{{2}}},
+	cases := map[string]struct {
+		k     int
+		steps [][][]int32
+	}{
+		"mixed types in region": {2, [][][]int32{
+			{{0, 3}},
+			{{1, 4}},
+			{{2}},
 		}},
-		"dependency violated": {M: m, K: 2, Steps: []schedule.Step{
-			{Regions: [][]int32{{0}, {2}}},
-			{Regions: [][]int32{{1}, {3}}},
-			{Regions: [][]int32{{4}}},
+		"dependency violated": {2, [][][]int32{
+			{{0}, {2}},
+			{{1}, {3}},
+			{{4}},
 		}},
-		"op missing": {M: m, K: 2, Steps: []schedule.Step{
-			{Regions: [][]int32{{0, 1}}},
-			{Regions: [][]int32{{2}, {3}}},
+		"op missing": {2, [][][]int32{
+			{{0, 1}},
+			{{2}, {3}},
 		}},
-		"op twice": {M: m, K: 2, Steps: []schedule.Step{
-			{Regions: [][]int32{{0, 1}}},
-			{Regions: [][]int32{{2}, {3}}},
-			{Regions: [][]int32{{3, 4}}},
+		"op twice": {2, [][][]int32{
+			{{0, 1}},
+			{{2}, {3}},
+			{{3, 4}},
 		}},
-		"too many regions": {M: m, K: 1, Steps: []schedule.Step{
-			{Regions: [][]int32{{0}, {1}}},
-			{Regions: [][]int32{{2}}},
-			{Regions: [][]int32{{3, 4}}},
+		"op out of range": {2, [][][]int32{
+			{{0, 1}, {3, 4}},
+			{{2}, {5}},
+		}},
+		"too many regions": {1, [][][]int32{
+			{{0}, {1}},
+			{{2}},
+			{{3, 4}},
 		}},
 	}
-	for name, s := range cases {
-		if err := s.Validate(g); err == nil {
+	for name, c := range cases {
+		s, err := schedule.FromLists(m, c.k, 0, c.steps)
+		if err == nil {
+			err = s.Validate(g)
+		}
+		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -92,11 +132,11 @@ func TestValidateCatchesViolations(t *testing.T) {
 
 func TestDLimit(t *testing.T) {
 	m, g := mod(t)
-	s := &schedule.Schedule{M: m, K: 1, D: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0, 1}}},
-		{Regions: [][]int32{{2}}},
-		{Regions: [][]int32{{3, 4}}},
-	}}
+	s := mustLists(t, m, 1, 1, [][][]int32{
+		{{0, 1}},
+		{{2}},
+		{{3, 4}},
+	})
 	if err := s.Validate(g); err == nil {
 		t.Error("d limit not enforced")
 	}
@@ -122,10 +162,140 @@ func TestGroupKeyAngles(t *testing.T) {
 	}
 }
 
-// TestBuilderWindowsDoNotAlias is the aliasing guard for the Builder's
-// shared slabs: appending to any region's op list, or to any step's
-// region headers, of a built schedule leaves every other list unchanged.
-// A region closed with no ops stays nil.
+// TestGroupIDsMatchKeys pins GroupIDs to interning through a map keyed
+// by GroupKey, first seen first: a NaN angle equals nothing, -0 equals
+// +0, and 4,000 NaN rotations get 4,000 ids.
+func TestGroupIDsMatchKeys(t *testing.T) {
+	small := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 3}})
+	small.Gate(qasm.H, 0).Rot(qasm.Rz, 0.5, 1).Gate(qasm.CNOT, 0, 2).Rot(qasm.Rz, 0.7, 1)
+	small.Rot(qasm.Rz, 0.5, 2).Gate(qasm.H, 1).Rot(qasm.Rx, 0.5, 0).Rot(qasm.Rz, 0, 0)
+	small.Rot(qasm.Rz, math.Copysign(0, -1), 1).Gate(qasm.T, 2)
+	small.Rot(qasm.Rz, math.NaN(), 0).Rot(qasm.Rz, math.NaN(), 1)
+	leaf := verify.RandomLeaf(rand.New(rand.NewSource(7)), verify.GenOptions{Ops: 2000, Qubits: 12})
+	nans := ir.NewModule("nans", nil, []ir.Reg{{Name: "q", Size: 4}})
+	for i := 0; i < 4000; i++ {
+		nans.Rot(qasm.Rz, math.NaN(), i%4) // 4000 groups of one
+	}
+	for _, m := range []*ir.Module{leaf, small, nans} {
+		byKey := map[schedule.GroupKey]int32{}
+		want := make([]int32, len(m.Ops))
+		for i := range m.Ops {
+			k := schedule.KeyOf(m, int32(i))
+			id, ok := byKey[k]
+			if !ok {
+				id = int32(len(byKey))
+				byKey[k] = id // a NaN key is never found again
+			}
+			want[i] = id
+		}
+		ids, n := schedule.GroupIDs(m)
+		if !slices.Equal(ids, want) || n != int(slices.Max(want))+1 {
+			t.Errorf("%s: ids %v (%d groups), want %v", m.Name, ids, n, want)
+		}
+	}
+}
+
+// TestCompactLayout pins the slab layout: every step holds exactly K
+// regions (empty ones included), regions closed in any order read back
+// in region order with their op order kept, and the per-step summaries
+// agree with the region windows.
+func TestCompactLayout(t *testing.T) {
+	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 8}})
+	for i := 0; i < 8; i++ {
+		m.Gate(qasm.H, i)
+	}
+	type close struct {
+		r   int
+		ops []int32
+	}
+	cases := []struct {
+		name  string
+		k     int
+		steps [][]close // Close order within each step
+		want  [][][]int32
+	}{
+		{name: "zero steps", k: 3},
+		{name: "k=1", k: 1,
+			steps: [][]close{{{0, []int32{0, 1}}}, {{0, []int32{2}}}},
+			want:  [][][]int32{{{0, 1}}, {{2}}}},
+		{name: "empty regions", k: 4,
+			steps: [][]close{{{1, []int32{3}}, {3, nil}}, {{0, nil}}, {{2, []int32{4, 5}}}},
+			want:  [][][]int32{{nil, {3}, nil, nil}, {nil, nil, nil, nil}, {nil, nil, {4, 5}, nil}}},
+		{name: "out-of-order close", k: 3,
+			steps: [][]close{
+				{{2, []int32{5, 1}}, {0, []int32{7}}, {1, []int32{0, 6, 2}}},
+				{{1, []int32{4}}, {0, []int32{3}}},
+			},
+			want: [][][]int32{{{7}, {0, 6, 2}, {5, 1}}, {{3}, {4}, nil}}},
+	}
+	for _, c := range cases {
+		b := schedule.NewBuilder(m, c.k, 0)
+		var placed [][]int32
+		for _, st := range c.steps {
+			for _, cl := range st {
+				for _, op := range cl.ops {
+					b.Add(op)
+				}
+				if got := b.Close(cl.r); !slices.Equal(got, cl.ops) {
+					t.Errorf("%s: Close(%d) returned %v, want %v", c.name, cl.r, got, cl.ops)
+				}
+			}
+			placed = append(placed, slices.Clone(b.Placed()))
+			b.EndStep()
+		}
+		s := b.Schedule()
+		if got := lists(s); !reflect.DeepEqual(got, c.want) && len(c.want)+len(got) > 0 {
+			t.Errorf("%s: regions %v, want %v", c.name, got, c.want)
+		}
+		if s.Length() != len(c.want) || len(s.Steps) != len(c.want) {
+			t.Errorf("%s: length %d, want %d", c.name, s.Length(), len(c.want))
+		}
+		total, width := 0, 0
+		var all []int32
+		for st, regions := range c.want {
+			ops, busy := 0, 0
+			var stepOps []int32
+			for _, r := range regions {
+				ops += len(r)
+				if len(r) > 0 {
+					busy++
+				}
+				stepOps = append(stepOps, r...)
+			}
+			if s.Steps[st].Ops() != ops || s.Steps[st].Busy() != busy {
+				t.Errorf("%s: step %d summary %d ops %d busy, want %d/%d",
+					c.name, st, s.Steps[st].Ops(), s.Steps[st].Busy(), ops, busy)
+			}
+			if got := s.StepOps(st); !slices.Equal(got, stepOps) {
+				t.Errorf("%s: step %d ops %v, want %v", c.name, st, got, stepOps)
+			}
+			if got := placed[st]; !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(stepOps))) {
+				t.Errorf("%s: step %d placed %v, want the ops of %v", c.name, st, got, stepOps)
+			}
+			total += ops
+			width = max(width, busy)
+			all = append(all, stepOps...)
+		}
+		if s.TotalOps() != total || s.Width() != width || !slices.Equal(s.Ops(), all) {
+			t.Errorf("%s: %d ops, width %d, slab %v; want %d, %d, %v",
+				c.name, s.TotalOps(), s.Width(), s.Ops(), total, width, all)
+		}
+		// The nested-list constructor yields the same layout.
+		if c.want != nil {
+			if got := lists(mustLists(t, m, c.k, 0, c.want)); !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: FromLists regions %v, want %v", c.name, got, c.want)
+			}
+		}
+	}
+	if _, err := schedule.FromLists(m, 2, 0, [][][]int32{{{0}}, {{1}, {2}, {3}}}); err == nil {
+		t.Error("FromLists accepted a step with 3 regions at k=2")
+	}
+}
+
+// TestBuilderWindowsDoNotAlias is the aliasing guard for the slab: the
+// region windows a built schedule hands out are cap-clipped, so
+// appending to any of them leaves every other region unchanged. A
+// region closed with no ops reads back empty.
 func TestBuilderWindowsDoNotAlias(t *testing.T) {
 	m, g := mod(t)
 	build := func() *schedule.Schedule {
@@ -148,13 +318,6 @@ func TestBuilderWindowsDoNotAlias(t *testing.T) {
 		b.EndStep()
 		return b.Schedule()
 	}
-	lists := func(s *schedule.Schedule) [][][]int32 {
-		var out [][][]int32
-		for _, st := range s.Steps {
-			out = append(out, st.Regions)
-		}
-		return out
-	}
 	built := build()
 	if err := built.Validate(g); err != nil {
 		t.Fatal(err)
@@ -166,19 +329,121 @@ func TestBuilderWindowsDoNotAlias(t *testing.T) {
 	for st := range want {
 		for r := range want[st] {
 			s := build()
-			s.Steps[st].Regions[r] = append(s.Steps[st].Regions[r], 99)
-			exp := build()
-			exp.Steps[st].Regions[r] = append(slices.Clone(want[st][r]), 99)
-			if got := lists(s); !reflect.DeepEqual(got, lists(exp)) {
+			_ = append(s.Region(st, r), 99)
+			_ = append(s.StepOps(st), 99)
+			_ = append(s.Ops(), 99)
+			if got := lists(s); !reflect.DeepEqual(got, want) {
 				t.Errorf("append to step %d region %d: got %v", st, r, got)
 			}
 		}
-		s := build()
-		s.Steps[st].Regions = append(s.Steps[st].Regions, []int32{99})
-		got := lists(s)
-		got[st] = got[st][:2]
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("append to step %d's regions: got %v", st, got)
+	}
+}
+
+// pointerFree reports whether values of type t hold no pointers.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// TestScheduleLayoutIsPointerFree: beyond the module pointer, a schedule
+// is slices of pointer-free elements, so the garbage collector never
+// scans per-step or per-region data.
+func TestScheduleLayoutIsPointerFree(t *testing.T) {
+	st := reflect.TypeOf(schedule.Schedule{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Name == "M" {
+			continue
+		}
+		ok := pointerFree(f.Type)
+		if f.Type.Kind() == reflect.Slice {
+			ok = pointerFree(f.Type.Elem())
+		}
+		if !ok {
+			t.Errorf("Schedule.%s (%v) holds pointers", f.Name, f.Type)
+		}
+	}
+}
+
+// TestBuilderBytesPerSchedule bounds what building one schedule
+// allocates: a 2000-op schedule of 500 steps at k=4, its regions closed
+// out of order, costs its op slab (4 B per op), one offset per region
+// per step (4 B) and an 8 B step summary, 40 B per step here; the
+// builder's own scratch is pooled. Per-step or per-region slice headers
+// (24 B each, 136 B per step here) coming back more than triple it. The
+// bound is twice the layout, because the race detector drops pooled
+// scratch at random and a dropped scratch is reallocated.
+func TestBuilderBytesPerSchedule(t *testing.T) {
+	const k, steps, perStep = 4, 500, 4
+	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: steps * perStep}})
+	for i := 0; i < steps*perStep; i++ {
+		m.Gate(qasm.H, i)
+	}
+	build := func() *schedule.Schedule {
+		b := schedule.NewBuilder(m, k, 0)
+		op := int32(0)
+		for st := 0; st < steps; st++ {
+			for _, r := range []int{2, 0, 3, 1} {
+				b.Add(op)
+				op++
+				b.Close(r)
+			}
+			b.EndStep()
+		}
+		return b.Schedule()
+	}
+	build() // warm
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	exact := uint64(4*steps*perStep + 4*(steps*k+1) + 8*steps)
+	if bound := 2 * exact; got > bound {
+		t.Errorf("building a %d-step schedule allocates %d B, bound %d B (layout %d B)", steps, got, bound, exact)
+	}
+}
+
+// BenchmarkBuilder builds a 2000-op, 500-step schedule at k=4 with its
+// regions closed out of order, the RCP auction's pattern.
+func BenchmarkBuilder(b *testing.B) {
+	const k, steps, perStep = 4, 500, 4
+	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: steps * perStep}})
+	for i := 0; i < steps*perStep; i++ {
+		m.Gate(qasm.H, i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bl := schedule.NewBuilder(m, k, 0)
+		op := int32(0)
+		for st := 0; st < steps; st++ {
+			for _, r := range []int{2, 0, 3, 1} {
+				bl.Add(op)
+				op++
+				bl.Close(r)
+			}
+			bl.EndStep()
+		}
+		if s := bl.Schedule(); s.TotalOps() != steps*perStep {
+			b.Fatal(s.TotalOps())
 		}
 	}
 }

@@ -113,12 +113,10 @@ func TestDifferentialSchedulers(t *testing.T) {
 // timestep by timestep, region by region — to a state.
 func runScheduledOrder(st *sim.State, s *schedule.Schedule) error {
 	for t := range s.Steps {
-		for _, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
-				o := &s.M.Ops[op]
-				if err := st.Apply(o.Gate, o.Angle, o.Args...); err != nil {
-					return fmt.Errorf("step %d op %d: %w", t, op, err)
-				}
+		for _, op := range s.StepOps(t) {
+			o := &s.M.Ops[op]
+			if err := st.Apply(o.Gate, o.Angle, o.Args...); err != nil {
+				return fmt.Errorf("step %d op %d: %w", t, op, err)
 			}
 		}
 	}

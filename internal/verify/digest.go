@@ -8,10 +8,10 @@ import (
 
 // ScheduleDigest returns a stable FNV-1a fingerprint of a schedule's
 // observable structure: machine shape (k, d) plus every (step, region,
-// op) assignment in order. Two schedules digest equally iff they place
-// the same ops in the same regions at the same timesteps — the
-// bit-identity the refactoring corpus tests pin across scheduler
-// rewrites.
+// op) assignment in order, k regions per step. Two schedules digest
+// equally iff they place the same ops in the same regions at the same
+// timesteps — the bit-identity the refactoring corpus tests pin across
+// scheduler rewrites.
 func ScheduleDigest(s *schedule.Schedule) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -25,9 +25,9 @@ func ScheduleDigest(s *schedule.Schedule) uint64 {
 	w(uint64(s.D))
 	w(uint64(len(s.Steps)))
 	for t := range s.Steps {
-		regions := s.Steps[t].Regions
-		w(uint64(len(regions)))
-		for r, ops := range regions {
+		w(uint64(s.K))
+		for r := 0; r < s.K; r++ {
+			ops := s.Region(t, r)
 			w(uint64(r))
 			w(uint64(len(ops)))
 			for _, op := range ops {

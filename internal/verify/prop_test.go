@@ -39,7 +39,8 @@ func TestWidthAndCapacityBounds(t *testing.T) {
 						t.Fatalf("%s: schedule stamped (k=%d,d=%d), want (%d,%d)", name, s.K, s.D, k, d)
 					}
 					for st := range s.Steps {
-						for r, ops := range s.Steps[st].Regions {
+						for r := 0; r < s.K; r++ {
+							ops := s.Region(st, r)
 							qubits := 0
 							for _, op := range ops {
 								qubits += len(m.Ops[op].Args)

@@ -84,15 +84,12 @@ func Schedule(s *schedule.Schedule, g *dag.Graph) error {
 	}
 
 	for t := range s.Steps {
-		step := &s.Steps[t]
-		// (4) k-region bound.
-		if len(step.Regions) > s.K {
-			return fail(s, "k-regions", t, -1, -1,
-				"step uses %d regions, machine has k = %d", len(step.Regions), s.K)
-		}
+		// (4) The k-region bound holds by construction: a schedule
+		// holds k regions per step (schedule.FromLists rejects more).
 		// (5) every qubit touched at most once per step, across regions.
 		qubitAt := map[int]int{} // slot -> region of first touch this step
-		for r, ops := range step.Regions {
+		for r := 0; r < s.K; r++ {
+			ops := s.Region(t, r)
 			if len(ops) == 0 {
 				continue
 			}
@@ -257,8 +254,8 @@ func Moves(s *schedule.Schedule, res *comm.Result, opts comm.Options) error {
 		// must sit in the region operating on it. Under teleportation
 		// masking its journey since the previous use stalls the step
 		// only beyond that idle window; first uses ride pre-distribution.
-		for r, ops := range s.Steps[t].Regions {
-			for _, op := range ops {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(t, r) {
 				for _, slot := range s.M.Ops[op].Args {
 					want := comm.Loc{Kind: comm.InRegion, Region: int32(r)}
 					if got := loc[slot]; got != want {

@@ -29,6 +29,16 @@ func twoQubitChain() (*ir.Module, *dag.Graph) {
 	return m, g
 }
 
+// mustLists builds a schedule from nested per-step region lists.
+func mustLists(t *testing.T, m *ir.Module, k, d int, steps [][][]int32) *schedule.Schedule {
+	t.Helper()
+	s, err := schedule.FromLists(m, k, d, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // wantCheck asserts err is a *verify.Error flagging the given check.
 func wantCheck(t *testing.T, err error, check string) *verify.Error {
 	t.Helper()
@@ -62,11 +72,11 @@ func TestLegalScheduleAccepted(t *testing.T) {
 
 func TestOpScheduledTwice(t *testing.T) {
 	m, g := twoQubitChain()
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{1}}}, // op 1 again, op 2 missing
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{0}},
+		{{1}},
+		{{1}}, // op 1 again, op 2 missing
+	})
 	ve := wantCheck(t, verify.Schedule(s, g), "op-once")
 	if ve.Step != 2 || ve.Op != 1 {
 		t.Errorf("diagnostic located at step %d op %d, want step 2 op 1", ve.Step, ve.Op)
@@ -75,10 +85,10 @@ func TestOpScheduledTwice(t *testing.T) {
 
 func TestOpMissing(t *testing.T) {
 	m, g := twoQubitChain()
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{0}},
+		{{1}},
+	})
 	ve := wantCheck(t, verify.Schedule(s, g), "op-once")
 	if ve.Op != 2 {
 		t.Errorf("diagnostic names op %d, want 2", ve.Op)
@@ -87,11 +97,11 @@ func TestOpMissing(t *testing.T) {
 
 func TestDependencyOrderViolated(t *testing.T) {
 	m, g := twoQubitChain()
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{2}}}, // T before its producer CNOT
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{0}}},
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{2}}, // T before its producer CNOT
+		{{1}},
+		{{0}},
+	})
 	wantCheck(t, verify.Schedule(s, g), "dependency-order")
 }
 
@@ -103,9 +113,9 @@ func TestSIMDHomogeneityViolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0, 1}}}, // H and T share a region-step
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{0, 1}}, // H and T share a region-step
+	})
 	ve := wantCheck(t, verify.Schedule(s, g), "simd-homogeneity")
 	if ve.Step != 0 || ve.Region != 0 || ve.Op != 1 {
 		t.Errorf("diagnostic at step %d region %d op %d, want 0/0/1", ve.Step, ve.Region, ve.Op)
@@ -120,24 +130,25 @@ func TestDistinctAnglesAreDistinctTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0, 1}}},
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{0, 1}},
+	})
 	wantCheck(t, verify.Schedule(s, g), "simd-homogeneity")
 }
 
+// TestKRegionBoundViolated: a schedule holds k regions per step by
+// construction, so the k-region bound is enforced where nested lists
+// become a schedule.
 func TestKRegionBoundViolated(t *testing.T) {
 	m := ir.NewModule("wide", nil, []ir.Reg{{Name: "q", Size: 2}})
 	m.Gate(qasm.H, 0)
 	m.Gate(qasm.H, 1)
-	g, err := dag.Build(m)
-	if err != nil {
-		t.Fatal(err)
+	s, err := schedule.FromLists(m, 1, 0, [][][]int32{
+		{{0}, {1}}, // two regions on a k=1 machine
+	})
+	if err == nil || !strings.Contains(err.Error(), "2 regions, k = 1") {
+		t.Fatalf("FromLists = %v, %v; want a k-region error", s, err)
 	}
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}, {1}}}, // two regions on a k=1 machine
-	}}
-	wantCheck(t, verify.Schedule(s, g), "k-regions")
 }
 
 func TestDCapacityViolated(t *testing.T) {
@@ -148,9 +159,9 @@ func TestDCapacityViolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &schedule.Schedule{M: m, K: 1, D: 2, Steps: []schedule.Step{
-		{Regions: [][]int32{{0, 1}}}, // 4 qubits in a d=2 region
-	}}
+	s := mustLists(t, m, 1, 2, [][][]int32{
+		{{0, 1}}, // 4 qubits in a d=2 region
+	})
 	ve := wantCheck(t, verify.Schedule(s, g), "d-capacity")
 	if ve.Step != 0 || ve.Region != 0 {
 		t.Errorf("diagnostic at step %d region %d, want 0/0", ve.Step, ve.Region)
@@ -193,9 +204,9 @@ func TestQubitInTwoRegionsAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &schedule.Schedule{M: m, K: 2, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}, {1}}}, // q[1] touched by both regions
-	}}
+	s := mustLists(t, m, 2, 0, [][][]int32{
+		{{0}, {1}}, // q[1] touched by both regions
+	})
 	// The same placement also violates dependency order (same step), but
 	// the per-step qubit exclusivity check fires first.
 	wantCheck(t, verify.Schedule(s, g), "qubit-exclusive")
@@ -297,11 +308,11 @@ func TestScratchpadCapacityViolationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{2}}},
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{0}},
+		{{1}},
+		{{2}},
+	})
 	res, err := comm.Analyze(s, comm.Options{LocalCapacity: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -466,11 +477,11 @@ func TestVerifierAgreesWithScheduleValidate(t *testing.T) {
 
 func TestErrorRendering(t *testing.T) {
 	m, g := twoQubitChain()
-	s := &schedule.Schedule{M: m, K: 1, Steps: []schedule.Step{
-		{Regions: [][]int32{{0}}},
-		{Regions: [][]int32{{1}}},
-		{Regions: [][]int32{{1}}},
-	}}
+	s := mustLists(t, m, 1, 0, [][][]int32{
+		{{0}},
+		{{1}},
+		{{1}},
+	})
 	err := verify.Schedule(s, g)
 	if err == nil {
 		t.Fatal("illegal schedule accepted")

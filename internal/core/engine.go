@@ -610,9 +610,11 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 		e.eo.schedFresh.Inc()
 		e.eo.schedSteps.Add(int64(len(s.Steps)))
 		if e.eo.opsPerStep != nil {
+			var b obs.HistBatch
 			for _, st := range s.Steps {
-				e.eo.opsPerStep.Observe(int64(st.Ops()))
+				b.Observe(int64(st.Ops()))
 			}
+			e.eo.opsPerStep.Add(&b)
 		}
 	} else {
 		sp.SetStr("cache", "sched-hit")

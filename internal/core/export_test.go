@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
 func commKeyOf(mod *ir.Module, sched Scheduler, w, d int, copts comm.Options) commKey {
@@ -25,4 +26,20 @@ func CachedCommEntry(c *EvalCache, mod *ir.Module, sched Scheduler, w, d int, co
 // test's way to plant a wrong characterization for the audit to find.
 func PutCommEntry(c *EvalCache, mod *ir.Module, sched Scheduler, w, d int, copts comm.Options, e [4]int64) {
 	c.putCommResult(commKeyOf(mod, sched, w, d, copts), commEntry{zeroLen: e[0], cycles: e[1], globals: e[2], locals: e[3]})
+}
+
+// CachedSchedules returns every schedule c holds in memory, in no
+// particular order.
+func CachedSchedules(c *EvalCache) []*schedule.Schedule {
+	var out []*schedule.Schedule
+	for _, st := range c.stripes {
+		st.mu.Lock()
+		for k, n := range st.entries {
+			if k.layer == layerSched {
+				out = append(out, n.val.(*schedule.Schedule))
+			}
+		}
+		st.mu.Unlock()
+	}
+	return out
 }

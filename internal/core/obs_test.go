@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/bench"
@@ -10,6 +11,47 @@ import (
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/obs"
 )
+
+// TestOpsPerStepMatchesObserve: the engine gathers each fresh
+// schedule's per-step op counts into a local batch before folding it
+// into sched.ops_per_step. After cold evaluations on two workers the
+// histogram must read exactly as observing every step of every
+// schedule the cache now holds, one Observe per step, would.
+func TestOpsPerStepMatchesObserve(t *testing.T) {
+	progs := engineWorkloads(t)
+	reg := obs.NewRegistry()
+	cache := core.NewEvalCache()
+	for _, name := range []string{"Grovers", "SHA-1"} {
+		p := progs[name]
+		if p == nil {
+			t.Fatalf("no %s workload", name)
+		}
+		for _, k := range []int{2, 4} {
+			opts := core.EvalOptions{Scheduler: core.LPFS, K: k, Cache: cache, Obs: &obs.Observer{Metrics: reg}, Workers: 2}
+			if _, err := core.Evaluate(p, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := obs.NewRegistry()
+	h := want.Histogram("sched.ops_per_step")
+	scheds := core.CachedSchedules(cache)
+	for _, s := range scheds {
+		for _, st := range s.Steps {
+			h.Observe(int64(st.Ops()))
+		}
+	}
+	if int64(len(scheds)) != reg.Counter("sched.fresh").Value() {
+		t.Fatalf("the cache holds %d schedules, %d were fresh", len(scheds), reg.Counter("sched.fresh").Value())
+	}
+	got := reg.Snapshot().Histograms["sched.ops_per_step"]
+	if ref := want.Snapshot().Histograms["sched.ops_per_step"]; !reflect.DeepEqual(got, ref) {
+		t.Errorf("sched.ops_per_step reads %+v, per-step Observe %+v", got, ref)
+	}
+	if got.Count == 0 || got.Count != reg.Counter("sched.steps").Value() {
+		t.Errorf("histogram count %d, sched.steps %d", got.Count, reg.Counter("sched.steps").Value())
+	}
+}
 
 // TestEvaluateObservability is the acceptance check that the metrics
 // snapshot agrees with the Metrics Evaluate returns, and that the trace

@@ -52,7 +52,9 @@ type RequestRecord struct {
 
 	// Role is the dedup attribution of an evaluation: "leader" ran the
 	// engine with at least one follower attached, "solo" ran it alone,
-	// "follower" joined a leader's in-flight evaluation.
+	// "follower" joined a leader's in-flight evaluation, and "memo" was
+	// answered from the Metrics stored in qschedd's build memo (no
+	// evaluation, so no queue wait, eval time or cache block).
 	Role string `json:"role,omitempty"`
 	// LeaderID is the id of the request whose evaluation a follower
 	// inherited (set on followers only).

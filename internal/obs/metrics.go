@@ -89,21 +89,55 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 }
 
+// bucket clamps v to zero from below and returns it with its bucket.
+func bucket(v int64) (int64, int) {
+	if v < 0 {
+		v = 0
+	}
+	return v, min(bits.Len64(uint64(v)), histBuckets-1)
+}
+
 // Observe records v (negative values clamp to zero).
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
-	}
-	idx := bits.Len64(uint64(v))
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
+	v, idx := bucket(v)
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[idx].Add(1)
+}
+
+// HistBatch gathers observations for one Histogram in plain memory, so
+// a caller that observes many values at once (one per schedule step)
+// pays the shared histogram's contended atomic adds once per touched
+// bucket instead of three per value. The zero value is empty.
+type HistBatch struct {
+	count, sum int64
+	buckets    [histBuckets]int64
+}
+
+// Observe records v in the batch, bucketed as Histogram.Observe does.
+func (b *HistBatch) Observe(v int64) {
+	v, idx := bucket(v)
+	b.count++
+	b.sum += v
+	b.buckets[idx]++
+}
+
+// Add folds batch b into h: afterwards h reads as if each of b's values
+// had been observed on it directly.
+func (h *Histogram) Add(b *HistBatch) {
+	if h == nil || b.count == 0 {
+		return
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	for i, n := range b.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
 }
 
 // Count returns the number of observations.

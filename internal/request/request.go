@@ -187,18 +187,37 @@ func (c Config) Build(o *obs.Observer) (*ir.Program, error) {
 // source, Entry and FTh, the only fields Build reads. A benchmark name
 // and its inline source share a key; the machine shape, scheduler,
 // comm model and toggles do not enter it.
+//
+// The strings pass through a fixed stack buffer, so the key allocates
+// nothing however long the source is.
 func (c Config) BuildKey() [sha256.Size]byte {
 	h := sha256.New()
-	var n [8]byte
-	field := func(b []byte) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
-		h.Write(n[:])
-		h.Write(b)
+	var buf [512]byte
+	n := 0
+	u64 := func(v uint64) {
+		if n+8 > len(buf) {
+			h.Write(buf[:n])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], v)
+		n += 8
 	}
-	field([]byte(c.source()))
-	field([]byte(c.Entry))
-	binary.LittleEndian.PutUint64(n[:], uint64(c.FTh))
-	h.Write(n[:])
+	str := func(s string) {
+		u64(uint64(len(s)))
+		for len(s) > 0 {
+			if n == len(buf) {
+				h.Write(buf[:n])
+				n = 0
+			}
+			k := copy(buf[n:], s)
+			n += k
+			s = s[k:]
+		}
+	}
+	str(c.source())
+	str(c.Entry)
+	u64(uint64(c.FTh))
+	h.Write(buf[:n])
 	var k [sha256.Size]byte
 	h.Sum(k[:0])
 	return k

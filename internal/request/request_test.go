@@ -1,8 +1,11 @@
 package request_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,6 +185,55 @@ func TestLabel(t *testing.T) {
 	}
 	if got := (request.Config{Source: "x"}).Label(); got != "program" {
 		t.Errorf("source label %q", got)
+	}
+}
+
+// TestBuildKeyBytes pins the bytes of the build key: SHA-256 over the
+// source's length and bytes, the entry's length and bytes, then FTh,
+// each length and FTh as a little-endian uint64. Two keys are pinned
+// literally, and sources around the hashing buffer's size must match a
+// straightforward hashing of the same stream.
+func TestBuildKeyBytes(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  request.Config
+		want string
+	}{
+		{request.Config{Bench: "SHA-1"}.WithDefaults(), "1ee320770cb82c5d4ff70c2eb65a8b11c690690204c70ab8639840dccf7d6abe"},
+		{request.Config{Source: tinySource, Entry: "kernel", FTh: 7}, "304db5518fec576674c9830183f549d1c48246ef3d4a6f3883cd6f672eac75ea"},
+	} {
+		if got := fmt.Sprintf("%x", tc.cfg.BuildKey()); got != tc.want {
+			t.Errorf("%s: build key %s, want %s", tc.cfg.Label(), got, tc.want)
+		}
+	}
+	reference := func(c request.Config) [sha256.Size]byte {
+		var stream []byte
+		stream = binary.LittleEndian.AppendUint64(stream, uint64(len(c.Source)))
+		stream = append(stream, c.Source...)
+		stream = binary.LittleEndian.AppendUint64(stream, uint64(len(c.Entry)))
+		stream = append(stream, c.Entry...)
+		stream = binary.LittleEndian.AppendUint64(stream, uint64(c.FTh))
+		return sha256.Sum256(stream)
+	}
+	for _, n := range []int{0, 1, 495, 496, 503, 504, 505, 512, 1000, 1016, 1017, 5000} {
+		for _, entry := range []string{"", "main", strings.Repeat("e", 600)} {
+			c := request.Config{Source: strings.Repeat("x", n), Entry: entry, FTh: int64(n) + 3}
+			if got, want := c.BuildKey(), reference(c); got != want {
+				t.Errorf("source of %d bytes, entry of %d: build key %x, want %x", n, len(entry), got, want)
+			}
+		}
+	}
+}
+
+// TestBuildKeyAllocatesNothing: keying a request hashes its source in
+// place, without copying it.
+func TestBuildKeyAllocatesNothing(t *testing.T) {
+	for _, c := range []request.Config{
+		request.Config{Bench: "SHA-1"}.WithDefaults(),
+		request.Config{Source: strings.Repeat("H(q[0]);\n", 2000)}.WithDefaults(),
+	} {
+		if n := testing.AllocsPerRun(20, func() { _ = c.BuildKey() }); n != 0 {
+			t.Errorf("%s: BuildKey allocates %.0f times", c.Label(), n)
+		}
 	}
 }
 

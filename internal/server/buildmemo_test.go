@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/request"
 	"github.com/scaffold-go/multisimd/internal/verify"
 )
@@ -143,40 +145,107 @@ func TestBuildMemoAdmitsOnSecondSighting(t *testing.T) {
 	}
 }
 
-// TestBuildMemoStaysUnderCap fills the memo far past its byte cap: the
-// estimate never exceeds it, the least recently used builds go first,
-// and every eviction is counted.
+// memoRecount re-derives the memo's byte estimate from its entries and
+// their answers, checking each entry's own count on the way.
+func memoRecount(t *testing.T, m *buildMemo) int64 {
+	t.Helper()
+	var total int64
+	for _, el := range m.entries {
+		e := el.Value.(*memoEntry)
+		n := e.b.size()
+		for key := range e.answers {
+			n += answerSize(key)
+		}
+		if n != e.bytes {
+			t.Fatalf("entry %x counts %d bytes, holds %d", e.key[:4], e.bytes, n)
+		}
+		total += n
+	}
+	return total
+}
+
+// TestBuildMemoStaysUnderCap fills the memo far past its byte cap with
+// builds that each carry two stored answers: the estimate, answers
+// included, never exceeds the cap and always equals what the entries
+// hold; the least recently used builds go first, taking their answers
+// with them; every eviction is counted; and a build a Verify request
+// replaces loses its answers.
 func TestBuildMemoStaysUnderCap(t *testing.T) {
 	s := New(Options{SampleEvery: -1})
 	defer s.Close()
-	p, err := request.Config{Bench: "QPE"}.WithDefaults().Build(nil)
+	cfg := request.Config{Bench: "QPE"}.WithDefaults()
+	p, err := cfg.Build(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := builtProgram{p: p, d: p.Digests()}
-	fit := int(memoCapBytes / b.size())
-	var first buildKey
+	fp := b.d.Program
+	var keys []string
+	for _, k := range []int{2, 4} {
+		c := cfg
+		c.K = k
+		keys = append(keys, c.KeyOf(fp))
+	}
+	per := b.size() + answerSize(keys[0]) + answerSize(keys[1])
+	fit := int(memoCapBytes / per)
+	var first, last buildKey
 	for i := 0; i < 3*fit; i++ {
 		k := request.Config{Source: fmt.Sprintf("// %d\n", i), Entry: "main"}.BuildKey()
 		if i == 0 {
 			first = k
 		}
+		last = k
 		s.memo.offer(k, b)
 		s.memo.offer(k, b)
+		for _, key := range keys {
+			s.memo.keep(k, fp, key, core.Metrics{TotalGates: int64(i)}, s.memo.epoch())
+		}
 		if s.memo.bytes > memoCapBytes {
 			t.Fatalf("after %d builds the memo holds %d bytes, cap %d", i+1, s.memo.bytes, memoCapBytes)
+		}
+		if n := memoRecount(t, s.memo); n != s.memo.bytes {
+			t.Fatalf("after %d builds the memo counts %d bytes, its entries hold %d", i+1, s.memo.bytes, n)
 		}
 		if i == 0 {
 			if _, ok := s.memo.get(first); !ok {
 				t.Fatal("a build offered twice was not kept")
+			}
+			if m, ok := s.memo.answer(first, keys[1]); !ok || m.TotalGates != 0 {
+				t.Fatalf("a kept answer reads %+v (%v)", m, ok)
 			}
 		}
 	}
 	if _, ok := s.memo.get(first); ok {
 		t.Error("the least recently used build survived the cap")
 	}
+	if _, ok := s.memo.answer(first, keys[0]); ok {
+		t.Error("an evicted build's answer is still served")
+	}
 	if n, ev := len(s.memo.entries), s.memo.evictions.Value(); n != fit || ev != int64(2*fit) {
 		t.Errorf("%d entries and %d evictions, want %d and %d", n, ev, fit, 2*fit)
+	}
+
+	other, err := request.Config{Bench: "BF"}.WithDefaults().Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.memo.keep(last, other.Fingerprint(), "other", core.Metrics{}, s.memo.epoch())
+	if _, ok := s.memo.answer(last, "other"); ok {
+		t.Error("an answer for another program was stored on the entry")
+	}
+	if err := s.memo.check(last, builtProgram{p: other, d: other.Digests()}); !errors.Is(err, errStaleBuild) {
+		t.Fatalf("check of a different build: %v", err)
+	}
+	for _, key := range keys {
+		if _, ok := s.memo.answer(last, key); ok {
+			t.Errorf("a replaced build's answer under %s is still served", key)
+		}
+	}
+	if n := memoRecount(t, s.memo); n != s.memo.bytes || s.memo.bytes > memoCapBytes {
+		t.Errorf("after the replacement the memo counts %d bytes, its entries hold %d, cap %d", s.memo.bytes, n, memoCapBytes)
+	}
+	if g := s.reg.Gauge("server.build_memo.bytes").Value(); g != s.memo.bytes {
+		t.Errorf("gauge reads %d bytes, memo holds %d", g, s.memo.bytes)
 	}
 }
 
@@ -245,10 +314,13 @@ func TestVerifyReplacesStaleBuild(t *testing.T) {
 
 // TestMemoizedProgramsStayFrozen sends /v1/compile, /v1/report,
 // /v1/verify and /v1/schedule concurrently over the gated set ×
-// {lpfs, rcp} × k∈{2,4}, every one served the same memoized programs.
-// Afterwards each entry is the build kept during warm-up, and re-hashing
-// it reproduces the digests stored when it was kept: no request wrote
-// to a shared program.
+// {lpfs, rcp} × k∈{2,4}, every one served the same memoized programs,
+// and interleaves with them memo-served compiles and verifies of one
+// key, whose verifies replace the answer the compiles read.
+// Afterwards each entry is the build kept during warm-up, re-hashing
+// it reproduces the digests stored when it was kept (no request wrote
+// to a shared program), and the hot key's stored answer is the honest
+// one.
 func TestMemoizedProgramsStayFrozen(t *testing.T) {
 	s, ts := newTestServer(t, Options{Cache: openCorpus(t), MaxQueue: 256})
 	type call struct{ path, body string }
@@ -277,6 +349,15 @@ func TestMemoizedProgramsStayFrozen(t *testing.T) {
 	if len(kept) != len(bench.Gated()) {
 		t.Fatalf("warm-up kept %d builds, want %d", len(kept), len(bench.Gated()))
 	}
+	hot := fmt.Sprintf(`{"bench": %q}`, bench.Gated()[0].Name)
+	var honest VerifyResponse
+	decodeInto(t, mustPost(t, ts.URL+"/v1/verify", hot), &honest)
+	hits := s.reg.Counter("server.build_memo.answer_hits")
+	hits0 := hits.Value()
+	for i := 0; i < 16; i++ {
+		calls = append(calls, call{"/v1/compile", hot}, call{"/v1/verify", hot})
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
 
 	const clients = 4
 	next := make(chan call, len(calls))
@@ -304,6 +385,14 @@ func TestMemoizedProgramsStayFrozen(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if hits.Value() == hits0 {
+		t.Error("no compile of the hot key was answered from the memo")
+	}
+	var again CompileResponse
+	decodeInto(t, mustPost(t, ts.URL+"/v1/compile", hot), &again)
+	if again.Metrics != honest.Metrics {
+		t.Errorf("after concurrent verifies the hot key answers %+v, want %+v", again.Metrics, honest.Metrics)
+	}
 
 	after := memoSnapshot(s)
 	for k, b := range kept {
@@ -325,4 +414,119 @@ func firstLeaf(p *ir.Program) string {
 		}
 	}
 	return ""
+}
+
+// TestRepeatedRequestServedFromMemo: the first two identical requests
+// evaluate (the second sighting keeps the build, and its evaluation
+// stores its answer); the third is answered from the memo. It runs no
+// engine task, returns the same Metrics, counts one answer hit and
+// logs role "memo" with the flight key and fingerprint but no cache
+// block. A /v1/report and a /v1/verify of the same request still
+// evaluate.
+func TestRepeatedRequestServedFromMemo(t *testing.T) {
+	var buf syncBuffer
+	s, ts := newTestServer(t, Options{AccessLog: obs.NewAccessLog(&buf)})
+	body := compileBody(tinySource, "lpfs", 2)
+	tasks := s.reg.Counter("engine.tasks")
+	hits := s.reg.Counter("server.build_memo.answer_hits")
+	var got [3]CompileResponse
+	var tasks0 int64
+	for i := range got {
+		if i == 2 {
+			if n := hits.Value(); n != 0 {
+				t.Fatalf("two requests counted %d answer hits", n)
+			}
+			tasks0 = tasks.Value()
+		}
+		resp, data := postWithID(t, ts.URL+"/v1/compile", fmt.Sprintf("rep-%d", i), body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		decodeInto(t, data, &got[i])
+	}
+	if n := tasks.Value() - tasks0; n != 0 {
+		t.Errorf("the memo-served request ran %d engine tasks", n)
+	}
+	if got[2].Metrics != got[1].Metrics || got[1].Metrics != got[0].Metrics {
+		t.Errorf("answers differ: %+v, %+v, %+v", got[0].Metrics, got[1].Metrics, got[2].Metrics)
+	}
+	if n := hits.Value(); n != 1 {
+		t.Errorf("server.build_memo.answer_hits reads %d, want 1", n)
+	}
+	evaluated, served := waitForEntry(t, &buf, "rep-1"), waitForEntry(t, &buf, "rep-2")
+	if evaluated.Role != "solo" || evaluated.Cache == nil {
+		t.Errorf("second request logged role %q, cache %+v; want an evaluation", evaluated.Role, evaluated.Cache)
+	}
+	if served.Role != "memo" || served.Cache != nil || served.EvalMS != 0 || served.QueueWaitMS != 0 {
+		t.Errorf("memo-served record: role %q, cache %+v, eval %v ms, queue %v ms", served.Role, served.Cache, served.EvalMS, served.QueueWaitMS)
+	}
+	if served.Key != evaluated.Key || served.Fingerprint != evaluated.Fingerprint || served.Fingerprint == "" {
+		t.Errorf("memo-served record keys %q / %q, evaluated %q / %q", served.Key, served.Fingerprint, evaluated.Key, evaluated.Fingerprint)
+	}
+
+	for _, path := range []string{"/v1/report", "/v1/verify"} {
+		before := tasks.Value()
+		mustPost(t, ts.URL+path, body)
+		if tasks.Value() == before {
+			t.Errorf("%s ran no engine task", path)
+		}
+	}
+	if n := hits.Value(); n != 1 {
+		t.Errorf("report and verify counted %d answer hits in all, want 1", n)
+	}
+}
+
+// TestVerifyInvalidatesStoredAnswers plants a wrong comm entry: a
+// record rewritten on disk, which the first request promotes into
+// memory. Plain requests are served it, the third from the answer the
+// second stored. /v1/verify rejects the entry and replaces it; the
+// rejection invalidates every stored answer, so the next plain request
+// evaluates again and returns the honest Metrics, and the one after is
+// answered from the memo with them.
+func TestVerifyInvalidatesStoredAnswers(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"bench": "Grovers", "scheduler": "lpfs", "k": 2}`
+	compile := func(url string) MetricsBody {
+		t.Helper()
+		var cr CompileResponse
+		decodeInto(t, mustPost(t, url+"/v1/compile", body), &cr)
+		return cr.Metrics
+	}
+	cache1, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts1 := newTestServer(t, Options{Cache: cache1})
+	honest := compile(ts1.URL)
+	ts1.Close()
+	cache1.Close()
+	tamperCommRecord(t, dir)
+
+	cache2, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache2.Close()
+	s, ts := newTestServer(t, Options{Cache: cache2})
+	hits := s.reg.Counter("server.build_memo.answer_hits")
+	for i := 0; i < 3; i++ {
+		if got := compile(ts.URL); got == honest {
+			t.Fatalf("request %d: the planted entry was not served", i+1)
+		}
+	}
+	if n := hits.Value(); n != 1 {
+		t.Fatalf("three plain requests counted %d answer hits, want 1", n)
+	}
+	if resp, data := post(t, ts.URL+"/v1/verify", body); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("verify over the planted entry: %d: %s", resp.StatusCode, data)
+	}
+	if got := compile(ts.URL); got != honest {
+		t.Errorf("after the rejection /v1/compile serves %+v, want %+v", got, honest)
+	}
+	if n := hits.Value(); n != 1 {
+		t.Errorf("the answer stored before the rejection was served (%d answer hits)", n)
+	}
+	if got := compile(ts.URL); got != honest || hits.Value() != 2 {
+		t.Errorf("the re-evaluated answer: %+v with %d answer hits, want %+v from the memo", got, hits.Value(), honest)
+	}
 }

@@ -97,15 +97,14 @@ type evalResult struct {
 	stats obs.RequestRecord
 }
 
-// evaluate runs req through the shared flight group: identical
-// concurrent requests collapse onto one admission slot and one engine
-// run against the shared cache. The boolean reports whether this call
-// joined an existing flight.
-func (s *Server) evaluate(ctx context.Context, req request.Config, b builtProgram) (evalResult, bool, error) {
-	// The build's one hashing pass keys the request and the engine's
-	// leaves.
+// evaluate runs req, whose flight key is key, through the shared
+// flight group: identical concurrent requests collapse onto one
+// admission slot and one engine run against the shared cache. A
+// successful run's Metrics are kept on the memo entry of bk, under the
+// flight key of the plain request. The boolean reports whether this
+// call joined an existing flight.
+func (s *Server) evaluate(ctx context.Context, req request.Config, key string, bk buildKey, b builtProgram) (evalResult, bool, error) {
 	p, fp := b.p, b.d.Program
-	key := req.KeyOf(fp)
 	fn := func(workCtx context.Context) (any, error) {
 		s.wg.Add(1)
 		defer s.wg.Done()
@@ -142,11 +141,19 @@ func (s *Server) evaluate(ctx context.Context, req request.Config, b builtProgra
 		// recorder attributes exactly this run's traffic.
 		cacheRec := &core.CacheRecorder{}
 		eopts.CacheStats = cacheRec
+		epoch := s.memo.epoch()
 		evalStart := time.Now()
 		m, err := core.EvaluateDigests(evalCtx, p, b.d.Modules, eopts)
 		if err != nil {
 			return nil, err
 		}
+		answerKey := key
+		if req.Verify || req.Profile {
+			plain := req
+			plain.Verify, plain.Profile = false, false
+			answerKey = plain.KeyOf(fp)
+		}
+		s.memo.keep(bk, fp, answerKey, *m, epoch)
 		delta := cacheRec.Stats()
 		res := evalResult{m: m, stats: obs.RequestRecord{
 			QueueWaitMS: float64(queueWait.Microseconds()) / 1000,
@@ -264,15 +271,28 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // compile builds (or takes from the build memo) and evaluates req,
 // writing the error response itself on failure (callers just return on
-// err != nil).
+// err != nil). A plain request whose program came from the memo is
+// answered from the Metrics stored with it when there are any: no
+// admission, flight, tracer or engine run.
 func (s *Server) compile(w http.ResponseWriter, r *http.Request, req request.Config) (evalResult, bool, error) {
-	b, err := s.program(req)
+	b, bk, memoized, err := s.program(req)
 	if err != nil {
 		status := buildStatus(err)
 		writeError(w, r, status, codeFor(status), err.Error())
 		return evalResult{}, false, err
 	}
-	res, deduped, err := s.evaluate(r.Context(), req, b)
+	// The build's one hashing pass keys the request and the engine's
+	// leaves.
+	key := req.KeyOf(b.d.Program)
+	if memoized && !req.Verify && !req.Profile {
+		if m, ok := s.memo.answer(bk, key); ok {
+			if rec := recordFrom(r.Context()); rec != nil {
+				rec.Key, rec.Fingerprint, rec.Role = key, b.d.Program.String(), "memo"
+			}
+			return evalResult{m: &m}, false, nil
+		}
+	}
+	res, deduped, err := s.evaluate(r.Context(), req, key, bk, b)
 	if err != nil {
 		s.writeEvalError(w, r, err)
 	}
@@ -364,7 +384,7 @@ func codeFor(status int) string {
 // scheduleModule produces the fine-grained leaf schedule the CLI's
 // -dump flag prints, as a structured response.
 func (s *Server) scheduleModule(sreq ScheduleRequest) (*ScheduleResponse, int, error) {
-	b, err := s.program(sreq.Config)
+	b, _, _, err := s.program(sreq.Config)
 	if err != nil {
 		return nil, buildStatus(err), err
 	}

@@ -216,6 +216,47 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	}
 }
 
+// tamperCommRecord rewrites the first comm record (a 32-byte payload:
+// zero-comm length, cycles, global moves, local moves) in the store at
+// dir with cycles + 1, through a valid frame so no checksum can catch
+// it, and returns the honest cycles.
+func tamperCommRecord(t *testing.T, dir string) int64 {
+	t.Helper()
+	var keys []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(d.Name(), ".rec") {
+			keys = append(keys, strings.TrimSuffix(d.Name(), ".rec"))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(keys)
+	store, err := cas.Open(cas.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for _, name := range keys {
+		var k cas.Key
+		if raw, err := hex.DecodeString(name); err != nil || copy(k[:], raw) != len(k) {
+			t.Fatalf("record name %q", name)
+		}
+		payload, ok := store.Get(k)
+		if !ok || len(payload) != 32 {
+			continue
+		}
+		cycles := int64(binary.LittleEndian.Uint64(payload[8:]))
+		binary.LittleEndian.PutUint64(payload[8:], uint64(cycles+1))
+		store.Delete(k)
+		store.Put(k, payload)
+		return cycles
+	}
+	t.Fatalf("no comm record among %d records", len(keys))
+	return 0
+}
+
 // TestVerifyAuditsDiskRecords: a comm record rewritten on disk with a
 // valid frame (so no checksum can catch it) is served as is by
 // /v1/compile after a restart, and /v1/verify reports it, naming the
@@ -245,43 +286,7 @@ func TestVerifyAuditsDiskRecords(t *testing.T) {
 	ts1.Close()
 	cache1.Close()
 
-	// Rewrite the first comm record (a 32-byte payload: zero-comm
-	// length, cycles, global moves, local moves) with cycles + 1.
-	var keys []string
-	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && strings.HasSuffix(d.Name(), ".rec") {
-			keys = append(keys, strings.TrimSuffix(d.Name(), ".rec"))
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(keys)
-	store, err := cas.Open(cas.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cycles := int64(-1)
-	for _, name := range keys {
-		var k cas.Key
-		if raw, err := hex.DecodeString(name); err != nil || copy(k[:], raw) != len(k) {
-			t.Fatalf("record name %q", name)
-		}
-		payload, ok := store.Get(k)
-		if !ok || len(payload) != 32 {
-			continue
-		}
-		cycles = int64(binary.LittleEndian.Uint64(payload[8:]))
-		binary.LittleEndian.PutUint64(payload[8:], uint64(cycles+1))
-		store.Delete(k)
-		store.Put(k, payload)
-		break
-	}
-	store.Close()
-	if cycles < 0 {
-		t.Fatalf("no comm record among %d records", len(keys))
-	}
+	cycles := tamperCommRecord(t, dir)
 
 	cache2, err := core.OpenEvalCache(core.CacheConfig{Dir: dir})
 	if err != nil {

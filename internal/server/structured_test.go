@@ -15,17 +15,18 @@ import (
 )
 
 // TestWarmCompileAllocBudget pins one warm /v1/compile (the gated SHA-1
-// at k=4 over the committed cas corpus, served from memory) to its
-// measured allocation count, ±5%. The request takes its program and
-// digests from the build memo, looks its leaves up and composes from
-// cached dims: it builds and hashes nothing. A request that builds its
-// program again (over 3,000 allocations) fails here. Under the race
-// detector sync.Pool drops a share of its Puts, and fmt, encoding/json
-// and net/http pool their state, so a race build pins its own count.
+// at k=4 over the committed cas corpus) to its measured allocation
+// count, ±5%. The request takes its program and digests from the build
+// memo and its Metrics from the answers stored with it: it builds,
+// hashes and evaluates nothing, so no engine task runs. A request that
+// reaches the engine again (over 700 allocations) or builds its program
+// again (over 3,000) fails here. Under the race detector sync.Pool
+// drops a share of its Puts, and fmt, encoding/json and net/http pool
+// their state, so a race build pins its own count.
 func TestWarmCompileAllocBudget(t *testing.T) {
-	want := 734.0
+	want := 58.0
 	if raceEnabled {
-		want = 769
+		want = 64
 	}
 	cache, err := core.OpenEvalCache(core.CacheConfig{Preload: "../../bench/baselines/cas"})
 	if err != nil {
@@ -45,13 +46,17 @@ func TestWarmCompileAllocBudget(t *testing.T) {
 		}
 	}
 	// The first request promotes the preload's records into memory; the
-	// second sighting of the source keeps its build.
+	// second sighting of the source keeps its build, and its evaluation
+	// stores its answer.
 	compile()
 	compile()
-	before := cache.Stats()
+	before, tasks := cache.Stats(), s.reg.Counter("engine.tasks").Value()
 	got := testing.AllocsPerRun(20, compile)
-	if d := cache.Stats().Sub(before); d.CommMisses != 0 || d.SchedMisses != 0 || d.CPMisses != 0 || d.DiskHits != 0 {
-		t.Fatalf("measured requests left memory: %+v", d)
+	if d := cache.Stats().Sub(before); d.CommHits+d.CommMisses+d.SchedHits+d.SchedMisses+d.CPHits+d.CPMisses+d.DiskHits+d.DiskMisses != 0 {
+		t.Fatalf("measured requests reached the cache: %+v", d)
+	}
+	if n := s.reg.Counter("engine.tasks").Value() - tasks; n != 0 {
+		t.Fatalf("measured requests ran %d engine tasks", n)
 	}
 	if got < want-want/20 || got > want+want/20 {
 		t.Errorf("warm /v1/compile allocates %.0f times, budget %.0f (±5%%)", got, want)

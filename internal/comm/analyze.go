@@ -4,8 +4,10 @@ package comm
 // Qubit slots and timesteps are small dense integers, so all per-qubit
 // and per-step bookkeeping lives in slot- and step-indexed slices backed
 // by a reusable arena (Analyzer) instead of hash maps: the inner loop
-// does O(1) array indexing. A warmed Analyzer's Summarize allocates
-// nothing and its Analyze only the returned Result. The map-based
+// does O(1) array indexing. A warmed Analyzer's Analyze allocates only
+// the returned Result. Analyze records every move: it is the path of
+// verification and reports, and the reference that movement.go's Price
+// is pinned to. The map-based
 // original is preserved as the differential oracle in reference_test.go;
 // TestDenseAnalyzeMatchesReference pins Analyze to it field-for-field
 // across the random corpus.
@@ -40,10 +42,9 @@ type leaveNode struct {
 
 // Analyzer carries the reusable dense state of the movement analysis.
 // The zero value is ready to use; buffers grow to the largest schedule
-// analyzed and are reused afterwards, so steady-state Summarize calls
-// allocate nothing and Analyze calls only the Result. An Analyzer must
-// not be used concurrently; the package-level Analyze and Summarize
-// draw from a sync.Pool.
+// analyzed and are reused afterwards, so steady-state Analyze calls
+// allocate only the Result. An Analyzer must not be used concurrently;
+// the package-level Analyze draws from a sync.Pool.
 type Analyzer struct {
 	// Slot-indexed state.
 	loc     []Loc   // current residence; zero value = global memory
@@ -70,7 +71,7 @@ type Analyzer struct {
 	// Arenas.
 	evictions []evictNode
 	leaves    []leaveNode
-	moves     []Move // all moves, in boundary order (Analyze only)
+	moves     []Move // all moves, in boundary order
 }
 
 // NewAnalyzer returns an empty Analyzer. Equivalent to &Analyzer{};
@@ -86,15 +87,6 @@ func Analyze(s *schedule.Schedule, opts Options) (*Result, error) {
 	res, err := a.Analyze(s, opts)
 	analyzerPool.Put(a)
 	return res, err
-}
-
-// Summarize derives a fine-grained schedule's communication scalars
-// using a pooled Analyzer.
-func Summarize(s *schedule.Schedule, opts Options) (Summary, error) {
-	a := analyzerPool.Get().(*Analyzer)
-	sum, err := a.Summarize(s, opts)
-	analyzerPool.Put(a)
-	return sum, err
 }
 
 // grown returns a length-n slice reusing buf's storage when it fits.
@@ -226,34 +218,14 @@ func (a *Analyzer) planLeave(v int, r int32) {
 // schedule. The returned Result is independent of the Analyzer and
 // remains valid across further calls.
 func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) {
-	res := &Result{Boundaries: make([][]Move, len(s.Steps)), Overhead: make([]int, len(s.Steps))}
-	sum, err := a.analyze(s, opts, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Cycles, res.GlobalMoves, res.LocalMoves, res.EPRPairs = sum.Cycles, sum.GlobalMoves, sum.LocalMoves, sum.EPRPairs
-	res.MaxLocalOccupancy, res.PeakEPRBandwidth = sum.MaxLocalOccupancy, sum.PeakEPRBandwidth
-	return res, nil
-}
-
-// Summarize returns Analyze's scalars without recording the move list
-// or overhead vector; a warm Analyzer allocates nothing.
-func (a *Analyzer) Summarize(s *schedule.Schedule, opts Options) (Summary, error) {
-	return a.analyze(s, opts, nil)
-}
-
-// analyze is the one analysis body. A non-nil rec, its vectors sized to
-// the step count, also receives every boundary's overhead and moves.
-func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Summary, error) {
-	var sum Summary
 	nSteps := len(s.Steps)
+	rec := &Result{Boundaries: make([][]Move, nSteps), Overhead: make([]int, nSteps)}
 	if nSteps == 0 {
-		return sum, nil
+		return rec, nil
 	}
-	slots := s.M.TotalSlots()
-	a.reset(slots, nSteps, s.K)
+	a.reset(s.M.TotalSlots(), nSteps, s.K)
 	if err := a.buildUses(s); err != nil {
-		return sum, err
+		return nil, err
 	}
 	a.buildActivity(s)
 	stride := nSteps + 1
@@ -264,16 +236,14 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 	// in boundary order, delimited by bStart.
 	var over, teleports, firstLoads int
 	addMove := func(m Move) {
-		if rec != nil {
-			a.moves = append(a.moves, m)
-		}
+		a.moves = append(a.moves, m)
 		cost := int32(LocalCycles)
 		if m.Kind == GlobalMove {
-			sum.GlobalMoves++
+			rec.GlobalMoves++
 			teleports++
 			cost = TeleportCycles
 		} else {
-			sum.LocalMoves++
+			rec.LocalMoves++
 		}
 		a.pending[m.Slot] += cost
 		if opts.NoOverlap && over < int(cost) {
@@ -333,8 +303,8 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 		// waves. Pre-distributed first-use loads never stall the runtime
 		// under the masked model; only genuine mid-circuit teleports
 		// compete for the channel. NoOverlap charges everything, per §4.4.
-		if teleports > sum.PeakEPRBandwidth {
-			sum.PeakEPRBandwidth = teleports
+		if teleports > rec.PeakEPRBandwidth {
+			rec.PeakEPRBandwidth = teleports
 		}
 		runtime := teleports
 		if !opts.NoOverlap {
@@ -344,10 +314,8 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 			waves := (runtime + opts.EPRBandwidth - 1) / opts.EPRBandwidth
 			over += (waves - 1) * TeleportCycles
 		}
-		sum.StallCycles += int64(over)
-		if rec != nil {
-			rec.Overhead[t] = over
-		}
+		rec.Cycles += int64(over)
+		rec.Overhead[t] = over
 		// Out-decisions for step t's operands.
 		for r := 0; r < s.K; r++ {
 			for _, op := range s.Region(t, r) {
@@ -377,8 +345,8 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 							(opts.LocalCapacity < 0 || int(a.localOcc[r]) < opts.LocalCapacity) {
 							a.planEvict(av, int32(slot), Loc{Kind: InLocal, Region: int32(r)}, LocalMove)
 							a.localOcc[r]++
-							if int(a.localOcc[r]) > sum.MaxLocalOccupancy {
-								sum.MaxLocalOccupancy = int(a.localOcc[r])
+							if int(a.localOcc[r]) > rec.MaxLocalOccupancy {
+								rec.MaxLocalOccupancy = int(a.localOcc[r])
 							}
 							a.planLeave(v, int32(r))
 							continue
@@ -398,20 +366,18 @@ func (a *Analyzer) analyze(s *schedule.Schedule, opts Options, rec *Result) (Sum
 			}
 		}
 	}
-	sum.Cycles = int64(nSteps) + sum.StallCycles
-	sum.EPRPairs = sum.GlobalMoves
-	if rec != nil {
-		// Detach the move list from the arena: one flat allocation,
-		// sliced per boundary (nil where a boundary charged nothing,
-		// matching the map-based original).
-		a.bStart[nSteps] = int32(len(a.moves))
-		flat := make([]Move, len(a.moves))
-		copy(flat, a.moves)
-		for t := 0; t < nSteps; t++ {
-			if lo, hi := a.bStart[t], a.bStart[t+1]; lo < hi {
-				rec.Boundaries[t] = flat[lo:hi:hi]
-			}
+	rec.Cycles += int64(nSteps) // the stalls summed per step, plus a cycle per step
+	rec.EPRPairs = rec.GlobalMoves
+	// Detach the move list from the arena: one flat allocation, sliced
+	// per boundary (nil where a boundary charged nothing, matching the
+	// map-based original).
+	a.bStart[nSteps] = int32(len(a.moves))
+	flat := make([]Move, len(a.moves))
+	copy(flat, a.moves)
+	for t := 0; t < nSteps; t++ {
+		if lo, hi := a.bStart[t], a.bStart[t+1]; lo < hi {
+			rec.Boundaries[t] = flat[lo:hi:hi]
 		}
 	}
-	return sum, nil
+	return rec, nil
 }

@@ -54,17 +54,31 @@ func BenchmarkAnalyzeReused(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeSummary measures the evaluation engine's hot path: a
-// reused Analyzer returning only the scalars, which allocates nothing.
-func BenchmarkAnalyzeSummary(b *testing.B) {
+// BenchmarkNewMovement measures profiling a schedule's movement once,
+// the option-independent half of the engine's analysis.
+func BenchmarkNewMovement(b *testing.B) {
 	s := benchSchedule(b, 2000)
-	opts := comm.Options{LocalCapacity: -1, EPRBandwidth: 2}
-	a := comm.NewAnalyzer()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Summarize(s, opts); err != nil {
+	for b.Loop() {
+		if _, err := comm.NewMovement(s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrice measures the engine's per-option half: one profile
+// priced under Fig. 8's four scratchpad capacities (none, Q/4, Q/2 and
+// unlimited for the schedule's 12 qubits) per op. A warm Price
+// allocates nothing.
+func BenchmarkPrice(b *testing.B) {
+	mv, err := comm.NewMovement(benchSchedule(b, 2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, c := range [4]int{0, 3, 6, -1} {
+			mv.Price(comm.Options{LocalCapacity: c})
 		}
 	}
 }

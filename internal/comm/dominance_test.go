@@ -13,11 +13,11 @@ import (
 	"github.com/scaffold-go/multisimd/internal/verify"
 )
 
-// TestCapacityDominance pins the property the evaluation engine's
-// capacity-dominance memo rests on. The scratchpad capacity is read
-// only in the analyzer's admission check, so an unlimited run with peak
-// occupancy P is the result of every capacity C >= P, and a run under C
-// whose own peak stays below C is the unlimited result. Both are checked
+// TestCapacityDominance pins a property of the scratchpad model. The
+// capacity is read only in the analyzer's admission check, so an
+// unlimited run with peak occupancy P is the result of every capacity
+// C >= P, and a run under C whose own peak stays below C is the
+// unlimited result. Both are checked
 // field for field over the random-leaf corpus, scheduled by RCP and LPFS
 // at widths 1-4 under every NoOverlap/EPRBandwidth setting. Capacities
 // below P must bind somewhere in the corpus, or the test shows nothing.

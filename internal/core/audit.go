@@ -65,7 +65,7 @@ func (e *engine) audit(p *ir.Program, m *Metrics) error {
 		if err := verify.Full(l.S, l.G, l.Comm, e.comm); err != nil {
 			return reject(pl.name, fmt.Errorf("width %d: %w", w, err))
 		}
-		ce := entryOf(l.S, l.Comm.Summary())
+		ce := entryOf(l.S.Length(), l.Comm.Summary())
 		ck := commKey{sk: schedKey{fp: pl.fp, config: e.cfg, w: w, d: e.opts.D}, comm: e.comm}
 		fresh.putCommResult(ck, ce)
 		type field struct {

@@ -41,10 +41,19 @@ type commEntry struct {
 	locals  int64
 }
 
-// entryOf is the characterization of schedule s whose movement
-// summary is sum.
-func entryOf(s *schedule.Schedule, sum comm.Summary) commEntry {
-	return commEntry{zeroLen: int64(s.Length()), cycles: sum.Cycles, globals: sum.GlobalMoves, locals: sum.LocalMoves}
+// entryOf is the characterization of a schedule of steps timesteps
+// whose movement summary is sum.
+func entryOf(steps int, sum comm.Summary) commEntry {
+	return commEntry{zeroLen: int64(steps), cycles: sum.Cycles, globals: sum.GlobalMoves, locals: sum.LocalMoves}
+}
+
+// schedEntry is the schedule layer's value: the movement profile of a
+// zero-communication schedule, which prices any comm options, and the
+// byte charge of that schedule (scheduleSize), taken before it was
+// dropped.
+type schedEntry struct {
+	mv   *comm.Movement
+	size int64
 }
 
 // Content-address domains for the persistent layers. The version
@@ -72,8 +81,8 @@ func (l cacheLayer) miss() cacheCounter { return cacheCounter(2*l + 1) }
 
 // persisted reports whether the layer reaches the stores. Composition
 // reads only comm entries and critical paths, so only those persist;
-// schedules live in memory and are recomputed once evicted or after a
-// restart.
+// movement profiles live in memory and are recomputed once evicted or
+// after a restart.
 func (l cacheLayer) persisted() bool { return l != layerSched }
 
 // memKey is the one memory key of all three layers: the comm layer
@@ -137,7 +146,7 @@ func decodePayload(layer cacheLayer, b []byte) (any, bool) {
 
 // CacheStats counts EvalCache traffic, split by layer. A "schedule" hit
 // with a "comm" miss is the sweep fast path: the zero-communication
-// schedule is reused and only comm.Analyze re-runs under the new
+// schedule's movement profile is reused and only priced under the new
 // movement options. Disk counters cover the persisted comm and cp
 // layers (schedule lookups never reach the stores): DiskHits are
 // lookups the memory front missed but a disk record served (they are
@@ -285,8 +294,8 @@ func (r *CacheRecorder) Stats() CacheStats {
 const cacheStripes = 64
 
 // lruNode is one memory-resident entry of any layer, threaded on its
-// stripe's recency list. val is a commEntry, a *schedule.Schedule or an
-// int64 critical path, per key.layer.
+// stripe's recency list. val is a commEntry, a schedEntry or an int64
+// critical path, per key.layer.
 type lruNode struct {
 	prev, next *lruNode
 	key        memKey
@@ -354,11 +363,11 @@ type CacheConfig struct {
 //   - the comm layer caches finished characterizations, hit when a
 //     sweep repeats an exact configuration (fig6 and fig7 run the same
 //     evaluations; fig9's k sweep shares all smaller widths);
-//   - the schedule layer caches zero-communication schedules, hit when
-//     only comm options changed (fig8's local-capacity sweep), so only
-//     the cheap comm.Analyze re-runs — and within one sweep not even
-//     that for a capacity an earlier unbound analysis shows cannot bind
-//     (the engine's capacity-dominance memo, prepared.unlimitedFor);
+//   - the schedule layer caches the movement profile of each
+//     zero-communication schedule (comm.Movement), not the schedule:
+//     hit when only comm options changed (fig8's local-capacity sweep),
+//     it is priced under the new options without rescheduling or
+//     re-reading the leaf's ops;
 //   - the critical-path layer caches per-fingerprint DAG depths.
 //
 // All three share one lookup path (get) and one insert path (put). The
@@ -370,8 +379,9 @@ type CacheConfig struct {
 // restarts start warm and memory eviction never loses a
 // characterization) and an optional read-only seed store preloaded from
 // a committed corpus. The schedule layer is memory-only: an evicted or
-// pre-restart schedule is recomputed. Disk records are versioned and
-// checksummed; a torn or corrupt record is a miss, never a crash.
+// pre-restart profile is recomputed from a fresh schedule. Disk records
+// are versioned and checksummed; a torn or corrupt record is a miss,
+// never a crash.
 type EvalCache struct {
 	stripes    [cacheStripes]*cacheStripe
 	maxEntries int   // per stripe; 0 = unbounded
@@ -497,19 +507,27 @@ func (c *EvalCache) Stats() CacheStats {
 	return out
 }
 
-// entrySize estimates a value's memory footprint for the byte budget.
-// A schedule is its header, its op slab and offsets (4 B per op and per
-// region-step) and an 8 B summary per step. Schedule estimates
-// deliberately overcount (the pinned materialized module is attributed
-// to every schedule that references it) — for a budget, too big is the
-// safe direction. Comm entries and critical paths are a fixed node.
+// entrySize is a value's charge against the byte budget. Comm entries
+// and critical paths are a fixed node; a schedule-layer entry carries
+// its own charge (scheduleSize).
 const commEntrySize = 192
 
 func entrySize(v any) int64 {
-	s, ok := v.(*schedule.Schedule)
-	if !ok {
-		return commEntrySize
+	if e, ok := v.(schedEntry); ok {
+		return e.size
 	}
+	return commEntrySize
+}
+
+// scheduleSize is the byte charge of a schedule-layer entry: the
+// footprint of the schedule its profile was built from, header, op slab
+// and offsets (4 B per op and per region-step), an 8 B summary per step
+// and 96 B per op of its materialized module. The profile itself is
+// several times smaller and pins no module, so the charge overcounts —
+// for a budget, too big is the safe direction — and it keeps the
+// budget's eviction decisions what they were when the layer held
+// schedules.
+func scheduleSize(s *schedule.Schedule) int64 {
 	steps := int64(len(s.Steps))
 	sz := 256 + 8*steps + 4*(int64(s.TotalOps())+steps*int64(s.K)+1)
 	if s.M != nil {
@@ -643,15 +661,18 @@ func (c *EvalCache) commResult(k commKey, rec *CacheRecorder) (commEntry, bool) 
 
 func (c *EvalCache) putCommResult(k commKey, e commEntry) { c.put(k.memKey(), e) }
 
-// schedule looks up a zero-communication schedule (memory only).
-func (c *EvalCache) schedule(k schedKey, rec *CacheRecorder) (*schedule.Schedule, bool) {
+// movement looks up a zero-communication schedule's movement profile
+// (memory only).
+func (c *EvalCache) movement(k schedKey, rec *CacheRecorder) (*comm.Movement, bool) {
 	v, _ := c.get(memKey{layer: layerSched, sk: k}, rec)
-	s, ok := v.(*schedule.Schedule)
-	return s, ok
+	e, ok := v.(schedEntry)
+	return e.mv, ok
 }
 
-func (c *EvalCache) putSchedule(k schedKey, s *schedule.Schedule) {
-	c.put(memKey{layer: layerSched, sk: k}, s)
+// putMovement caches mv, the movement profile of schedule s, charged
+// as s.
+func (c *EvalCache) putMovement(k schedKey, s *schedule.Schedule, mv *comm.Movement) {
+	c.put(memKey{layer: layerSched, sk: k}, schedEntry{mv: mv, size: scheduleSize(s)})
 }
 
 // criticalPath looks up a leaf's DAG depth.

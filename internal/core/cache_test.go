@@ -22,12 +22,13 @@ func TestCacheLayerAccounting(t *testing.T) {
 	sk := schedKey{fp: fp, config: "test", w: 4, d: 0}
 	ck := commKey{sk: sk, comm: comm.Options{LocalCapacity: -1}}
 
-	if _, ok := c.schedule(sk, nil); ok {
-		t.Fatal("empty cache returned a schedule")
+	if _, ok := c.movement(sk, nil); ok {
+		t.Fatal("empty cache returned a movement profile")
 	}
-	c.putSchedule(sk, &schedule.Schedule{K: 4})
-	if s, ok := c.schedule(sk, nil); !ok || s.K != 4 {
-		t.Fatal("put schedule not returned")
+	mv := emptyMovement(t, 4)
+	c.putMovement(sk, &schedule.Schedule{K: 4}, mv)
+	if got, ok := c.movement(sk, nil); !ok || got != mv {
+		t.Fatal("put movement profile not returned")
 	}
 	if _, ok := c.commResult(ck, nil); ok {
 		t.Fatal("empty comm layer returned an entry")
@@ -66,16 +67,16 @@ func TestCacheLayerAccounting(t *testing.T) {
 func TestCacheKeyDiscrimination(t *testing.T) {
 	c := NewEvalCache()
 	sk := schedKey{config: "rcp", w: 4}
-	c.putSchedule(sk, &schedule.Schedule{K: 4})
+	c.putMovement(sk, &schedule.Schedule{K: 4}, emptyMovement(t, 4))
 	c.putCommResult(commKey{sk: sk}, commEntry{cycles: 5})
 
 	if _, ok := c.commResult(commKey{sk: sk, comm: comm.Options{LocalCapacity: 8}}, nil); ok {
 		t.Error("comm layer hit across different comm options")
 	}
-	if _, ok := c.schedule(sk, nil); !ok {
+	if _, ok := c.movement(sk, nil); !ok {
 		t.Error("schedule layer missed its exact key")
 	}
-	if _, ok := c.schedule(schedKey{config: "rcp", w: 2}, nil); ok {
+	if _, ok := c.movement(schedKey{config: "rcp", w: 2}, nil); ok {
 		t.Error("schedule layer hit across different widths")
 	}
 	st := c.Stats()
@@ -124,7 +125,7 @@ func TestCacheCountersConcurrent(t *testing.T) {
 		}
 		defer c.Close()
 		sk := schedKey{config: "x", w: 1}
-		c.putSchedule(sk, &schedule.Schedule{K: 1})
+		c.putMovement(sk, &schedule.Schedule{K: 1}, emptyMovement(t, 1))
 		c.putCommResult(commKey{sk: sk}, commEntry{})
 		c.putCriticalPath(ir.Fingerprint{1}, 1)
 		before := c.Stats()
@@ -137,8 +138,8 @@ func TestCacheCountersConcurrent(t *testing.T) {
 			go func(rec *CacheRecorder) {
 				defer wg.Done()
 				for j := 0; j < iters; j++ {
-					c.schedule(sk, rec)                    // hit
-					c.schedule(schedKey{config: "y"}, rec) // miss
+					c.movement(sk, rec)                    // hit
+					c.movement(schedKey{config: "y"}, rec) // miss
 					c.commResult(commKey{sk: sk}, rec)     // hit
 					c.commResult(commKey{}, rec)           // miss
 					c.criticalPath(ir.Fingerprint{1}, rec) // hit
@@ -187,19 +188,19 @@ type cacheHit struct {
 
 // cacheHitFixture fills one memory-only cache with an entry per layer
 // on each of the 64 stripes and returns a memory hit of each layer.
-func cacheHitFixture() []cacheHit {
+func cacheHitFixture(tb testing.TB) []cacheHit {
 	c := NewEvalCache()
 	keys := make([]schedKey, cacheStripes)
 	for i := range keys {
 		keys[i] = schedKey{fp: ir.Fingerprint{byte(i)}, config: "rcp", w: 4}
-		c.putSchedule(keys[i], &schedule.Schedule{K: 4})
+		c.putMovement(keys[i], &schedule.Schedule{K: 4}, emptyMovement(tb, 4))
 		c.putCommResult(commKey{sk: keys[i]}, commEntry{cycles: 1})
 		c.putCriticalPath(keys[i].fp, 1000) // > 255: boxing it would allocate
 	}
 	rec := &CacheRecorder{}
 	return []cacheHit{
 		{"comm", func(i int) { c.commResult(commKey{sk: keys[i%cacheStripes]}, rec) }},
-		{"sched", func(i int) { c.schedule(keys[i%cacheStripes], rec) }},
+		{"sched", func(i int) { c.movement(keys[i%cacheStripes], rec) }},
 		{"cp", func(i int) { c.criticalPath(keys[i%cacheStripes].fp, rec) }},
 	}
 }
@@ -207,7 +208,7 @@ func cacheHitFixture() []cacheHit {
 // TestCacheHitAllocs: a memory hit allocates nothing in any layer, so
 // no layer's value is boxed on the hit path.
 func TestCacheHitAllocs(t *testing.T) {
-	for _, h := range cacheHitFixture() {
+	for _, h := range cacheHitFixture(t) {
 		if a := testing.AllocsPerRun(100, func() { h.hit(7) }); a != 0 {
 			t.Errorf("%s memory hit: %v allocs, want 0", h.layer, a)
 		}
@@ -217,7 +218,7 @@ func TestCacheHitAllocs(t *testing.T) {
 // BenchmarkCacheHit measures parallel memory hits spread over every
 // stripe, one sub-benchmark per layer.
 func BenchmarkCacheHit(b *testing.B) {
-	for _, h := range cacheHitFixture() {
+	for _, h := range cacheHitFixture(b) {
 		b.Run(h.layer, func(b *testing.B) {
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
@@ -317,8 +318,8 @@ func TestCacheCPBudget(t *testing.T) {
 // TestCachePersistentRoundTrip is the restart story: comm entries and
 // critical paths written by one cache instance are served —
 // byte-identical — by a fresh instance over the same directory, counted
-// as disk hits. Schedules are memory-only: the fresh instance misses
-// them without touching the stores.
+// as disk hits. Movement profiles are memory-only: the fresh instance
+// misses them without touching the stores.
 func TestCachePersistentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	fp := ir.Fingerprint{5}
@@ -329,11 +330,16 @@ func TestCachePersistentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A real leaf's schedule, which a build that persisted schedules
-	// would have written as a third record.
+	// A real leaf's schedule and profile; a build that persisted
+	// schedules would have written the schedule as a third record.
 	m := ir.NewModule("leaf", []ir.Reg{{Name: "q", Size: 1}}, nil)
 	m.Gate(0, 0)
-	c1.putSchedule(sk, schedule.Sequential(m, 2))
+	s := schedule.Sequential(m, 2)
+	mv, err := comm.NewMovement(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.putMovement(sk, s, mv)
 	c1.putCommResult(ck, commEntry{zeroLen: 1, cycles: 9, globals: 2, locals: 3})
 	c1.putCriticalPath(fp, 17)
 	if st := c1.Stats(); st.DiskWrites != 2 || st.DiskEntries != 2 {
@@ -355,8 +361,8 @@ func TestCachePersistentRoundTrip(t *testing.T) {
 	if !ok || cp != 17 {
 		t.Fatalf("cp round trip = %d, %v", cp, ok)
 	}
-	if _, ok := c2.schedule(sk, rec); ok {
-		t.Fatal("schedule served after a restart")
+	if _, ok := c2.movement(sk, rec); ok {
+		t.Fatal("movement profile served after a restart")
 	}
 	if rs := rec.Stats(); rs.DiskHits != 2 || rs.DiskMisses != 0 || rs.SchedMisses != 1 {
 		t.Errorf("recorder = %+v; want 2 disk hits, no disk miss, 1 sched miss", rs)
@@ -427,7 +433,7 @@ func TestCacheStaleScheduleRecordIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, ok := c.schedule(sk, nil); ok {
+	if _, ok := c.movement(sk, nil); ok {
 		t.Fatal("persisted schedule record served")
 	}
 	if st := c.Stats(); st.SchedMisses != 1 || st.DiskHits != 0 || st.DiskMisses != 0 || st.DiskEntries != 1 {
@@ -577,4 +583,13 @@ func TestCacheCorruptDiskRecordIsMiss(t *testing.T) {
 	if st := c2.Stats(); st.DiskCorrupt != 1 || st.CommMisses != 1 {
 		t.Errorf("stats = %+v; want 1 corrupt, 1 comm miss", st)
 	}
+}
+
+// emptyMovement is the movement profile of an empty k-region schedule.
+func emptyMovement(tb testing.TB, k int) *comm.Movement {
+	mv, err := comm.NewMovement(&schedule.Schedule{K: k})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mv
 }

@@ -20,9 +20,9 @@ package core
 // and on any cache temperature.
 //
 // Characterization has one path whatever the options: a comm hit, then
-// the capacity-dominance memo, then a schedule hit, and only a miss
-// schedules; movement is only ever summarized. Verification is not part
-// of it: EvalOptions.Verify audits the composed result afterwards
+// a schedule-layer hit, whose movement profile is priced under the
+// options, and only a miss schedules and profiles. Verification is not
+// part of it: EvalOptions.Verify audits the composed result afterwards
 // (audit.go), re-deriving every entry the cache served.
 //
 // Observability (EvalOptions.Obs) threads through here: every pool task
@@ -77,10 +77,6 @@ type prepared struct {
 	minQubits  int64
 
 	materialized *obs.Counter // leaf.materialized; nil when uninstrumented
-
-	// unlimited is the capacity-dominance memo (see unlimitedFor).
-	mu        sync.Mutex
-	unlimited map[commKey]unlimitedEntry
 }
 
 // preparedLeaf is one reachable leaf module: its content hash and the
@@ -104,13 +100,6 @@ type leafBody struct {
 	mat  *ir.Module
 	g    *dag.Graph
 	err  error
-}
-
-// unlimitedEntry is a characterization with an unlimited scratchpad and
-// that analysis' peak scratchpad occupancy.
-type unlimitedEntry struct {
-	ce   commEntry
-	peak int
 }
 
 // prepare does p's per-program work: resource totals and the reachable
@@ -277,46 +266,6 @@ func (pp *prepared) graph(b *leafBody) (*ir.Module, *dag.Graph, error) {
 	return b.mat, b.g, b.err
 }
 
-// unlimitedFor is the capacity-dominance memo's lookup. The scratchpad
-// capacity C is read in exactly one place, the analyzer's
-// `localOcc[r] < C` admission check, so an analysis whose peak
-// occupancy P stayed below C never saw that check fail: it is the
-// unlimited-capacity result. The same check passes on every admission
-// under any capacity >= P, so that one result serves every such point
-// of the same schedule and movement options. The memo is keyed by ck
-// with the capacity normalized to unlimited.
-func (pp *prepared) unlimitedFor(ck commKey) (commEntry, bool) {
-	c := ck.comm.LocalCapacity
-	ck.comm.LocalCapacity = -1
-	pp.mu.Lock()
-	u, ok := pp.unlimited[ck]
-	pp.mu.Unlock()
-	if !ok || (c >= 0 && c < u.peak) {
-		return commEntry{}, false
-	}
-	return u.ce, true
-}
-
-// unbound reports whether an analysis under scratchpad capacity c that
-// peaked at occupancy peak is the unlimited-capacity result: c is
-// unlimited, or the admission check never met a full scratchpad.
-func unbound(c, peak int) bool { return c < 0 || peak < c }
-
-// noteUnlimited records ck's fresh analysis in the memo when its
-// capacity never bound.
-func (pp *prepared) noteUnlimited(ck commKey, ce commEntry, peak int) {
-	if !unbound(ck.comm.LocalCapacity, peak) {
-		return
-	}
-	ck.comm.LocalCapacity = -1
-	pp.mu.Lock()
-	if pp.unlimited == nil {
-		pp.unlimited = map[commKey]unlimitedEntry{}
-	}
-	pp.unlimited[ck] = unlimitedEntry{ce: ce, peak: peak}
-	pp.mu.Unlock()
-}
-
 // engine is one evaluation of a prepared program under one set of
 // EvalOptions.
 type engine struct {
@@ -346,10 +295,10 @@ type engObs struct {
 	tasks      *obs.Counter // pool tasks executed
 	schedFresh *obs.Counter // schedules computed (cache misses)
 	schedSteps *obs.Counter // timesteps across fresh schedules
-	commFresh  *obs.Counter // comm analyses computed
-	commGlobal *obs.Counter // teleports across fresh comm analyses
-	commLocal  *obs.Counter // local moves across fresh comm analyses
-	commStall  *obs.Counter // EPR-stall overhead cycles across fresh analyses
+	commFresh  *obs.Counter // movement profiles priced (comm misses)
+	commGlobal *obs.Counter // teleports across fresh pricings
+	commLocal  *obs.Counter // local moves across fresh pricings
+	commStall  *obs.Counter // EPR-stall overhead cycles across fresh pricings
 	verifyRej  *obs.Counter // Verify audit rejections
 
 	queueDepth  *obs.Gauge // tasks not yet claimed by a worker
@@ -558,11 +507,11 @@ func (e *engine) evalLeaves(leaves []*leafState) error {
 }
 
 // characterize fills one leaf's width slot, consulting the cache layers
-// outermost-first: a comm hit is free; a capacity-dominated point reuses
-// this sweep's unlimited-scratchpad result; a schedule hit re-runs only
-// the movement summary; a miss schedules and summarizes, then populates
-// both. sp is the task's trace span, annotated with which layer served
-// the point (inert when tracing is off).
+// outermost-first: a comm hit is free; a schedule-layer hit prices its
+// movement profile under this run's options; a miss schedules, profiles
+// and prices, then populates both layers (the schedule itself is
+// dropped). sp is the task's trace span, annotated with which layer
+// served the point (inert when tracing is off).
 func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	if wi == 0 {
 		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
@@ -585,13 +534,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 		ls.slots[wi] = ce
 		return nil
 	}
-	if ce, ok := e.pp.unlimitedFor(ck); ok {
-		sp.SetStr("cache", "capacity-dominated")
-		e.cache.putCommResult(ck, ce)
-		ls.slots[wi] = ce
-		return nil
-	}
-	s, ok := e.cache.schedule(sk, e.rec)
+	mv, ok := e.cache.movement(sk, e.rec)
 	if !ok {
 		sp.SetStr("cache", "miss")
 		mat, g, err := e.pp.graph(ls.leafBody)
@@ -603,10 +546,14 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 			ls.decisions[wi] = e.opts.Obs.D().Buffer()
 			sched = WithDecisionLog(sched, ls.decisions[wi])
 		}
-		if s, err = sched.Schedule(mat, g, w, e.opts.D); err != nil {
+		s, err := sched.Schedule(mat, g, w, e.opts.D)
+		if err != nil {
 			return err
 		}
-		e.cache.putSchedule(sk, s)
+		if mv, err = comm.NewMovement(s); err != nil {
+			return err
+		}
+		e.cache.putMovement(sk, s, mv)
 		e.eo.schedFresh.Inc()
 		e.eo.schedSteps.Add(int64(len(s.Steps)))
 		if e.eo.opsPerStep != nil {
@@ -619,22 +566,18 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	} else {
 		sp.SetStr("cache", "sched-hit")
 	}
-	sum, err := comm.Summarize(s, e.comm)
-	if err != nil {
-		return err
-	}
+	sum := mv.Price(e.comm)
 	e.eo.commFresh.Inc()
 	e.eo.commGlobal.Add(sum.GlobalMoves)
 	e.eo.commLocal.Add(sum.LocalMoves)
 	e.eo.commStall.Add(sum.StallCycles)
-	sp.SetInt("steps", int64(s.Length()))
+	sp.SetInt("steps", int64(mv.Length()))
 	sp.SetInt("cycles", sum.Cycles)
 	sp.SetInt("global_moves", sum.GlobalMoves)
 	sp.SetInt("local_moves", sum.LocalMoves)
 	sp.SetInt("stall_cycles", sum.StallCycles)
-	ce := entryOf(s, sum)
+	ce := entryOf(mv.Length(), sum)
 	e.cache.putCommResult(ck, ce)
-	e.pp.noteUnlimited(ck, ce, sum.MaxLocalOccupancy)
 	ls.slots[wi] = ce
 	return nil
 }

@@ -9,7 +9,9 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
 var (
@@ -116,8 +118,8 @@ func TestEvalCacheTransparent(t *testing.T) {
 }
 
 // TestEvalCacheScheduleReuse pins the fig8 fast path: when only comm
-// options change, the zero-communication schedules are reused (schedule
-// layer hits) and only the movement analysis re-runs.
+// options change, the zero-communication schedules' movement profiles
+// are reused (schedule layer hits) and only priced again.
 func TestEvalCacheScheduleReuse(t *testing.T) {
 	progs := engineWorkloads(t)
 	var p *ir.Program
@@ -154,6 +156,76 @@ func TestEvalCacheScheduleReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("schedule-layer reuse changed results: got %+v want %+v", got, want)
+	}
+}
+
+// TestCachedMovementsPinNothing: the schedule layer holds movement
+// profiles, not schedules, so a cached entry keeps no schedule, module
+// or DAG alive. A reflect walk from every value the layer holds after
+// cold evaluations under both schedulers must reach none of them.
+func TestCachedMovementsPinNothing(t *testing.T) {
+	progs := engineWorkloads(t)
+	cache := core.NewEvalCache()
+	for _, name := range []string{"Grovers", "SHA-1"} {
+		for _, s := range []core.Scheduler{core.RCP, core.LPFS} {
+			if _, err := core.Evaluate(progs[name], core.EvalOptions{Scheduler: s, K: 4, Cache: cache}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pinned := map[reflect.Type]bool{
+		reflect.TypeOf((*ir.Module)(nil)):         true,
+		reflect.TypeOf((*schedule.Schedule)(nil)): true,
+		reflect.TypeOf((*dag.Graph)(nil)):         true,
+	}
+	vals := core.SchedLayerValues(cache)
+	if len(vals) == 0 {
+		t.Fatal("the schedule layer is empty")
+	}
+	movements := 0
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if pinned[v.Type()] && !v.IsNil() {
+			t.Fatalf("a cached schedule-layer value reaches a %v at %s", v.Type(), path)
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			if v.Type() == reflect.TypeOf((*comm.Movement)(nil)) {
+				movements++
+			}
+			walk(v.Elem(), path)
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), path)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Map:
+			it := v.MapRange()
+			for it.Next() {
+				walk(it.Key(), path+"{key}")
+				walk(it.Value(), path+"{value}")
+			}
+		case reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Fatalf("a cached schedule-layer value holds a %v at %s", v.Kind(), path)
+		}
+	}
+	for _, v := range vals {
+		walk(reflect.ValueOf(v), fmt.Sprintf("(%T)", v))
+	}
+	if movements != len(vals) {
+		t.Fatalf("%d movement profiles in %d schedule-layer values", movements, len(vals))
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/ir"
-	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
 func commKeyOf(mod *ir.Module, sched Scheduler, w, d int, copts comm.Options) commKey {
@@ -28,15 +27,15 @@ func PutCommEntry(c *EvalCache, mod *ir.Module, sched Scheduler, w, d int, copts
 	c.putCommResult(commKeyOf(mod, sched, w, d, copts), commEntry{zeroLen: e[0], cycles: e[1], globals: e[2], locals: e[3]})
 }
 
-// CachedSchedules returns every schedule c holds in memory, in no
-// particular order.
-func CachedSchedules(c *EvalCache) []*schedule.Schedule {
-	var out []*schedule.Schedule
+// SchedLayerValues returns every value c's schedule layer holds in
+// memory, in no particular order.
+func SchedLayerValues(c *EvalCache) []any {
+	var out []any
 	for _, st := range c.stripes {
 		st.mu.Lock()
 		for k, n := range st.entries {
 			if k.layer == layerSched {
-				out = append(out, n.val.(*schedule.Schedule))
+				out = append(out, n.val)
 			}
 		}
 		st.mu.Unlock()

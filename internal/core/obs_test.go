@@ -9,40 +9,74 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obs"
+	"github.com/scaffold-go/multisimd/internal/resource"
 )
 
 // TestOpsPerStepMatchesObserve: the engine gathers each fresh
 // schedule's per-step op counts into a local batch before folding it
 // into sched.ops_per_step. After cold evaluations on two workers the
-// histogram must read exactly as observing every step of every
-// schedule the cache now holds, one Observe per step, would.
+// histogram must read exactly as observing every step of a
+// re-derivation of each schedule the run computed, one Observe per
+// step, would: every reachable leaf scheduled through core.ScheduleLeaf
+// at every evaluated width, once per distinct (digest, width), since
+// the shared cache schedules each of those once.
 func TestOpsPerStepMatchesObserve(t *testing.T) {
 	progs := engineWorkloads(t)
 	reg := obs.NewRegistry()
 	cache := core.NewEvalCache()
+	want := obs.NewRegistry()
+	h := want.Histogram("sched.ops_per_step")
+	type point struct {
+		fp ir.Fingerprint
+		w  int
+	}
+	scheduled := map[point]bool{}
 	for _, name := range []string{"Grovers", "SHA-1"} {
 		p := progs[name]
 		if p == nil {
 			t.Fatalf("no %s workload", name)
 		}
-		for _, k := range []int{2, 4} {
+		ks := []int{2, 4}
+		for _, k := range ks {
 			opts := core.EvalOptions{Scheduler: core.LPFS, K: k, Cache: cache, Obs: &obs.Observer{Metrics: reg}, Workers: 2}
 			if _, err := core.Evaluate(p, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	want := obs.NewRegistry()
-	h := want.Histogram("sched.ops_per_step")
-	scheds := core.CachedSchedules(cache)
-	for _, s := range scheds {
-		for _, st := range s.Steps {
-			h.Observe(int64(st.Ops()))
+		est, err := resource.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests := p.Digests().Modules
+		for _, leaf := range est.Reachable() {
+			mod := p.Modules[leaf]
+			if !mod.IsLeaf() {
+				continue
+			}
+			for w := 1; w <= ks[len(ks)-1]; w++ {
+				pt := point{digests[leaf], w}
+				if scheduled[pt] {
+					continue
+				}
+				scheduled[pt] = true
+				l, err := core.ScheduleLeaf(mod, core.LPFS, w, 0, comm.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range l.S.Steps {
+					h.Observe(int64(st.Ops()))
+				}
+			}
 		}
 	}
-	if int64(len(scheds)) != reg.Counter("sched.fresh").Value() {
-		t.Fatalf("the cache holds %d schedules, %d were fresh", len(scheds), reg.Counter("sched.fresh").Value())
+	fresh := reg.Counter("sched.fresh").Value()
+	if int64(len(scheduled)) != fresh {
+		t.Fatalf("%d distinct (leaf, width) points, %d fresh schedules", len(scheduled), fresh)
+	}
+	if n := cache.Stats().SchedEntries; int64(n) != fresh {
+		t.Fatalf("the schedule layer holds %d entries, %d schedules were fresh", n, fresh)
 	}
 	got := reg.Snapshot().Histograms["sched.ops_per_step"]
 	if ref := want.Snapshot().Histograms["sched.ops_per_step"]; !reflect.DeepEqual(got, ref) {

@@ -122,11 +122,11 @@ func TestSweepMatchesIndependentEvaluate(t *testing.T) {
 // has 22 reachable leaves with 16 distinct bodies. Each
 // sweep prepares its program once, so every distinct leaf body is
 // materialized once by Fig6 and never again (Fig7 and Fig8 find every
-// schedule and critical path in the cache). Leaves sharing a body share
-// its pool tasks. Fig6 analyzes each (scheduler, body, width) point
-// once; Fig7 repeats Fig6's points and
-// analyzes nothing; Fig8's capacities share one schedule per point, and
-// only capacities that may bind are analyzed.
+// movement profile and critical path in the cache). Leaves sharing a
+// body share its pool tasks. Fig6 schedules and prices each (scheduler,
+// body, width) point once; Fig7 repeats Fig6's points and prices
+// nothing; Fig8's capacities share one profile per point, each priced
+// once.
 func TestSweepEngineCounters(t *testing.T) {
 	p := engineWorkloads(t)["Shors"]
 	est, err := resource.New(p)
@@ -144,19 +144,19 @@ func TestSweepEngineCounters(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	ws := []core.Workload{{Name: "Shors", Prog: p, Cache: core.NewEvalCache(), Workers: 1, Obs: &obs.Observer{Metrics: reg}}}
-	// Per-figure deltas of materializations, comm analyses, fresh
+	// Per-figure deltas of materializations, comm pricings, fresh
 	// schedules and pool tasks. Each figure's points are 2 schedulers x 4
-	// widths per distinct leaf; Fig8 would analyze 3 capacities per point
-	// without the memo (cap=0 repeats Fig7). Tasks are one per distinct
-	// body and evaluated width: Figs. 6 and 7 evaluate k=2 (2 widths) and
-	// k=4 (4 widths) per scheduler, Fig8 k=4 at 4 capacities.
-	const fig8Analyses = 145
+	// widths per distinct leaf; Fig8 prices 3 capacities per point
+	// (cap=0 repeats Fig7) from the profiles Fig6 cached, scheduling
+	// nothing. Tasks are one per distinct body and evaluated width: Figs.
+	// 6 and 7 evaluate k=2 (2 widths) and k=4 (4 widths) per scheduler,
+	// Fig8 k=4 at 4 capacities.
 	n := int64(len(bodies))
 	points := 8 * n
 	want := [3][4]int64{
 		{n, points, points, 2 * 6 * n},
 		{0, 0, 0, 2 * 6 * n},
-		{0, fig8Analyses, 0, 2 * 4 * 4 * n},
+		{0, 3 * points, 0, 2 * 4 * 4 * n},
 	}
 	var prev [4]int64
 	for fi, run := range []func() error{
@@ -175,8 +175,5 @@ func TestSweepEngineCounters(t *testing.T) {
 		if got != want[fi] {
 			t.Errorf("fig%d: (leaf.materialized, comm.fresh, sched.fresh, engine.tasks) = %v, want %v", 6+fi, got, want[fi])
 		}
-	}
-	if fig8Analyses >= 3*points {
-		t.Errorf("fig8 pinned at %d analyses: the memo saves nothing over %d", fig8Analyses, 3*points)
 	}
 }

@@ -10,8 +10,10 @@ package request
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/scaffold-go/multisimd/internal/bench"
@@ -250,8 +252,28 @@ func (c Config) Key(p *ir.Program) string { return c.KeyOf(p.Fingerprint()) }
 
 // KeyOf is Key for a program whose fingerprint the caller already
 // holds, so a request hashes its program once for the key and its log.
+// The key is the fingerprint's hex, then
+// "|sched=%s|k=%d|d=%d|local=%d|noover=%t|epr=%d|verify=%t|profile=%t"
+// over the options, appended in a stack buffer: the string is its one
+// allocation.
 func (c Config) KeyOf(fp ir.Fingerprint) string {
-	return fmt.Sprintf("%s|sched=%s|k=%d|d=%d|local=%d|noover=%t|epr=%d|verify=%t|profile=%t",
-		fp, c.Scheduler, c.K, c.D,
-		c.Local, c.NoOverlap, c.EPRBandwidth, c.Verify, c.Profile)
+	var buf [256]byte
+	b := hex.AppendEncode(buf[:0], fp[:])
+	b = append(b, "|sched="...)
+	b = append(b, c.Scheduler...)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(c.K), 10)
+	b = append(b, "|d="...)
+	b = strconv.AppendInt(b, int64(c.D), 10)
+	b = append(b, "|local="...)
+	b = strconv.AppendInt(b, int64(c.Local), 10)
+	b = append(b, "|noover="...)
+	b = strconv.AppendBool(b, c.NoOverlap)
+	b = append(b, "|epr="...)
+	b = strconv.AppendInt(b, int64(c.EPRBandwidth), 10)
+	b = append(b, "|verify="...)
+	b = strconv.AppendBool(b, c.Verify)
+	b = append(b, "|profile="...)
+	b = strconv.AppendBool(b, c.Profile)
+	return string(b)
 }

@@ -13,7 +13,9 @@ import (
 	"github.com/scaffold-go/multisimd/internal/bench"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/request"
+	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
 const tinySource = `
@@ -176,6 +178,56 @@ func TestKeyDedupesAcrossSpelling(t *testing.T) {
 		if mod.Key(p1) == c.Key(p1) {
 			t.Errorf("changing %s did not change the dedup key", name)
 		}
+	}
+}
+
+// TestKeyOfBytes pins KeyOf's bytes to the fmt.Sprintf rendering it
+// replaced, over every registered scheduler, d = 0/3, local = -1/0/5,
+// epr = 0/2, every bool and a k that fits a byte and one that does not;
+// and it pins KeyOf to one allocation, the string.
+func TestKeyOfBytes(t *testing.T) {
+	var fp ir.Fingerprint
+	for i := range fp {
+		fp[i] = byte(37*i + 11)
+	}
+	n := 0
+	for _, sched := range schedule.Names() {
+		for _, k := range []int{4, request.MaxK} {
+			for _, d := range []int{0, 3} {
+				for _, local := range []int{-1, 0, 5} {
+					for _, epr := range []int{0, 2} {
+						for bits := 0; bits < 8; bits++ {
+							c := request.Config{Scheduler: sched, K: k, D: d, Local: local, EPRBandwidth: epr,
+								NoOverlap: bits&1 != 0, Verify: bits&2 != 0, Profile: bits&4 != 0}
+							want := fmt.Sprintf("%s|sched=%s|k=%d|d=%d|local=%d|noover=%t|epr=%d|verify=%t|profile=%t",
+								fp, c.Scheduler, c.K, c.D, c.Local, c.NoOverlap, c.EPRBandwidth, c.Verify, c.Profile)
+							if got := c.KeyOf(fp); got != want {
+								t.Fatalf("KeyOf = %q, want %q", got, want)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	if n == 0 || len(schedule.Names()) < 2 {
+		t.Fatalf("%d keys over schedulers %v", n, schedule.Names())
+	}
+	c := valid()
+	if a := testing.AllocsPerRun(100, func() { _ = c.KeyOf(fp) }); a != 1 {
+		t.Errorf("KeyOf allocates %.0f times, want 1", a)
+	}
+}
+
+// BenchmarkKeyOf measures forming one request's flight key.
+func BenchmarkKeyOf(b *testing.B) {
+	c := valid()
+	c.Local, c.EPRBandwidth = -1, 2
+	var fp ir.Fingerprint
+	b.ReportAllocs()
+	for b.Loop() {
+		c.KeyOf(fp)
 	}
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -53,10 +55,17 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// fig6DecisionLogSHA256 is the SHA-256 of -experiment fig6's decision
+// log at small scale, taken when each variant of a sweep still ran its
+// own worker pool, one after another: the pooled sweep must log the same
+// decisions in the same order.
+const fig6DecisionLogSHA256 = "c6bbf67690e55b3930735fd7561757d19a004a9424ec55300533822b39dd4654"
+
 // TestFig6DecisionLogAcrossWorkers: -experiment fig6 with -decisions
 // logs the decisions of the paper's schedulers, and the log is byte for
-// byte the same at -workers 1 and -workers 4. Each run starts from
-// fresh workloads, as a new qbench process would.
+// byte the same at -workers 1 and -workers 4, and the pinned log
+// (fig6DecisionLogSHA256). Each run starts from fresh workloads, as a
+// new qbench process would.
 func TestFig6DecisionLogAcrossWorkers(t *testing.T) {
 	defer func(o *obs.Observer, m map[string][]core.Workload) { observer, workloadMemo = o, m }(observer, workloadMemo)
 	dir := t.TempDir()
@@ -85,6 +94,9 @@ func TestFig6DecisionLogAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(logs[0], logs[1]) {
 		t.Errorf("decision log differs between -workers 1 and 4: %d vs %d bytes", len(logs[0]), len(logs[1]))
+	}
+	if sum := sha256.Sum256(logs[0]); hex.EncodeToString(sum[:]) != fig6DecisionLogSHA256 {
+		t.Errorf("decision log SHA-256 %x, want %s", sum, fig6DecisionLogSHA256)
 	}
 }
 

@@ -104,10 +104,11 @@ func (e *engine) audit(p *ir.Program, m *Metrics) error {
 	opts := e.opts
 	opts.Obs, opts.Verify = nil, false
 	opts.Cache, opts.CacheStats = fresh, &CacheRecorder{}
-	again, err := evaluate(e.ctx, p, e.pp, nil, opts)
+	ms, _, err := evaluate(e.ctx, p, e.pp, nil, []EvalOptions{opts})
 	if err != nil {
 		return err
 	}
+	again := ms[0]
 	if st := opts.CacheStats.Stats(); st.CommMisses != 0 || st.CPMisses != 0 {
 		return reject("recompose", fmt.Errorf("core: audit: recomposing from re-derived entries missed %d comm and %d critical-path entries",
 			st.CommMisses, st.CPMisses))

@@ -5,36 +5,42 @@ package core
 // option changes: resource totals, the reachable module order, leaf
 // fingerprints (from the caller's one ir.Program.Digests pass) and a
 // once-guarded materialization plus DAG per distinct leaf body. The
-// evaluation step then characterizes leaves under one set of
-// EvalOptions — scheduling each distinct leaf body at every blackbox
-// width and analyzing its movement — which is embarrassingly
-// parallel: no (body, width) point depends on any other. It fans
-// those points out over a bounded worker pool, one task per point
-// (leaves sharing a body share its tasks), memoizes them in a
-// content-addressed EvalCache, then composes non-leaf modules
-// serially in topological order (the only place child results are
-// actually consumed). Evaluate runs both steps; an experiment sweep
-// prepares each workload once and evaluates every variant against it.
-// Determinism: schedulers are deterministic and every result lands in
-// a pre-assigned slot, so Metrics are identical at any worker count
-// and on any cache temperature.
+// evaluation step then characterizes leaves under one or more variants
+// of EvalOptions — scheduling each distinct leaf body at every blackbox
+// width and pricing its movement — which is embarrassingly parallel:
+// no (variant, body, width) point depends on any other. One worker pool
+// per evaluation runs every variant's points, one task per schedule key
+// (the points of variants sharing a scheduler, width and d share a
+// task and run in variant order), claimed largest body first. Points
+// memoize in a content-addressed EvalCache. A second pool then composes
+// the variants' non-leaf modules, one task per variant, each serially
+// in topological order (the only place child results are actually
+// consumed). Evaluate is the one-variant case; an experiment sweep
+// prepares each workload once and evaluates all its variants together.
+// Determinism: schedulers are deterministic, every result lands in a
+// pre-assigned slot and every cache key sees its lookups in the order
+// the variants run one after another, so Metrics, cache traffic and
+// work counters are identical at any worker count and on any cache
+// temperature.
 //
 // Characterization has one path whatever the options: a comm hit, then
 // a schedule-layer hit, whose movement profile is priced under the
-// options, and only a miss schedules and profiles. Verification is not
+// options, and only a miss schedules and profiles, then releases the
+// schedule's slabs to the next one (schedule.Release). Verification is not
 // part of it: EvalOptions.Verify audits the composed result afterwards
 // (audit.go), re-deriving every entry the cache served.
 //
-// Observability (EvalOptions.Obs) threads through here: every pool task
+// Observability (EvalOptions.Obs) threads through here: every point
 // traces a span on its worker slot's track, fresh materializations,
 // schedules and comm analyses feed the metrics registry, audit
 // rejections count and mark the trace, and a fresh schedule records its
-// decisions into a buffer of its own task, appended to Obs.Decisions in
-// task order once every task has run. All of it is nil-guarded — a run
-// without an Observer takes only nil checks (see
+// decisions into a buffer of its own point, appended to Obs.Decisions
+// in (variant, body, width) order once every point has run. All of it
+// is nil-guarded — a run without an Observer takes only nil checks (see
 // TestDisabled*AllocatesNothing in internal/obs).
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -64,11 +70,10 @@ func (o EvalOptions) workers() int {
 }
 
 // prepared is one program's evaluation-independent state, shared by
-// every evaluation of one sweep (or the single evaluation of an
-// Evaluate call) and dropped with it: passes mutate module bodies in
-// place, so nothing here may outlive the call that built it.
-// Evaluations against one prepared program run one at a time; the
-// characterization tasks inside an evaluation share it concurrently.
+// every variant of one sweep (or the single variant of an Evaluate
+// call) and dropped with it: passes mutate module bodies in place, so
+// nothing here may outlive the call that built it. The
+// characterization tasks of every variant share it concurrently.
 type prepared struct {
 	order      []string        // reachable modules, callees first
 	leaves     []*preparedLeaf // the reachable leaves, in order
@@ -96,6 +101,7 @@ type leafBody struct {
 	name string
 	fp   ir.Fingerprint
 	mod  *ir.Module
+	size int64 // materialized op count
 	once sync.Once
 	mat  *ir.Module
 	g    *dag.Graph
@@ -139,7 +145,7 @@ func prepare(p *ir.Program, digests map[string]ir.Fingerprint, o *obs.Observer) 
 	bodies := make(map[ir.Fingerprint]*leafBody, len(pp.leaves))
 	for _, pl := range pp.leaves {
 		if pl.body = bodies[pl.fp]; pl.body == nil {
-			pl.body = &leafBody{name: pl.name, fp: pl.fp, mod: pl.mod}
+			pl.body = &leafBody{name: pl.name, fp: pl.fp, mod: pl.mod, size: pl.mod.MaterializedSize()}
 			bodies[pl.fp] = pl.body
 			pp.bodies = append(pp.bodies, pl.body)
 		}
@@ -266,8 +272,8 @@ func (pp *prepared) graph(b *leafBody) (*ir.Module, *dag.Graph, error) {
 	return b.mat, b.g, b.err
 }
 
-// engine is one evaluation of a prepared program under one set of
-// EvalOptions.
+// engine is one variant of an evaluation: a prepared program under one
+// set of EvalOptions.
 type engine struct {
 	ctx    context.Context
 	pp     *prepared
@@ -283,6 +289,9 @@ type engine struct {
 	// other runs share the cache.
 	rec *CacheRecorder
 	eo  engObs
+	// leaves is the characterization of every distinct leaf body, in
+	// pp.bodies order.
+	leaves []*leafState
 }
 
 // engObs is the engine's pre-resolved observability handles: the tracer
@@ -292,7 +301,7 @@ type engine struct {
 type engObs struct {
 	tr *obs.Tracer
 
-	tasks      *obs.Counter // pool tasks executed
+	tasks      *obs.Counter // (body, width) points characterized
 	schedFresh *obs.Counter // schedules computed (cache misses)
 	schedSteps *obs.Counter // timesteps across fresh schedules
 	commFresh  *obs.Counter // movement profiles priced (comm misses)
@@ -327,7 +336,7 @@ func newEngObs(o *obs.Observer) engObs {
 	return eo
 }
 
-func newEngine(ctx context.Context, opts EvalOptions) *engine {
+func newEngine(ctx context.Context, pp *prepared, opts EvalOptions) *engine {
 	cache := opts.Cache
 	if cache == nil {
 		// An ephemeral per-run cache still dedupes structurally identical
@@ -341,6 +350,7 @@ func newEngine(ctx context.Context, opts EvalOptions) *engine {
 	}
 	return &engine{
 		ctx:    ctx,
+		pp:     pp,
 		opts:   opts,
 		sched:  sched,
 		cfg:    schedulerConfig(sched),
@@ -362,82 +372,12 @@ func schedulerConfig(s Scheduler) string {
 	return fmt.Sprintf("%s|%+v", s.Name(), s)
 }
 
-// run evaluates every reachable module, bottom-up, and returns the
-// per-module characterizations. Leaves are characterized per distinct
-// body, and every leaf name points at its body's moduleEval. Decision
-// buffers append in task order (body, then width): what one worker logs.
-func (e *engine) run(p *ir.Program) (map[string]*moduleEval, error) {
-	evals := make(map[string]*moduleEval, len(e.pp.order))
-	bodies := make([]*leafState, len(e.pp.bodies))
-	dlog := e.opts.Obs.D()
-	logging := dlog.Enabled(obs.LevelStep)
-	for i, b := range e.pp.bodies {
-		bodies[i] = &leafState{leafBody: b, slots: make([]commEntry, len(e.widths))}
-		if logging {
-			bodies[i].decisions = make([]*obs.DecisionLog, len(e.widths))
-		}
-	}
-
-	lsp := e.eo.tr.Span("engine", "characterize-leaves")
-	lsp.SetInt("leaves", int64(len(e.pp.leaves)))
-	lsp.SetInt("bodies", int64(len(bodies)))
-	lsp.SetInt("widths", int64(len(e.widths)))
-	err := e.evalLeaves(bodies)
-	lsp.End()
-	if err != nil {
-		return nil, err
-	}
-	if logging {
-		id := obs.RequestID(e.ctx)
-		for _, ls := range bodies {
-			for _, b := range ls.decisions {
-				dlog.Append(b, id)
-			}
-		}
-	}
-	byBody := make(map[*leafBody]*moduleEval, len(bodies))
-	for _, ls := range bodies {
-		byBody[ls.leafBody] = ls.assemble(e.widths)
-	}
-	for _, pl := range e.pp.leaves {
-		evals[pl.name] = byBody[pl.body]
-	}
-
-	// Non-leaf composition consumes child dims, so it runs serially in
-	// topological order. It is not free — its cost grows with module
-	// count times widths — so evalNonLeaf builds one coarse plan per
-	// (module, cost model) and re-runs only the placer per width.
-	csp := e.eo.tr.Span("engine", "compose")
-	for _, name := range e.pp.order {
-		if err := e.ctx.Err(); err != nil {
-			csp.End()
-			return nil, err
-		}
-		mod := p.Modules[name]
-		if mod.IsLeaf() {
-			continue
-		}
-		var msp obs.Span
-		if e.eo.tr.Enabled() {
-			msp = e.eo.tr.Span("compose", name)
-		}
-		ev, err := evalNonLeaf(mod, e.widths, evals, e.eo.tr)
-		msp.End()
-		if err != nil {
-			csp.End()
-			return nil, fmt.Errorf("core: module %s: %w", name, err)
-		}
-		evals[name] = ev
-	}
-	csp.End()
-	return evals, nil
-}
-
-// leafState carries one distinct leaf body through one evaluation's
-// pool: its critical path, a pre-assigned result slot per width and,
-// when the run logs decisions, a buffer per freshly scheduled width.
+// leafState carries one distinct leaf body through one variant: its
+// critical path, a pre-assigned result slot per width and, when the run
+// logs decisions, a buffer per freshly scheduled width.
 type leafState struct {
 	*leafBody
+	e         *engine
 	cp        int64
 	slots     []commEntry
 	decisions []*obs.DecisionLog
@@ -464,66 +404,171 @@ func (ls *leafState) assemble(widths []int) *moduleEval {
 	return ev
 }
 
-// evalLeaves characterizes every (body, width) point on the worker pool:
-// one task per point, so no two tasks of a run share a cache key.
-// Each task traces a span on its worker slot's track (tid = slot + 1;
-// tid 0 is the coordinating goroutine), so the trace shows pool
-// utilization as a timeline; a running-task high-water mark and the
-// unclaimed-queue depth feed the registry.
-func (e *engine) evalLeaves(leaves []*leafState) error {
-	nW := len(e.widths)
-	n := len(leaves) * nW
-	workers := e.opts.workers()
-	if e.eo.tr.Enabled() {
-		e.eo.tr.SetThreadName(0, "main")
-		nw := workers
-		if nw > n {
-			nw = n
-		}
-		for s := 0; s < nw; s++ {
-			e.eo.tr.SetThreadName(int64(s+1), fmt.Sprintf("worker-%02d", s))
-		}
-	}
-	var running atomic.Int64
-	task := func(slot, i int) error {
-		ls := leaves[i/nW]
-		wi := i % nW
-		e.eo.tasks.Inc()
-		e.eo.queueDepth.Set(int64(n - 1 - i))
-		e.eo.workersPeak.Max(running.Add(1))
-		defer running.Add(-1)
-		var sp obs.Span
-		if e.eo.tr.Enabled() {
-			sp = e.eo.tr.SpanTID("leaf", fmt.Sprintf("%s w=%d", ls.name, e.widths[wi]), int64(slot+1))
-		}
-		err := e.characterize(ls, wi, &sp)
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("core: module %s: %w", ls.name, err)
-		}
-		return nil
-	}
-	return runTasks(e.ctx, n, workers, task)
+// leafPoint is one (variant, body, width) point of a characterization.
+type leafPoint struct {
+	ls   *leafState
+	wi   int
+	v    int // variant
+	rank int // position in (variant, body, width) order
+	// cps, on variant 0's first width of a body, is every variant's
+	// state of that body: the point looks up their critical paths, in
+	// variant order.
+	cps []*leafState
 }
 
-// characterize fills one leaf's width slot, consulting the cache layers
-// outermost-first: a comm hit is free; a schedule-layer hit prices its
-// movement profile under this run's options; a miss schedules, profiles
-// and prices, then populates both layers (the schedule itself is
-// dropped). sp is the task's trace span, annotated with which layer
-// served the point (inert when tracing is off).
-func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
-	if wi == 0 {
-		cp, ok := e.cache.criticalPath(ls.fp, e.rec)
+// leafTask is one pool task: every point sharing one schedule key, in
+// variant order, so the first schedules on a miss and the rest find its
+// movement profile.
+type leafTask struct {
+	points []leafPoint
+	size   int64 // the body's materialized op count: claim order
+}
+
+// characterizeLeaves fills every engine's leaf slots on one worker
+// pool. The engines are the variants of one evaluation over one
+// prepared program; their (body, width) points group into one task per
+// schedule key, and tasks are claimed largest body first, so the long
+// schedules start early and the short ones fill the tail. Each point
+// traces a span on its worker slot's track (tid = slot + 1; tid 0 is
+// the coordinating goroutine), so the trace shows pool utilization as a
+// timeline; a running-task high-water mark and the unclaimed-queue
+// depth feed the registry.
+//
+// Per cache key, the lookups and fills happen in the order the
+// variants run one after another, whatever the worker count: a task's
+// points run in variant order, and variant 0's first width of a body
+// looks up every variant's critical path of that body. So every cache
+// counter and fresh-work counter is what that serial order gives. On
+// failure it returns the variant and error of the lowest failing point
+// in (variant, body, width) order, the error the serial order returns:
+// a task whose points all rank above a failed one is skipped, any other
+// runs. On cancellation it returns variant 0 and the context's error;
+// otherwise len(engines) and nil.
+func characterizeLeaves(ctx context.Context, engines []*engine, workers int) (int, error) {
+	pp := engines[0].pp
+	logging := engines[0].opts.Obs.D().Enabled(obs.LevelStep)
+	var tasks []leafTask
+	byKey := make(map[schedKey]int)
+	cpAt := make([][2]int, len(pp.bodies)) // (task, point) of variant 0's first width
+	rank := 0
+	for v, e := range engines {
+		e.leaves = make([]*leafState, len(pp.bodies))
+		for bi, b := range pp.bodies {
+			ls := &leafState{leafBody: b, e: e, slots: make([]commEntry, len(e.widths))}
+			if logging {
+				ls.decisions = make([]*obs.DecisionLog, len(e.widths))
+			}
+			e.leaves[bi] = ls
+			for wi, w := range e.widths {
+				sk := schedKey{fp: b.fp, config: e.cfg, w: w, d: e.opts.D}
+				ti, ok := byKey[sk]
+				if !ok {
+					ti = len(tasks)
+					byKey[sk] = ti
+					tasks = append(tasks, leafTask{size: b.size})
+				}
+				if v == 0 && wi == 0 {
+					cpAt[bi] = [2]int{ti, len(tasks[ti].points)}
+				}
+				tasks[ti].points = append(tasks[ti].points, leafPoint{ls: ls, wi: wi, v: v, rank: rank})
+				rank++
+			}
+		}
+	}
+	for bi, at := range cpAt {
+		cps := make([]*leafState, len(engines))
+		for v, e := range engines {
+			cps[v] = e.leaves[bi]
+		}
+		tasks[at[0]].points[at[1]].cps = cps
+	}
+	slices.SortStableFunc(tasks, func(a, b leafTask) int { return cmp.Compare(b.size, a.size) })
+
+	eo := engines[0].eo
+	if eo.tr.Enabled() {
+		eo.tr.SetThreadName(0, "main")
+		for s := 0; s < min(workers, len(tasks)); s++ {
+			eo.tr.SetThreadName(int64(s+1), fmt.Sprintf("worker-%02d", s))
+		}
+	}
+	lsp := eo.tr.Span("engine", "characterize-leaves")
+	lsp.SetInt("variants", int64(len(engines)))
+	lsp.SetInt("leaves", int64(len(pp.leaves)))
+	lsp.SetInt("bodies", int64(len(pp.bodies)))
+	lsp.SetInt("points", int64(rank))
+	lsp.SetInt("tasks", int64(len(tasks)))
+	defer lsp.End()
+
+	failed := make([]*leafPoint, len(tasks)) // each task's failing point
+	errs := make([]error, len(tasks))
+	var lowest atomic.Int64 // rank of the lowest failing point so far
+	lowest.Store(int64(rank))
+	var running atomic.Int64
+	err := runTasks(ctx, len(tasks), workers, func(slot, ti int) error {
+		eo.queueDepth.Set(int64(len(tasks) - 1 - ti))
+		eo.workersPeak.Max(running.Add(1))
+		defer running.Add(-1)
+		for i := range tasks[ti].points {
+			pt := &tasks[ti].points[i]
+			if int64(pt.rank) > lowest.Load() {
+				return nil
+			}
+			if err := pt.ls.e.characterize(pt, slot); err != nil {
+				failed[ti], errs[ti] = pt, err
+				for cur := lowest.Load(); int64(pt.rank) < cur && !lowest.CompareAndSwap(cur, int64(pt.rank)); cur = lowest.Load() {
+				}
+				return nil
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	for ti, pt := range failed {
+		if pt != nil && int64(pt.rank) == lowest.Load() {
+			return pt.v, errs[ti]
+		}
+	}
+	return len(engines), nil
+}
+
+// characterize fills one point's width slot, consulting the cache
+// layers outermost-first: a comm hit is free; a schedule-layer hit
+// prices its movement profile under this run's options; a miss
+// schedules, profiles and prices, then populates both layers and
+// releases the schedule's slabs to the next one. The point traces a
+// span on the worker slot's track, annotated with which layer served
+// it.
+func (e *engine) characterize(pt *leafPoint, slot int) error {
+	ls, wi := pt.ls, pt.wi
+	e.eo.tasks.Inc()
+	var sp obs.Span
+	if e.eo.tr.Enabled() {
+		sp = e.eo.tr.SpanTID("leaf", fmt.Sprintf("%s w=%d", ls.name, e.widths[wi]), int64(slot+1))
+	}
+	err := e.characterizeIn(pt, &sp)
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("core: module %s: %w", ls.name, err)
+	}
+	return nil
+}
+
+// characterizeIn is characterize's body, annotating sp.
+func (e *engine) characterizeIn(pt *leafPoint, sp *obs.Span) error {
+	ls, wi := pt.ls, pt.wi
+	for _, l := range pt.cps {
+		cp, ok := l.e.cache.criticalPath(l.fp, l.e.rec)
 		if !ok {
-			_, g, err := e.pp.graph(ls.leafBody)
+			_, g, err := e.pp.graph(l.leafBody)
 			if err != nil {
 				return err
 			}
 			cp = int64(g.CriticalPath())
-			e.cache.putCriticalPath(ls.fp, cp)
+			l.e.cache.putCriticalPath(l.fp, cp)
 		}
-		ls.cp = cp
+		l.cp = cp
 	}
 
 	w := e.widths[wi]
@@ -563,6 +608,7 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 			}
 			e.eo.opsPerStep.Add(&b)
 		}
+		s.Release()
 	} else {
 		sp.SetStr("cache", "sched-hit")
 	}
@@ -580,6 +626,91 @@ func (e *engine) characterize(ls *leafState, wi int, sp *obs.Span) error {
 	e.cache.putCommResult(ck, ce)
 	ls.slots[wi] = ce
 	return nil
+}
+
+// logDecisions appends the variant's decision buffers to Obs.Decisions
+// in (body, width) order: what one worker logs.
+func (e *engine) logDecisions() {
+	dlog := e.opts.Obs.D()
+	if !dlog.Enabled(obs.LevelStep) {
+		return
+	}
+	id := obs.RequestID(e.ctx)
+	for _, ls := range e.leaves {
+		for _, b := range ls.decisions {
+			dlog.Append(b, id)
+		}
+	}
+}
+
+// compose evaluates every reachable non-leaf module over the variant's
+// characterized leaves, bottom-up, and reads the entry module's best
+// dims at k. Composition consumes child dims, so it runs serially in
+// topological order. It is not free — its cost grows with module count
+// times widths — so evalNonLeaf builds one coarse plan per (module,
+// cost model) and re-runs only the placer per width. slot is the
+// worker slot running it, whose track its span goes on.
+func (e *engine) compose(p *ir.Program, slot int) (*Metrics, error) {
+	csp := e.eo.tr.SpanTID("engine", "compose", int64(slot+1))
+	csp.SetInt("k", int64(e.opts.K))
+	csp.SetStr("scheduler", e.sched.Name())
+	defer csp.End()
+	evals := make(map[string]*moduleEval, len(e.pp.order))
+	byBody := make(map[*leafBody]*moduleEval, len(e.leaves))
+	for _, ls := range e.leaves {
+		byBody[ls.leafBody] = ls.assemble(e.widths)
+	}
+	for _, pl := range e.pp.leaves {
+		evals[pl.name] = byBody[pl.body]
+	}
+	for _, name := range e.pp.order {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		mod := p.Modules[name]
+		if mod.IsLeaf() {
+			continue
+		}
+		var msp obs.Span
+		if e.eo.tr.Enabled() {
+			msp = e.eo.tr.Span("compose", name)
+		}
+		ev, err := evalNonLeaf(mod, e.widths, evals, e.eo.tr)
+		msp.End()
+		if err != nil {
+			return nil, fmt.Errorf("core: module %s: %w", name, err)
+		}
+		evals[name] = ev
+	}
+
+	entry := evals[p.Entry]
+	if entry == nil {
+		return nil, fmt.Errorf("core: entry module %q not evaluated", p.Entry)
+	}
+	k := e.opts.K
+	_, zeroLen, ok := entry.zero.Best(k)
+	if !ok {
+		return nil, fmt.Errorf("core: entry has no schedule within k=%d", k)
+	}
+	_, commLen, ok := entry.withComm.Best(k)
+	if !ok {
+		return nil, fmt.Errorf("core: entry has no comm schedule within k=%d", k)
+	}
+	m := &Metrics{
+		TotalGates:    e.pp.totalGates,
+		MinQubits:     e.pp.minQubits,
+		Modules:       len(e.pp.order),
+		Leaves:        len(e.pp.leaves),
+		CriticalPath:  entry.cp,
+		ZeroCommSteps: zeroLen,
+		CommCycles:    commLen,
+		GlobalMoves:   entry.globals,
+		LocalMoves:    entry.locals,
+		SeqCycles:     e.pp.totalGates,
+		NaiveCycles:   comm.NaiveCycles(e.pp.totalGates),
+	}
+	csp.SetInt("comm_cycles", m.CommCycles)
+	return m, nil
 }
 
 // runTasks executes task(slot, 0..n-1) on up to `workers` goroutines;

@@ -231,85 +231,91 @@ func EvaluateContext(ctx context.Context, p *ir.Program, opts EvalOptions) (*Met
 // the engine keys every leaf by its digest there. The service daemon
 // keys each request by the same pass.
 func EvaluateDigests(ctx context.Context, p *ir.Program, digests map[string]ir.Fingerprint, opts EvalOptions) (*Metrics, error) {
-	return evaluate(ctx, p, nil, digests, opts)
+	ms, _, err := evaluate(ctx, p, nil, digests, []EvalOptions{opts})
+	if err != nil {
+		return nil, err
+	}
+	return ms[0], nil
 }
 
-// evaluate is the one evaluation path. pp, when non-nil, is p already
-// prepared by the caller (a sweep shares one preparation across its
-// variants); otherwise p is prepared inside the run span, its leaves
-// keyed by digests.
-func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[string]ir.Fingerprint, opts EvalOptions) (*Metrics, error) {
-	if opts.K < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1")
+// evaluate is the one evaluation path: p under each variant of opts,
+// an Evaluate call being the one-variant case. The variants share one
+// preparation, one leaf-characterization pool (characterizeLeaves) and
+// one composition pool, one task per variant; each variant has its own
+// engine. Decision buffers are appended, the Verify audit run and the
+// results published per variant, in variant order. pp, when non-nil, is
+// p already prepared by the caller (a sweep prepares each workload
+// once); otherwise p is prepared inside the run span, its leaves keyed
+// by digests. Workers and the tracer come from the first variant's
+// options.
+//
+// It returns every variant's Metrics, or the index of a failing
+// variant and its error: the error the variants would return evaluated
+// one after another, each stopping the sweep at its first failure.
+func evaluate(ctx context.Context, p *ir.Program, pp *prepared, digests map[string]ir.Fingerprint, opts []EvalOptions) ([]*Metrics, int, error) {
+	// A variant with k < 1 fails before it starts; the ones before it run.
+	n, failErr := len(opts), error(nil)
+	for v, o := range opts {
+		if o.K < 1 {
+			n, failErr = v, fmt.Errorf("core: k must be >= 1")
+			break
+		}
 	}
-	e := newEngine(ctx, opts)
-	esp := e.eo.tr.Span("engine", "evaluate")
-	esp.SetInt("k", int64(opts.K))
-	esp.SetStr("scheduler", e.sched.Name())
+	if n == 0 {
+		return nil, 0, failErr
+	}
+	o := opts[0]
+	esp := o.Obs.T().Span("engine", "evaluate")
+	esp.SetInt("variants", int64(n))
 	if id := obs.RequestID(ctx); id != "" {
 		// The service threads its request id through the context; stamp
-		// it on the run span (run stamps it on the decisions) so traces
-		// and decision streams correlate with access-log lines.
+		// it on the run span (logDecisions stamps it on the decisions)
+		// so traces and decision streams correlate with access-log lines.
 		esp.SetStr("request_id", id)
 	}
-	var m *Metrics
-	var err error
+	defer esp.End()
 	if pp == nil {
-		pp, err = prepare(p, digests, opts.Obs)
+		var err error
+		if pp, err = prepare(p, digests, o.Obs); err != nil {
+			return nil, 0, err
+		}
 	}
-	if err == nil {
-		e.pp = pp
-		m, err = e.evaluate(p)
+	engines := make([]*engine, n)
+	for v := range engines {
+		engines[v] = newEngine(ctx, pp, opts[v])
 	}
-	if err == nil && opts.Verify {
-		err = e.audit(p, m)
-	}
-	if m != nil {
-		esp.SetInt("comm_cycles", m.CommCycles)
-	}
-	esp.End()
+	failed, err := characterizeLeaves(ctx, engines, o.workers())
 	if err != nil {
-		return nil, err
+		// Variants from failed on do not compose.
+		n, failErr = failed, err
 	}
-	e.publish(m)
-	return m, nil
-}
 
-// evaluate is the evaluation step's body: characterize and compose the
-// prepared program, then read the entry module's best dims at k.
-func (e *engine) evaluate(p *ir.Program) (*Metrics, error) {
-	m := &Metrics{
-		TotalGates: e.pp.totalGates,
-		MinQubits:  e.pp.minQubits,
-		Modules:    len(e.pp.order),
-		Leaves:     len(e.pp.leaves),
-		SeqCycles:  e.pp.totalGates,
+	ms := make([]*Metrics, n)
+	errs := make([]error, n)
+	poolErr := runTasks(ctx, n, o.workers(), func(slot, v int) error {
+		ms[v], errs[v] = engines[v].compose(p, slot)
+		return errs[v]
+	})
+	for v := 0; v < n; v++ {
+		e := engines[v]
+		e.logDecisions()
+		if errs[v] != nil {
+			return nil, v, errs[v]
+		}
+		if ms[v] == nil { // the pool stopped before it: cancelled
+			return nil, v, poolErr
+		}
+		if e.opts.Verify {
+			if err := e.audit(p, ms[v]); err != nil {
+				return nil, v, err
+			}
+		}
+		e.publish(ms[v])
 	}
-	m.NaiveCycles = comm.NaiveCycles(m.TotalGates)
-
-	evals, err := e.run(p)
-	if err != nil {
-		return nil, err
+	if failErr != nil {
+		return nil, n, failErr
 	}
-	entry := evals[p.Entry]
-	if entry == nil {
-		return nil, fmt.Errorf("core: entry module %q not evaluated", p.Entry)
-	}
-	k := e.opts.K
-	_, zeroLen, ok := entry.zero.Best(k)
-	if !ok {
-		return nil, fmt.Errorf("core: entry has no schedule within k=%d", k)
-	}
-	_, commLen, ok := entry.withComm.Best(k)
-	if !ok {
-		return nil, fmt.Errorf("core: entry has no comm schedule within k=%d", k)
-	}
-	m.ZeroCommSteps = zeroLen
-	m.CommCycles = commLen
-	m.CriticalPath = entry.cp
-	m.GlobalMoves = entry.globals
-	m.LocalMoves = entry.locals
-	return m, nil
+	return ms, 0, nil
 }
 
 // publish pushes the run's results into the metrics registry: the

@@ -82,19 +82,22 @@ func (w Workload) prepare(tag string) (*prepared, error) {
 	return pp, nil
 }
 
-// evaluate runs each variant in order against the prepared workload,
-// with the workload's cache, concurrency and observability stamped onto
-// the variant.
+// evaluate runs every variant against the prepared workload in one
+// evaluation, with the workload's cache, concurrency and observability
+// stamped onto each variant.
 func (w Workload) evaluate(tag string, pp *prepared, variants []variant) ([]Cell, error) {
-	cells := make([]Cell, 0, len(variants))
-	for _, v := range variants {
-		o := v.opts
-		o.Cache, o.Workers, o.Obs = w.Cache, w.Workers, w.Obs
-		m, err := evaluate(context.TODO(), w.Prog, pp, nil, o)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s %s: %w", tag, w.Name, v.name, err)
-		}
-		cells = append(cells, Cell{Name: w.Name, Variant: v.name, Opts: v.opts, Metrics: *m})
+	opts := make([]EvalOptions, len(variants))
+	for i, v := range variants {
+		opts[i] = v.opts
+		opts[i].Cache, opts[i].Workers, opts[i].Obs = w.Cache, w.Workers, w.Obs
+	}
+	ms, failed, err := evaluate(context.TODO(), w.Prog, pp, nil, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s %s: %w", tag, w.Name, variants[failed].name, err)
+	}
+	cells := make([]Cell, len(variants))
+	for i, v := range variants {
+		cells[i] = Cell{Name: w.Name, Variant: v.name, Opts: v.opts, Metrics: *ms[i]}
 	}
 	return cells, nil
 }

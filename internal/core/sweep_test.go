@@ -1,14 +1,18 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/core"
+	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/obs"
 	"github.com/scaffold-go/multisimd/internal/resource"
+	"github.com/scaffold-go/multisimd/internal/schedule"
 )
 
 // independent evaluates opts on p the way no sweep does: one Evaluate
@@ -118,15 +122,16 @@ func TestSweepMatchesIndependentEvaluate(t *testing.T) {
 }
 
 // TestSweepEngineCounters pins the engine's work counters over one
-// gated benchmark's Fig6 -> Fig7 -> Fig8 on one cache, serially. Shor's
-// has 22 reachable leaves with 16 distinct bodies. Each
-// sweep prepares its program once, so every distinct leaf body is
-// materialized once by Fig6 and never again (Fig7 and Fig8 find every
-// movement profile and critical path in the cache). Leaves sharing a
-// body share its pool tasks. Fig6 schedules and prices each (scheduler,
-// body, width) point once; Fig7 repeats Fig6's points and prices
-// nothing; Fig8's capacities share one profile per point, each priced
-// once.
+// gated benchmark's Fig6 -> Fig7 -> Fig8 on one cache, with one worker
+// and with four: a sweep's variants share one pool, and the counters
+// are those of the variants run one after another. Shor's has 22
+// reachable leaves with 16 distinct bodies. Each sweep prepares its
+// program once, so every distinct leaf body is materialized once by
+// Fig6 and never again (Fig7 and Fig8 find every movement profile and
+// critical path in the cache). Leaves sharing a body share its pool
+// tasks. Fig6 schedules and prices each (scheduler, body, width) point
+// once; Fig7 repeats Fig6's points and prices nothing; Fig8's
+// capacities share one profile per point, each priced once.
 func TestSweepEngineCounters(t *testing.T) {
 	p := engineWorkloads(t)["Shors"]
 	est, err := resource.New(p)
@@ -142,8 +147,6 @@ func TestSweepEngineCounters(t *testing.T) {
 	if len(bodies) != 16 {
 		t.Fatalf("Shor's has %d distinct leaf bodies, want 16", len(bodies))
 	}
-	reg := obs.NewRegistry()
-	ws := []core.Workload{{Name: "Shors", Prog: p, Cache: core.NewEvalCache(), Workers: 1, Obs: &obs.Observer{Metrics: reg}}}
 	// Per-figure deltas of materializations, comm pricings, fresh
 	// schedules and pool tasks. Each figure's points are 2 schedulers x 4
 	// widths per distinct leaf; Fig8 prices 3 capacities per point
@@ -158,22 +161,61 @@ func TestSweepEngineCounters(t *testing.T) {
 		{0, 0, 0, 2 * 6 * n},
 		{0, 3 * points, 0, 2 * 4 * 4 * n},
 	}
-	var prev [4]int64
-	for fi, run := range []func() error{
-		func() error { _, err := core.Fig6(ws); return err },
-		func() error { _, err := core.Fig7(ws); return err },
-		func() error { _, err := core.Fig8(ws); return err },
-	} {
-		if err := run(); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		ws := []core.Workload{{Name: "Shors", Prog: p, Cache: core.NewEvalCache(), Workers: workers, Obs: &obs.Observer{Metrics: reg}}}
+		var prev [4]int64
+		for fi, run := range []func() error{
+			func() error { _, err := core.Fig6(ws); return err },
+			func() error { _, err := core.Fig7(ws); return err },
+			func() error { _, err := core.Fig8(ws); return err },
+		} {
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			var got [4]int64
+			for i, name := range []string{"leaf.materialized", "comm.fresh", "sched.fresh", "engine.tasks"} {
+				v := reg.Counter(name).Value()
+				got[i], prev[i] = v-prev[i], v
+			}
+			if got != want[fi] {
+				t.Errorf("workers=%d fig%d: (leaf.materialized, comm.fresh, sched.fresh, engine.tasks) = %v, want %v",
+					workers, 6+fi, got, want[fi])
+			}
 		}
-		var got [4]int64
-		for i, name := range []string{"leaf.materialized", "comm.fresh", "sched.fresh", "engine.tasks"} {
-			v := reg.Counter(name).Value()
-			got[i], prev[i] = v-prev[i], v
-		}
-		if got != want[fi] {
-			t.Errorf("fig%d: (leaf.materialized, comm.fresh, sched.fresh, engine.tasks) = %v, want %v", 6+fi, got, want[fi])
+	}
+}
+
+// failingScheduler is RCP, except that on machines with a per-region
+// data parallelism in failD it fails every leaf of more than 40 ops at
+// two regions and more.
+type failingScheduler struct{ failD []int }
+
+func (failingScheduler) Name() string { return "failing" }
+
+func (f failingScheduler) Schedule(m *ir.Module, g *dag.Graph, k, d int) (*schedule.Schedule, error) {
+	if slices.Contains(f.failD, d) && k >= 2 && len(m.Ops) > 40 {
+		return nil, fmt.Errorf("no schedule of %d ops at k=%d d=%d", len(m.Ops), k, d)
+	}
+	return core.RCP.Schedule(m, g, k, d)
+}
+
+// sweepFirstError is the error of the sweep in TestSweepFirstError as
+// it was when each variant of a sweep ran its own pool, one variant
+// after another: the first failing variant's lowest failing (body,
+// width) point.
+const sweepFirstError = "sensd Shors d=3: core: module shor_cphase0: no schedule of 938 ops at k=2 d=3"
+
+// TestSweepFirstError runs a sweep in which two variants fail on many
+// points, claimed largest body first, and at one worker and at four
+// gets the error the variants run one after another return.
+func TestSweepFirstError(t *testing.T) {
+	p := engineWorkloads(t)["Shors"]
+	for _, workers := range []int{1, 4} {
+		ws := []core.Workload{{Name: "Shors", Prog: p, Cache: core.NewEvalCache(), Workers: workers}}
+		_, err := core.SensD(ws, failingScheduler{failD: []int{2, 3}}, 4, []int{0, 3, 4, 2})
+		if err == nil || err.Error() != sweepFirstError {
+			t.Errorf("workers=%d: error %v, want %s", workers, err, sweepFirstError)
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package dag_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/scaffold-go/multisimd/internal/bench"
+	"github.com/scaffold-go/multisimd/internal/core"
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
 	"github.com/scaffold-go/multisimd/internal/qasm"
@@ -77,8 +81,8 @@ func TestDiamondDependencies(t *testing.T) {
 	if g.CriticalPath() != 3 {
 		t.Errorf("cp = %d", g.CriticalPath())
 	}
-	if len(g.Preds[2]) != 2 {
-		t.Errorf("CNOT preds: %v", g.Preds[2])
+	if len(g.Preds(2)) != 2 {
+		t.Errorf("CNOT preds: %v", g.Preds(2))
 	}
 	// Both H gates sit on length-3 chains: zero slack. The free X can
 	// slide anywhere: slack = cp - 1.
@@ -182,7 +186,7 @@ func TestEdgeDirectionInvariant(t *testing.T) {
 			return false
 		}
 		for i := 0; i < g.Len(); i++ {
-			for _, p := range g.Preds[i] {
+			for _, p := range g.Preds(i) {
 				if p >= int32(i) || g.Depth[p] >= g.Depth[i] {
 					return false
 				}
@@ -192,6 +196,158 @@ func TestEdgeDirectionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refEdges is the per-node construction dag.Build used before its
+// compressed sparse row form, kept as the reference for edge order:
+// each op depends on the previous op touching each of its operands, in
+// operand order, once per predecessor; successors append as later ops
+// find them.
+func refEdges(m *ir.Module) (preds, succs [][]int32) {
+	n := len(m.Ops)
+	preds, succs = make([][]int32, n), make([][]int32, n)
+	last := make([]int32, m.TotalSlots())
+	for i := range last {
+		last[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		for _, slot := range m.Ops[i].Args {
+			if p := last[slot]; p >= 0 && !slices.Contains(preds[i], p) {
+				preds[i] = append(preds[i], p)
+				succs[p] = append(succs[p], int32(i))
+			}
+			last[slot] = int32(i)
+		}
+	}
+	return preds, succs
+}
+
+// gatedLeaves materializes every leaf of every gated
+// benchmark at FTh 2000.
+func gatedLeaves(t *testing.T) []*ir.Module {
+	t.Helper()
+	var out []*ir.Module
+	for _, b := range bench.Gated() {
+		opts := b.Pipeline
+		opts.FTh = 2000
+		p, err := core.Build(b.Source, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := p.Topo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range order {
+			if mod := p.Modules[name]; mod.IsLeaf() {
+				mat, _, err := core.MaterializeLeaf(mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, mat)
+			}
+		}
+	}
+	return out
+}
+
+// TestEdgesMatchReference checks Preds and Succs against refEdges, in
+// order, over a random leaf corpus and every gated leaf.
+func TestEdgesMatchReference(t *testing.T) {
+	var mods []*ir.Module
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mods = append(mods, verify.RandomLeaf(rng, verify.GenOptions{Ops: 1 + rng.Intn(400), Qubits: 2 + rng.Intn(12), Wide: seed%2 == 0}))
+	}
+	mods = append(mods, ir.NewModule("empty", nil, nil))
+	mods = append(mods, gatedLeaves(t)...)
+	for mi, m := range mods {
+		g, err := dag.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, succs := refEdges(m)
+		for i := range preds {
+			if !slices.Equal(g.Preds(i), preds[i]) || !slices.Equal(g.Succs(i), succs[i]) {
+				t.Fatalf("module %d (%s) node %d: preds %v succs %v, reference %v %v",
+					mi, m.Name, i, g.Preds(i), g.Succs(i), preds[i], succs[i])
+			}
+		}
+	}
+}
+
+// TestBuildAllocsConstant: dag.Build allocates the same number of
+// times for 200 ops and for 20,000, so no per-node allocation is back.
+func TestBuildAllocsConstant(t *testing.T) {
+	allocs := func(ops int) float64 {
+		m := verify.RandomLeaf(rand.New(rand.NewSource(3)), verify.GenOptions{Ops: ops, Qubits: 12, Wide: true})
+		return testing.AllocsPerRun(20, func() {
+			if _, err := dag.Build(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(200), allocs(20000); small != large || large > 3 {
+		t.Errorf("dag.Build allocates %.0f times for 200 ops and %.0f for 20000; want the same, at most 3", small, large)
+	}
+}
+
+func TestGroupKeyAngles(t *testing.T) {
+	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 2}})
+	m.Rot(qasm.Rz, 0.5, 0).Rot(qasm.Rz, 0.7, 1)
+	k0 := dag.KeyOf(m, 0)
+	k1 := dag.KeyOf(m, 1)
+	if k0 == k1 {
+		t.Error("distinct-angle rotations share a group key (Table 2 violated)")
+	}
+	m2 := ir.NewModule("m2", nil, []ir.Reg{{Name: "q", Size: 2}})
+	m2.Gate(qasm.H, 0).Gate(qasm.H, 1)
+	if dag.KeyOf(m2, 0) != dag.KeyOf(m2, 1) {
+		t.Error("same-type gates have different keys")
+	}
+}
+
+// TestGroupIDsMatchKeys pins GroupIDs to interning through a map keyed
+// by GroupKey, first seen first: a NaN angle equals nothing, -0 equals
+// +0, and 4,000 NaN rotations get 4,000 ids. Graph.Groups returns the
+// same ids, one slice however often it is called.
+func TestGroupIDsMatchKeys(t *testing.T) {
+	small := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 3}})
+	small.Gate(qasm.H, 0).Rot(qasm.Rz, 0.5, 1).Gate(qasm.CNOT, 0, 2).Rot(qasm.Rz, 0.7, 1)
+	small.Rot(qasm.Rz, 0.5, 2).Gate(qasm.H, 1).Rot(qasm.Rx, 0.5, 0).Rot(qasm.Rz, 0, 0)
+	small.Rot(qasm.Rz, math.Copysign(0, -1), 1).Gate(qasm.T, 2)
+	small.Rot(qasm.Rz, math.NaN(), 0).Rot(qasm.Rz, math.NaN(), 1)
+	leaf := verify.RandomLeaf(rand.New(rand.NewSource(7)), verify.GenOptions{Ops: 2000, Qubits: 12})
+	nans := ir.NewModule("nans", nil, []ir.Reg{{Name: "q", Size: 4}})
+	for i := 0; i < 4000; i++ {
+		nans.Rot(qasm.Rz, math.NaN(), i%4) // 4000 groups of one
+	}
+	for _, m := range []*ir.Module{leaf, small, nans} {
+		byKey := map[dag.GroupKey]int32{}
+		want := make([]int32, len(m.Ops))
+		for i := range m.Ops {
+			k := dag.KeyOf(m, int32(i))
+			id, ok := byKey[k]
+			if !ok {
+				id = int32(len(byKey))
+				byKey[k] = id // a NaN key is never found again
+			}
+			want[i] = id
+		}
+		ids, n := dag.GroupIDs(m)
+		if !slices.Equal(ids, want) || n != int(slices.Max(want))+1 {
+			t.Errorf("%s: ids %v (%d groups), want %v", m.Name, ids, n, want)
+		}
+		g, err := dag.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		once, n1 := g.Groups()
+		again, _ := g.Groups()
+		if !slices.Equal(once, want) || n1 != n || &once[0] != &again[0] {
+			t.Errorf("%s: Graph.Groups differs from GroupIDs or is interned twice", m.Name)
+		}
 	}
 }
 

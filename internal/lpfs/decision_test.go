@@ -1,6 +1,7 @@
 package lpfs_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -85,5 +86,34 @@ func TestAdapterConfigIgnoresLog(t *testing.T) {
 	}
 	if base.Config() != cfg.Config() {
 		t.Errorf("cache key differs with logging: %q vs %q", base.Config(), cfg.Config())
+	}
+}
+
+// TestConfigBytes pins Config to the fmt rendering of the options with
+// the decision log dropped, over zero options, L: 2, NoOptions, the
+// explicit paper flags and a set log; the zero options' string is
+// rendered once, so Config allocates nothing for them.
+func TestConfigBytes(t *testing.T) {
+	log := obs.NewDecisionLog(obs.LevelOp)
+	for _, o := range []lpfs.Options{
+		{},
+		{L: 2},
+		{NoOptions: true},
+		{SIMD: true},
+		{Refill: true},
+		{L: 2, SIMD: true, Refill: true},
+		{K: 4, D: 2},
+		{Log: log},
+		{NoOptions: true, Log: log},
+	} {
+		want := o
+		want.Log = nil
+		if got := lpfs.New(o).Config(); got != fmt.Sprintf("lpfs%+v", want) {
+			t.Errorf("Config of %+v = %q, want %q", want, got, fmt.Sprintf("lpfs%+v", want))
+		}
+	}
+	zero := lpfs.Scheduler{}
+	if a := testing.AllocsPerRun(100, func() { _ = zero.Config() }); a != 0 {
+		t.Errorf("Config of the zero options allocates %.0f times, want 0", a)
 	}
 }

@@ -14,6 +14,8 @@ package lpfs
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
@@ -71,21 +73,35 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	l := opts.l()
 	useSIMD, useRefill := opts.simd(), opts.refill()
 	log := opts.Log
-	gid, _ := schedule.GroupIDs(m) // dense group ids: ops match by integer
+	gid, _ := g.Groups() // dense group ids, interned once per graph: ops match by integer
 
-	pending := make([]int32, n)
+	// Every per-call array comes from pooled scratch; ready may grow, so
+	// it goes back as it ends.
+	sc := scratchPool.Get().(*scratch)
+	ready := sc.ready[:0] // the roots first, ascending
+	defer func() {
+		sc.ready = ready[:0]
+		scratchPool.Put(sc)
+	}()
+	pending := grow(&sc.pending, n)
 	for i := 0; i < n; i++ {
-		pending[i] = int32(len(g.Preds[i]))
+		pending[i] = int32(len(g.Preds(i)))
+		if pending[i] == 0 {
+			ready = append(ready, int32(i))
+		}
 	}
-	ready := g.Roots()
-	claimed := make([]bool, n) // op belongs to some pinned path
-	done := make([]bool, n)    // op scheduled
+	claimed := grow(&sc.claimed, n) // op belongs to some pinned path
+	done := grow(&sc.done, n)       // op scheduled
+	clear(claimed)
+	clear(done)
 	// inStepAt[op] == stamp marks op as placed in the current step; the
-	// stamp advances per step, so the buffer never needs clearing (the
-	// pre-refactor code allocated a map[int32]bool every step).
-	inStepAt := make([]int32, n)
+	// stamp advances per step, so the buffer is cleared once per call,
+	// not per step (the pre-refactor code allocated a map[int32]bool
+	// every step).
+	inStepAt := grow(&sc.inStepAt, n)
+	clear(inStepAt)
 	stamp := int32(0)
-	blocked := make([]bool, n) // scratch: done[i] || claimed[i]
+	blocked := grow(&sc.blocked, n) // scratch: done[i] || claimed[i]
 	blockedNow := func() []bool {
 		for i := range blocked {
 			blocked[i] = done[i] || claimed[i]
@@ -267,7 +283,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		scheduled += len(placed)
 		for _, op := range placed {
 			done[op] = true
-			for _, child := range g.Succs[op] {
+			for _, child := range g.Succs(int(op)) {
 				pending[child]--
 				if pending[child] == 0 {
 					ready = append(ready, child)
@@ -299,4 +315,19 @@ func compactReady(ready []int32, done []bool) []int32 {
 		}
 	}
 	return out
+}
+
+// scratch is Schedule's reusable per-call state.
+type scratch struct {
+	pending, ready, inStepAt []int32
+	claimed, done, blocked   []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow resizes *buf to n elements, reusing its storage when it is large
+// enough; the contents are left as they were.
+func grow[E any](buf *[]E, n int) []E {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }

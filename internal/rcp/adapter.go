@@ -33,8 +33,16 @@ func (s Scheduler) String() string { return s.Name() }
 func (s Scheduler) Config() string {
 	o := s.Opts
 	o.Log = nil
+	if o == (Options{}) {
+		return zeroConfig
+	}
 	return fmt.Sprintf("rcp%+v", o)
 }
+
+// zeroConfig is Config of the zero options, the paper's configuration
+// and the one every engine uses unless tuned: rendered once, not per
+// engine.
+var zeroConfig = fmt.Sprintf("rcp%+v", Options{})
 
 // WithDecisionLog returns a copy of the scheduler that records its
 // placement decisions into l (see Options.Log).

@@ -1,6 +1,7 @@
 package rcp_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -88,5 +89,34 @@ func TestAdapterWithDecisionLogRecords(t *testing.T) {
 	}
 	if log.Len() == 0 {
 		t.Error("adapter-injected log recorded nothing")
+	}
+}
+
+// TestConfigBytes pins Config to the fmt rendering of the options with
+// the decision log dropped, over zero options, tuned weights with and
+// without ExplicitWeights, and a set log; the zero options' string is
+// rendered once, so Config allocates nothing for them.
+func TestConfigBytes(t *testing.T) {
+	log := obs.NewDecisionLog(obs.LevelOp)
+	for _, o := range []rcp.Options{
+		{},
+		{WOp: 1, WDist: 1, WSlack: 1},
+		{WOp: 1, WDist: 0, WSlack: 1, ExplicitWeights: true},
+		{WOp: 1, WDist: 0, WSlack: 0, ExplicitWeights: true},
+		{WOp: 2, WDist: -1, WSlack: 0.5},
+		{ExplicitWeights: true},
+		{K: 4, D: 2},
+		{Log: log},
+		{WOp: 1, WDist: 0, WSlack: 1, ExplicitWeights: true, Log: log},
+	} {
+		want := o
+		want.Log = nil
+		if got := rcp.New(o).Config(); got != fmt.Sprintf("rcp%+v", want) {
+			t.Errorf("Config of %+v = %q, want %q", want, got, fmt.Sprintf("rcp%+v", want))
+		}
+	}
+	zero := rcp.Scheduler{}
+	if a := testing.AllocsPerRun(100, func() { _ = zero.Config() }); a != 0 {
+		t.Errorf("Config of the zero options allocates %.0f times, want 0", a)
 	}
 }

@@ -15,6 +15,8 @@ package rcp
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
@@ -78,26 +80,37 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	b.Grow(g.CriticalPath()) // no schedule is shorter
 	log := opts.Log
 
-	pending := make([]int32, n) // unsatisfied dependency counts
+	// Every per-call array comes from pooled scratch; ready may grow, so
+	// it goes back as it ends.
+	sc := scratchPool.Get().(*scratch)
+	ready := sc.ready[:0] // the roots first, ascending
+	defer func() {
+		sc.ready = ready[:0]
+		scratchPool.Put(sc)
+	}()
+	pending := grow(&sc.pending, n) // unsatisfied dependency counts
 	for i := 0; i < n; i++ {
-		pending[i] = int32(len(g.Preds[i]))
+		pending[i] = int32(len(g.Preds(i)))
+		if pending[i] == 0 {
+			ready = append(ready, int32(i))
+		}
 	}
-	ready := g.Roots()
-	loc := make([]int32, m.TotalSlots()) // qubit slot -> region, -1 = memory
+	loc := grow(&sc.loc, m.TotalSlots()) // qubit slot -> region, -1 = memory
 	for i := range loc {
 		loc[i] = -1
 	}
 	scheduled := 0
 
-	// Group keys are interned once into dense ids, so the prevalence
-	// tally is a slice indexed by id: counted over the ready list each
-	// auction round and zeroed by walking the same list. The per-op
-	// locality counts reuse one k-sized slice instead of allocating per
-	// ready candidate.
-	gid, groups := schedule.GroupIDs(m)
-	prev := make([]int32, groups)
-	counts := make([]int, opts.K)
-	regionFree := make([]bool, opts.K)
+	// Group keys are interned once per graph into dense ids, so the
+	// prevalence tally is a slice indexed by id: counted over the ready
+	// list each auction round and zeroed by walking the same list. The
+	// per-op locality counts reuse one k-sized slice instead of
+	// allocating per ready candidate.
+	gid, groups := g.Groups()
+	prev := grow(&sc.prev, groups)
+	clear(prev)
+	counts := grow(&sc.counts, opts.K)
+	regionFree := grow(&sc.regionFree, opts.K)
 	// cand weights are retained only when op-level decision logging asks
 	// for them (slack-lost detection).
 	type cand struct {
@@ -237,7 +250,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		// Release children whose dependencies completed this step, in
 		// placement order (EndStep reorders the step into region order).
 		for _, op := range placed {
-			for _, child := range g.Succs[op] {
+			for _, child := range g.Succs(int(op)) {
 				pending[child]--
 				if pending[child] == 0 {
 					ready = append(ready, child)
@@ -247,4 +260,20 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		b.EndStep()
 	}
 	return b.Schedule(), nil
+}
+
+// scratch is Schedule's reusable per-call state.
+type scratch struct {
+	pending, ready, loc, prev []int32
+	counts                    []int
+	regionFree                []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow resizes *buf to n elements, reusing its storage when it is large
+// enough; the contents are left as they were.
+func grow[E any](buf *[]E, n int) []E {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }

@@ -12,7 +12,6 @@ import (
 
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
-	"github.com/scaffold-go/multisimd/internal/qasm"
 )
 
 // Step summarizes one logical timestep: how many ops it holds and how
@@ -109,63 +108,6 @@ func FromLists(m *ir.Module, k, d int, steps [][][]int32) (*Schedule, error) {
 	return b.Schedule(), nil
 }
 
-// GroupKey identifies a SIMD-compatible operation class: a region applies
-// one gate type per step, and rotations with distinct angles are distinct
-// operations (paper Table 2).
-type GroupKey struct {
-	Op    qasm.Opcode
-	Angle float64
-}
-
-// KeyOf returns the group key of op i of module m.
-func KeyOf(m *ir.Module, i int32) GroupKey {
-	op := &m.Ops[i]
-	k := GroupKey{Op: op.Gate}
-	if op.Gate.IsRotation() {
-		k.Angle = op.Angle
-	}
-	return k
-}
-
-// GroupIDs interns every op's group key into a small dense id, first
-// seen first, so schedulers compare and count groups by integer. Two
-// ops share an id iff their keys are equal (a NaN angle shares with
-// nothing; -0 and +0 are one key); the ids run from 0 to the returned
-// count. Plain gates intern by opcode, so only rotations pay for a
-// map lookup; the map is sized for every rotation up front, so it is
-// never rehashed while it fills.
-func GroupIDs(m *ir.Module) ([]int32, int) {
-	ids := make([]int32, len(m.Ops))
-	rots := 0
-	for i := range m.Ops {
-		if m.Ops[i].Gate.IsRotation() {
-			rots++
-		}
-	}
-	var byGate [qasm.NumOpcodes]int32       // 1 + a plain gate's id, 0 = unseen
-	byKey := make(map[GroupKey]int32, rots) // rotations
-	groups := int32(0)
-	for i := range m.Ops {
-		op := &m.Ops[i]
-		if !op.Gate.IsRotation() {
-			if byGate[op.Gate] == 0 {
-				groups++
-				byGate[op.Gate] = groups
-			}
-			ids[i] = byGate[op.Gate] - 1
-			continue
-		}
-		k := GroupKey{Op: op.Gate, Angle: op.Angle}
-		id, ok := byKey[k]
-		if !ok {
-			id, groups = groups, groups+1
-			byKey[k] = id
-		}
-		ids[i] = id
-	}
-	return ids, int(groups)
-}
-
 // Validate checks the schedule against the module's dependency graph and
 // the Multi-SIMD execution model:
 //
@@ -191,7 +133,7 @@ func (s *Schedule) Validate(g *dag.Graph) error {
 			if len(ops) == 0 {
 				continue
 			}
-			var key GroupKey
+			var key dag.GroupKey
 			qubits := 0
 			for i, op := range ops {
 				if op < 0 || int(op) >= n {
@@ -201,7 +143,7 @@ func (s *Schedule) Validate(g *dag.Graph) error {
 					return fmt.Errorf("schedule: op %d scheduled twice (steps %d and %d)", op, at[op], t)
 				}
 				at[op] = int32(t)
-				if k := KeyOf(s.M, op); i == 0 {
+				if k := dag.KeyOf(s.M, op); i == 0 {
 					key = k
 				} else if k != key {
 					return fmt.Errorf("schedule: step %d region %d mixes %v and %v", t, r, key, k)
@@ -217,7 +159,7 @@ func (s *Schedule) Validate(g *dag.Graph) error {
 		if at[i] < 0 {
 			return fmt.Errorf("schedule: op %d never scheduled", i)
 		}
-		for _, p := range g.Preds[i] {
+		for _, p := range g.Preds(i) {
 			if at[p] >= at[i] {
 				return fmt.Errorf("schedule: op %d at step %d before dependency %d at step %d",
 					i, at[i], p, at[p])
@@ -276,7 +218,9 @@ func Sequential(m *ir.Module, k int) *Schedule {
 // any region order; EndStep puts the open step's regions in region
 // order, keeping each region's op order. The per-step summaries and
 // offsets gather in pooled pointer-free scratch until Schedule copies
-// them out exactly sized. The schedule is allocated with its Builder.
+// them out. The schedule is allocated with its Builder; its three slabs
+// are taken from the slabs of a released schedule (Release) when the
+// pool holds ones large enough, and allocated exactly sized otherwise.
 type Builder struct {
 	s    Schedule
 	sc   *scratch
@@ -284,12 +228,17 @@ type Builder struct {
 	reg  int // slab offset where the open region begins
 }
 
-// scratch is a Builder's reusable pointer-free state.
+// scratch is a Builder's reusable pointer-free state, plus the slabs of
+// a released schedule waiting for the next Builder.
 type scratch struct {
 	steps  []Step
 	off    []int32 // one offset per region per step, after a leading 0
 	lo, hi []int32 // open step: region r's slab window, lo == hi until closed
 	tmp    []int32 // a copy of the open step's ops, for reordering
+
+	spareOps   []int32
+	spareSteps []Step
+	spareOff   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -304,7 +253,7 @@ func NewBuilder(m *ir.Module, k, d int) *Builder {
 	clear(sc.lo)
 	clear(sc.hi)
 	return &Builder{
-		s:  Schedule{M: m, K: k, D: d, ops: make([]int32, 0, len(m.Ops))},
+		s:  Schedule{M: m, K: k, D: d, ops: take(&sc.spareOps, len(m.Ops))},
 		sc: sc,
 	}
 }
@@ -375,9 +324,32 @@ func (b *Builder) Schedule() *Schedule {
 		panic("schedule: Schedule with an unfinished step")
 	}
 	s, sc := &b.s, b.sc
-	s.Steps = slices.Clone(sc.steps)
-	s.off = slices.Clone(sc.off)
+	s.Steps = append(take(&sc.spareSteps, len(sc.steps)), sc.steps...)
+	s.off = append(take(&sc.spareOff, len(sc.off)), sc.off...)
 	b.sc = nil
 	scratchPool.Put(sc)
 	return s
+}
+
+// take returns the spare slab *spare, emptied and taken out of the
+// scratch, when it can hold n elements, or else a fresh slab of
+// capacity n.
+func take[E any](spare *[]E, n int) []E {
+	s := *spare
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	*spare = nil
+	return s[:0]
+}
+
+// Release hands s's slabs back to the Builder pool, for the next
+// schedule to fill. It is for a caller that has read everything it
+// needs from s: s must not be used afterwards, and nothing may keep a
+// slice read from it (Region, StepOps, Ops, Bounds).
+func (s *Schedule) Release() {
+	sc := scratchPool.Get().(*scratch)
+	sc.spareOps, sc.spareSteps, sc.spareOff = s.ops[:0], s.Steps[:0], s.off[:0]
+	scratchPool.Put(sc)
+	*s = Schedule{}
 }

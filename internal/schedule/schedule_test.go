@@ -1,7 +1,6 @@
 package schedule_test
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,7 +9,9 @@ import (
 
 	"github.com/scaffold-go/multisimd/internal/dag"
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/lpfs"
 	"github.com/scaffold-go/multisimd/internal/qasm"
+	"github.com/scaffold-go/multisimd/internal/rcp"
 	"github.com/scaffold-go/multisimd/internal/schedule"
 	"github.com/scaffold-go/multisimd/internal/verify"
 )
@@ -144,54 +145,6 @@ func TestDLimit(t *testing.T) {
 	// CNOT uses 2 qubits, fits d=2.
 	if err := s.Validate(g); err != nil {
 		t.Errorf("d=2 should fit: %v", err)
-	}
-}
-
-func TestGroupKeyAngles(t *testing.T) {
-	m := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 2}})
-	m.Rot(qasm.Rz, 0.5, 0).Rot(qasm.Rz, 0.7, 1)
-	k0 := schedule.KeyOf(m, 0)
-	k1 := schedule.KeyOf(m, 1)
-	if k0 == k1 {
-		t.Error("distinct-angle rotations share a group key (Table 2 violated)")
-	}
-	m2 := ir.NewModule("m2", nil, []ir.Reg{{Name: "q", Size: 2}})
-	m2.Gate(qasm.H, 0).Gate(qasm.H, 1)
-	if schedule.KeyOf(m2, 0) != schedule.KeyOf(m2, 1) {
-		t.Error("same-type gates have different keys")
-	}
-}
-
-// TestGroupIDsMatchKeys pins GroupIDs to interning through a map keyed
-// by GroupKey, first seen first: a NaN angle equals nothing, -0 equals
-// +0, and 4,000 NaN rotations get 4,000 ids.
-func TestGroupIDsMatchKeys(t *testing.T) {
-	small := ir.NewModule("m", nil, []ir.Reg{{Name: "q", Size: 3}})
-	small.Gate(qasm.H, 0).Rot(qasm.Rz, 0.5, 1).Gate(qasm.CNOT, 0, 2).Rot(qasm.Rz, 0.7, 1)
-	small.Rot(qasm.Rz, 0.5, 2).Gate(qasm.H, 1).Rot(qasm.Rx, 0.5, 0).Rot(qasm.Rz, 0, 0)
-	small.Rot(qasm.Rz, math.Copysign(0, -1), 1).Gate(qasm.T, 2)
-	small.Rot(qasm.Rz, math.NaN(), 0).Rot(qasm.Rz, math.NaN(), 1)
-	leaf := verify.RandomLeaf(rand.New(rand.NewSource(7)), verify.GenOptions{Ops: 2000, Qubits: 12})
-	nans := ir.NewModule("nans", nil, []ir.Reg{{Name: "q", Size: 4}})
-	for i := 0; i < 4000; i++ {
-		nans.Rot(qasm.Rz, math.NaN(), i%4) // 4000 groups of one
-	}
-	for _, m := range []*ir.Module{leaf, small, nans} {
-		byKey := map[schedule.GroupKey]int32{}
-		want := make([]int32, len(m.Ops))
-		for i := range m.Ops {
-			k := schedule.KeyOf(m, int32(i))
-			id, ok := byKey[k]
-			if !ok {
-				id = int32(len(byKey))
-				byKey[k] = id // a NaN key is never found again
-			}
-			want[i] = id
-		}
-		ids, n := schedule.GroupIDs(m)
-		if !slices.Equal(ids, want) || n != int(slices.Max(want))+1 {
-			t.Errorf("%s: ids %v (%d groups), want %v", m.Name, ids, n, want)
-		}
 	}
 }
 
@@ -444,6 +397,57 @@ func BenchmarkBuilder(b *testing.B) {
 		}
 		if s := bl.Schedule(); s.TotalOps() != steps*perStep {
 			b.Fatal(s.TotalOps())
+		}
+	}
+}
+
+// TestRecycledSlabsMatchFresh: a schedule whose slabs come from
+// released schedules (larger, smaller and of other machine shapes) is
+// the schedule a fresh Builder makes: same digest, same per-step
+// summaries, same op slab, and legal.
+func TestRecycledSlabsMatchFresh(t *testing.T) {
+	scheds := []schedule.Scheduler{rcp.Scheduler{}, lpfs.Scheduler{}}
+	type point struct {
+		m *ir.Module
+		g *dag.Graph
+		k int
+	}
+	var points []point
+	for seed, ops := range []int{300, 40, 1200, 7, 600} {
+		m := verify.RandomLeaf(rand.New(rand.NewSource(int64(seed))), verify.GenOptions{Ops: ops, Qubits: 10})
+		g, err := dag.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 3, 4} {
+			points = append(points, point{m, g, k})
+		}
+	}
+	for _, sc := range scheds {
+		fresh := make([]*schedule.Schedule, len(points))
+		for i, p := range points {
+			s, err := sc.Schedule(p.m, p.g, p.k, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[i] = s
+		}
+		for round := 0; round < 3; round++ {
+			for i, p := range points {
+				s, err := sc.Schedule(p.m, p.g, p.k, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fresh[i]
+				if verify.ScheduleDigest(s) != verify.ScheduleDigest(want) ||
+					!slices.Equal(s.Steps, want.Steps) || !slices.Equal(s.Ops(), want.Ops()) {
+					t.Fatalf("%s point %d round %d: recycled schedule differs from a fresh one", sc.Name(), i, round)
+				}
+				if err := s.Validate(p.g); err != nil {
+					t.Fatalf("%s point %d round %d: %v", sc.Name(), i, round, err)
+				}
+				s.Release()
+			}
 		}
 	}
 }

@@ -93,7 +93,7 @@ func Schedule(s *schedule.Schedule, g *dag.Graph) error {
 			if len(ops) == 0 {
 				continue
 			}
-			key := schedule.KeyOf(s.M, ops[0])
+			key := dag.KeyOf(s.M, ops[0])
 			qubits := 0
 			for _, op := range ops {
 				if op < 0 || int(op) >= n {
@@ -107,7 +107,7 @@ func Schedule(s *schedule.Schedule, g *dag.Graph) error {
 				}
 				stepOf[op] = t
 				// (3) SIMD homogeneity.
-				if k := schedule.KeyOf(s.M, op); k != key {
+				if k := dag.KeyOf(s.M, op); k != key {
 					return fail(s, "simd-homogeneity", t, r, int(op),
 						"region mixes %v and %v", key, k)
 				}
@@ -138,7 +138,7 @@ func Schedule(s *schedule.Schedule, g *dag.Graph) error {
 		if stepOf[i] < 0 {
 			return fail(s, "op-once", -1, -1, i, "op never scheduled")
 		}
-		for _, p := range g.Preds[i] {
+		for _, p := range g.Preds(i) {
 			if stepOf[p] >= stepOf[i] {
 				return fail(s, "dependency-order", stepOf[i], -1, i,
 					"scheduled at step %d, but dependency op %d runs at step %d",

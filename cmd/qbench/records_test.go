@@ -32,8 +32,7 @@ var hostFields = []string{"cold_wall_ms", "warm_wall_ms", "disk_warm_wall_ms", "
 // tests run it into a temporary directory and pin what it wrote against
 // bench/baselines:
 //   - TestReportBaselinesCurrent: every REPORT_<name>.json byte for byte;
-//     a mismatch prints the module, region and step attribution of
-//     report.Diff;
+//     a mismatch prints the first differing line of the two files;
 //   - TestWritePerfRecordsEmitsReports: a BENCH_<name>.json and a
 //     readable REPORT_<name>.json per gated benchmark, and every BENCH
 //     field but hostFields, the engine's work counters included;
@@ -59,8 +58,9 @@ func TestReportBaselinesCurrent(t *testing.T) {
 	dir := recordPass(t)
 	for _, b := range bench.Gated() {
 		name := "REPORT_" + b.Name + ".json"
-		if !bytes.Equal(readFile(t, dir, name), readFile(t, baselinesDir, name)) {
-			t.Errorf("%s differs from the report -perf-out writes now:\n%s", name, reportDiff(t, dir, name))
+		fresh, committed := readFile(t, dir, name), readFile(t, baselinesDir, name)
+		if !bytes.Equal(fresh, committed) {
+			t.Errorf("%s differs from the report -perf-out writes now:\n%s", name, firstLineDiff(committed, fresh))
 		}
 	}
 }
@@ -118,23 +118,23 @@ func readFile(t *testing.T, dir, name string) []byte {
 	return data
 }
 
-// reportDiff renders report.Diff from the committed report name to the
-// one in dir.
-func reportDiff(t *testing.T, dir, name string) string {
-	t.Helper()
-	base, err := report.ReadFile(filepath.Join(baselinesDir, name))
-	if err != nil {
-		t.Fatal(err)
+// firstLineDiff names the first line at which committed and fresh
+// differ, with its 1-based number and both versions.
+func firstLineDiff(committed, fresh []byte) string {
+	a, b := strings.Split(string(committed), "\n"), strings.Split(string(fresh), "\n")
+	for i := 0; ; i++ {
+		if i >= len(a) || i >= len(b) || a[i] != b[i] {
+			return fmt.Sprintf("line %d:\n  committed: %s\n  fresh:     %s", i+1, lineAt(a, i), lineAt(b, i))
+		}
 	}
-	fresh, err := report.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// lineAt is lines[i], or a marker past the end.
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
 	}
-	var buf strings.Builder
-	if err := report.Diff(base, fresh).WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return "(end of file)"
 }
 
 // benchFields flattens a BENCH record into its pinned fields, nested

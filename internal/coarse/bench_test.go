@@ -57,7 +57,7 @@ func BenchmarkCoarseLengths(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coarse.Lengths(m, coarse.WithComm, dims, widths, nil); err != nil {
+		if _, err := coarse.Lengths(m, coarse.WithComm, dims, widths, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,7 +101,7 @@ type Result struct {
 // placement and the peak width.
 func Schedule(m *ir.Module, opts Options) (*Result, error) {
 	res := &Result{}
-	if _, err := schedule(m, opts.Cost, opts.Dims, []int{opts.K}, opts.Trace, res); err != nil {
+	if _, err := schedule(m, opts.Cost, opts.Dims, []int{opts.K}, opts.Trace, 0, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -112,19 +112,19 @@ func Schedule(m *ir.Module, opts Options) (*Result, error) {
 // for every i, without building the plan per width. Dependencies,
 // blackboxes and the priority order do not depend on k, so they are
 // built once and only the placer runs per width. tr, when non-nil,
-// records one "coarse" span per width (k, ops and length; no peak
-// width, which only Schedule computes).
-func Lengths(m *ir.Module, cost CostModel, dims func(callee string) (Dims, error), widths []int, tr *obs.Tracer) ([]int64, error) {
-	return schedule(m, cost, dims, widths, tr, nil)
+// records one "coarse" span per width on track tid (k, ops and length;
+// no peak width, which only Schedule computes).
+func Lengths(m *ir.Module, cost CostModel, dims func(callee string) (Dims, error), widths []int, tr *obs.Tracer, tid int64) ([]int64, error) {
+	return schedule(m, cost, dims, widths, tr, tid, nil)
 }
 
 // schedule is the one body behind Schedule and Lengths. It checks the
 // arguments, builds m's plan once and places it at each width in
-// widths, returning the lengths. Each width gets one "coarse" span; the
-// first also covers building the plan, so the spans account for all
-// coarse work. res, when non-nil (Schedule, one width), receives the
-// length, every placement and the peak width.
-func schedule(m *ir.Module, cost CostModel, dims func(string) (Dims, error), widths []int, tr *obs.Tracer, res *Result) ([]int64, error) {
+// widths, returning the lengths. Each width gets one "coarse" span on
+// track tid; the first also covers building the plan, so the spans
+// account for all coarse work. res, when non-nil (Schedule, one
+// width), receives the length, every placement and the peak width.
+func schedule(m *ir.Module, cost CostModel, dims func(string) (Dims, error), widths []int, tr *obs.Tracer, tid int64, res *Result) ([]int64, error) {
 	for _, k := range widths {
 		if k < 1 {
 			return nil, fmt.Errorf("coarse: k must be >= 1, got %d", k)
@@ -141,7 +141,7 @@ func schedule(m *ir.Module, cost CostModel, dims func(string) (Dims, error), wid
 	var pl *plan
 	out := make([]int64, len(widths))
 	for i, k := range widths {
-		sp := tr.Span("coarse", m.Name)
+		sp := tr.SpanTID("coarse", m.Name, tid)
 		sp.SetInt("k", int64(k))
 		sp.SetInt("ops", int64(n))
 		var err error

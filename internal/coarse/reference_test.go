@@ -397,7 +397,7 @@ func TestHeapPlacementMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Lengths(m, cost, src, ks, nil)
+				got, err := Lengths(m, cost, src, ks, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -436,7 +436,7 @@ func TestLengthsNoFitMatchesReference(t *testing.T) {
 			}
 			for _, ks := range append(lengthWidthSets, []int{2, 3, 4, 8}) {
 				want, werr := referenceLengths(m, cost, src, ks)
-				got, err := Lengths(m, cost, src, ks, nil)
+				got, err := Lengths(m, cost, src, ks, nil, 0)
 				if slices.Contains(ks, 1) != (werr != nil) {
 					t.Fatalf("seed %d ks=%v: reference error %v", seed, ks, werr)
 				}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"github.com/scaffold-go/multisimd/internal/ir"
-	"github.com/scaffold-go/multisimd/internal/qasm"
 )
 
 // EmitQASM writes the fully linearized QASM-HL instruction stream of the
@@ -103,45 +102,4 @@ func (e *emitter) module(m *ir.Module, names []string) error {
 		}
 	}
 	return nil
-}
-
-// ParseQASM reads back a flat QASM-HL stream as a single-module leaf
-// program, the inverse of EmitQASM for fully flattened output. Useful
-// for feeding externally produced circuits to the schedulers.
-func ParseQASM(r io.Reader) (*ir.Program, error) {
-	decl, insts, err := qasm.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	slots := map[string]int{}
-	for _, name := range decl {
-		if _, dup := slots[name]; dup {
-			return nil, fmt.Errorf("core: ParseQASM: duplicate qubit %q", name)
-		}
-		slots[name] = len(slots)
-	}
-	m := ir.NewModule("main", nil, nil)
-	for _, name := range decl {
-		m.AddLocal(name, 1)
-	}
-	for _, in := range insts {
-		args := make([]int, len(in.Qubits))
-		for i, q := range in.Qubits {
-			s, ok := slots[q]
-			if !ok {
-				// Implicit ancilla declaration.
-				s = len(slots)
-				slots[q] = s
-				m.AddLocal(q, 1)
-			}
-			args[i] = s
-		}
-		m.Ops = append(m.Ops, ir.Op{Kind: ir.GateOp, Gate: in.Op, Angle: in.Angle, Args: args, Count: 1})
-	}
-	p := ir.NewProgram("main")
-	p.Add(m)
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

@@ -649,9 +649,10 @@ func (e *engine) logDecisions() {
 // topological order. It is not free — its cost grows with module count
 // times widths — so evalNonLeaf builds one coarse plan per (module,
 // cost model) and re-runs only the placer per width. slot is the
-// worker slot running it, whose track its span goes on.
+// worker slot running it, whose track its spans go on.
 func (e *engine) compose(p *ir.Program, slot int) (*Metrics, error) {
-	csp := e.eo.tr.SpanTID("engine", "compose", int64(slot+1))
+	tid := int64(slot + 1)
+	csp := e.eo.tr.SpanTID("engine", "compose", tid)
 	csp.SetInt("k", int64(e.opts.K))
 	csp.SetStr("scheduler", e.sched.Name())
 	defer csp.End()
@@ -673,9 +674,9 @@ func (e *engine) compose(p *ir.Program, slot int) (*Metrics, error) {
 		}
 		var msp obs.Span
 		if e.eo.tr.Enabled() {
-			msp = e.eo.tr.Span("compose", name)
+			msp = e.eo.tr.SpanTID("compose", name, tid)
 		}
-		ev, err := evalNonLeaf(mod, e.widths, evals, e.eo.tr)
+		ev, err := evalNonLeaf(mod, e.widths, evals, e.eo.tr, tid)
 		msp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: module %s: %w", name, err)

@@ -370,8 +370,9 @@ func widthSet(k int) []int {
 
 // evalNonLeaf characterizes a non-leaf via coarse scheduling over its
 // callees' cached dims: one coarse plan per cost model, placed at every
-// width. The dims own their width lists; nothing aliases widths.
-func evalNonLeaf(mod *ir.Module, widths []int, evals map[string]*moduleEval, tr *obs.Tracer) (*moduleEval, error) {
+// width, its coarse spans on track tid. The dims own their width lists;
+// nothing aliases widths.
+func evalNonLeaf(mod *ir.Module, widths []int, evals map[string]*moduleEval, tr *obs.Tracer, tid int64) (*moduleEval, error) {
 	dimsOf := func(pick func(*moduleEval) coarse.Dims) func(string) (coarse.Dims, error) {
 		return func(callee string) (coarse.Dims, error) {
 			c := evals[callee]
@@ -381,11 +382,11 @@ func evalNonLeaf(mod *ir.Module, widths []int, evals map[string]*moduleEval, tr 
 			return pick(c), nil
 		}
 	}
-	zero, err := coarse.Lengths(mod, coarse.ZeroComm, dimsOf(func(c *moduleEval) coarse.Dims { return c.zero }), widths, tr)
+	zero, err := coarse.Lengths(mod, coarse.ZeroComm, dimsOf(func(c *moduleEval) coarse.Dims { return c.zero }), widths, tr, tid)
 	if err != nil {
 		return nil, err
 	}
-	withComm, err := coarse.Lengths(mod, coarse.WithComm, dimsOf(func(c *moduleEval) coarse.Dims { return c.withComm }), widths, tr)
+	withComm, err := coarse.Lengths(mod, coarse.WithComm, dimsOf(func(c *moduleEval) coarse.Dims { return c.withComm }), widths, tr, tid)
 	if err != nil {
 		return nil, err
 	}

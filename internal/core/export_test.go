@@ -1,8 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"io"
+
+	"github.com/scaffold-go/multisimd/internal/ast"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/parser"
+	"github.com/scaffold-go/multisimd/internal/qasm"
 )
 
 func commKeyOf(mod *ir.Module, sched Scheduler, w, d int, copts comm.Options) commKey {
@@ -41,4 +47,77 @@ func SchedLayerValues(c *EvalCache) []any {
 		st.mu.Unlock()
 	}
 	return out
+}
+
+// BuildSources combines several source fragments (module libraries plus
+// a main) and builds them as one program. Each fragment parses
+// separately so diagnostics carry line numbers relative to the fragment
+// they occur in (a naive concatenation would shift every fragment after
+// the first), prefixed with the 1-based fragment index.
+func BuildSources(opts PipelineOptions, srcs ...string) (*ir.Program, error) {
+	merged := &ast.Program{}
+	psp := opts.Obs.T().Span("pipeline", "parse")
+	for i, s := range srcs {
+		frag, err := parser.Parse(s)
+		if err != nil {
+			psp.End()
+			return nil, fmt.Errorf("core: fragment %d: %w", i+1, err)
+		}
+		merged.Modules = append(merged.Modules, frag.Modules...)
+	}
+	psp.End()
+	p, err := frontendAST(merged, opts)
+	if err != nil {
+		return nil, err
+	}
+	return midend(p, opts)
+}
+
+// MustBuild is Build that panics on compile errors.
+func MustBuild(src string, opts PipelineOptions) *ir.Program {
+	p, err := Build(src, opts)
+	if err != nil {
+		panic(fmt.Sprintf("core.MustBuild: %v", err))
+	}
+	return p
+}
+
+// ParseQASM reads back a flat QASM-HL stream as a single-module leaf
+// program, the inverse of EmitQASM for fully flattened output.
+func ParseQASM(r io.Reader) (*ir.Program, error) {
+	decl, insts, err := qasm.Parse(r)
+	if err != nil {
+		return nil, err
+	}
+	slots := map[string]int{}
+	for _, name := range decl {
+		if _, dup := slots[name]; dup {
+			return nil, fmt.Errorf("core: ParseQASM: duplicate qubit %q", name)
+		}
+		slots[name] = len(slots)
+	}
+	m := ir.NewModule("main", nil, nil)
+	for _, name := range decl {
+		m.AddLocal(name, 1)
+	}
+	for _, in := range insts {
+		args := make([]int, len(in.Qubits))
+		for i, q := range in.Qubits {
+			s, ok := slots[q]
+			if !ok {
+				// Implicit ancilla declaration.
+				s = len(slots)
+				slots[q] = s
+				m.AddLocal(q, 1)
+			}
+			args[i] = s
+		}
+		m.Ops = append(m.Ops, ir.Op{Kind: ir.GateOp, Gate: in.Op, Angle: in.Angle, Args: args, Count: 1})
+	}
+	p := ir.NewProgram("main")
+	p.Add(m)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }

@@ -158,36 +158,3 @@ func reuseLeaves(p *ir.Program) error {
 	}
 	return nil
 }
-
-// BuildSources combines several source fragments (module libraries plus
-// a main) and builds them as one program. Each fragment parses
-// separately so diagnostics carry line numbers relative to the fragment
-// they occur in (a naive concatenation would shift every fragment after
-// the first), prefixed with the 1-based fragment index.
-func BuildSources(opts PipelineOptions, srcs ...string) (*ir.Program, error) {
-	merged := &ast.Program{}
-	psp := opts.Obs.T().Span("pipeline", "parse")
-	for i, s := range srcs {
-		frag, err := parser.Parse(s)
-		if err != nil {
-			psp.End()
-			return nil, fmt.Errorf("core: fragment %d: %w", i+1, err)
-		}
-		merged.Modules = append(merged.Modules, frag.Modules...)
-	}
-	psp.End()
-	p, err := frontendAST(merged, opts)
-	if err != nil {
-		return nil, err
-	}
-	return midend(p, opts)
-}
-
-// MustBuild is a test/example helper that panics on compile errors.
-func MustBuild(src string, opts PipelineOptions) *ir.Program {
-	p, err := Build(src, opts)
-	if err != nil {
-		panic(fmt.Sprintf("core.MustBuild: %v", err))
-	}
-	return p
-}

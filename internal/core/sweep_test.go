@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -216,6 +218,58 @@ func TestSweepFirstError(t *testing.T) {
 		_, err := core.SensD(ws, failingScheduler{failD: []int{2, 3}}, 4, []int{0, 3, 4, 2})
 		if err == nil || err.Error() != sweepFirstError {
 			t.Errorf("workers=%d: error %v, want %s", workers, err, sweepFirstError)
+		}
+	}
+}
+
+// TestSweepSpanTracksNest runs a traced Fig. 8 at two workers over the
+// small benchmarks and checks that, on every track, any two spans are
+// nested or disjoint: a span a trace viewer cannot nest under its
+// track's open span belongs on another track. Variants compose
+// concurrently, so each compose's per-module and coarse spans must go
+// on its worker's track.
+func TestSweepSpanTracksNest(t *testing.T) {
+	progs := engineWorkloads(t)
+	tr := obs.NewTracer()
+	var ws []core.Workload
+	for _, name := range slices.Sorted(maps.Keys(progs)) {
+		ws = append(ws, core.Workload{Name: name, Prog: progs[name], Cache: core.NewEvalCache(), Workers: 2, Obs: &obs.Observer{Trace: tr}})
+	}
+	if _, err := core.Fig8(ws); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
+	}
+	byTID := map[int64][]obs.SpanEvent{}
+	for _, ev := range tr.Events() {
+		byTID[ev.TID] = append(byTID[ev.TID], ev)
+	}
+	for tid, evs := range byTID {
+		// Outer spans first: by start, then longest first.
+		slices.SortFunc(evs, func(a, b obs.SpanEvent) int {
+			if a.TSUS != b.TSUS {
+				return cmp.Compare(a.TSUS, b.TSUS)
+			}
+			return cmp.Compare(b.DurUS, a.DurUS)
+		})
+		var open []obs.SpanEvent
+		bad := 0
+		for _, ev := range evs {
+			for len(open) > 0 && open[len(open)-1].TSUS+open[len(open)-1].DurUS <= ev.TSUS {
+				open = open[:len(open)-1]
+			}
+			if n := len(open); n > 0 && ev.TSUS+ev.DurUS > open[n-1].TSUS+open[n-1].DurUS {
+				if bad++; bad <= 3 {
+					t.Errorf("tid %d: %s/%s [%d,+%d] partially overlaps %s/%s [%d,+%d]", tid,
+						ev.Cat, ev.Name, ev.TSUS, ev.DurUS, open[n-1].Cat, open[n-1].Name, open[n-1].TSUS, open[n-1].DurUS)
+				}
+				continue
+			}
+			open = append(open, ev)
+		}
+		if bad > 3 {
+			t.Errorf("tid %d: %d partial overlaps in all", tid, bad)
 		}
 	}
 }

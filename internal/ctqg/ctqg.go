@@ -33,15 +33,6 @@ func uma(b *strings.Builder, x, y, z string) {
 	fmt.Fprintf(b, "  CNOT(%s, %s);\n", x, y)
 }
 
-// Xor returns a module: b ^= a, bitwise (transversal CNOT).
-func Xor(name string, n int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s(qbit a[%d], qbit b[%d]) {\n", name, n, n)
-	fmt.Fprintf(&sb, "  for (i = 0; i < %d; i++) {\n    CNOT(a[i], b[i]);\n  }\n", n)
-	sb.WriteString("}\n")
-	return sb.String()
-}
-
 // Adder returns a module implementing the CDKM ripple-carry adder:
 //
 //	module name(qbit a[n], qbit b[n], qbit cin, qbit cout)
@@ -62,20 +53,6 @@ func Adder(name string, n int) string {
 		uma(&sb, fmt.Sprintf("a[%d]", i-1), fmt.Sprintf("b[%d]", i), fmt.Sprintf("a[%d]", i))
 	}
 	uma(&sb, "cin", "b[0]", "a[0]")
-	sb.WriteString("}\n")
-	return sb.String()
-}
-
-// Subtractor returns a module computing b = b - a (mod 2^n) by
-// conjugating the adder with bitwise complement of b:
-// b - a = ~(~b + a). Requires an adder module named adderName of the
-// same width; cin must be |0>, cout ^= NOT borrow.
-func Subtractor(name, adderName string, n int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s(qbit a[%d], qbit b[%d], qbit cin, qbit cout) {\n", name, n, n)
-	fmt.Fprintf(&sb, "  for (i = 0; i < %d; i++) {\n    X(b[i]);\n  }\n", n)
-	fmt.Fprintf(&sb, "  %s(a, b, cin, cout);\n", adderName)
-	fmt.Fprintf(&sb, "  for (i = 0; i < %d; i++) {\n    X(b[i]);\n  }\n", n)
 	sb.WriteString("}\n")
 	return sb.String()
 }
@@ -169,39 +146,6 @@ func LessThan(name, carryName string, n int) string {
 	fmt.Fprintf(&sb, "  for (i = 0; i < %d; i++) {\n    X(a[i]);\n  }\n", n)
 	fmt.Fprintf(&sb, "  %s(a, b, cin, flag);\n", carryName)
 	fmt.Fprintf(&sb, "  for (i = 0; i < %d; i++) {\n    X(a[i]);\n  }\n", n)
-	sb.WriteString("}\n")
-	return sb.String()
-}
-
-// Equals returns a module computing flag ^= (a == b): XOR b into a,
-// flip, AND-reduce with a Toffoli ladder, then uncompute.
-//
-//	module name(qbit a[n], qbit b[n], qbit anc[n-1], qbit flag)
-//
-// anc must be |0...0> and is returned clean (n >= 2).
-func Equals(name string, n int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "module %s(qbit a[%d], qbit b[%d], qbit anc[%d], qbit flag) {\n", name, n, n, n-1)
-	xorFlip := func() {
-		fmt.Fprintf(&sb, "  for (i = 0; i < %d; i++) {\n    CNOT(b[i], a[i]);\n    X(a[i]);\n  }\n", n)
-	}
-	ladderUp := func() {
-		fmt.Fprintf(&sb, "  Toffoli(a[0], a[1], anc[0]);\n")
-		for i := 2; i < n; i++ {
-			fmt.Fprintf(&sb, "  Toffoli(anc[%d], a[%d], anc[%d]);\n", i-2, i, i-1)
-		}
-	}
-	ladderDown := func() {
-		for i := n - 1; i >= 2; i-- {
-			fmt.Fprintf(&sb, "  Toffoli(anc[%d], a[%d], anc[%d]);\n", i-2, i, i-1)
-		}
-		fmt.Fprintf(&sb, "  Toffoli(a[0], a[1], anc[0]);\n")
-	}
-	xorFlip()
-	ladderUp()
-	fmt.Fprintf(&sb, "  CNOT(anc[%d], flag);\n", n-2)
-	ladderDown()
-	xorFlip()
 	sb.WriteString("}\n")
 	return sb.String()
 }

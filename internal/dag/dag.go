@@ -164,17 +164,6 @@ func (g *Graph) Slack(i int32) int32 {
 	return g.cp - g.Height[i] + 1 - g.Depth[i]
 }
 
-// Roots returns nodes with no predecessors, i.e. the initial ready set.
-func (g *Graph) Roots() []int32 {
-	var roots []int32
-	for i := 0; i < g.Len(); i++ {
-		if g.predOff[i] == g.predOff[i+1] {
-			roots = append(roots, int32(i))
-		}
-	}
-	return roots
-}
-
 // Groups returns GroupIDs of the graph's module: every op's dense SIMD
 // group id and the group count. They are interned on the first call and
 // shared by every later one, so the schedulers of every width and

@@ -269,21 +269,6 @@ func TestDecomposeInvalidProgram(t *testing.T) {
 	}
 }
 
-func TestApproxLengthMatchesSequence(t *testing.T) {
-	for _, eps := range []float64{1e-4, 1e-10, 1e-14} {
-		approx := decompose.ApproxLength(eps)
-		actual := len(decompose.ApproxSequence(0.77, eps))
-		// The skeleton emits 2-3 gates per T plus a Clifford tail; the
-		// estimate tracks within a factor of two.
-		if actual < approx/2 || actual > 2*approx+4 {
-			t.Errorf("eps=%g: estimate %d vs actual %d", eps, approx, actual)
-		}
-	}
-	if decompose.ApproxLength(5) != decompose.ApproxLength(1e-10) {
-		t.Error("invalid epsilon not defaulted")
-	}
-}
-
 // BenchmarkDecomposeSHA1 measures the decomposition pass alone on the
 // gated SHA-1: each op decomposes a fresh copy of the lowered program.
 func BenchmarkDecomposeSHA1(b *testing.B) {

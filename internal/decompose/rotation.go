@@ -62,19 +62,6 @@ func ApproxSequence(angle float64, epsilon float64) []qasm.Opcode {
 	return seq
 }
 
-// ApproxLength returns the length of the sequence ApproxSequence would
-// emit, without building it. Used by resource estimation.
-func ApproxLength(epsilon float64) int {
-	if epsilon <= 0 || epsilon >= 1 {
-		epsilon = 1e-10
-	}
-	tCount := int(math.Ceil(3.02 * math.Log2(1/epsilon)))
-	if tCount < 1 {
-		tCount = 1
-	}
-	return 2 * tCount // skeleton average; exact length varies by ±tCount
-}
-
 func canonicalAngle(angle float64) float64 {
 	twoPi := 2 * math.Pi
 	a := math.Mod(angle, twoPi)

@@ -49,10 +49,11 @@ func TestPinnedPathStaysInRegionZero(t *testing.T) {
 	if err := s.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	reg := s.RegionOf()
-	for i := 0; i < 10; i++ {
-		if reg[i] != 0 {
-			t.Errorf("chain op %d in region %d", i, reg[i])
+	for step := range s.Steps {
+		for _, op := range s.Region(step, 1) {
+			if op < 10 {
+				t.Errorf("chain op %d in region 1", op)
+			}
 		}
 	}
 	if s.Length() != 10 {

@@ -10,9 +10,9 @@
 // global move an extra stall (default 2 cycles) at its boundary.
 //
 // Two qubit-to-bank mapping policies are provided: RoundRobin (the
-// oblivious baseline) and Affinity, the compiler algorithm the paper
-// anticipates — each qubit homes to the bank adjacent to the region
-// where it is used most. The Fig. 10-style experiment in cmd/qbench
+// oblivious baseline) and AffinityMoves, the compiler algorithm the
+// paper anticipates — each qubit homes to the bank that serves most of
+// its teleports. The Fig. 10-style experiment in cmd/qbench
 // (-experiment numa) compares them.
 package numa
 
@@ -77,39 +77,6 @@ func RoundRobin(slots, banks int) Assignment {
 	a := make(Assignment, slots)
 	for s := range a {
 		a[s] = s % banks
-	}
-	return a
-}
-
-// Affinity assigns each qubit to the bank adjacent to the region where
-// it is used most (ties to the lower bank), falling back to round-robin
-// for untouched qubits. This is the usage-weighted mapping pass the
-// paper's future-work plan calls for.
-func Affinity(s *schedule.Schedule, banks int) Assignment {
-	slots := s.M.TotalSlots()
-	counts := make([][]int, slots)
-	for i := range counts {
-		counts[i] = make([]int, banks)
-	}
-	for t := range s.Steps {
-		for r := 0; r < s.K; r++ {
-			bank := BankOf(int32(r), s.K, banks)
-			for _, op := range s.Region(t, r) {
-				for _, slot := range s.M.Ops[op].Args {
-					counts[slot][bank]++
-				}
-			}
-		}
-	}
-	a := make(Assignment, slots)
-	for slot := range a {
-		best, bestN := slot%banks, 0
-		for b, n := range counts[slot] {
-			if n > bestN {
-				best, bestN = b, n
-			}
-		}
-		a[slot] = best
 	}
 	return a
 }
@@ -182,8 +149,7 @@ func Analyze(s *schedule.Schedule, res *comm.Result, assign Assignment, cfg Conf
 // AffinityMoves assigns each qubit to the bank that serves most of its
 // teleports in the analyzed schedule — per-qubit optimal, since each
 // global move is charged independently: no fixed assignment can have
-// fewer far moves. Prefer this when the communication annotations are
-// already available; Affinity approximates it from usage alone.
+// fewer far moves.
 func AffinityMoves(s *schedule.Schedule, res *comm.Result, banks int) Assignment {
 	slots := s.M.TotalSlots()
 	counts := make([][]int, slots)

@@ -254,22 +254,6 @@ func (l *DecisionLog) Entries() []Decision {
 	return out
 }
 
-// CountReason tallies records with the given reason.
-func (l *DecisionLog) CountReason(r Reason) int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, d := range l.entries {
-		if d.Reason == r {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteTo renders the log as one text line per decision:
 //
 //	lpfs BF.leaf0 step 12 region 0 op 34 d-budget: needs 2, 7/8 used

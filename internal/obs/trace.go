@@ -57,14 +57,6 @@ type traceEvent struct {
 // now, retaining at most DefaultTraceLimit events.
 func NewTracer() *Tracer { return newTracerClock(time.Now) }
 
-// NewTracerLimit returns a tracer retaining at most limit events
-// (<= 0: unbounded). Events past the limit are counted, not kept.
-func NewTracerLimit(limit int) *Tracer {
-	t := newTracerClock(time.Now)
-	t.limit = limit
-	return t
-}
-
 // newTracerClock injects the clock, for deterministic golden tests.
 func newTracerClock(now func() time.Time) *Tracer {
 	return &Tracer{start: now(), now: now, limit: DefaultTraceLimit, names: map[int64]string{}}

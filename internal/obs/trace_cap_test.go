@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestTracerCap pins the retention contract: past the limit, events are
@@ -91,4 +92,12 @@ func TestPhasesMatchAggregateEvents(t *testing.T) {
 	if len(direct) != 2 {
 		t.Fatalf("phases = %+v, want 2 rows", direct)
 	}
+}
+
+// NewTracerLimit returns a tracer retaining at most limit events
+// (<= 0: unbounded). Events past the limit are counted, not kept.
+func NewTracerLimit(limit int) *Tracer {
+	t := newTracerClock(time.Now)
+	t.limit = limit
+	return t
 }

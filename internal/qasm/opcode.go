@@ -99,24 +99,6 @@ func (op Opcode) IsPrimitive() bool {
 // Valid reports whether op is a known opcode.
 func (op Opcode) Valid() bool { return int(op) < NumOpcodes }
 
-// Adjoint returns the opcode of the Hermitian adjoint for self-describing
-// gates (S/Sdag, T/Tdag swap; self-adjoint gates map to themselves).
-// Rotations stay the same opcode: callers negate the angle.
-func (op Opcode) Adjoint() Opcode {
-	switch op {
-	case S:
-		return Sdag
-	case Sdag:
-		return S
-	case T:
-		return Tdag
-	case Tdag:
-		return T
-	default:
-		return op
-	}
-}
-
 // ByName maps a gate mnemonic to its opcode. The second result is false
 // when the name is unknown.
 func ByName(name string) (Opcode, bool) {

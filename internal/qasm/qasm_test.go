@@ -172,3 +172,21 @@ func TestInstStringRoundTripQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Adjoint returns the opcode of the Hermitian adjoint for self-describing
+// gates (S/Sdag, T/Tdag swap; self-adjoint gates map to themselves).
+// Rotations stay the same opcode: callers negate the angle.
+func (op Opcode) Adjoint() Opcode {
+	switch op {
+	case S:
+		return Sdag
+	case Sdag:
+		return S
+	case T:
+		return Tdag
+	case Tdag:
+		return T
+	default:
+		return op
+	}
+}

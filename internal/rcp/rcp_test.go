@@ -142,28 +142,28 @@ func TestLocalityPreference(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Count region switches per qubit.
-	reg := s.RegionOf()
-	at := s.StepOf()
-	switches := 0
-	lastRegion := map[int]int32{}
-	type ev struct {
-		step int32
-		reg  int32
-	}
-	perQubit := map[int][]ev{}
-	for op := range m.Ops {
-		for _, slot := range m.Ops[op].Args {
-			perQubit[slot] = append(perQubit[slot], ev{at[int32(op)], reg[int32(op)]})
+	reg := make([]int32, len(m.Ops))
+	for step := range s.Steps {
+		for r := 0; r < s.K; r++ {
+			for _, op := range s.Region(step, r) {
+				reg[op] = int32(r)
+			}
 		}
 	}
-	for _, evs := range perQubit {
-		for i := 1; i < len(evs); i++ {
-			if evs[i].reg != evs[i-1].reg {
+	switches := 0
+	perQubit := map[int][]int32{}
+	for op := range m.Ops {
+		for _, slot := range m.Ops[op].Args {
+			perQubit[slot] = append(perQubit[slot], reg[op])
+		}
+	}
+	for _, regs := range perQubit {
+		for i := 1; i < len(regs); i++ {
+			if regs[i] != regs[i-1] {
 				switches++
 			}
 		}
 	}
-	_ = lastRegion
 	if switches > 2 {
 		t.Errorf("chains ping-pong between regions: %d switches", switches)
 	}

@@ -10,14 +10,12 @@
 // communication-overhead fraction, achieved length against the critical
 // path, and per-op slack against the ASAP bound.
 //
-// Three renderings share one versioned in-memory form (Report):
+// Two renderings share one versioned in-memory form (Report):
 //
 //   - a stable JSON schema (SchemaVersion, golden-tested) written by
 //     qsched -report-json and qbench's per-benchmark REPORT_<name>.json;
 //   - a fully self-contained HTML file (inline SVG Gantt with move
-//     arrows, utilization sparklines, no external assets — see html.go);
-//   - a structured run-to-run comparison (Diff, diff.go) that
-//     attributes metric deltas to specific modules, regions and steps.
+//     arrows, utilization sparklines, no external assets — see html.go).
 //
 // The analytics walk the same per-boundary move lists that
 // internal/verify replays when checking legality, so the movement
@@ -191,8 +189,7 @@ type ModuleReport struct {
 	Slack SlackStats    `json:"slack"`
 
 	// StepOccupancy is the busy-region count per timestep, capped at
-	// seriesCap entries (Truncated marks the cut). Diff uses it to name
-	// the first step two runs diverge at.
+	// seriesCap entries (Truncated marks the cut).
 	StepOccupancy []int `json:"step_occupancy"`
 	Truncated     bool  `json:"truncated,omitempty"`
 

@@ -293,104 +293,3 @@ func TestHTMLSelfContained(t *testing.T) {
 		}
 	}
 }
-
-// TestDiffAttributesInjectedRegression injects a schedule-length
-// regression into one module and checks Diff pins the blame on it, down
-// to the first divergent step.
-func TestDiffAttributesInjectedRegression(t *testing.T) {
-	a := evalReport(t, core.EvalOptions{K: 3})
-	b := evalReport(t, core.EvalOptions{K: 3})
-
-	// Baseline sanity: identical runs must diff clean.
-	if d := report.Diff(a, b); d.Changed() {
-		t.Fatalf("identical runs diff dirty: %+v", d)
-	}
-
-	// Inject: module "mixer" gains 5 steps and 9 cycles, diverging at
-	// step 1; whole-benchmark totals grow accordingly.
-	b.Totals.CommCycles += 9
-	b.Totals.ZeroCommSteps += 5
-	var victim *report.ModuleReport
-	for i := range b.Modules {
-		if b.Modules[i].Name == "mixer" {
-			victim = &b.Modules[i]
-		}
-	}
-	if victim == nil {
-		t.Fatal("no mixer module in the report")
-	}
-	victim.Steps += 5
-	victim.Cycles += 9
-	victim.StallCycles += 4
-	if len(victim.StepOccupancy) < 2 {
-		t.Fatalf("mixer occupancy series too short: %d", len(victim.StepOccupancy))
-	}
-	victim.StepOccupancy[1]++
-
-	d := report.Diff(a, b)
-	if d.ConfigDrift {
-		t.Error("identical configs flagged as drift")
-	}
-	if d.Totals.CommCycles != 9 || d.Totals.ZeroCommSteps != 5 {
-		t.Errorf("totals delta %+d/%+d, want +9/+5", d.Totals.CommCycles, d.Totals.ZeroCommSteps)
-	}
-	if len(d.Modules) == 0 {
-		t.Fatal("no module attribution")
-	}
-	top := d.Modules[0]
-	if top.Name != "mixer" || top.Presence != "both" {
-		t.Fatalf("blame on %q (%s), want mixer (both)", top.Name, top.Presence)
-	}
-	if top.Steps != 5 || top.Cycles != 9 || top.StallCycles != 4 {
-		t.Errorf("mixer delta steps=%d cycles=%d stall=%d, want 5/9/4", top.Steps, top.Cycles, top.StallCycles)
-	}
-	if top.FirstDivergentStep != 1 {
-		t.Errorf("first divergent step %d, want 1", top.FirstDivergentStep)
-	}
-	if !top.CriticalPathSame {
-		t.Error("critical path flagged as changed; only the schedule moved")
-	}
-
-	var buf bytes.Buffer
-	if err := d.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{"comm cycles +9", "mixer: +9 cycles", "diverges at step 1"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("attribution text missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestDiffConfigDrift compares runs at different d and expects the drift
-// flag, so config changes are never mistaken for scheduler regressions.
-func TestDiffConfigDrift(t *testing.T) {
-	a := evalReport(t, core.EvalOptions{K: 3})
-	b := evalReport(t, core.EvalOptions{K: 3, D: 2})
-	d := report.Diff(a, b)
-	if !d.ConfigDrift {
-		t.Error("d=∞ vs d=2 not flagged as config drift")
-	}
-	// Capping d can only lengthen schedules; the drift flag must coexist
-	// with honest deltas.
-	if d.Totals.ZeroCommSteps < 0 {
-		t.Errorf("d=2 shortened the schedule? delta %d", d.Totals.ZeroCommSteps)
-	}
-}
-
-func TestDiffPresence(t *testing.T) {
-	a := evalReport(t, core.EvalOptions{K: 3})
-	b := evalReport(t, core.EvalOptions{K: 3})
-	b.Modules = b.Modules[:1] // drop the later module from B
-	d := report.Diff(a, b)
-	var gone bool
-	for _, m := range d.Modules {
-		if m.Presence == "a-only" {
-			gone = true
-		}
-	}
-	if !gone {
-		t.Errorf("dropped module not reported a-only: %+v", d.Modules)
-	}
-}

@@ -32,9 +32,6 @@ type Stats struct {
 	Dropped int
 }
 
-// Saved returns the number of local slots eliminated.
-func (s Stats) Saved() int { return s.LocalsBefore - s.LocalsAfter }
-
 // Leaf rewrites a materialized leaf module in place, remapping local
 // slots so ancillae with disjoint live ranges share storage. Parameter
 // slots are never touched. Returns statistics or an error if the module

@@ -19,22 +19,6 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the entire input, ending with an EOF token.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		tok, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, tok)
-		if tok.Kind == EOF {
-			return toks, nil
-		}
-	}
-}
-
 func (lx *Lexer) peek() byte {
 	if lx.off >= len(lx.src) {
 		return 0

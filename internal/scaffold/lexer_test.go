@@ -162,3 +162,19 @@ func TestLexQuickTermination(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Lex tokenizes the entire input, ending with an EOF token.
+func Lex(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		tok, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, tok)
+		if tok.Kind == EOF {
+			return toks, nil
+		}
+	}
+}

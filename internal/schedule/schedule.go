@@ -184,22 +184,6 @@ func (s *Schedule) StepOf() []int32 {
 	return at
 }
 
-// RegionOf returns, for each op, the region it is scheduled in.
-func (s *Schedule) RegionOf() []int32 {
-	at := make([]int32, len(s.M.Ops))
-	for i := range at {
-		at[i] = -1
-	}
-	for t := range s.Steps {
-		for r := 0; r < s.K; r++ {
-			for _, op := range s.Region(t, r) {
-				at[op] = int32(r)
-			}
-		}
-	}
-	return at
-}
-
 // Sequential builds the trivial 1-op-per-step schedule used as the
 // paper's sequential baseline: op i alone in region 0 of step i.
 func Sequential(m *ir.Module, k int) *Schedule {

@@ -40,9 +40,8 @@ type Dims struct {
 // Best returns the minimal length achievable within maxWidth regions and
 // the width that achieves it. ok is false when no option fits.
 func (d Dims) Best(maxWidth int) (width int, length int64, ok bool) {
-	length = math.MaxInt64
 	for i, w := range d.Widths {
-		if w <= maxWidth && d.Lengths[i] < length {
+		if w <= maxWidth && (!ok || d.Lengths[i] < length) {
 			width, length, ok = w, d.Lengths[i], true
 		}
 	}
@@ -230,7 +229,7 @@ func (pl *plan) run(k int, placements []Placement) (int64, error) {
 		if !ok {
 			return noFitError(int(i), pl.name, k, forceWidth)
 		}
-		f := p.Start + p.Length
+		f := ir.SatAdd(p.Start, p.Length)
 		pl.finish[i] = f
 		if placements != nil {
 			p.OpIndex = int(i)
@@ -368,8 +367,10 @@ func (p *placer) selectEarliest(n int) []int32 {
 
 // place chooses the width option of d minimizing finish time (ties
 // prefer narrower boxes, leaving room for siblings), claims the regions
-// that free earliest, and returns the placement. ok is false when no
-// option fits k (or the forced width).
+// that free earliest, and returns the placement. Finishes saturate, so
+// a box whose every length has saturated still takes a fitting width
+// and finishes at math.MaxInt64. ok is false when no option fits k (or
+// the forced width).
 func (p *placer) place(d Dims, te int64, forceWidth int) (Placement, bool) {
 	wMax := 0
 	for _, w := range d.Widths {
@@ -384,9 +385,8 @@ func (p *placer) place(d Dims, te int64, forceWidth int) (Placement, bool) {
 		return Placement{}, false
 	}
 	sel := p.selectEarliest(wMax)
-	bestFinish := int64(math.MaxInt64)
-	bestStart := int64(0)
-	bestW, bestL := 0, int64(0)
+	var bestFinish, bestStart, bestL int64
+	bestW := 0
 	for j, w := range d.Widths {
 		if w > p.k || (forceWidth > 0 && w != forceWidth) {
 			continue
@@ -396,8 +396,8 @@ func (p *placer) place(d Dims, te int64, forceWidth int) (Placement, bool) {
 		if te > start {
 			start = te
 		}
-		f := start + d.Lengths[j]
-		if f < bestFinish || (f == bestFinish && w < bestW) {
+		f := ir.SatAdd(start, d.Lengths[j])
+		if bestW == 0 || f < bestFinish || (f == bestFinish && w < bestW) {
 			bestFinish, bestStart, bestW, bestL = f, start, w, d.Lengths[j]
 		}
 	}
@@ -459,7 +459,7 @@ func waveWidth(d Dims, count, kFree int) int {
 			continue
 		}
 		waves := int64((count + lanes - 1) / lanes)
-		span := satMul(waves, d.Lengths[j])
+		span := ir.SatMul(waves, d.Lengths[j])
 		if span < bestSpan || (span == bestSpan && w < best) {
 			bestSpan = span
 			best = w
@@ -480,7 +480,7 @@ func peakWidth(ps []Placement, k int) int {
 		if p.Length == 0 {
 			continue
 		}
-		events = append(events, ev{t: p.Start, d: p.Width}, ev{t: p.Start + p.Length, d: -p.Width})
+		events = append(events, ev{t: p.Start, d: p.Width}, ev{t: ir.SatAdd(p.Start, p.Length), d: -p.Width})
 	}
 	sort.Slice(events, func(a, b int) bool {
 		if events[a].t != events[b].t {
@@ -541,10 +541,10 @@ func buildBoxes(m *ir.Module, cost CostModel, dims func(string) (Dims, error)) (
 		ls := lengths[:w:w]
 		lengths = lengths[w:]
 		if op.Kind == ir.GateOp {
-			ls[0] = satMul(cost.GateCost, op.EffCount())
+			ls[0] = ir.SatMul(cost.GateCost, op.EffCount())
 		} else {
 			for j := range ls {
-				ls[j] = satMul(b.Lengths[j]+cost.CallOverhead, op.EffCount())
+				ls[j] = ir.SatMul(ir.SatAdd(b.Lengths[j], cost.CallOverhead), op.EffCount())
 			}
 		}
 		b.Lengths = ls
@@ -605,7 +605,7 @@ func (pl *plan) priorityOrder() []int32 {
 	succStart := make([]int32, n+1)
 	for i := n - 1; i >= 0; i-- {
 		_, l, _ := pl.boxes[i].Best(math.MaxInt32)
-		height[i] += l
+		height[i] = ir.SatAdd(height[i], l)
 		for _, p := range pl.predsOf(int32(i)) {
 			height[p] = max(height[p], height[i])
 			succStart[p+1]++
@@ -697,14 +697,4 @@ func (h *readyHeap) pop() int32 {
 		i = smallest
 	}
 	return top
-}
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
 }

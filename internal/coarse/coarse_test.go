@@ -1,6 +1,7 @@
 package coarse_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/scaffold-go/multisimd/internal/coarse"
@@ -221,5 +222,48 @@ func TestWaveOfIdenticalBoxesBalancesWidths(t *testing.T) {
 	}
 	if res.Length != 90 {
 		t.Errorf("length %d, want 90", res.Length)
+	}
+}
+
+// TestSaturatedBoxesArePlaced: a box whose every length has saturated at
+// math.MaxInt64 still takes a fitting width and finishes at
+// math.MaxInt64, so the module's length reads saturated, never 0. Under
+// WithComm the call overhead adds to the saturated lengths, which must
+// not wrap either.
+func TestSaturatedBoxesArePlaced(t *testing.T) {
+	m := ir.NewModule("main", nil, []ir.Reg{{Name: "q", Size: 4}})
+	m.Call("huge", ir.Range{Start: 0, Len: 2})
+	m.Call("huge", ir.Range{Start: 2, Len: 2})
+	m.Call("huge", ir.Range{Start: 0, Len: 2})
+	dims := func(string) (coarse.Dims, error) {
+		return coarse.Dims{Widths: []int{1, 2}, Lengths: []int64{math.MaxInt64, math.MaxInt64}}, nil
+	}
+	for _, cost := range []coarse.CostModel{coarse.ZeroComm, coarse.WithComm} {
+		for _, k := range []int{1, 2, 4} {
+			res, err := coarse.Schedule(m, coarse.Options{K: k, Cost: cost, Dims: dims})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Length != math.MaxInt64 {
+				t.Errorf("cost %+v k=%d: length %d, want saturated", cost, k, res.Length)
+			}
+			for _, p := range res.Placements {
+				if p.Width < 1 || p.Length != math.MaxInt64 {
+					t.Errorf("cost %+v k=%d: op %d placed at width %d length %d", cost, k, p.OpIndex, p.Width, p.Length)
+				}
+			}
+		}
+		ls, err := coarse.Lengths(m, cost, dims, []int{1, 2, 4}, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range ls {
+			if l != math.MaxInt64 {
+				t.Errorf("cost %+v: Lengths[%d] = %d, want saturated", cost, i, l)
+			}
+		}
+	}
+	if w, l, ok := (coarse.Dims{Widths: []int{1, 2}, Lengths: []int64{math.MaxInt64, math.MaxInt64}}).Best(2); !ok || w != 1 || l != math.MaxInt64 {
+		t.Errorf("Best of saturated dims = %d, %d, %v; want 1, MaxInt64, true", w, l, ok)
 	}
 }

@@ -141,7 +141,7 @@ func referenceBoxes(m *ir.Module, opts Options) ([]Dims, error) {
 		op := &m.Ops[i]
 		switch op.Kind {
 		case ir.GateOp:
-			boxes[i] = Dims{Widths: []int{1}, Lengths: []int64{satMul(opts.Cost.GateCost, op.EffCount())}}
+			boxes[i] = Dims{Widths: []int{1}, Lengths: []int64{ir.SatMul(opts.Cost.GateCost, op.EffCount())}}
 		case ir.CallOp:
 			if opts.Dims == nil {
 				return nil, fmt.Errorf("coarse: module %s calls %s but no dims source provided", m.Name, op.Callee)
@@ -155,7 +155,7 @@ func referenceBoxes(m *ir.Module, opts Options) ([]Dims, error) {
 			}
 			expanded := Dims{Widths: append([]int(nil), d.Widths...), Lengths: make([]int64, len(d.Lengths))}
 			for j, l := range d.Lengths {
-				expanded.Lengths[j] = satMul(l+opts.Cost.CallOverhead, op.EffCount())
+				expanded.Lengths[j] = ir.SatMul(l+opts.Cost.CallOverhead, op.EffCount())
 			}
 			boxes[i] = expanded
 		}

@@ -33,6 +33,8 @@ package comm
 
 import (
 	"fmt"
+
+	"github.com/scaffold-go/multisimd/internal/ir"
 )
 
 // MoveKind classifies a qubit movement.
@@ -163,5 +165,6 @@ func (r *Result) Summary() Summary {
 }
 
 // NaiveCycles is the runtime of the paper's baseline: sequential
-// execution with operands teleported every timestep (5x the gate count).
-func NaiveCycles(gates int64) int64 { return NaiveFactor * gates }
+// execution with operands teleported every timestep (5x the gate count,
+// saturating).
+func NaiveCycles(gates int64) int64 { return ir.SatMul(NaiveFactor, gates) }

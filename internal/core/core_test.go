@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -182,6 +184,32 @@ module main() {
 	}
 }
 
+// TestEmitQASMAllocsPerInstruction: emission allocates per program, not
+// per instruction: a stream ten times longer costs no more allocations.
+func TestEmitQASMAllocsPerInstruction(t *testing.T) {
+	allocs := func(reps int) float64 {
+		src := fmt.Sprintf(`
+module main() {
+  qbit q[2];
+  for (i = 0; i < %d; i++) { Rz(q[1], 0.785398163397448); }
+  for (i = 0; i < %d; i++) { CNOT(q[0], q[1]); }
+}
+`, reps, reps)
+		p, err := core.Build(src, core.PipelineOptions{SkipDecompose: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := core.EmitQASM(io.Discard, p, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(100), allocs(1000); long > short {
+		t.Errorf("EmitQASM allocations grow with the stream: %v for 200 instructions, %v for 2000", short, long)
+	}
+}
+
 func TestEmitQASMAncillaNames(t *testing.T) {
 	p := ir.NewProgram("main")
 	leaf := ir.NewModule("leaf", []ir.Reg{{Name: "x", Size: 1}}, []ir.Reg{{Name: "a", Size: 1}})
@@ -292,47 +320,38 @@ func TestParseQASMErrors(t *testing.T) {
 	}
 }
 
-func TestBuildSources(t *testing.T) {
-	lib := `module helper(qbit x) { H(x); }`
-	mainSrc := `module main() { qbit q; helper(q); }`
-	p, err := core.BuildSources(core.PipelineOptions{}, lib, mainSrc)
+// wrapSource nests three 3·10^9-trip loops of calls over a two-gate
+// leaf: every count of the program past the leaf saturates int64.
+const wrapSource = `
+module leaf(qbit x[2]) {
+  H(x[0]);
+  CNOT(x[0], x[1]);
+}
+module mid(qbit x[2]) {
+  for (i = 0; i < 3000000000; i++) { leaf(x[0:2]); }
+}
+module top(qbit x[2]) {
+  for (i = 0; i < 3000000000; i++) { mid(x[0:2]); }
+}
+module main() {
+  qbit q[2];
+  for (i = 0; i < 3000000000; i++) { top(q[0:2]); }
+}
+`
+
+// TestSaturatedCountsFail: an evaluation whose counts saturate fails
+// with ir.ErrTooLarge instead of returning wrapped or clamped Metrics.
+func TestSaturatedCountsFail(t *testing.T) {
+	p, err := core.Build(wrapSource, core.PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBuildSourcesErrorPositions pins the fragment-relative diagnostics:
-// each fragment parses on its own, so an error in fragment 2 reports
-// fragment 2's line numbers, not positions shifted by fragment 1's
-// length (the old bare-"\n" concatenation mangled them).
-func TestBuildSourcesErrorPositions(t *testing.T) {
-	lib := "module helper(qbit x) {\n  H(x);\n}\n\nmodule helper2(qbit x) {\n  X(x);\n}\n"
-	bad := "module main() {\n  qbit q;\n  !!!;\n}\n"
-	_, err := core.BuildSources(core.PipelineOptions{}, lib, bad)
-	if err == nil {
-		t.Fatal("syntax error in fragment 2 not reported")
-	}
-	if !strings.Contains(err.Error(), "fragment 2") {
-		t.Errorf("error does not name the fragment: %v", err)
-	}
-	if !strings.Contains(err.Error(), "3:") {
-		t.Errorf("error position not relative to its fragment (want line 3): %v", err)
-	}
-	if strings.Contains(err.Error(), "10:") {
-		t.Errorf("error position shifted by preceding fragment: %v", err)
-	}
-}
-
-func TestMustBuildPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustBuild did not panic on bad source")
+	for _, s := range []core.Scheduler{core.RCP, core.LPFS} {
+		m, err := core.Evaluate(p, core.EvalOptions{Scheduler: s, K: 4})
+		if !errors.Is(err, ir.ErrTooLarge) {
+			t.Errorf("%s: Evaluate = %+v, %v; want ir.ErrTooLarge", s.Name(), m, err)
 		}
-	}()
-	core.MustBuild("not a program", core.PipelineOptions{})
+	}
 }
 
 func TestEvaluateErrors(t *testing.T) {

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 
 	"github.com/scaffold-go/multisimd/internal/ir"
+	"github.com/scaffold-go/multisimd/internal/qasm"
 )
 
 // EmitQASM writes the fully linearized QASM-HL instruction stream of the
@@ -25,26 +24,27 @@ func EmitQASM(w io.Writer, p *ir.Program, limit int64) (int64, error) {
 	if entry.ParamSlots() != 0 {
 		return 0, fmt.Errorf("core: entry module %s takes parameters", entry.Name)
 	}
-	bw := bufio.NewWriter(w)
+	qw := qasm.NewWriter(w)
 	names := entry.SlotNames()
 	for _, name := range names {
-		if _, err := fmt.Fprintf(bw, "qubit %s\n", name); err != nil {
+		if err := qw.Declare(name); err != nil {
 			return 0, err
 		}
 	}
-	e := &emitter{p: p, w: bw, limit: limit}
+	e := &emitter{p: p, w: qw, limit: limit}
 	if err := e.module(entry, names); err != nil {
 		return e.count, err
 	}
-	return e.count, bw.Flush()
+	return e.count, qw.Flush()
 }
 
 type emitter struct {
 	p     *ir.Program
-	w     *bufio.Writer
+	w     *qasm.Writer
 	count int64
 	limit int64
 	anc   int64
+	qs    []string // one gate's operand names, reused
 }
 
 func (e *emitter) module(m *ir.Module, names []string) error {
@@ -57,21 +57,13 @@ func (e *emitter) module(m *ir.Module, names []string) error {
 					return fmt.Errorf("core: EmitQASM: instruction limit %d exceeded", e.limit)
 				}
 				e.count++
-				if _, err := e.w.WriteString(op.Gate.String()); err != nil {
+				e.qs = e.qs[:0]
+				for _, a := range op.Args {
+					e.qs = append(e.qs, names[a])
+				}
+				if err := e.w.Inst(op.Gate, op.Angle, e.qs); err != nil {
 					return err
 				}
-				e.w.WriteByte('(')
-				for j, s := range op.Args {
-					if j > 0 {
-						e.w.WriteByte(',')
-					}
-					e.w.WriteString(names[s])
-				}
-				if op.Gate.IsRotation() {
-					e.w.WriteByte(',')
-					e.w.WriteString(strconv.FormatFloat(op.Angle, 'g', -1, 64))
-				}
-				e.w.WriteString(")\n")
 			case ir.CallOp:
 				callee := e.p.Modules[op.Callee]
 				if callee == nil {

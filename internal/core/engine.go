@@ -710,6 +710,9 @@ func (e *engine) compose(p *ir.Program, slot int) (*Metrics, error) {
 		SeqCycles:     e.pp.totalGates,
 		NaiveCycles:   comm.NaiveCycles(e.pp.totalGates),
 	}
+	if err := m.checkCounts(); err != nil {
+		return nil, err
+	}
 	csp.SetInt("comm_cycles", m.CommCycles)
 	return m, nil
 }

@@ -171,6 +171,27 @@ func (m *Metrics) SpeedupVsNaive() float64 {
 	return float64(m.NaiveCycles) / float64(m.CommCycles)
 }
 
+// checkCounts fails m when one of its counts has saturated at
+// math.MaxInt64 (ir.SatAdd, ir.SatMul): the true count is unknown, and
+// every speedup over it would be wrong.
+func (m *Metrics) checkCounts() error {
+	for _, c := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"total_gates", m.TotalGates}, {"min_qubits", m.MinQubits},
+		{"critical_path", m.CriticalPath}, {"zero_comm_steps", m.ZeroCommSteps},
+		{"comm_cycles", m.CommCycles}, {"global_moves", m.GlobalMoves},
+		{"local_moves", m.LocalMoves}, {"seq_cycles", m.SeqCycles},
+		{"naive_cycles", m.NaiveCycles},
+	} {
+		if c.v == math.MaxInt64 {
+			return fmt.Errorf("core: %s saturates int64: %w", c.name, ir.ErrTooLarge)
+		}
+	}
+	return nil
+}
+
 // Wire renders m in its one wire shape, speedups included: the
 // service's response bodies and a report's Totals.
 func (m *Metrics) Wire() report.Metrics {
@@ -407,11 +428,11 @@ func evalNonLeaf(mod *ir.Module, widths []int, evals map[string]*moduleEval, tr 
 		op := &mod.Ops[i]
 		switch op.Kind {
 		case ir.GateOp:
-			ev.globals += op.EffCount()
+			ev.globals = ir.SatAdd(ev.globals, op.EffCount())
 		case ir.CallOp:
 			if c := evals[op.Callee]; c != nil {
-				ev.globals = satAdd(ev.globals, satMul(c.globals, op.EffCount()))
-				ev.locals = satAdd(ev.locals, satMul(c.locals, op.EffCount()))
+				ev.globals = ir.SatAdd(ev.globals, ir.SatMul(c.globals, op.EffCount()))
+				ev.locals = ir.SatAdd(ev.locals, ir.SatMul(c.locals, op.EffCount()))
 			}
 		}
 	}
@@ -448,9 +469,9 @@ func coarseCriticalPath(mod *ir.Module, cpOf func(string) int64) int64 {
 		case ir.GateOp:
 			w = op.EffCount()
 		case ir.CallOp:
-			w = satMul(cpOf(op.Callee), op.EffCount())
+			w = ir.SatMul(cpOf(op.Callee), op.EffCount())
 		}
-		finish[i] = satAdd(start, w)
+		finish[i] = ir.SatAdd(start, w)
 		if finish[i] > total {
 			total = finish[i]
 		}
@@ -464,21 +485,4 @@ func coarseCriticalPath(mod *ir.Module, cpOf func(string) int64) int64 {
 		}
 	}
 	return total
-}
-
-func satAdd(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
-}
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
 }

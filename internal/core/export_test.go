@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/scaffold-go/multisimd/internal/ast"
 	"github.com/scaffold-go/multisimd/internal/comm"
 	"github.com/scaffold-go/multisimd/internal/ir"
-	"github.com/scaffold-go/multisimd/internal/parser"
 	"github.com/scaffold-go/multisimd/internal/qasm"
 )
 
@@ -47,39 +45,6 @@ func SchedLayerValues(c *EvalCache) []any {
 		st.mu.Unlock()
 	}
 	return out
-}
-
-// BuildSources combines several source fragments (module libraries plus
-// a main) and builds them as one program. Each fragment parses
-// separately so diagnostics carry line numbers relative to the fragment
-// they occur in (a naive concatenation would shift every fragment after
-// the first), prefixed with the 1-based fragment index.
-func BuildSources(opts PipelineOptions, srcs ...string) (*ir.Program, error) {
-	merged := &ast.Program{}
-	psp := opts.Obs.T().Span("pipeline", "parse")
-	for i, s := range srcs {
-		frag, err := parser.Parse(s)
-		if err != nil {
-			psp.End()
-			return nil, fmt.Errorf("core: fragment %d: %w", i+1, err)
-		}
-		merged.Modules = append(merged.Modules, frag.Modules...)
-	}
-	psp.End()
-	p, err := frontendAST(merged, opts)
-	if err != nil {
-		return nil, err
-	}
-	return midend(p, opts)
-}
-
-// MustBuild is Build that panics on compile errors.
-func MustBuild(src string, opts PipelineOptions) *ir.Program {
-	p, err := Build(src, opts)
-	if err != nil {
-		panic(fmt.Sprintf("core.MustBuild: %v", err))
-	}
-	return p
 }
 
 // ParseQASM reads back a flat QASM-HL stream as a single-module leaf

@@ -26,7 +26,9 @@ func TestScrapeDuringEvaluate(t *testing.T) {
 		t.Fatal("no SHA-1 workload")
 	}
 	reg := obs.NewRegistry()
-	ln, err := obs.ServeMetrics("127.0.0.1:0", reg)
+	mux := http.NewServeMux()
+	obs.RegisterMetrics(mux, reg)
+	ln, err := obs.Serve("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
 	}

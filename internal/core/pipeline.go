@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/scaffold-go/multisimd/internal/ast"
 	"github.com/scaffold-go/multisimd/internal/decompose"
 	"github.com/scaffold-go/multisimd/internal/flatten"
 	"github.com/scaffold-go/multisimd/internal/ir"
@@ -66,14 +65,8 @@ func Frontend(src string, opts PipelineOptions) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return frontendAST(prog, opts)
-}
-
-// frontendAST checks and lowers an already parsed program.
-func frontendAST(prog *ast.Program, opts PipelineOptions) (*ir.Program, error) {
-	tr := opts.Obs.T()
 	ssp := tr.Span("pipeline", "sema")
-	err := sema.Check(prog)
+	err = sema.Check(prog)
 	ssp.End()
 	if err != nil {
 		return nil, err
@@ -91,11 +84,6 @@ func Build(src string, opts PipelineOptions) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return midend(p, opts)
-}
-
-// midend runs the post-frontend passes on a lowered program.
-func midend(p *ir.Program, opts PipelineOptions) (*ir.Program, error) {
 	tr := opts.Obs.T()
 	if !opts.SkipDecompose {
 		sp := tr.Span("pipeline", "decompose")

@@ -13,6 +13,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -68,6 +69,28 @@ func (o *Op) EffCount() int64 {
 		return 1
 	}
 	return o.Count
+}
+
+// SatAdd returns a+b for non-negative counts, saturating at
+// math.MaxInt64: the one count arithmetic of the toolflow, so an absurd
+// parameterization reads as too large rather than wrapping. A saturated
+// count stays saturated through SatAdd, SatMul and max.
+func SatAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
+}
+
+// SatMul returns a·b for non-negative counts, saturating like SatAdd.
+func SatMul(a, b int64) int64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return a * b
 }
 
 // Module is one procedure: parameters, locals, and a body.

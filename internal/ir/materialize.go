@@ -3,12 +3,12 @@ package ir
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 )
 
 // ErrTooLarge is wrapped by materialization errors when expansion would
-// exceed the caller's op limit.
+// exceed the caller's op limit, and by evaluation errors when a count
+// saturates (SatAdd, SatMul).
 var ErrTooLarge = fmt.Errorf("ir: materialization exceeds op limit")
 
 // leafCall is one call op of a marked leaf: its index in Ops, the first
@@ -24,16 +24,13 @@ type leafCall struct {
 // the operand slots of its ops (counts kept).
 type extent struct{ ops, unrolled, args int64 }
 
-// add returns e plus n copies of f, saturating at math.MaxInt64 so that
-// an absurd parameterization reads as too large rather than wrapping.
+// add returns e plus n copies of f, saturating (SatAdd, SatMul).
 func (e extent) add(n int64, f extent) extent {
-	sat := func(a, b int64) int64 {
-		if b != 0 && n > (math.MaxInt64-a)/b {
-			return math.MaxInt64
-		}
-		return a + n*b
+	return extent{
+		SatAdd(e.ops, SatMul(n, f.ops)),
+		SatAdd(e.unrolled, SatMul(n, f.unrolled)),
+		SatAdd(e.args, SatMul(n, f.args)),
 	}
-	return extent{sat(e.ops, f.ops), sat(e.unrolled, f.unrolled), sat(e.args, f.args)}
 }
 
 // extent returns the extent of m's expanded body. A marked leaf's was

@@ -363,7 +363,7 @@ func (l *lowerer) collapseLoop(sc *modScope, st *ast.ForStmt, trip int64) error 
 		sc.m.Ops = sc.m.Ops[:mark]
 		return nil
 	case 1:
-		sc.m.Ops[mark].Count = sc.m.Ops[mark].EffCount() * trip
+		sc.m.Ops[mark].Count = ir.SatMul(sc.m.Ops[mark].EffCount(), trip)
 		return nil
 	}
 	synth, args, err := l.outline(sc.m, body, fmt.Sprintf("%s.loop%d", sc.m.Name, l.syn))

@@ -35,18 +35,6 @@ func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// Handler serves the registry: Prometheus text format at the root (and
-// /metrics), the JSON snapshot at /metrics.json.
-func Handler(r *Registry) http.Handler {
-	mux := http.NewServeMux()
-	RegisterMetrics(mux, r)
-	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
-	return mux
-}
-
 // Serve binds addr and serves h on it in the background. The returned
 // listener reports the bound address and stops the server when closed.
 func Serve(addr string, h http.Handler) (net.Listener, error) {
@@ -56,19 +44,4 @@ func Serve(addr string, h http.Handler) (net.Listener, error) {
 	}
 	go func() { _ = http.Serve(ln, h) }()
 	return ln, nil
-}
-
-// ServeMetrics binds addr and serves the registry on it in the
-// background (Prometheus at /metrics, JSON at /metrics.json).
-func ServeMetrics(addr string, r *Registry) (net.Listener, error) {
-	return Serve(addr, Handler(r))
-}
-
-// ServePprof binds addr and serves net/http/pprof's handlers in the
-// background: /debug/pprof/ for the index, /debug/pprof/profile for
-// CPU, /debug/pprof/heap, and so on.
-func ServePprof(addr string) (net.Listener, error) {
-	mux := http.NewServeMux()
-	RegisterPprof(mux)
-	return Serve(addr, mux)
 }

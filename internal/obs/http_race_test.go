@@ -40,7 +40,7 @@ func checkHistConsistency(t *testing.T, name string, hs HistSnapshot) {
 // read before buckets).
 func TestScrapeDuringObserve(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(Handler(r))
+	srv := httptest.NewServer(metricsMux(r))
 	defer srv.Close()
 
 	var stop atomic.Bool

@@ -102,10 +102,17 @@ func TestPrometheusFormat(t *testing.T) {
 	}
 }
 
+// metricsMux serves r's endpoints on a mux of their own.
+func metricsMux(r *Registry) *http.ServeMux {
+	mux := http.NewServeMux()
+	RegisterMetrics(mux, r)
+	return mux
+}
+
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(5)
-	srv := httptest.NewServer(Handler(r))
+	srv := httptest.NewServer(metricsMux(r))
 	defer srv.Close()
 
 	get := func(path string) string {
@@ -135,7 +142,7 @@ func TestHTTPHandler(t *testing.T) {
 func TestServeMetricsBinds(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x").Inc()
-	ln, err := ServeMetrics("127.0.0.1:0", r)
+	ln, err := Serve("127.0.0.1:0", metricsMux(r))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,27 +88,6 @@ func (r *FlightRecorder) Total() int64 {
 // BundleSchemaVersion versions the postmortem bundle contract.
 const BundleSchemaVersion = 1
 
-// TraceEvent is one Chrome trace-event record of a bundle's trace
-// fragment (the exported sibling of obs's internal event type).
-type TraceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int64          `json:"pid"`
-	TID  int64          `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// TraceFragment is a Perfetto-loadable trace: extracted on its own it
-// opens directly in ui.perfetto.dev or chrome://tracing. Each recorded
-// request renders as one process (pid), its worker spans as threads.
-type TraceFragment struct {
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []TraceEvent `json:"traceEvents"`
-}
-
 // Bundle is one postmortem artifact.
 type Bundle struct {
 	Schema  int    `json:"schema"`
@@ -129,8 +108,11 @@ type Bundle struct {
 	// State is the server's debug-state snapshot, embedded verbatim so
 	// the bundle does not chase the server's schema.
 	State json.RawMessage `json:"state,omitempty"`
-	// Trace is the Perfetto fragment rebuilt from every recorded span.
-	Trace TraceFragment `json:"trace"`
+	// Trace is the Perfetto fragment rebuilt from every recorded span:
+	// on its own it opens in ui.perfetto.dev or chrome://tracing. Each
+	// recorded request renders as one process (pid), its worker spans
+	// as threads.
+	Trace obs.TraceFile `json:"trace"`
 }
 
 // BuildBundle assembles a bundle. req, when non-nil, is the triggering
@@ -160,16 +142,16 @@ func BuildBundle(service, trigger, ts, requestID string, req *obs.RequestRecord,
 // request: a process_name metadata event carrying the request id, then
 // the spans on their original worker tids. The triggering request is
 // always pid 1.
-func buildTrace(req *obs.RequestRecord, recent []obs.RequestRecord) TraceFragment {
-	tf := TraceFragment{DisplayTimeUnit: "ms"}
+func buildTrace(req *obs.RequestRecord, recent []obs.RequestRecord) obs.TraceFile {
+	tf := obs.TraceFile{DisplayTimeUnit: "ms"}
 	pid := int64(1)
 	add := func(r *obs.RequestRecord) {
-		tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
+		tf.TraceEvents = append(tf.TraceEvents, obs.TraceEvent{
 			Name: "process_name", Ph: "M", PID: pid,
 			Args: map[string]any{"name": r.Endpoint, "request_id": r.ID},
 		})
 		for _, e := range r.Spans {
-			tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
+			tf.TraceEvents = append(tf.TraceEvents, obs.TraceEvent{
 				Name: e.Name, Cat: e.Cat, Ph: "X",
 				TS: e.TSUS, Dur: e.DurUS, PID: pid, TID: e.TID,
 			})
@@ -187,34 +169,6 @@ func buildTrace(req *obs.RequestRecord, recent []obs.RequestRecord) TraceFragmen
 		add(r)
 	}
 	return tf
-}
-
-// RequestEvents extracts one request's completed spans back out of the
-// trace fragment (resolving its pid via the process_name metadata), in
-// the shape obs.AggregatePhases folds — the replay path a test runs to
-// prove the bundle carries exactly the aggregation the access log
-// showed.
-func (b Bundle) RequestEvents(id string) []obs.SpanEvent {
-	pid := int64(-1)
-	for _, e := range b.Trace.TraceEvents {
-		if e.Ph == "M" && e.Name == "process_name" {
-			if got, _ := e.Args["request_id"].(string); got == id {
-				pid = e.PID
-				break
-			}
-		}
-	}
-	if pid < 0 {
-		return nil
-	}
-	var out []obs.SpanEvent
-	for _, e := range b.Trace.TraceEvents {
-		if e.Ph != "X" || e.PID != pid {
-			continue
-		}
-		out = append(out, obs.SpanEvent{Cat: e.Cat, Name: e.Name, TSUS: e.TS, DurUS: e.Dur, TID: e.TID})
-	}
-	return out
 }
 
 // MaxBundles bounds how many postmortem bundles a directory keeps;

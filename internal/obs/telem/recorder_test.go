@@ -78,11 +78,11 @@ func TestBundleReplaysAccessLogAggregation(t *testing.T) {
 	rec := sampleRecord("req-x")
 	rec.Phases = obs.AggregatePhases(rec.Spans, 12) // what the access log logs
 	b := BuildBundle("qschedd", "slow", "", "", &rec, nil, obs.Snapshot{}, nil)
-	replayed := obs.AggregatePhases(b.RequestEvents("req-x"), 12)
+	replayed := obs.AggregatePhases(requestEvents(b, "req-x"), 12)
 	if !reflect.DeepEqual(replayed, rec.Phases) {
 		t.Fatalf("replayed phases = %+v, access log had %+v", replayed, rec.Phases)
 	}
-	if got := b.RequestEvents("absent"); got != nil {
+	if got := requestEvents(b, "absent"); got != nil {
 		t.Fatalf("unknown request id returned %+v", got)
 	}
 }
@@ -140,4 +140,27 @@ func TestReadBundleRejectsUnknownSchema(t *testing.T) {
 	if _, err := ReadBundle(path); err == nil {
 		t.Fatal("ReadBundle accepted schema 999")
 	}
+}
+
+// requestEvents extracts one request's completed spans back out of b's
+// trace fragment (resolving its pid via the process_name metadata), in
+// the shape obs.AggregatePhases folds.
+func requestEvents(b Bundle, id string) []obs.SpanEvent {
+	pid := int64(-1)
+	for _, e := range b.Trace.TraceEvents {
+		if e.Ph == "M" && e.Name == "process_name" && e.Args["request_id"] == id {
+			pid = e.PID
+			break
+		}
+	}
+	if pid < 0 {
+		return nil
+	}
+	var out []obs.SpanEvent
+	for _, e := range b.Trace.TraceEvents {
+		if e.Ph == "X" && e.PID == pid {
+			out = append(out, obs.SpanEvent{Cat: e.Cat, Name: e.Name, TSUS: e.TS, DurUS: e.Dur, TID: e.TID})
+		}
+	}
+	return out
 }

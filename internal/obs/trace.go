@@ -28,7 +28,7 @@ type Tracer struct {
 	start   time.Time
 	now     func() time.Time
 	limit   int
-	events  []traceEvent
+	events  []TraceEvent
 	dropped int64
 	names   map[int64]string
 }
@@ -39,9 +39,11 @@ type Tracer struct {
 // DefaultDecisionLimit).
 const DefaultTraceLimit = 1 << 20
 
-// traceEvent is one Chrome trace-event record. Complete spans use
-// ph "X" with ts/dur in microseconds; instants use ph "i".
-type traceEvent struct {
+// TraceEvent is one Chrome trace-event record, the one shape of every
+// trace the toolflow writes: a Tracer's and a postmortem bundle's.
+// Complete spans use ph "X" with ts/dur in microseconds; instants use
+// ph "i"; metadata (thread and process names) ph "M".
+type TraceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -89,7 +91,7 @@ func (t *Tracer) Instant(cat, name string, tid int64) {
 	if t == nil {
 		return
 	}
-	ev := traceEvent{Name: name, Cat: cat, Ph: "i", TS: t.since(), PID: tracePID, TID: tid, S: "t"}
+	ev := TraceEvent{Name: name, Cat: cat, Ph: "i", TS: t.since(), PID: tracePID, TID: tid, S: "t"}
 	t.mu.Lock()
 	t.appendLocked(ev)
 	t.mu.Unlock()
@@ -98,7 +100,7 @@ func (t *Tracer) Instant(cat, name string, tid int64) {
 // appendLocked records ev, or only counts it past the retention limit:
 // the head of a trace is the part that explains a run, and a bounded
 // buffer cannot keep both ends. Caller holds t.mu.
-func (t *Tracer) appendLocked(ev traceEvent) {
+func (t *Tracer) appendLocked(ev TraceEvent) {
 	if t.limit > 0 && len(t.events) >= t.limit {
 		t.dropped++
 		return
@@ -173,7 +175,7 @@ func (s *Span) End() {
 	if dur < 1 {
 		dur = 1 // Perfetto drops zero-length complete events
 	}
-	ev := traceEvent{
+	ev := TraceEvent{
 		Name: s.name, Cat: s.cat, Ph: "X",
 		TS: s.start, Dur: dur, PID: tracePID, TID: s.tid, Args: s.args,
 	}
@@ -183,10 +185,10 @@ func (s *Span) End() {
 	s.t = nil
 }
 
-// traceFile is the serialized wrapper object.
-type traceFile struct {
+// TraceFile is the serialized wrapper object: a Perfetto-loadable trace.
+type TraceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
+	TraceEvents     []TraceEvent `json:"traceEvents"`
 }
 
 // WriteTo serializes the collected events as Chrome trace-event JSON.
@@ -202,9 +204,9 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 		tids = append(tids, tid)
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	events := make([]traceEvent, 0, len(t.names)+len(t.events))
+	events := make([]TraceEvent, 0, len(t.names)+len(t.events))
 	for _, tid := range tids {
-		events = append(events, traceEvent{
+		events = append(events, TraceEvent{
 			Name: "thread_name", Ph: "M", PID: tracePID, TID: tid,
 			Args: map[string]any{"name": t.names[tid]},
 		})
@@ -214,14 +216,14 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 		// The "# dropped" trailer, as a metadata event so the file stays
 		// valid Perfetto-loadable JSON (DecisionLog's text trailer has no
 		// legal place inside a JSON array).
-		events = append(events, traceEvent{
+		events = append(events, TraceEvent{
 			Name: fmt.Sprintf("# dropped %d events past the %d-event limit", t.dropped, t.limit),
 			Ph:   "M", PID: tracePID,
 		})
 	}
 	t.mu.Unlock()
 
-	buf, err := json.MarshalIndent(traceFile{DisplayTimeUnit: "ms", TraceEvents: events}, "", " ")
+	buf, err := json.MarshalIndent(TraceFile{DisplayTimeUnit: "ms", TraceEvents: events}, "", " ")
 	if err != nil {
 		return 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 
 	"github.com/scaffold-go/multisimd/internal/obs"
@@ -71,33 +72,32 @@ func (f *Flags) Setup(w io.Writer) (*obs.Observer, error) {
 	if level != obs.LevelOff {
 		o.Decisions = obs.NewDecisionLog(level)
 	}
-	if f.MetricsAddr != "" && f.MetricsAddr == f.PprofAddr {
-		// Same address for both endpoints: bind once and serve a shared
-		// mux — two listeners on one port would fail with EADDRINUSE.
-		mux := http.NewServeMux()
-		obs.RegisterMetrics(mux, o.Metrics)
-		obs.RegisterPprof(mux)
-		ln, err := obs.Serve(f.MetricsAddr, mux)
-		if err != nil {
-			return nil, fmt.Errorf("-metrics-addr: %w", err)
+	// Each endpoint family mounts on its address's mux: one listener
+	// per distinct address, so -metrics-addr and -pprof-addr may name
+	// the same one.
+	muxes := map[string]*http.ServeMux{}
+	bound := map[string]net.Addr{}
+	for _, ep := range []struct {
+		flag, addr, name, path string
+		mount                  func(*http.ServeMux)
+	}{
+		{"-metrics-addr", f.MetricsAddr, "metrics", "/metrics", func(m *http.ServeMux) { obs.RegisterMetrics(m, o.Metrics) }},
+		{"-pprof-addr", f.PprofAddr, "pprof", "/debug/pprof/", obs.RegisterPprof},
+	} {
+		if ep.addr == "" {
+			continue
 		}
-		fmt.Fprintf(w, "serving metrics on http://%s/metrics\n", ln.Addr())
-		fmt.Fprintf(w, "serving pprof on http://%s/debug/pprof/\n", ln.Addr())
-		return o, nil
-	}
-	if f.MetricsAddr != "" {
-		ln, err := obs.ServeMetrics(f.MetricsAddr, o.Metrics)
-		if err != nil {
-			return nil, fmt.Errorf("-metrics-addr: %w", err)
+		mux := muxes[ep.addr]
+		if mux == nil {
+			mux = http.NewServeMux()
+			ln, err := obs.Serve(ep.addr, mux)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", ep.flag, err)
+			}
+			muxes[ep.addr], bound[ep.addr] = mux, ln.Addr()
 		}
-		fmt.Fprintf(w, "serving metrics on http://%s/metrics\n", ln.Addr())
-	}
-	if f.PprofAddr != "" {
-		ln, err := obs.ServePprof(f.PprofAddr)
-		if err != nil {
-			return nil, fmt.Errorf("-pprof-addr: %w", err)
-		}
-		fmt.Fprintf(w, "serving pprof on http://%s/debug/pprof/\n", ln.Addr())
+		ep.mount(mux)
+		fmt.Fprintf(w, "serving %s on http://%s%s\n", ep.name, bound[ep.addr], ep.path)
 	}
 	return o, nil
 }

@@ -48,45 +48,78 @@ func TestSetupRejectsBadLevel(t *testing.T) {
 	}
 }
 
+// freeAddrs reserves n distinct free ports, holding each until all are
+// taken, and releases them.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		probe, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer probe.Close()
+		addrs[i] = probe.Addr().String()
+	}
+	return addrs
+}
+
 // TestSetupSharedMetricsPprofAddr is the single-port regression test:
 // pointing -metrics-addr and -pprof-addr at the same address must bind
-// one listener serving both endpoint families, not fail with
-// "address already in use".
+// one listener serving both endpoint families, not fail with "address
+// already in use". On separate addresses each family is served on its
+// own address only.
 func TestSetupSharedMetricsPprofAddr(t *testing.T) {
-	// Reserve a concrete free port, release it, and hand the same
-	// address to both flags.
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := probe.Addr().String()
-	probe.Close()
+	addrs := freeAddrs(t, 3)
+	for _, tc := range []struct {
+		name                   string
+		metricsAddr, pprofAddr string
+	}{
+		{"shared", addrs[0], addrs[0]},
+		{"separate", addrs[1], addrs[2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := Flags{MetricsAddr: tc.metricsAddr, PprofAddr: tc.pprofAddr}
+			var banner strings.Builder
+			o, err := f.Setup(&banner)
+			if err != nil {
+				t.Fatalf("metrics %s, pprof %s rejected: %v", tc.metricsAddr, tc.pprofAddr, err)
+			}
+			if o == nil || o.Metrics == nil {
+				t.Fatal("setup built no metrics registry")
+			}
+			o.Metrics.Counter("test.shared").Inc()
 
-	f := Flags{MetricsAddr: addr, PprofAddr: addr}
-	var banner strings.Builder
-	o, err := f.Setup(&banner)
-	if err != nil {
-		t.Fatalf("shared metrics/pprof address rejected: %v", err)
-	}
-	if o == nil || o.Metrics == nil {
-		t.Fatal("shared-address setup built no metrics registry")
-	}
-	o.Metrics.Counter("test.shared").Inc()
-
-	for _, path := range []string{"/metrics", "/metrics.json", "/debug/pprof/"} {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d, want 200", path, resp.StatusCode)
-		}
-	}
-	for _, want := range []string{"/metrics", "/debug/pprof/"} {
-		if !strings.Contains(banner.String(), want) {
-			t.Errorf("setup banner %q missing %s endpoint", banner.String(), want)
-		}
+			type check struct {
+				addr, path string
+				status     int
+			}
+			checks := []check{
+				{tc.metricsAddr, "/metrics", http.StatusOK},
+				{tc.metricsAddr, "/metrics.json", http.StatusOK},
+				{tc.pprofAddr, "/debug/pprof/", http.StatusOK},
+			}
+			if tc.metricsAddr != tc.pprofAddr {
+				checks = append(checks,
+					check{tc.metricsAddr, "/debug/pprof/", http.StatusNotFound},
+					check{tc.pprofAddr, "/metrics", http.StatusNotFound})
+			}
+			for _, c := range checks {
+				resp, err := http.Get("http://" + c.addr + c.path)
+				if err != nil {
+					t.Fatalf("GET %s%s: %v", c.addr, c.path, err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != c.status {
+					t.Errorf("GET %s%s: status %d, want %d", c.addr, c.path, resp.StatusCode, c.status)
+				}
+			}
+			for _, want := range []string{"http://" + tc.metricsAddr + "/metrics", "http://" + tc.pprofAddr + "/debug/pprof/"} {
+				if !strings.Contains(banner.String(), want) {
+					t.Errorf("setup banner %q missing %s", banner.String(), want)
+				}
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzParseQASM asserts the QASM reader never panics and that accepted
-// streams round-trip through Write.
+// streams round-trip through a Writer.
 func FuzzParseQASM(f *testing.F) {
 	seeds := []string{
 		"",
@@ -30,7 +30,7 @@ func FuzzParseQASM(f *testing.F) {
 			return
 		}
 		var sb strings.Builder
-		if err := Write(&sb, decl, insts); err != nil {
+		if err := write(&sb, decl, insts); err != nil {
 			t.Fatalf("write failed on accepted input: %v", err)
 		}
 		d2, i2, err := Parse(strings.NewReader(sb.String()))

@@ -16,45 +16,54 @@ type Inst struct {
 	Qubits []string // operand names, e.g. "a0", "anc[3]"
 }
 
-// String renders the instruction in QASM-HL surface syntax.
-func (in Inst) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
-	b.WriteByte('(')
-	for i, q := range in.Qubits {
+// Writer streams QASM-HL text: a qubit declaration block, then one
+// instruction per line. It is the one writer of the instruction syntax
+// (Parse reads it back) and allocates nothing per instruction. Writes
+// are buffered and their first error sticks: every later call returns
+// it, and Flush delivers the buffer.
+type Writer struct {
+	bw  *bufio.Writer
+	num []byte // an angle's text, reused
+}
+
+// NewWriter returns a Writer buffering onto w.
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{bw: bufio.NewWriter(w), num: make([]byte, 0, 32)}
+}
+
+// Declare writes the declaration line of one qubit.
+func (w *Writer) Declare(name string) error {
+	w.bw.WriteString("qubit ")
+	w.bw.WriteString(name)
+	return w.bw.WriteByte('\n')
+}
+
+// Inst writes one instruction: op applied to qubits, with angle as the
+// last operand when op is a rotation.
+func (w *Writer) Inst(op Opcode, angle float64, qubits []string) error {
+	w.bw.WriteString(op.String())
+	w.bw.WriteByte('(')
+	for i, q := range qubits {
 		if i > 0 {
-			b.WriteByte(',')
+			w.bw.WriteByte(',')
 		}
-		b.WriteString(q)
+		w.bw.WriteString(q)
 	}
-	if in.Op.IsRotation() {
-		if len(in.Qubits) > 0 {
-			b.WriteByte(',')
+	if op.IsRotation() {
+		if len(qubits) > 0 {
+			w.bw.WriteByte(',')
 		}
-		b.WriteString(strconv.FormatFloat(in.Angle, 'g', -1, 64))
+		w.num = strconv.AppendFloat(w.num[:0], angle, 'g', -1, 64)
+		w.bw.Write(w.num)
 	}
-	b.WriteByte(')')
-	return b.String()
+	_, err := w.bw.WriteString(")\n")
+	return err
 }
 
-// Write emits a flat instruction stream, one instruction per line, with a
-// leading qubit declaration block. Declared is the set of qubit names.
-func Write(w io.Writer, declared []string, insts []Inst) error {
-	bw := bufio.NewWriter(w)
-	for _, q := range declared {
-		if _, err := fmt.Fprintf(bw, "qubit %s\n", q); err != nil {
-			return err
-		}
-	}
-	for _, in := range insts {
-		if _, err := fmt.Fprintln(bw, in.String()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// Flush writes out what is buffered.
+func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Parse reads a QASM-HL stream produced by Write. It tolerates blank lines
+// Parse reads a QASM-HL stream produced by a Writer. It tolerates blank lines
 // and '#' comments.
 func Parse(r io.Reader) (declared []string, insts []Inst, err error) {
 	sc := bufio.NewScanner(r)

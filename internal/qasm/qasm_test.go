@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -28,21 +29,6 @@ func TestOpcodeMetadata(t *testing.T) {
 	}
 	if _, ok := ByName("NotAGate"); ok {
 		t.Error("ByName accepted unknown gate")
-	}
-}
-
-func TestAdjointInvolution(t *testing.T) {
-	for i := 0; i < NumOpcodes; i++ {
-		op := Opcode(i)
-		if got := op.Adjoint().Adjoint(); got != op {
-			t.Errorf("%s: adjoint not involutive (%s)", op, got)
-		}
-	}
-	if T.Adjoint() != Tdag || S.Adjoint() != Sdag {
-		t.Error("T/S adjoints wrong")
-	}
-	if X.Adjoint() != X || CNOT.Adjoint() != CNOT {
-		t.Error("self-adjoint gates changed under Adjoint")
 	}
 }
 
@@ -80,7 +66,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		{Op: MeasZ, Qubits: []string{"b[1]"}},
 	}
 	var sb strings.Builder
-	if err := Write(&sb, decl, insts); err != nil {
+	if err := write(&sb, decl, insts); err != nil {
 		t.Fatal(err)
 	}
 	gotDecl, gotInsts, err := Parse(strings.NewReader(sb.String()))
@@ -154,7 +140,11 @@ func TestInstStringRoundTripQuick(t *testing.T) {
 		if op.IsRotation() {
 			in.Angle = float64(angleMilli) / 1024
 		}
-		parsed, err := parseInst(in.String())
+		var sb strings.Builder
+		if err := write(&sb, nil, []Inst{in}); err != nil {
+			return false
+		}
+		parsed, err := parseInst(strings.TrimSuffix(sb.String(), "\n"))
 		if err != nil {
 			return false
 		}
@@ -173,20 +163,14 @@ func TestInstStringRoundTripQuick(t *testing.T) {
 	}
 }
 
-// Adjoint returns the opcode of the Hermitian adjoint for self-describing
-// gates (S/Sdag, T/Tdag swap; self-adjoint gates map to themselves).
-// Rotations stay the same opcode: callers negate the angle.
-func (op Opcode) Adjoint() Opcode {
-	switch op {
-	case S:
-		return Sdag
-	case Sdag:
-		return S
-	case T:
-		return Tdag
-	case Tdag:
-		return T
-	default:
-		return op
+// write renders a declaration block and instructions through a Writer.
+func write(w io.Writer, declared []string, insts []Inst) error {
+	qw := NewWriter(w)
+	for _, q := range declared {
+		qw.Declare(q)
 	}
+	for _, in := range insts {
+		qw.Inst(in.Op, in.Angle, in.Qubits)
+	}
+	return qw.Flush()
 }

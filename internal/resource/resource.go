@@ -37,24 +37,6 @@ func New(prog *ir.Program) (*Estimator, error) {
 	}, nil
 }
 
-// saturating add/mul guard against overflow on absurd parameterizations.
-func satAdd(a, b int64) int64 {
-	if a > math.MaxInt64-b {
-		return math.MaxInt64
-	}
-	return a + b
-}
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
-}
-
 // Gates returns the total primitive-and-wide gate count of the named
 // module, fully expanded through calls and Count multipliers.
 func (e *Estimator) Gates(name string) (int64, error) {
@@ -72,13 +54,13 @@ func (e *Estimator) Gates(name string) (int64, error) {
 		op := &m.Ops[i]
 		switch op.Kind {
 		case ir.GateOp:
-			total = satAdd(total, op.EffCount())
+			total = ir.SatAdd(total, op.EffCount())
 		case ir.CallOp:
 			sub, err := e.Gates(op.Callee)
 			if err != nil {
 				return 0, err
 			}
-			total = satAdd(total, satMul(sub, op.EffCount()))
+			total = ir.SatAdd(total, ir.SatMul(sub, op.EffCount()))
 		}
 	}
 	e.gates[name] = total
@@ -103,7 +85,7 @@ func (e *Estimator) MinQubits() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return satAdd(int64(entry.ParamSlots()), peak), nil
+	return ir.SatAdd(int64(entry.ParamSlots()), peak), nil
 }
 
 func (e *Estimator) peakLocals(name string) (int64, error) {
@@ -128,7 +110,7 @@ func (e *Estimator) peakLocals(name string) (int64, error) {
 			}
 		}
 	}
-	p := satAdd(int64(m.LocalSlots()), deepest)
+	p := ir.SatAdd(int64(m.LocalSlots()), deepest)
 	e.peak[name] = p
 	return p, nil
 }

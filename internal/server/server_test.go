@@ -230,6 +230,40 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 }
 
+// wrapSource nests three 3·10^9-trip loops of calls over a two-gate
+// leaf: every count of the program past the leaf saturates int64.
+const wrapSource = `
+module leaf(qbit x[2]) {
+  H(x[0]);
+  CNOT(x[0], x[1]);
+}
+module mid(qbit x[2]) {
+  for (i = 0; i < 3000000000; i++) { leaf(x[0:2]); }
+}
+module top(qbit x[2]) {
+  for (i = 0; i < 3000000000; i++) { mid(x[0:2]); }
+}
+module main() {
+  qbit q[2];
+  for (i = 0; i < 3000000000; i++) { top(q[0:2]); }
+}
+`
+
+// TestSaturatedCountsRejected: a program whose counts saturate is an
+// evaluation_failed 422, never a 200 carrying wrapped metrics, also
+// once the build memo holds the program.
+func TestSaturatedCountsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for i := 0; i < 3; i++ {
+		resp, data := post(t, ts.URL+"/v1/compile", compileBody(wrapSource, "lpfs", 4))
+		var e ErrorResponse
+		decodeInto(t, data, &e)
+		if resp.StatusCode != http.StatusUnprocessableEntity || e.Error.Code != CodeEvalFailed {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, data)
+		}
+	}
+}
+
 // TestCompileDedup is the acceptance gate: 50 concurrent identical
 // compile requests produce exactly one cold evaluation. The gated
 // scheduler freezes the leader mid-run until all 50 requests have

@@ -234,7 +234,14 @@ func TestSlowRequestBundleReplaysAccessLogPhases(t *testing.T) {
 	if b.Trigger != "slow" || b.RequestID != "slow-1" || b.Request == nil {
 		t.Fatalf("bundle header = %+v", b)
 	}
-	replayed := obs.AggregatePhases(b.RequestEvents("slow-1"), maxLogPhases)
+	// The triggering request renders as pid 1 of the trace fragment.
+	var spans []obs.SpanEvent
+	for _, e := range b.Trace.TraceEvents {
+		if e.Ph == "X" && e.PID == 1 {
+			spans = append(spans, obs.SpanEvent{Cat: e.Cat, Name: e.Name, TSUS: e.TS, DurUS: e.Dur, TID: e.TID})
+		}
+	}
+	replayed := obs.AggregatePhases(spans, maxLogPhases)
 	if len(replayed) == 0 || !reflect.DeepEqual(replayed, entry.Phases) {
 		t.Fatalf("replayed phases = %+v\naccess log had %+v", replayed, entry.Phases)
 	}

@@ -12,11 +12,11 @@ import (
 // plus one instruction per line) — the text the toolflow's back end
 // emits. Fuzz corpora for the QASM reader seed from this.
 func QASM(m *ir.Module) (string, error) {
-	decl := make([]string, m.TotalSlots())
-	for s := range decl {
-		decl[s] = m.SlotName(s)
+	var sb strings.Builder
+	qw := qasm.NewWriter(&sb)
+	for s := 0; s < m.TotalSlots(); s++ {
+		qw.Declare(m.SlotName(s))
 	}
-	insts := make([]qasm.Inst, 0, len(m.Ops))
 	for i := range m.Ops {
 		op := &m.Ops[i]
 		if op.Kind != ir.GateOp {
@@ -26,10 +26,9 @@ func QASM(m *ir.Module) (string, error) {
 		for j, s := range op.Args {
 			qs[j] = m.SlotName(s)
 		}
-		insts = append(insts, qasm.Inst{Op: op.Gate, Angle: op.Angle, Qubits: qs})
+		qw.Inst(op.Gate, op.Angle, qs)
 	}
-	var sb strings.Builder
-	if err := qasm.Write(&sb, decl, insts); err != nil {
+	if err := qw.Flush(); err != nil {
 		return "", err
 	}
 	return sb.String(), nil

@@ -50,16 +50,14 @@ var surfaceInterfaceMethods = map[string]bool{
 // exported, each with the reason. An entry naming nothing declared
 // fails the guard, so the list cannot outlive its names.
 var surfaceAllowlist = map[string]string{
-	"internal/obs/telem.ReadBundle":           "reads a postmortem bundle back for the telem and server tests",
-	"internal/obs/telem.Bundle.RequestEvents": "filters a bundle's events by request for the telem and server tests",
-	"internal/qasm.Opcode.IsPrimitive":        "the qasm, decompose and core tests check decomposed output against the target gate set",
-	"internal/qasm.Write":                     "QASM writer: the qasm and verify fuzz tests round-trip streams through it and Parse",
-	"internal/qasm.Parse":                     "QASM reader: the qasm and verify fuzz tests and core's emit round trip read emitted streams back",
-	"internal/report.ReadFile":                "reads a written report back for the report, qsched and qbench record tests",
-	"internal/schedule.FromLists":             "builds fixture schedules for the schedule, comm, epr, numa and verify tests",
-	"internal/schedule.MustLookup":            "registry lookup for the schedule and verify tests",
-	"internal/schedule.Sequential":            "one-op-per-step reference schedule for the schedule, verify and core tests",
-	"internal/verify.RandomLeaf":              "seeded random leaf shared by the dag, rcp, lpfs, schedule, comm, report and verify tests",
+	"internal/obs/telem.ReadBundle":    "reads a postmortem bundle back for the telem and server tests",
+	"internal/qasm.Opcode.IsPrimitive": "the qasm, decompose and core tests check decomposed output against the target gate set",
+	"internal/qasm.Parse":              "QASM reader: the qasm and verify fuzz tests and core's emit round trip read emitted streams back",
+	"internal/report.ReadFile":         "reads a written report back for the report, qsched and qbench record tests",
+	"internal/schedule.FromLists":      "builds fixture schedules for the schedule, comm, epr, numa and verify tests",
+	"internal/schedule.MustLookup":     "registry lookup for the schedule and verify tests",
+	"internal/schedule.Sequential":     "one-op-per-step reference schedule for the schedule, verify and core tests",
+	"internal/verify.RandomLeaf":       "seeded random leaf shared by the dag, rcp, lpfs, schedule, comm, report and verify tests",
 }
 
 // surfaceDecl is one exported function or method declared in a
